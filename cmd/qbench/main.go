@@ -971,7 +971,9 @@ func e19() {
 		t0 = time.Now()
 		var warmAnswers int
 		for i := 0; i < reps; i++ {
-			pr, err := cache.PrepareCounted(q, db, cw)
+			p, err := cache.Compile(q)
+			check(err)
+			pr, err := cache.PreparePlan(p, db, cw)
 			check(err)
 			e, err := pr.Enumerate(cw)
 			check(err)

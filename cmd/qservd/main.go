@@ -25,8 +25,7 @@
 // Cold binds run in a deadline-aware bind lane (-bind-workers/-bind-queue)
 // so a bind storm cannot head-of-line-block warm traffic: requests whose
 // deadline cannot survive the estimated bind wait are shed with 503 and a
-// Retry-After hint. -inline-bind disables the lane (binds run in the
-// request goroutine) and exists as the experiment baseline for E23.
+// Retry-After hint.
 package main
 
 import (
@@ -54,7 +53,6 @@ func main() {
 	pageSize := flag.Int("page", 1024, "maximum enumerate page size")
 	bindWorkers := flag.Int("bind-workers", 2, "bind lane: concurrent cold-bind bound")
 	bindQueue := flag.Int("bind-queue", 32, "bind lane: queued cold binds before shedding (503)")
-	inlineBind := flag.Bool("inline-bind", false, "bypass the bind lane; cold binds run inline in the request goroutine (E23 baseline)")
 	flag.Parse()
 
 	var (
@@ -85,7 +83,6 @@ func main() {
 		MaxPageSize:     *pageSize,
 		BindWorkers:     *bindWorkers,
 		BindQueueDepth:  *bindQueue,
-		InlineBind:      *inlineBind,
 	})
 	srv.Publish("qservd")
 
@@ -96,12 +93,8 @@ func main() {
 	mux.Handle("/debug/", http.DefaultServeMux)
 	_ = expvar.Handler()
 
-	bindMode := fmt.Sprintf("bind-workers %d, bind-queue %d", *bindWorkers, *bindQueue)
-	if *inlineBind {
-		bindMode = "inline binds (no bind lane)"
-	}
-	fmt.Printf("qservd: serving on %s (max-inflight %d, deadline %s, cache %d, %s)\n",
-		*addr, *maxInflight, *deadline, *cacheSize, bindMode)
+	fmt.Printf("qservd: serving on %s (max-inflight %d, deadline %s, cache %d, bind-workers %d, bind-queue %d)\n",
+		*addr, *maxInflight, *deadline, *cacheSize, *bindWorkers, *bindQueue)
 	if err := http.ListenAndServe(*addr, mux); err != nil {
 		fatal(err)
 	}

@@ -8,11 +8,12 @@
 //	qsnap -data facts.txt -o facts.snap                 # snapshot a fact file
 //	qsnap -gen 42 -o workload.snap                      # snapshot a seeded qgen workload
 //	qsnap -data facts.txt -index edge:0 -index edge:0,1 # prebuild CSR indexes
-//	qsnap -data facts.txt -shard edge:0:8               # persist an 8-way hash partition on column 0
 //	qsnap -info facts.snap                              # print a snapshot's contents
 //
 // The output is written atomically (temp file + rename), so a serving
-// daemon never maps a half-written snapshot.
+// daemon never maps a half-written snapshot. Section kind 5 (the hash-shard
+// partitions of the removed -shard flag) is reserved: files that carry it
+// still open, the section is checksum-verified and ignored.
 package main
 
 import (
@@ -40,9 +41,8 @@ func main() {
 	genQueries := flag.Int("gen-queries", 6, "number of workload queries the seed covers")
 	out := flag.String("o", "", "output snapshot path")
 	info := flag.String("info", "", "print the contents of an existing snapshot and exit")
-	var indexes, shards listFlag
+	var indexes listFlag
 	flag.Var(&indexes, "index", "prebuild a CSR index: rel:col[,col...] (repeatable)")
-	flag.Var(&shards, "shard", "persist a hash partition: rel:col[,col...]:k (repeatable)")
 	flag.Parse()
 
 	if *info != "" {
@@ -76,38 +76,15 @@ func main() {
 		os.Exit(2)
 	}
 
-	opts := &snapshot.Options{
-		Indexes: map[string][][]int{},
-		Shards:  map[string]snapshot.ShardSpec{},
-	}
+	opts := &snapshot.Options{Indexes: map[string][][]int{}}
 	for _, spec := range indexes {
-		rel, cols, err := parseCols(spec, 2)
+		rel, cols, err := parseCols(spec)
 		if err != nil {
 			fatal(fmt.Errorf("-index %s: %w", spec, err))
 		}
 		checkRelation(db, rel, cols)
 		opts.Indexes[rel] = append(opts.Indexes[rel], cols)
 	}
-	for _, spec := range shards {
-		parts := strings.Split(spec, ":")
-		if len(parts) != 3 {
-			fatal(fmt.Errorf("-shard %s: want rel:cols:k", spec))
-		}
-		k, err := strconv.Atoi(parts[2])
-		if err != nil || k < 1 {
-			fatal(fmt.Errorf("-shard %s: bad shard count %q", spec, parts[2]))
-		}
-		rel, cols, err := parseCols(parts[0]+":"+parts[1], 2)
-		if err != nil {
-			fatal(fmt.Errorf("-shard %s: %w", spec, err))
-		}
-		checkRelation(db, rel, cols)
-		if _, dup := opts.Shards[rel]; dup {
-			fatal(fmt.Errorf("-shard %s: relation %s already sharded", spec, rel))
-		}
-		opts.Shards[rel] = snapshot.ShardSpec{Cols: cols, K: k}
-	}
-
 	if err := snapshot.WriteFile(*out, db, dict, opts); err != nil {
 		fatal(err)
 	}
@@ -120,9 +97,9 @@ func main() {
 }
 
 // parseCols splits "rel:c0,c1,..." into a relation name and column list.
-func parseCols(spec string, parts int) (string, []int, error) {
-	ps := strings.SplitN(spec, ":", parts)
-	if len(ps) != parts || ps[0] == "" {
+func parseCols(spec string) (string, []int, error) {
+	ps := strings.SplitN(spec, ":", 2)
+	if len(ps) != 2 || ps[0] == "" {
 		return "", nil, fmt.Errorf("want rel:col[,col...]")
 	}
 	var cols []int
@@ -170,9 +147,6 @@ func printInfo(path string) {
 		line := fmt.Sprintf("  %-16s arity %d, %8d rows, gen %d", name, r.Arity, r.Len(), r.Generation())
 		if r.Sorted() {
 			line += ", sorted"
-		}
-		if cols, k, ok := s.ShardMeta(name); ok {
-			line += fmt.Sprintf(", %d shards on cols %v", k, cols)
 		}
 		fmt.Println(line)
 	}

@@ -21,13 +21,12 @@ type Cache struct {
 	plans    map[uint64][]*Plan
 	prepared map[preparedKey]*preparedEntry
 
-	// inflight is the singleflight registry of binds and refreshes in
-	// progress. Compilation is cheap and pure, so it stays under c.mu; the
-	// data-dependent Bind/Refresh runs OUTSIDE the lock behind a flight
-	// entry, so one slow bind never head-of-line-blocks warm probes of
-	// other statements, and a thundering herd of cold probes for the same
-	// (plan, db) coalesces onto one bind instead of serializing N of them.
-	inflight map[preparedKey]*bindFlight
+	// inflight is the one registry of binds and refreshes in progress — the
+	// single coalescing point for cold statements, shared by direct callers
+	// (PreparePlan) and qservd's bind lane (StartFlight/Run). A thundering
+	// herd of cold probes for the same (plan, db) coalesces onto one flight
+	// instead of serializing N binds.
+	inflight map[preparedKey]*Flight
 
 	// maxPrepared bounds len(prepared); 0 means unbounded. Entries beyond
 	// the bound are evicted least-recently-used, so a workload cycling
@@ -52,11 +51,12 @@ type preparedEntry struct {
 	lastUse atomic.Uint64
 }
 
-// bindFlight is one in-progress bind/refresh: done is closed once pr/err
-// are settled, and every prepareSlow caller that found the flight waits on
-// it instead of binding again.
-type bindFlight struct {
-	done chan struct{}
+// Flight is one in-progress bind or refresh of a (plan, database) pair.
+// Its leader (see StartFlight) calls Run; everyone else waits on Done.
+type Flight struct {
+	c    *Cache
+	key  preparedKey
+	done chan struct{} // closed once pr/err are settled
 	pr   *Prepared
 	err  error
 }
@@ -70,7 +70,7 @@ func NewCache() *Cache {
 	return &Cache{
 		plans:    make(map[uint64][]*Plan),
 		prepared: make(map[preparedKey]*preparedEntry),
-		inflight: make(map[preparedKey]*bindFlight),
+		inflight: make(map[preparedKey]*Flight),
 	}
 }
 
@@ -168,41 +168,35 @@ func (c *Cache) lookupPlan(fp uint64, q *logic.CQ, u *logic.UCQ) *Plan {
 
 // Compile returns the cached plan for q, compiling on first use.
 func (c *Cache) Compile(q *logic.CQ) (*Plan, error) {
-	fp := FingerprintCQ(q)
-	c.mu.RLock()
-	p := c.lookupPlan(fp, q, nil)
-	c.mu.RUnlock()
-	if p != nil {
-		return p, nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if p := c.lookupPlan(fp, q, nil); p != nil {
-		return p, nil
-	}
-	p, err := Compile(q)
-	if err != nil {
-		return nil, err
-	}
-	c.plans[fp] = append(c.plans[fp], p)
-	return p, nil
+	return c.compile(FingerprintCQ(q), q, nil)
 }
 
 // CompileUCQ is Compile for unions.
 func (c *Cache) CompileUCQ(u *logic.UCQ) (*Plan, error) {
-	fp := FingerprintUCQ(u)
+	return c.compile(FingerprintUCQ(u), nil, u)
+}
+
+// compile resolves q (or u) to its cached plan. A hit is one fingerprint,
+// one map probe and a structural comparison under the read lock — no
+// allocation. Compilation is cheap and pure, so a miss runs it under c.mu.
+func (c *Cache) compile(fp uint64, q *logic.CQ, u *logic.UCQ) (*Plan, error) {
 	c.mu.RLock()
-	p := c.lookupPlan(fp, nil, u)
+	p := c.lookupPlan(fp, q, u)
 	c.mu.RUnlock()
 	if p != nil {
 		return p, nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if p := c.lookupPlan(fp, nil, u); p != nil {
+	if p := c.lookupPlan(fp, q, u); p != nil {
 		return p, nil
 	}
-	p, err := CompileUCQ(u)
+	var err error
+	if u != nil {
+		p, err = CompileUCQ(u)
+	} else {
+		p, err = Compile(q)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -211,147 +205,13 @@ func (c *Cache) CompileUCQ(u *logic.UCQ) (*Plan, error) {
 }
 
 // Prepare returns a bound statement for (q, db), compiling and binding at
-// most once per database generation. See PrepareCounted.
+// most once per database generation: Compile, then PreparePlan.
 func (c *Cache) Prepare(q *logic.CQ, db *database.Database) (*Prepared, error) {
-	return c.PrepareCounted(q, db, nil)
-}
-
-// PrepareCounted is Prepare with step counting on the miss path (compile
-// and bind spans land on counter). A hit performs two map probes, one
-// generation read, and no allocation.
-func (c *Cache) PrepareCounted(q *logic.CQ, db *database.Database, counter *delay.Counter) (*Prepared, error) {
-	fp := FingerprintCQ(q)
-	c.mu.RLock()
-	p := c.lookupPlan(fp, q, nil)
-	if p != nil {
-		if e := c.prepared[preparedKey{p, db}]; e != nil && e.gen == db.Generation() {
-			c.touch(e)
-			c.mu.RUnlock()
-			c.hits.Add(1)
-			return e.pr, nil
-		}
+	p, err := c.Compile(q)
+	if err != nil {
+		return nil, err
 	}
-	c.mu.RUnlock()
-	return c.prepareSlow(fp, p, q, nil, db, counter)
-}
-
-// PrepareUCQ is Prepare for unions.
-func (c *Cache) PrepareUCQ(u *logic.UCQ, db *database.Database) (*Prepared, error) {
-	return c.PrepareUCQCounted(u, db, nil)
-}
-
-// PrepareUCQCounted is PrepareCounted for unions.
-func (c *Cache) PrepareUCQCounted(u *logic.UCQ, db *database.Database, counter *delay.Counter) (*Prepared, error) {
-	fp := FingerprintUCQ(u)
-	c.mu.RLock()
-	p := c.lookupPlan(fp, nil, u)
-	if p != nil {
-		if e := c.prepared[preparedKey{p, db}]; e != nil && e.gen == db.Generation() {
-			c.touch(e)
-			c.mu.RUnlock()
-			c.hits.Add(1)
-			return e.pr, nil
-		}
-	}
-	c.mu.RUnlock()
-	return c.prepareSlow(fp, p, nil, u, db, counter)
-}
-
-// prepareSlow is the non-hit path: compile if the plan was not cached,
-// then either catch a stale cached statement up in place (Refresh — the
-// entry, its memory, and its bound spine survive the mutation) or bind a
-// fresh one.
-//
-// Compilation (pure, cheap) runs under c.mu; the data-dependent
-// Refresh/Bind runs outside it behind a singleflight entry. Concurrent
-// cold probes for the same (plan, db) wait on the one in-flight bind and
-// count as hits; probes for OTHER statements are never blocked by it.
-func (c *Cache) prepareSlow(fp uint64, p *Plan, q *logic.CQ, u *logic.UCQ, db *database.Database, counter *delay.Counter) (*Prepared, error) {
-	c.mu.Lock()
-	if p == nil {
-		if p = c.lookupPlan(fp, q, u); p == nil {
-			var err error
-			if u != nil {
-				p, err = CompileUCQ(u)
-			} else {
-				p, err = Compile(q)
-			}
-			if err != nil {
-				c.mu.Unlock()
-				return nil, err
-			}
-			c.plans[fp] = append(c.plans[fp], p)
-		}
-	}
-	// Another goroutine may have bound it while we waited for the lock.
-	key := preparedKey{p, db}
-	if e := c.prepared[key]; e != nil && e.gen == db.Generation() {
-		c.touch(e)
-		c.hits.Add(1)
-		c.mu.Unlock()
-		return e.pr, nil
-	}
-	if fl := c.inflight[key]; fl != nil {
-		c.mu.Unlock()
-		<-fl.done
-		if fl.err != nil {
-			return nil, fl.err
-		}
-		// Under the usual locking discipline (executions hold the database
-		// read-side while probing) the flight's result is necessarily at
-		// the current generation; an undisciplined caller may receive a
-		// statement already stale, exactly as the pre-singleflight code
-		// could, and recovers through ErrStalePlan.
-		c.hits.Add(1)
-		return fl.pr, nil
-	}
-	fl := &bindFlight{done: make(chan struct{})}
-	c.inflight[key] = fl
-	stale := c.prepared[key] // non-nil ⇒ stale (fresh was handled above)
-	c.mu.Unlock()
-
-	var pr *Prepared
-	var err error
-	refreshed := false
-	if stale != nil {
-		if _, rerr := stale.pr.Refresh(counter); rerr == nil {
-			pr, refreshed = stale.pr, true
-		}
-	}
-	if pr == nil {
-		pr, err = p.BindCounted(db, counter)
-	}
-
-	c.mu.Lock()
-	delete(c.inflight, key)
-	switch {
-	case err != nil:
-		if stale != nil && c.prepared[key] == stale {
-			delete(c.prepared, key)
-		}
-		fl.err = err
-	case refreshed:
-		stale.gen = pr.Generation()
-		c.touch(stale)
-		// Re-insert: a concurrent Sweep may have dropped the entry while
-		// the refresh was in flight.
-		c.prepared[key] = stale
-		c.refreshes.Add(1)
-		fl.pr = pr
-	default:
-		if stale != nil && c.prepared[key] == stale {
-			delete(c.prepared, key)
-		}
-		c.misses.Add(1)
-		e := &preparedEntry{gen: pr.Generation(), pr: pr}
-		c.touch(e)
-		c.prepared[key] = e
-		c.evictLocked()
-		fl.pr = pr
-	}
-	c.mu.Unlock()
-	close(fl.done)
-	return pr, err
+	return c.PreparePlan(p, db, nil)
 }
 
 // PeekPlan probes for a warm bound statement of an already-compiled plan
@@ -372,15 +232,121 @@ func (c *Cache) PeekPlan(p *Plan, db *database.Database) (*Prepared, bool) {
 	return e.pr, true
 }
 
-// PreparePlan is PrepareCounted from an already-compiled plan: it skips
-// parse and fingerprint work entirely. Bind workers resolving queued cold
-// binds and the prepared-handle path (which recovers the plan by
-// fingerprint) both enter here.
+// PreparePlan returns a generation-fresh bound statement for a compiled
+// plan: a warm probe (two map probes, one generation read, no allocation),
+// else one flight — led here or joined — that binds or refreshes it. Step
+// counting on the miss path lands on counter. A waiter on someone else's
+// flight counts as a hit.
 func (c *Cache) PreparePlan(p *Plan, db *database.Database, counter *delay.Counter) (*Prepared, error) {
 	if pr, ok := c.PeekPlan(p, db); ok {
 		return pr, nil
 	}
-	return c.prepareSlow(0, p, nil, nil, db, counter)
+	fl, leader := c.StartFlight(p, db)
+	if leader {
+		fl.Run(counter)
+	} else {
+		<-fl.done
+		if fl.err == nil {
+			// Under the usual locking discipline (executions hold the
+			// database read-side while probing) the flight's result is
+			// necessarily at the current generation; an undisciplined caller
+			// may receive a statement already stale and recovers through
+			// ErrStalePlan.
+			c.hits.Add(1)
+		}
+	}
+	return fl.pr, fl.err
+}
+
+// InFlight returns the unfinished flight for (p, db), or nil when no bind
+// of that statement is registered.
+func (c *Cache) InFlight(p *Plan, db *database.Database) *Flight {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.inflight[preparedKey{p, db}]
+}
+
+// StartFlight registers a flight for (p, db) and makes the caller its
+// leader, who must call Run exactly once — every joiner blocks until it
+// does. If a flight is already registered it is returned with leader
+// false. Registration and execution are separate so a bounded scheduler
+// (qservd's bind lane) can register a flight when it queues the bind:
+// duplicates arriving while it waits for a worker join it instead of
+// queueing a second bind.
+func (c *Cache) StartFlight(p *Plan, db *database.Database) (fl *Flight, leader bool) {
+	key := preparedKey{p, db}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if fl := c.inflight[key]; fl != nil {
+		return fl, false
+	}
+	fl = &Flight{c: c, key: key, done: make(chan struct{})}
+	c.inflight[key] = fl
+	return fl, true
+}
+
+// Done is closed once the flight's result is settled.
+func (fl *Flight) Done() <-chan struct{} { return fl.done }
+
+// Err reports whether the flight's bind failed; valid once Done is closed.
+func (fl *Flight) Err() error { return fl.err }
+
+// Run executes the flight: if the statement is fresh by now (an earlier
+// flight landed between the leader's cold probe and this one) it is a hit;
+// otherwise a stale cached statement is caught up in place (Refresh — the
+// entry, its memory, and its bound spine survive the mutation) or a fresh
+// one is bound. The data-dependent work runs outside c.mu, so one slow
+// bind never head-of-line-blocks warm probes of other statements. The
+// caller holds the database read-side, like any execution.
+func (fl *Flight) Run(counter *delay.Counter) {
+	c, key := fl.c, fl.key
+	c.mu.Lock()
+	stale := c.prepared[key]
+	if stale != nil && stale.gen == key.db.Generation() {
+		c.touch(stale)
+		c.hits.Add(1)
+		fl.pr = stale.pr
+		delete(c.inflight, key)
+		c.mu.Unlock()
+		close(fl.done)
+		return
+	}
+	c.mu.Unlock()
+
+	var pr *Prepared
+	var err error
+	refreshed := false
+	if stale != nil {
+		if _, rerr := stale.pr.Refresh(counter); rerr == nil {
+			pr, refreshed = stale.pr, true
+		}
+	}
+	if pr == nil {
+		pr, err = key.plan.BindCounted(key.db, counter)
+	}
+
+	c.mu.Lock()
+	delete(c.inflight, key)
+	if !refreshed && stale != nil && c.prepared[key] == stale {
+		delete(c.prepared, key) // could not be caught up: superseded or failed
+	}
+	fl.pr, fl.err = pr, err
+	if refreshed {
+		stale.gen = pr.Generation()
+		c.touch(stale)
+		// Re-insert: a concurrent Sweep may have dropped the entry while
+		// the refresh was in flight.
+		c.prepared[key] = stale
+		c.refreshes.Add(1)
+	} else if err == nil {
+		c.misses.Add(1)
+		e := &preparedEntry{gen: pr.Generation(), pr: pr}
+		c.touch(e)
+		c.prepared[key] = e
+		c.evictLocked()
+	}
+	c.mu.Unlock()
+	close(fl.done)
 }
 
 // PlanByFingerprint resolves a structural fingerprint to the unique cached

@@ -146,17 +146,20 @@ func TestCacheMutateHeavyBounded(t *testing.T) {
 
 // TestCacheUCQ: union plans are cached under the union fingerprint.
 func TestCacheUCQ(t *testing.T) {
-	u := mustUCQ(t, "Q(x) :- A(x,y); Q(x) :- B(x,y).")
 	db := chainDB(10)
 	cache := plan.NewCache()
-	pr1, err := cache.PrepareUCQ(u, db)
-	if err != nil {
-		t.Fatal(err)
+	prepare := func() *plan.Prepared {
+		p, err := cache.CompileUCQ(mustUCQ(t, "Q(x) :- A(x,y); Q(x) :- B(x,y)."))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr, err := cache.PreparePlan(p, db, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pr
 	}
-	pr2, err := cache.PrepareUCQ(mustUCQ(t, "Q(x) :- A(x,y); Q(x) :- B(x,y)."), db)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pr1, pr2 := prepare(), prepare()
 	if pr1 != pr2 {
 		t.Error("equal unions got distinct Prepareds")
 	}

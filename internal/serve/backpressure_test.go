@@ -83,15 +83,15 @@ func TestAdmissionControl429(t *testing.T) {
 // each field lands in its slot.
 func TestCursorRoundTrip(t *testing.T) {
 	key := bytes.Repeat([]byte{9}, 32)
-	in := cursor{fp: 0xdeadbeefcafe, gen: 42, offset: 1 << 40}
-	out, err := decodeCursor(key, encodeCursor(key, in))
+	in := token{kind: kindCursor, fp: 0xdeadbeefcafe, gen: 42, offset: 1 << 40}
+	out, err := decodeToken(key, kindCursor, encodeToken(key, in))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out != in {
 		t.Fatalf("round trip %+v → %+v", in, out)
 	}
-	if _, err := decodeCursor(bytes.Repeat([]byte{8}, 32), encodeCursor(key, in)); err == nil {
+	if _, err := decodeToken(bytes.Repeat([]byte{8}, 32), kindCursor, encodeToken(key, in)); err == nil {
 		t.Fatal("cursor verified under a different key")
 	}
 }

@@ -60,7 +60,7 @@ func TestBindQueueShedDecisions(t *testing.T) {
 	// Queue full: workers busy and every queue slot taken.
 	s.binds.mu.Lock()
 	s.binds.active = s.cfg.BindWorkers
-	s.binds.queued = make([]*bindFlight, s.cfg.BindQueueDepth)
+	s.binds.queued = make([]*plan.Flight, s.cfg.BindQueueDepth)
 	s.binds.mu.Unlock()
 	start := time.Now()
 	err := s.binds.bind(context.Background(), p)
@@ -251,26 +251,26 @@ func TestShedLeavesNoGoroutines(t *testing.T) {
 }
 
 // TestHandleRoundTrip pins the handle codec: encode → decode is the
-// identity, keys matter, and the version byte keeps handles and cursors
+// identity, keys matter, and the kind byte keeps handles and cursors
 // from impersonating each other.
 func TestHandleRoundTrip(t *testing.T) {
 	key := bytes.Repeat([]byte{9}, 32)
-	in := stmtHandle{fp: 0xfeedface00112233, gen: 77}
-	out, err := decodeHandle(key, encodeHandle(key, in))
+	in := token{kind: kindHandle, fp: 0xfeedface00112233, gen: 77}
+	out, err := decodeToken(key, kindHandle, encodeToken(key, in))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out != in {
 		t.Fatalf("round trip %+v → %+v", in, out)
 	}
-	if _, err := decodeHandle(bytes.Repeat([]byte{8}, 32), encodeHandle(key, in)); err == nil {
+	if _, err := decodeToken(bytes.Repeat([]byte{8}, 32), kindHandle, encodeToken(key, in)); err == nil {
 		t.Fatal("handle verified under a different key")
 	}
-	// Version confusion: a cursor is not a handle and vice versa.
-	if _, err := decodeHandle(key, encodeCursor(key, cursor{fp: 1, gen: 2, offset: 3})); err == nil {
+	// Kind confusion: a cursor is not a handle and vice versa.
+	if _, err := decodeToken(key, kindHandle, encodeToken(key, token{kind: kindCursor, fp: 1, gen: 2, offset: 3})); err == nil {
 		t.Fatal("cursor accepted as a handle")
 	}
-	if _, err := decodeCursor(key, encodeHandle(key, in)); err == nil {
+	if _, err := decodeToken(key, kindCursor, encodeToken(key, in)); err == nil {
 		t.Fatal("handle accepted as a cursor")
 	}
 }

@@ -94,8 +94,6 @@ func (s *Server) Stats() Stats {
 		Shed503:         s.m.shed503.Load(),
 		BindsQueued:     s.m.bindsQueued.Load(),
 		BindsCoalesced:  s.m.bindsCoalesced.Load(),
-		BindQueueDepth:  s.binds.queueDepth(),
-		BindEwmaNS:      s.binds.ewma(),
 		BindWaitP99NS:   s.m.bindWait.QuantileInterpolated(0.99),
 		BindCostP99NS:   s.m.bindCost.QuantileInterpolated(0.99),
 		CacheRefreshes:  s.cache.Refreshes(),
@@ -109,6 +107,7 @@ func (s *Server) Stats() Stats {
 		LatencyCount: s.m.latency.Count(),
 	}
 	st.CacheHits, st.CacheMisses = s.cache.Stats()
+	st.BindQueueDepth, st.BindEwmaNS = s.binds.load()
 	s.m.requests.Range(func(k, v interface{}) bool {
 		st.Requests[k.(string)] = v.(*atomic.Int64).Load()
 		return true

@@ -1,0 +1,198 @@
+package serve
+
+import (
+	"bytes"
+	"context"
+	"encoding/base64"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/plan"
+)
+
+// TestDeadlineClamp: deadline_ms is capped in milliseconds, before the
+// conversion to time.Duration — values whose product with time.Millisecond
+// wraps int64 used to come out negative, slip under the MaxDeadline cap and
+// 504 the request instantly.
+func TestDeadlineClamp(t *testing.T) {
+	s := New(tinyDB(), nil, Config{DefaultDeadline: 2 * time.Second, MaxDeadline: 30 * time.Second})
+	for _, tc := range []struct {
+		ms   int64
+		want time.Duration
+	}{
+		{0, 2 * time.Second},
+		{-7, 2 * time.Second},
+		{5, 5 * time.Millisecond},
+		{30_000, 30 * time.Second},
+		{30_001, 30 * time.Second},
+		{1 << 62, 30 * time.Second},
+		{math.MaxInt64, 30 * time.Second},
+	} {
+		before := time.Now()
+		ctx, cancel := s.deadline(httptest.NewRequest("POST", "/v1/decide", nil), tc.ms)
+		dl, ok := ctx.Deadline()
+		cancel()
+		if !ok {
+			t.Fatalf("deadline_ms %d: context has no deadline", tc.ms)
+		}
+		if got := dl.Sub(before); got < tc.want || got > tc.want+time.Second {
+			t.Errorf("deadline_ms %d: budget %v, want %v", tc.ms, got, tc.want)
+		}
+	}
+}
+
+// TestWriteQueryErrorMapping pins how statement-path errors reach the wire.
+// Overload in either form — a shed, or a re-probe loop that mutations kept
+// outrunning — is retryable (503 + Retry-After), never a 400 that blames a
+// valid query; only a real deadline expiry is booked as one.
+func TestWriteQueryErrorMapping(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		err        error
+		status     int
+		code       string
+		retryAfter string
+		expired    int64
+	}{
+		{"shed", &shedError{retryAfter: 1500 * time.Millisecond, detail: "full"}, 503, "bind_overloaded", "2", 0},
+		{"stale re-probe exhausted", fmt.Errorf("decide: %w", plan.ErrStalePlan), 503, "stale_plan", "1", 0},
+		{"deadline", context.DeadlineExceeded, 504, "deadline_exceeded", "", 1},
+		{"client hung up", context.Canceled, 504, "deadline_exceeded", "", 0},
+		{"bind failure", errors.New("plan: relation R is missing"), 400, "unsupported_query", "", 0},
+	} {
+		s := New(tinyDB(), nil, Config{})
+		rec := httptest.NewRecorder()
+		s.writeQueryError(rec, tc.err)
+		var body errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatalf("%s: body %q: %v", tc.name, rec.Body.String(), err)
+		}
+		if rec.Code != tc.status || body.Error != tc.code {
+			t.Errorf("%s: %d %q, want %d %q", tc.name, rec.Code, body.Error, tc.status, tc.code)
+		}
+		if got := rec.Header().Get("Retry-After"); got != tc.retryAfter {
+			t.Errorf("%s: Retry-After %q, want %q", tc.name, got, tc.retryAfter)
+		}
+		if got := s.m.deadlineExpired.Load(); got != tc.expired {
+			t.Errorf("%s: deadline_expired %d, want %d", tc.name, got, tc.expired)
+		}
+	}
+}
+
+// failingWriter is a ResponseWriter whose peer goes away: the first ok
+// writes succeed, then gone is called (if set) and, when fail is set, every
+// later write fails.
+type failingWriter struct {
+	*httptest.ResponseRecorder
+	ok     int
+	fail   bool
+	gone   func()
+	writes int
+}
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	if w.writes > w.ok && w.fail {
+		return 0, errors.New("peer is gone")
+	}
+	if w.writes == w.ok && w.gone != nil {
+		w.gone()
+	}
+	return w.ResponseRecorder.Write(p)
+}
+
+// TestStreamStopsAtWriteError: a stream whose peer is gone must stop
+// enumerating at the first failed write instead of walking all 50k
+// answers, count as served only what was written, and — like a client
+// that cancels mid-stream — never be booked as an expired deadline.
+func TestStreamStopsAtWriteError(t *testing.T) {
+	s := New(bindChainDB(50_000), nil, Config{})
+	h := s.Handler()
+	stream := func(w http.ResponseWriter, ctx context.Context) {
+		body := strings.NewReader(`{"query": "Q(x,y) :- A(x,y), B(y,z).", "stream": true}`)
+		h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/enumerate", body).WithContext(ctx))
+	}
+
+	const k = 100
+	w := &failingWriter{ResponseRecorder: httptest.NewRecorder(), ok: k, fail: true}
+	stream(w, context.Background())
+	if w.writes != k+1 {
+		t.Fatalf("stream attempted %d writes against a peer that died after %d; it must stop at the first failure", w.writes, k)
+	}
+	if st := s.Stats(); st.AnswersServed != k || st.DeadlineExpired != 0 {
+		t.Fatalf("answers_served %d deadline_expired %d, want %d and 0", st.AnswersServed, st.DeadlineExpired, k)
+	}
+
+	// A client hanging up cancels the request context: the stream is cut
+	// with a truncation record, but no deadline was missed.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	w = &failingWriter{ResponseRecorder: httptest.NewRecorder(), ok: k, gone: cancel}
+	stream(w, ctx)
+	if !bytes.Contains(w.Body.Bytes(), []byte(`"truncated":true`)) {
+		t.Fatalf("cancelled stream ended without a truncation record: ...%s", w.Body.Bytes()[max(0, w.Body.Len()-200):])
+	}
+	if st := s.Stats(); st.DeadlineExpired != 0 {
+		t.Fatalf("client disconnect booked as deadline_expired (%d)", st.DeadlineExpired)
+	}
+}
+
+// TestTokenGolden pins the token wire format to the exact strings the
+// two-codec implementation (cursor.go + handle.go at commit ae1fa3d)
+// minted under this key, so clients' stored cursors and handles survive
+// the merge into one codec, and walks every rejection class of both kinds.
+func TestTokenGolden(t *testing.T) {
+	key := []byte("0123456789abcdef0123456789abcdef")
+	all := ^uint64(0)
+	golden := []struct {
+		tok  token
+		wire string
+	}{
+		{token{kind: kindCursor, fp: 0xdeadbeefcafe0123, gen: 42, offset: 1 << 40}, "Ad6tvu_K_gEjAAAAAAAAACoAAAEAAAAAAKlGhLbUUhby"},
+		{token{kind: kindCursor}, "AQAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAEoBUVB4sJ1X"},
+		{token{kind: kindCursor, fp: all, gen: all, offset: all}, "Af_______________________________9RXfobb46is"},
+		{token{kind: kindHandle, fp: 0xfeedface00112233, gen: 77}, "Av7t-s4AESIzAAAAAAAAAE28SFi6_g9ZOw"},
+		{token{kind: kindHandle}, "AgAAAAAAAAAAAAAAAAAAAAB0WhtxIkEYbA"},
+		{token{kind: kindHandle, fp: all, gen: all}, "Av____________________9QrWeNmEZhog"},
+	}
+	for _, g := range golden {
+		if got := encodeToken(key, g.tok); got != g.wire {
+			t.Errorf("encode %+v = %q, want %q", g.tok, got, g.wire)
+		}
+		got, err := decodeToken(key, g.tok.kind, g.wire)
+		if err != nil || got != g.tok {
+			t.Errorf("decode %q = %+v, %v; want %+v", g.wire, got, err, g.tok)
+		}
+		other := kindCursor + kindHandle - g.tok.kind
+		spec, otherSpec := tokenSpecs[g.tok.kind], tokenSpecs[other]
+		raw, _ := base64.RawURLEncoding.DecodeString(g.wire)
+		raw[5] ^= 1
+		flipped := base64.RawURLEncoding.EncodeToString(raw)
+		for _, rej := range []struct {
+			name string
+			kind tokenKind
+			in   string
+			want error
+		}{
+			{"cross-kind", other, g.wire, otherSpec.malformed},
+			{"wrong key", g.tok.kind, encodeToken([]byte("another key"), g.tok), spec.forged},
+			{"flipped field bit", g.tok.kind, flipped, spec.forged},
+			{"truncated", g.tok.kind, g.wire[:len(g.wire)-2], spec.malformed},
+			{"extended", g.tok.kind, g.wire + "AAAA", spec.malformed},
+			{"not base64url", g.tok.kind, "!" + g.wire[1:], spec.malformed},
+			{"oversized", g.tok.kind, strings.Repeat("A", spec.maxLen+1), spec.malformed},
+			{"empty", g.tok.kind, "", spec.malformed},
+		} {
+			if _, err := decodeToken(key, rej.kind, rej.in); err != rej.want {
+				t.Errorf("%s of %q: got %v, want %v", rej.name, g.wire, err, rej.want)
+			}
+		}
+	}
+}

@@ -2,15 +2,30 @@
 // statements from a shared plan.Cache served to concurrent clients over a
 // mutable database.
 //
+// Every query endpoint is the same five-stage pipeline (Server.query), the
+// paper's preprocessing/enumeration split made operational:
+//
+//	resolve       body → compiled plan, by statement handle or query text
+//	admit         an admission slot on entry (guard: 429 when saturated),
+//	              then the deadline budget and the endpoint's own vetting
+//	              (enumerate: the cursor) — past here the request may cost
+//	              statement work
+//	bind-or-wait  probe the cache under the database read lock; a cold
+//	              statement leaves through the bind lane (bindqueue.go)
+//	              with the lock released, then re-probes
+//	execute       the endpoint's engine call over the bound statement,
+//	              still under the read lock
+//	encode        the endpoint's response (JSON, or NDJSON when streaming)
+//
 // The concurrency discipline is the one TestCacheRaceStress pins down at the
 // plan layer: every query request holds a read lock on the database for its
 // whole probe+execute window, and every mutation holds the write lock. Under
 // the read lock the generation cannot move, so a cache probe hands back a
 // Prepared that is fresh for the entire execution; ErrStalePlan is therefore
-// unreachable in steady state, but the handlers still recover from it with a
-// bounded re-probe as defense in depth.
+// unreachable in steady state, but the pipeline still recovers from it with
+// a bounded re-probe as defense in depth.
 //
-// Enumeration is paginated behind opaque resumable cursors (see cursor.go).
+// Enumeration is paginated behind opaque resumable cursors (see token.go).
 // The server keeps no per-client state: a cursor is fingerprint + generation
 // + offset, and the deterministic enumeration order of every engine makes
 // the offset meaningful across requests — even after the cached Prepared
@@ -32,7 +47,6 @@ import (
 
 	"repro/internal/database"
 	"repro/internal/logic"
-	"repro/internal/obs"
 	"repro/internal/plan"
 )
 
@@ -64,14 +78,6 @@ type Config struct {
 	// BindQueueDepth bounds cold binds waiting for a bind worker; beyond
 	// it requests are shed with 503. Default 32.
 	BindQueueDepth int
-	// InlineBind disables the bind lane: cold binds run inline inside the
-	// request's read-lock window, occupying an admission slot for the
-	// whole bind. This is the pre-queue behavior, kept as the overload
-	// baseline for experiment E23.
-	InlineBind bool
-	// Obs, when non-nil, receives bind-lane spans (bind-exec,
-	// bind-queue-wait, bind-shed) for offline analysis.
-	Obs *obs.Observer
 }
 
 func (c Config) withDefaults() Config {
@@ -134,7 +140,7 @@ func New(db *database.Database, dict *database.Dictionary, cfg Config) *Server {
 		sem:   make(chan struct{}, cfg.MaxInFlight),
 		m:     newMetrics(),
 	}
-	s.binds = newBindQueue(s)
+	s.binds = &bindQueue{s: s}
 	return s
 }
 
@@ -146,10 +152,10 @@ func (s *Server) Cache() *plan.Cache { return s.cache }
 // this next to the default serve mux.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/prepare", s.guard("prepare", s.handlePrepare))
-	mux.HandleFunc("POST /v1/decide", s.guard("decide", s.handleDecide))
-	mux.HandleFunc("POST /v1/count", s.guard("count", s.handleCount))
-	mux.HandleFunc("POST /v1/enumerate", s.guard("enumerate", s.handleEnumerate))
+	mux.HandleFunc("POST /v1/prepare", s.guard("prepare", s.query(nil, s.prepare)))
+	mux.HandleFunc("POST /v1/decide", s.guard("decide", s.query(nil, s.decide)))
+	mux.HandleFunc("POST /v1/count", s.guard("count", s.query(nil, s.count)))
+	mux.HandleFunc("POST /v1/enumerate", s.guard("enumerate", s.query(s.admitEnumerate, s.enumerate)))
 	mux.HandleFunc("POST /v1/mutate", s.guard("mutate", s.handleMutate))
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]interface{}{"status": "ok", "generation": s.db.Generation()})
@@ -231,60 +237,59 @@ func decodeBody(s *Server, w http.ResponseWriter, r *http.Request, v interface{}
 	return true
 }
 
-// parseQuery turns request text into a CQ, counting malformed input.
-func (s *Server) parseQuery(w http.ResponseWriter, src string) (*logic.CQ, bool) {
-	if src == "" {
-		s.m.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, "bad_request", "empty query")
-		return nil, false
-	}
-	q, err := logic.ParseCQ(src)
-	if err != nil {
-		s.m.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, "parse_error", err.Error())
-		return nil, false
-	}
-	return q, true
-}
-
 // deadline derives the request context: the client's deadline_ms if given
-// (capped), else the configured default.
-func (s *Server) deadline(r *http.Request, req *queryRequest) (context.Context, context.CancelFunc) {
+// (capped), else the configured default. The cap is applied in milliseconds:
+// converting first would let a huge deadline_ms wrap time.Duration negative
+// and slip under it.
+func (s *Server) deadline(r *http.Request, deadlineMS int64) (context.Context, context.CancelFunc) {
 	d := s.cfg.DefaultDeadline
-	if req != nil && req.DeadlineMS > 0 {
-		d = time.Duration(req.DeadlineMS) * time.Millisecond
-		if d > s.cfg.MaxDeadline {
-			d = s.cfg.MaxDeadline
+	if deadlineMS > 0 {
+		d = s.cfg.MaxDeadline
+		if deadlineMS < d.Milliseconds() {
+			d = time.Duration(deadlineMS) * time.Millisecond
 		}
 	}
 	return context.WithTimeout(r.Context(), d)
 }
 
+// resolveHandle turns a statement handle into its compiled plan. Handles
+// that no longer resolve — the compiled plan was dropped, e.g. by a cache
+// reset — get 410 so the client knows to re-prepare with query text rather
+// than retry. Writes the error response itself on failure.
+func (s *Server) resolveHandle(w http.ResponseWriter, handle string) (*plan.Plan, bool) {
+	h, err := decodeToken(s.cfg.CursorKey, kindHandle, handle)
+	if err != nil {
+		s.m.badRequests.Add(1)
+		writeError(w, http.StatusBadRequest, "bad_handle", err.Error())
+		return nil, false
+	}
+	p := s.cache.PlanByFingerprint(h.fp)
+	if p == nil {
+		s.m.staleHandles.Add(1)
+		writeError(w, http.StatusGone, "unknown_handle",
+			"handle no longer resolves to a cached plan; re-prepare with query text")
+		return nil, false
+	}
+	return p, true
+}
+
 // resolvePlan turns the request into a compiled plan: by statement handle
 // when one is attached (no parsing, no query text round trip), else by
-// query text. Writes the error response itself on failure. Handles that no
-// longer resolve — the compiled plan was dropped, e.g. by a cache reset —
-// get 410 so the client knows to re-prepare with query text rather than
-// retry.
+// query text, counting malformed input. Writes the error response itself on
+// failure.
 func (s *Server) resolvePlan(w http.ResponseWriter, req *queryRequest) (*plan.Plan, bool) {
 	if req.Handle != "" {
-		h, err := decodeHandle(s.cfg.CursorKey, req.Handle)
-		if err != nil {
-			s.m.badRequests.Add(1)
-			writeError(w, http.StatusBadRequest, "bad_handle", err.Error())
-			return nil, false
-		}
-		p := s.cache.PlanByFingerprint(h.fp)
-		if p == nil {
-			s.m.staleHandles.Add(1)
-			writeError(w, http.StatusGone, "unknown_handle",
-				"handle no longer resolves to a cached plan; re-prepare with query text")
-			return nil, false
-		}
-		return p, true
+		return s.resolveHandle(w, req.Handle)
 	}
-	q, ok := s.parseQuery(w, req.Query)
-	if !ok {
+	if req.Query == "" {
+		s.m.badRequests.Add(1)
+		writeError(w, http.StatusBadRequest, "bad_request", "empty query")
+		return nil, false
+	}
+	q, err := logic.ParseCQ(req.Query)
+	if err != nil {
+		s.m.badRequests.Add(1)
+		writeError(w, http.StatusBadRequest, "parse_error", err.Error())
 		return nil, false
 	}
 	p, err := s.cache.Compile(q)
@@ -295,29 +300,20 @@ func (s *Server) resolvePlan(w http.ResponseWriter, req *queryRequest) (*plan.Pl
 	return p, true
 }
 
-// withStatement resolves a generation-fresh bound statement for p and runs
-// fn with the database read lock held — the fast lane. A cold statement
-// sends the request through the bind lane (see bindqueue.go) with the read
-// lock RELEASED, so slow binds never stall mutations or occupy more than a
-// bind-worker slot; once the bind lands the fast lane re-probes. With
-// InlineBind set the bind instead runs inside the read-lock window, as it
-// did before the bind lane existed. The ErrStalePlan retry remains defense
-// in depth exactly as before (see the package comment).
+// withStatement is the bind-or-wait stage: it resolves a generation-fresh
+// bound statement for p and runs fn with the database read lock held — the
+// fast lane. A cold statement sends the request through the bind lane (see
+// bindqueue.go) with the read lock RELEASED, so slow binds never stall
+// mutations or occupy more than a bind-worker slot; once the bind lands the
+// fast lane re-probes. The ErrStalePlan retry is defense in depth (see the
+// package comment). Falling out of the loop means mutations kept outpacing
+// binds; the caller reports that as retryable.
 func (s *Server) withStatement(ctx context.Context, p *plan.Plan, fn func(pr *plan.Prepared) error) error {
-	var err error
 	for attempt := 0; attempt < 4; attempt++ {
 		s.dbMu.RLock()
 		pr, warm := s.cache.PeekPlan(p, s.db)
-		if !warm && s.cfg.InlineBind {
-			pr, err = s.cache.PreparePlan(p, s.db, nil)
-			if err != nil {
-				s.dbMu.RUnlock()
-				return err
-			}
-			warm = true
-		}
 		if warm {
-			err = fn(pr)
+			err := fn(pr)
 			s.dbMu.RUnlock()
 			if !errors.Is(err, plan.ErrStalePlan) {
 				return err
@@ -326,123 +322,180 @@ func (s *Server) withStatement(ctx context.Context, p *plan.Plan, fn func(pr *pl
 			continue
 		}
 		s.dbMu.RUnlock()
-		if err = s.binds.bind(ctx, p); err != nil {
+		if err := s.binds.bind(ctx, p); err != nil {
 			return err
 		}
 		// The bind landed; loop to re-probe. A mutation racing in between
 		// sends the next iteration back through the bind lane at the new
 		// generation.
 	}
-	if err == nil {
-		err = plan.ErrStalePlan
+	return plan.ErrStalePlan
+}
+
+// retryAfter answers 503 with a Retry-After hint rounded up to seconds.
+func retryAfter(w http.ResponseWriter, after time.Duration, code, detail string) {
+	w.Header().Set("Retry-After", strconv.Itoa(int((after+time.Second-1)/time.Second)))
+	writeError(w, http.StatusServiceUnavailable, code, detail)
+}
+
+// expired books a deadline expiry. A client that hung up cancels the same
+// context, but that is the client's doing, not a missed deadline.
+func (s *Server) expired(err error) {
+	if errors.Is(err, context.DeadlineExceeded) {
+		s.m.deadlineExpired.Add(1)
 	}
-	return err
 }
 
 // writeQueryError maps statement-path errors onto the wire: bind-lane
-// shedding → 503 with a Retry-After hint, deadline expiry → 504, anything
-// else (unsupported queries, bind failures) → 400.
+// shedding and an exhausted stale re-probe → 503 with a Retry-After hint
+// (both are retryable overload, not a fault of the query), deadline expiry
+// → 504, anything else (unsupported queries, bind failures) → 400.
 func (s *Server) writeQueryError(w http.ResponseWriter, err error) {
 	var sh *shedError
 	switch {
 	case errors.As(err, &sh):
-		w.Header().Set("Retry-After",
-			strconv.Itoa(int((sh.retryAfter+time.Second-1)/time.Second)))
-		writeError(w, http.StatusServiceUnavailable, "bind_overloaded", sh.detail)
+		retryAfter(w, sh.retryAfter, "bind_overloaded", sh.detail)
+	case errors.Is(err, plan.ErrStalePlan):
+		retryAfter(w, time.Second, "stale_plan", "mutations outpaced the statement's binds; retry")
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		s.m.deadlineExpired.Add(1)
+		s.expired(err)
 		writeError(w, http.StatusGatewayTimeout, "deadline_exceeded", err.Error())
 	default:
 		writeError(w, http.StatusBadRequest, "unsupported_query", err.Error())
 	}
 }
 
-// ---- handlers ----
+// ---- the query pipeline ----
 
-func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	if !decodeBody(s, w, r, &req) {
-		return
-	}
-	p, ok := s.resolvePlan(w, &req)
-	if !ok {
-		return
-	}
-	ctx, cancel := s.deadline(r, &req)
-	defer cancel()
-	err := s.withStatement(ctx, p, func(pr *plan.Prepared) error {
-		writeJSON(w, http.StatusOK, map[string]interface{}{
-			"fingerprint": fmt.Sprintf("%016x", p.Fingerprint()),
-			"handle": encodeHandle(s.cfg.CursorKey, stmtHandle{
-				fp:  p.Fingerprint(),
-				gen: pr.Generation(),
-			}),
-			"engines": map[string]plan.Engine{
-				"decide":    p.DecideEngine,
-				"count":     p.CountEngine,
-				"enumerate": p.EnumerateEngine,
-			},
-			"generation": pr.Generation(),
+// request is one query request's state as it moves through the pipeline.
+type request struct {
+	queryRequest
+	p   *plan.Plan // set by resolve
+	cur *token     // set by enumerate's admit step; nil without a cursor
+}
+
+// query builds a query endpoint's handler: the pipeline stages named in the
+// package comment, parameterised by the endpoint. admit (optional) is the
+// endpoint's own vetting of the resolved request before any statement work,
+// writing its own error response; execute runs against the bound statement
+// under the database read lock and encodes the response, or returns the
+// error to map onto the wire.
+func (s *Server) query(
+	admit func(http.ResponseWriter, *request) bool,
+	execute func(context.Context, http.ResponseWriter, *request, *plan.Prepared) error,
+) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var q request
+		if !decodeBody(s, w, r, &q.queryRequest) {
+			return
+		}
+		var ok bool
+		if q.p, ok = s.resolvePlan(w, &q.queryRequest); !ok {
+			return
+		}
+		if admit != nil && !admit(w, &q) {
+			return
+		}
+		ctx, cancel := s.deadline(r, q.DeadlineMS)
+		defer cancel()
+		err := s.withStatement(ctx, q.p, func(pr *plan.Prepared) error {
+			return execute(ctx, w, &q, pr)
 		})
-		return nil
-	})
-	if err != nil {
-		s.writeQueryError(w, err)
+		if err != nil {
+			s.writeQueryError(w, err)
+		}
 	}
 }
 
-func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	if !decodeBody(s, w, r, &req) {
-		return
-	}
-	p, ok := s.resolvePlan(w, &req)
-	if !ok {
-		return
-	}
-	ctx, cancel := s.deadline(r, &req)
-	defer cancel()
-	err := s.withStatement(ctx, p, func(pr *plan.Prepared) error {
-		ans, err := pr.Decide(nil)
-		if err != nil {
-			return err
-		}
-		writeJSON(w, http.StatusOK, map[string]interface{}{
-			"answer":     ans,
-			"generation": pr.Generation(),
-		})
-		return nil
+func (s *Server) prepare(_ context.Context, w http.ResponseWriter, q *request, pr *plan.Prepared) error {
+	writeJSON(w, http.StatusOK, map[string]interface{}{
+		"fingerprint": fmt.Sprintf("%016x", q.p.Fingerprint()),
+		"handle": encodeToken(s.cfg.CursorKey, token{
+			kind: kindHandle,
+			fp:   q.p.Fingerprint(),
+			gen:  pr.Generation(),
+		}),
+		"engines": map[string]plan.Engine{
+			"decide":    q.p.DecideEngine,
+			"count":     q.p.CountEngine,
+			"enumerate": q.p.EnumerateEngine,
+		},
+		"generation": pr.Generation(),
 	})
-	if err != nil {
-		s.writeQueryError(w, err)
-	}
+	return nil
 }
 
-func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	if !decodeBody(s, w, r, &req) {
-		return
-	}
-	p, ok := s.resolvePlan(w, &req)
-	if !ok {
-		return
-	}
-	ctx, cancel := s.deadline(r, &req)
-	defer cancel()
-	err := s.withStatement(ctx, p, func(pr *plan.Prepared) error {
-		n, err := pr.Count(nil)
-		if err != nil {
-			return err
-		}
-		writeJSON(w, http.StatusOK, map[string]interface{}{
-			"count":      n.String(),
-			"generation": pr.Generation(),
-		})
-		return nil
-	})
+func (s *Server) decide(_ context.Context, w http.ResponseWriter, _ *request, pr *plan.Prepared) error {
+	ans, err := pr.Decide(nil)
 	if err != nil {
-		s.writeQueryError(w, err)
+		return err
 	}
+	writeJSON(w, http.StatusOK, map[string]interface{}{
+		"answer":     ans,
+		"generation": pr.Generation(),
+	})
+	return nil
+}
+
+func (s *Server) count(_ context.Context, w http.ResponseWriter, _ *request, pr *plan.Prepared) error {
+	n, err := pr.Count(nil)
+	if err != nil {
+		return err
+	}
+	writeJSON(w, http.StatusOK, map[string]interface{}{
+		"count":      n.String(),
+		"generation": pr.Generation(),
+	})
+	return nil
+}
+
+// admitEnumerate checks cursor authenticity and fingerprint binding before
+// any statement work — a garbage cursor never costs a bind. The generation
+// check has to wait for the read lock.
+func (s *Server) admitEnumerate(w http.ResponseWriter, q *request) bool {
+	if q.Cursor == "" {
+		return true
+	}
+	cur, err := decodeToken(s.cfg.CursorKey, kindCursor, q.Cursor)
+	if err != nil {
+		s.m.badRequests.Add(1)
+		writeError(w, http.StatusBadRequest, "bad_cursor", err.Error())
+		return false
+	}
+	if cur.fp != q.p.Fingerprint() {
+		s.m.badRequests.Add(1)
+		writeError(w, http.StatusBadRequest, "cursor_mismatch",
+			"cursor was minted for a different query")
+		return false
+	}
+	q.cur = &cur
+	return true
+}
+
+func (s *Server) enumerate(ctx context.Context, w http.ResponseWriter, q *request, pr *plan.Prepared) error {
+	gen := s.db.Generation()
+	var offset uint64
+	if q.cur != nil {
+		if q.cur.gen != gen {
+			// The database moved under the client's pagination. The
+			// cursor is dead; the client restarts against the current
+			// generation (the cache entry has been refreshed in place,
+			// so the restart is a warm probe, not a rebuild).
+			s.m.staleCursors.Add(1)
+			writeError(w, http.StatusGone, "stale_cursor",
+				fmt.Sprintf("cursor generation %d, database at %d", q.cur.gen, gen))
+			return nil
+		}
+		offset = q.cur.offset
+	}
+	if q.Stream {
+		return s.streamAnswers(ctx, w, pr, gen, offset)
+	}
+	limit := q.Limit
+	if limit <= 0 || limit > s.cfg.MaxPageSize {
+		limit = s.cfg.MaxPageSize
+	}
+	return s.servePage(ctx, w, pr, gen, offset, limit)
 }
 
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
@@ -454,18 +507,23 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		// Liveness assertion: a client batching mutations against a held
 		// statement can learn its handle died (cache reset) before paying
 		// for the write. The mutation itself is addressed by predicate.
-		h, err := decodeHandle(s.cfg.CursorKey, req.Handle)
-		if err != nil {
-			s.m.badRequests.Add(1)
-			writeError(w, http.StatusBadRequest, "bad_handle", err.Error())
+		if _, ok := s.resolveHandle(w, req.Handle); !ok {
 			return
 		}
-		if s.cache.PlanByFingerprint(h.fp) == nil {
-			s.m.staleHandles.Add(1)
-			writeError(w, http.StatusGone, "unknown_handle",
-				"handle no longer resolves to a cached plan; re-prepare with query text")
-			return
-		}
+	}
+	// The relation set and arities are fixed for the server's lifetime, so
+	// both ops are validated the same way before the write lock is taken.
+	rel := s.db.Relation(req.Pred)
+	if rel == nil {
+		s.m.badRequests.Add(1)
+		writeError(w, http.StatusNotFound, "unknown_relation", req.Pred)
+		return
+	}
+	if len(req.Tuple) != rel.Arity {
+		s.m.badRequests.Add(1)
+		writeError(w, http.StatusBadRequest, "bad_tuple",
+			fmt.Sprintf("database: relation %s has arity %d, got tuple of length %d", rel.Name, rel.Arity, len(req.Tuple)))
+		return
 	}
 	t := make(database.Tuple, len(req.Tuple))
 	for i, v := range req.Tuple {
@@ -473,12 +531,6 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	}
 	s.dbMu.Lock()
 	defer s.dbMu.Unlock()
-	rel := s.db.Relation(req.Pred)
-	if rel == nil {
-		s.m.badRequests.Add(1)
-		writeError(w, http.StatusNotFound, "unknown_relation", req.Pred)
-		return
-	}
 	var applied bool
 	switch req.Op {
 	case "insert":
@@ -511,69 +563,6 @@ func tupleInts(t database.Tuple) []int64 {
 	return out
 }
 
-func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	if !decodeBody(s, w, r, &req) {
-		return
-	}
-	p, ok := s.resolvePlan(w, &req)
-	if !ok {
-		return
-	}
-	limit := req.Limit
-	if limit <= 0 || limit > s.cfg.MaxPageSize {
-		limit = s.cfg.MaxPageSize
-	}
-	// Cursor authenticity and fingerprint binding are checked before any
-	// statement work — a garbage cursor never costs a bind. The generation
-	// check has to wait for the read lock below.
-	var cur cursor
-	hasCursor := false
-	if req.Cursor != "" {
-		var err error
-		cur, err = decodeCursor(s.cfg.CursorKey, req.Cursor)
-		if err != nil {
-			s.m.badRequests.Add(1)
-			writeError(w, http.StatusBadRequest, "bad_cursor", err.Error())
-			return
-		}
-		if cur.fp != p.Fingerprint() {
-			s.m.badRequests.Add(1)
-			writeError(w, http.StatusBadRequest, "cursor_mismatch",
-				"cursor was minted for a different query")
-			return
-		}
-		hasCursor = true
-	}
-	ctx, cancel := s.deadline(r, &req)
-	defer cancel()
-
-	err := s.withStatement(ctx, p, func(pr *plan.Prepared) error {
-		gen := s.db.Generation()
-		var offset uint64
-		if hasCursor {
-			if cur.gen != gen {
-				// The database moved under the client's pagination. The
-				// cursor is dead; the client restarts against the current
-				// generation (the cache entry has been refreshed in place,
-				// so the restart is a warm probe, not a rebuild).
-				s.m.staleCursors.Add(1)
-				writeError(w, http.StatusGone, "stale_cursor",
-					fmt.Sprintf("cursor generation %d, database at %d", cur.gen, gen))
-				return nil
-			}
-			offset = cur.offset
-		}
-		if req.Stream {
-			return s.streamAnswers(ctx, w, pr, gen, offset)
-		}
-		return s.servePage(ctx, w, pr, gen, offset, limit)
-	})
-	if err != nil {
-		s.writeQueryError(w, err)
-	}
-}
-
 // servePage writes one page of answers starting at offset. On the
 // constant-delay route pages are random-accessed in O(limit · log n); the
 // other engines re-enumerate and skip, which is linear in the offset but
@@ -589,11 +578,7 @@ func (s *Server) servePage(ctx context.Context, w http.ResponseWriter, pr *plan.
 		"generation": gen,
 	}
 	if !done {
-		resp["next_cursor"] = encodeCursor(s.cfg.CursorKey, cursor{
-			fp:     pr.Plan().Fingerprint(),
-			gen:    gen,
-			offset: offset + uint64(len(answers)),
-		})
+		resp["next_cursor"] = s.cursorAt(pr, gen, offset+uint64(len(answers)))
 	}
 	s.m.answersServed.Add(int64(len(answers)))
 	writeJSON(w, http.StatusOK, resp)
@@ -665,12 +650,24 @@ func (s *Server) page(ctx context.Context, pr *plan.Prepared, offset uint64, lim
 	return answers, done, nil
 }
 
+// cursorAt mints the cursor that resumes pr's enumeration at offset.
+func (s *Server) cursorAt(pr *plan.Prepared, gen, offset uint64) string {
+	return encodeToken(s.cfg.CursorKey, token{
+		kind:   kindCursor,
+		fp:     pr.Plan().Fingerprint(),
+		gen:    gen,
+		offset: offset,
+	})
+}
+
 // streamAnswers writes newline-delimited JSON, one answer per line, then a
 // terminal record. A completed stream ends with {"done":true,"count":n}; a
 // deadline expiring mid-stream cuts at an answer boundary and ends with
 // {"truncated":true,"cursor":...} so the client can tell a cut from a
-// finish and resume exactly where the stream stopped. The enumeration is
-// synchronous in this handler, so cancellation leaks nothing.
+// finish and resume exactly where the stream stopped. A failed write means
+// the peer is gone: the enumeration stops there and only the answers that
+// were written count as served. The enumeration is synchronous in this
+// handler, so cancellation leaks nothing.
 func (s *Server) streamAnswers(ctx context.Context, w http.ResponseWriter, pr *plan.Prepared, gen, offset uint64) error {
 	e, err := pr.EnumerateCtx(ctx, nil)
 	if err != nil {
@@ -694,7 +691,10 @@ func (s *Server) streamAnswers(ctx context.Context, w http.ResponseWriter, pr *p
 		if !ok {
 			break
 		}
-		enc.Encode(map[string]interface{}{"answer": tupleInts(t)})
+		if err := enc.Encode(map[string]interface{}{"answer": tupleInts(t)}); err != nil {
+			s.m.answersServed.Add(n)
+			return nil
+		}
 		n++
 		if flusher != nil && n%64 == 0 {
 			flusher.Flush()
@@ -704,16 +704,12 @@ func (s *Server) streamAnswers(ctx context.Context, w http.ResponseWriter, pr *p
 	if err := e.Err(); err != nil {
 		// Headers are out; report the cut in-band with a resume cursor
 		// positioned after the last emitted answer.
-		s.m.deadlineExpired.Add(1)
+		s.expired(err)
 		enc.Encode(map[string]interface{}{
 			"truncated": true,
 			"error":     "deadline_exceeded",
 			"detail":    err.Error(),
-			"cursor": encodeCursor(s.cfg.CursorKey, cursor{
-				fp:     pr.Plan().Fingerprint(),
-				gen:    gen,
-				offset: offset + uint64(n),
-			}),
+			"cursor":    s.cursorAt(pr, gen, offset+uint64(n)),
 		})
 		return nil
 	}

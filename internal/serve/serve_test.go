@@ -224,7 +224,8 @@ func oracleSetFromQuery(t *testing.T, db *database.Database) answerSet {
 }
 
 // TestMutateEndpoint covers the mutation surface: insert, duplicate insert,
-// delete, absent delete, unknown relation, arity mismatch, unknown op.
+// delete, absent delete, unknown relation, arity mismatch (the same answer
+// for both ops), unknown op.
 func TestMutateEndpoint(t *testing.T) {
 	h := newHandler(chainDB(4), serve.Config{})
 	post := func(body map[string]interface{}) (int, map[string]json.RawMessage) {
@@ -250,6 +251,16 @@ func TestMutateEndpoint(t *testing.T) {
 	}
 	if code, _ := post(map[string]interface{}{"pred": "A", "op": "insert", "tuple": []int64{1}}); code != http.StatusBadRequest {
 		t.Fatalf("arity mismatch: status %d, want 400", code)
+	}
+	for _, op := range []string{"insert", "delete"} {
+		for _, tuple := range [][]int64{{}, {1}, {1, 2, 3}} {
+			code, out := post(map[string]interface{}{"pred": "A", "op": op, "tuple": tuple})
+			var e string
+			json.Unmarshal(out["error"], &e)
+			if code != http.StatusBadRequest || e != "bad_tuple" {
+				t.Fatalf("%s of arity-%d tuple into arity-2 A: %d %q, want 400 bad_tuple", op, len(tuple), code, e)
+			}
+		}
 	}
 	if code, _ := post(map[string]interface{}{"pred": "A", "op": "upsert", "tuple": []int64{1, 2}}); code != http.StatusBadRequest {
 		t.Fatalf("unknown op: status %d, want 400", code)

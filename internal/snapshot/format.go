@@ -4,15 +4,14 @@
 // processes, promoted to heap copy-on-first-mutation by the relation
 // layer). The point is the ROADMAP's out-of-core item: preprocessing is
 // done once at snapshot-build time — slabs laid out, dictionaries
-// interned, CSR indexes and hash-shard partitions optionally prebuilt —
-// and a serving process starts in milliseconds by mapping the file
-// instead of re-parsing text facts.
+// interned, CSR indexes optionally prebuilt — and a serving process starts
+// in milliseconds by mapping the file instead of re-parsing text facts.
 //
 // # File layout
 //
 //	header   16 B   magic "QSNAP\x00v1", version, flags (bit0: little-endian payload)
 //	sections ...    8-byte aligned, one per TOC entry, individually CRC-64'd
-//	TOC             per-section directory: kind, name, arity/rows/gen/cols/k, off/len/crc
+//	TOC             per-section directory: kind, name, arity/rows/gen/cols/reserved, off/len/crc
 //	footer   40 B   structural generation, TOC offset/length/CRC, magic "QSNAPEND"
 //
 // Section kinds: a relation's columnar slab (row-major []Value, exactly
@@ -20,19 +19,19 @@
 // use mapped sections in place without any decode); an optional tombstone
 // bitmap (dead rows skipped at load — written by no current producer but
 // accepted for format evolution); the interned Dictionary in value-id
-// order; optional prebuilt single-shard CSR indexes (database.IndexCSR);
-// and optional hash-shard partitions (per-shard row-id lists over the
-// unreordered base slab, routed by uint32(fingerprint)&(k-1) exactly like
-// database.Shard and the parallel index builds).
+// order; and optional prebuilt single-shard CSR indexes
+// (database.IndexCSR). Kind 5 is reserved: earlier writers stored
+// hash-shard partitions under it (a (k+1)-offset uint32 CSR over per-shard
+// row-id lists, k in the TOC entry), which no engine ever read. No writer
+// emits it any more; the reader verifies its checksum and skips it.
 //
 // Everything is validated before use: magics, version, section bounds and
 // alignment, every CRC, arity/row arithmetic (with overflow checks), and
-// the structural invariants of index and shard sections. Corruption
+// the structural invariants of index sections. Corruption
 // surfaces as ErrBadMagic/ErrBadVersion/ErrTruncated/ErrChecksum/
 // ErrCorrupt — never a panic, which FuzzSnapshot enforces.
 //
-// Row order is sacred: the writer persists slabs in relation row order and
-// shard partitions as row-id lists over that unreordered slab, so
+// Row order is sacred: the writer persists slabs in relation row order, so
 // enumeration order — and with it the engines' counted steps — is
 // bit-identical across heap-backed, snapshot-reloaded, and mmap-backed
 // execution. The differential suite pins this.
@@ -69,7 +68,7 @@ const (
 	secTomb   uint8 = 2 // tombstone bitmap over a relation's rows
 	secDict   uint8 = 3 // interned dictionary, value-id order
 	secIndex  uint8 = 4 // prebuilt single-shard CSR index
-	secShards uint8 = 5 // hash-shard partition (per-shard row-id CSR)
+	secShards uint8 = 5 // reserved: retired hash-shard partition, skipped on read
 )
 
 // Typed errors. Readers wrap them with positional context; callers match
@@ -91,8 +90,8 @@ type tocEntry struct {
 	flags  uint8 // bit0: sorted (secSlab)
 	name   string
 	arity  uint32
-	k      uint32 // shard count (secShards)
-	rows   uint64 // slab/tomb/shards: row count; dict: name count
+	k      uint32 // reserved: shard count of a retired secShards entry, else 0
+	rows   uint64 // slab/tomb: row count; dict: name count
 	gen    uint64 // secSlab: relation generation
 	cols   []uint16
 	off    uint64

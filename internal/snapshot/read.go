@@ -12,24 +12,15 @@ import (
 )
 
 // Snapshot is an open, fully validated snapshot: the restored database
-// and dictionary, plus any shard partitions the file carries. A mapped
-// snapshot's relations alias the underlying pages until they promote on
-// first mutation; Close unmaps, so it must only be called once the
-// database (and any tuples handed out from it) is no longer in use.
+// and dictionary. A mapped snapshot's relations alias the underlying pages
+// until they promote on first mutation; Close unmaps, so it must only be
+// called once the database (and any tuples handed out from it) is no
+// longer in use.
 type Snapshot struct {
 	db     *database.Database
 	dict   *database.Dictionary
 	mapped bool
-	shards map[string]*shardPart
 	close  func() error
-}
-
-// shardPart is one relation's persisted hash partition.
-type shardPart struct {
-	cols []int
-	k    int
-	offs []uint32 // k+1 CSR offsets
-	ids  []int32  // row ids, shard-major, base order within a shard
 }
 
 // Database returns the restored database.
@@ -52,39 +43,6 @@ func (s *Snapshot) Close() error {
 	c := s.close
 	s.close = nil
 	return c()
-}
-
-// ShardMeta returns the persisted partition shape for a relation: the key
-// columns and shard count, or ok=false when the file carries no partition
-// for it.
-func (s *Snapshot) ShardMeta(name string) (cols []int, k int, ok bool) {
-	p := s.shards[name]
-	if p == nil {
-		return nil, 0, false
-	}
-	return append([]int(nil), p.cols...), p.k, true
-}
-
-// ShardRelation materializes shard i of a relation's persisted partition
-// as a relation of tuple views into the base storage — a sharded daemon
-// maps the file and touches only its own partition's pages. The shard's
-// tuples keep base-relation order.
-func (s *Snapshot) ShardRelation(name string, i int) (*database.Relation, error) {
-	p := s.shards[name]
-	if p == nil {
-		return nil, fmt.Errorf("snapshot: relation %s has no persisted shards", name)
-	}
-	if i < 0 || i >= p.k {
-		return nil, fmt.Errorf("snapshot: relation %s shard %d out of %d", name, i, p.k)
-	}
-	base := s.db.Relation(name)
-	sr := database.NewRelation(fmt.Sprintf("%s/%d", name, i), base.Arity)
-	ids := p.ids[p.offs[i]:p.offs[i+1]]
-	sr.Tuples = make([]database.Tuple, len(ids))
-	for j, id := range ids {
-		sr.Tuples[j] = base.Tuples[id]
-	}
-	return sr, nil
 }
 
 // Sniff reports whether b begins with the snapshot magic — how the
@@ -234,7 +192,6 @@ func build(b []byte, mapped bool, closeFn func() error) (s *Snapshot, err error)
 		db:     database.NewDatabase(),
 		dict:   database.NewDictionary(),
 		mapped: mapped,
-		shards: map[string]*shardPart{},
 		close:  closeFn,
 	}
 	tombs := map[string]*tocEntry{}
@@ -274,9 +231,8 @@ func build(b []byte, mapped bool, closeFn func() error) (s *Snapshot, err error)
 				return nil, err
 			}
 		case secShards:
-			if err := s.restoreShards(b, e); err != nil {
-				return nil, err
-			}
+			// Retired kind: checksum-verified above like every section,
+			// otherwise ignored, so files from an older writer still open.
 		default:
 			return nil, fmt.Errorf("%w: unknown section kind %d", ErrCorrupt, e.kind)
 		}
@@ -446,57 +402,5 @@ func restoreIndex(b []byte, e *tocEntry, db *database.Database) error {
 	if err := r.RestoreIndex(c); err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	return nil
-}
-
-// restoreShards decodes one hash-partition section.
-func (s *Snapshot) restoreShards(b []byte, e *tocEntry) error {
-	r := s.db.Relation(e.name)
-	if r == nil {
-		return fmt.Errorf("%w: shards for unknown relation %q", ErrCorrupt, e.name)
-	}
-	if s.shards[e.name] != nil {
-		return fmt.Errorf("%w: duplicate shards for %q", ErrCorrupt, e.name)
-	}
-	k := int(e.k)
-	if k < 1 || k > 1<<16 || k != database.ShardCount(k) {
-		return fmt.Errorf("%w: shard count %d for %q", ErrCorrupt, e.k, e.name)
-	}
-	for _, c := range e.cols {
-		if int(c) >= r.Arity {
-			return fmt.Errorf("%w: shard column %d out of arity %d for %q", ErrCorrupt, c, r.Arity, e.name)
-		}
-	}
-	if e.rows != uint64(r.Len()) {
-		return fmt.Errorf("%w: shards for %q cover %d rows, relation has %d", ErrCorrupt, e.name, e.rows, r.Len())
-	}
-	raw := payload(b, e)
-	want := uint64(k+1)*4 + e.rows*4
-	if uint64(len(raw)) != want {
-		return fmt.Errorf("%w: shard section for %q: %d bytes, want %d", ErrCorrupt, e.name, len(raw), want)
-	}
-	p := &shardPart{cols: intCols(e.cols), k: k, offs: make([]uint32, k+1)}
-	for i := range p.offs {
-		p.offs[i] = binary.LittleEndian.Uint32(raw[4*i:])
-	}
-	raw = raw[4*(k+1):]
-	if p.offs[0] != 0 || p.offs[k] != uint32(e.rows) {
-		return fmt.Errorf("%w: shard offsets for %q do not tile the rows", ErrCorrupt, e.name)
-	}
-	for i := 0; i < k; i++ {
-		if p.offs[i] > p.offs[i+1] {
-			return fmt.Errorf("%w: shard offsets for %q decrease at %d", ErrCorrupt, e.name, i)
-		}
-	}
-	p.ids = make([]int32, e.rows)
-	n := int32(r.Len())
-	for i := range p.ids {
-		id := int32(binary.LittleEndian.Uint32(raw[4*i:]))
-		if id < 0 || id >= n {
-			return fmt.Errorf("%w: shard row id %d out of %d rows for %q", ErrCorrupt, id, n, e.name)
-		}
-		p.ids[i] = id
-	}
-	s.shards[e.name] = p
 	return nil
 }

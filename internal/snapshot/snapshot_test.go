@@ -131,14 +131,15 @@ func TestRoundTripMapped(t *testing.T) {
 	}
 }
 
+// TestRoundTripIndexesAndShards: prebuilt indexes restore and answer like
+// fresh builds — also from a file that carries the retired kind-5 shards
+// section an older `qsnap -shard` wrote, which must open as if the section
+// were not there.
 func TestRoundTripIndexesAndShards(t *testing.T) {
 	db, dict := testDB(t)
-	opts := &Options{
-		Indexes: map[string][][]int{"edge": {{0}, {1}}, "tri": {{0, 1}}},
-		Shards:  map[string]ShardSpec{"edge": {Cols: []int{0}, K: 4}},
-	}
+	opts := &Options{Indexes: map[string][][]int{"edge": {{0}, {1}}, "tri": {{0, 1}}}}
 	path := filepath.Join(t.TempDir(), "db.snap")
-	if err := WriteFile(path, db, dict, opts); err != nil {
+	if err := os.WriteFile(path, withRetiredShards(t, snapBytes(t, db, dict, opts), "edge", 4), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s, err := Open(path)
@@ -163,37 +164,77 @@ func TestRoundTripIndexesAndShards(t *testing.T) {
 			}
 		}
 	}
+}
 
-	// The persisted partition matches database.Shard exactly.
-	cols, k, ok := s.ShardMeta("edge")
-	if !ok || k != 4 || len(cols) != 1 || cols[0] != 0 {
-		t.Fatalf("ShardMeta = %v,%d,%v", cols, k, ok)
+// withRetiredShards appends to a valid snapshot the kind-5 section of the
+// retired hash-shard layout for relation rel, built from the documented
+// format: k+1 little-endian uint32 CSR offsets, then one uint32 row id per
+// row, shard-major; the TOC entry names the relation, the key column, k
+// and the row count.
+func withRetiredShards(t testing.TB, b []byte, rel string, k int) []byte {
+	t.Helper()
+	p, err := parse(b)
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := database.Shard(base, []int{0}, 4)
-	total := 0
-	for i := 0; i < k; i++ {
-		sh, err := s.ShardRelation("edge", i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += sh.Len()
-		if sh.Len() != want[i].Len() {
-			t.Fatalf("shard %d: %d rows, want %d", i, sh.Len(), want[i].Len())
-		}
-		for j := range sh.Tuples {
-			if !sh.Tuples[j].Equal(want[i].Tuples[j]) {
-				t.Fatalf("shard %d row %d: %v != %v", i, j, sh.Tuples[j], want[i].Tuples[j])
-			}
+	var rows uint64
+	for _, e := range p.entries {
+		if e.kind == secSlab && e.name == rel {
+			rows = e.rows
 		}
 	}
-	if total != base.Len() {
-		t.Fatalf("shards cover %d of %d rows", total, base.Len())
+	parts := make([][]uint32, k) // row i routed to shard i%k
+	for i := uint64(0); i < rows; i++ {
+		parts[i%uint64(k)] = append(parts[i%uint64(k)], uint32(i))
 	}
-	if _, err := s.ShardRelation("edge", 4); err == nil {
-		t.Fatal("out-of-range shard index accepted")
+	var sec []byte
+	off := uint32(0)
+	for _, ids := range parts {
+		sec = binary.LittleEndian.AppendUint32(sec, off)
+		off += uint32(len(ids))
 	}
-	if _, err := s.ShardRelation("tri", 0); err == nil {
-		t.Fatal("unsharded relation returned a shard")
+	sec = binary.LittleEndian.AppendUint32(sec, off)
+	for _, ids := range parts {
+		for _, id := range ids {
+			sec = binary.LittleEndian.AppendUint32(sec, id)
+		}
+	}
+	data := append([]byte(nil), b[:binary.LittleEndian.Uint64(b[len(b)-footerSize+8:])]...)
+	entries := append(p.entries, tocEntry{
+		kind: secShards, name: rel, cols: []uint16{0}, k: uint32(k), rows: rows,
+		off: uint64(len(data)), length: uint64(len(sec)), crc: crc64.Checksum(sec, crcTable),
+	})
+	data = append(data, sec...)
+	data = append(data, make([]byte, (8-len(data)%8)%8)...) // the TOC starts 8-aligned
+	return assemble(data, p.structuralGen, entries)
+}
+
+// TestRetiredShardSection: kind 5 is reserved. A file carrying one opens
+// and restores exactly the relations and generations of the same file
+// without it, while the section stays under the checksum contract — one
+// flipped byte inside it is still ErrChecksum, not silently skipped.
+func TestRetiredShardSection(t *testing.T) {
+	db, dict := testDB(t)
+	plain := snapBytes(t, db, dict, nil)
+	old := withRetiredShards(t, plain, "edge", 8)
+	s, err := FromBytes(old)
+	if err != nil {
+		t.Fatalf("snapshot with a retired shards section rejected: %v", err)
+	}
+	checkRestored(t, s, db, dict)
+
+	p, err := parse(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sec := p.entries[len(p.entries)-1]
+	if sec.kind != secShards {
+		t.Fatalf("fixture's last section has kind %d, want %d", sec.kind, secShards)
+	}
+	bad := append([]byte(nil), old...)
+	bad[sec.off+sec.length/2] ^= 0x10
+	if _, err := FromBytes(bad); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("flipped byte inside the retired section: got %v, want ErrChecksum", err)
 	}
 }
 
@@ -261,18 +302,22 @@ func rebuildTOC(t *testing.T, b []byte, mutate func([]tocEntry) []tocEntry) []by
 	if err != nil {
 		t.Fatal(err)
 	}
-	foot := b[len(b)-footerSize:]
-	tocOff := binary.LittleEndian.Uint64(foot[8:])
-	entries := mutate(p.entries)
+	tocOff := binary.LittleEndian.Uint64(b[len(b)-footerSize+8:])
+	return assemble(b[:tocOff], p.structuralGen, mutate(p.entries))
+}
+
+// assemble frames a data area (header + 8-aligned sections) with the TOC
+// for entries and a consistent footer.
+func assemble(data []byte, structuralGen uint64, entries []tocEntry) []byte {
 	toc := binary.LittleEndian.AppendUint32(nil, uint32(len(entries)))
 	for i := range entries {
 		toc = entries[i].encode(toc)
 	}
-	out := append([]byte(nil), b[:tocOff]...)
+	out := append([]byte(nil), data...)
 	out = append(out, toc...)
 	var nf [footerSize]byte
-	binary.LittleEndian.PutUint64(nf[0:], p.structuralGen)
-	binary.LittleEndian.PutUint64(nf[8:], tocOff)
+	binary.LittleEndian.PutUint64(nf[0:], structuralGen)
+	binary.LittleEndian.PutUint64(nf[8:], uint64(len(data)))
 	binary.LittleEndian.PutUint64(nf[16:], uint64(len(toc)))
 	binary.LittleEndian.PutUint64(nf[24:], crc64.Checksum(toc, crcTable))
 	copy(nf[32:], footMagic)

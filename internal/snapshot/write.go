@@ -12,20 +12,11 @@ import (
 	"repro/internal/database"
 )
 
-// ShardSpec asks the writer to persist a hash-shard partition of one
-// relation: K shards (rounded up to a power of two) keyed on Cols.
-type ShardSpec struct {
-	Cols []int
-	K    int
-}
-
 // Options selects the optional sections. Indexes maps a relation name to
-// the column lists whose CSR indexes should be prebuilt into the file;
-// Shards maps a relation name to its partition spec. A nil Options writes
-// slabs and the dictionary only.
+// the column lists whose CSR indexes should be prebuilt into the file. A
+// nil Options writes slabs and the dictionary only.
 type Options struct {
 	Indexes map[string][][]int
-	Shards  map[string]ShardSpec
 }
 
 // sectionWriter streams sections to w, tracking the file offset, the
@@ -92,13 +83,6 @@ func Write(w io.Writer, db *database.Database, dict *database.Dictionary, opts *
 		if opts != nil {
 			for _, cols := range opts.Indexes[name] {
 				e, err := writeIndex(sw, r, cols)
-				if err != nil {
-					return err
-				}
-				entries = append(entries, e)
-			}
-			if spec, ok := opts.Shards[name]; ok {
-				e, err := writeShards(sw, r, spec)
 				if err != nil {
 					return err
 				}
@@ -232,41 +216,6 @@ func writeIndex(sw *sectionWriter, r *database.Relation, cols []int) (tocEntry, 
 		buf = binary.LittleEndian.AppendUint64(buf, fp)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(c.Offs[i]))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(c.Lens[i]))
-	}
-	sw.sec(buf)
-	e.length = sw.off - e.off
-	e.crc = sw.crc
-	return e, nil
-}
-
-// writeShards streams one hash-partition section: a (k+1)-offset CSR over
-// per-shard row-id lists, base row order preserved within each shard.
-func writeShards(sw *sectionWriter, r *database.Relation, spec ShardSpec) (tocEntry, error) {
-	wcols, err := checkCols(r, spec.Cols)
-	if err != nil {
-		return tocEntry{}, err
-	}
-	k := database.ShardCount(spec.K)
-	parts := database.ShardRowIDs(r, spec.Cols, k)
-	e := tocEntry{
-		kind: secShards,
-		name: r.Name,
-		cols: wcols,
-		k:    uint32(k),
-		rows: uint64(r.Len()),
-		off:  sw.begin(),
-	}
-	buf := make([]byte, 0, 4*(k+1)+4*r.Len())
-	off := uint32(0)
-	for _, ids := range parts {
-		buf = binary.LittleEndian.AppendUint32(buf, off)
-		off += uint32(len(ids))
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, off)
-	for _, ids := range parts {
-		for _, id := range ids {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
-		}
 	}
 	sw.sec(buf)
 	e.length = sw.off - e.off
