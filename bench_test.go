@@ -558,6 +558,98 @@ func BenchmarkE17RandomAccess(b *testing.B) {
 	}
 }
 
+// ---- Weights on the spine: count, random access and page seeks ----
+
+// pathDB builds a random graph of n edges over n/2 nodes — the shape of the
+// benchmark's edge relations — so both parts of the self-join path query
+// keep about n rows after reduction.
+func pathDB(n int) *database.Database {
+	db := database.NewDatabase()
+	db.AddRelation(graphs.RandomRelation(rand.New(rand.NewSource(17)), "A", 2, n, n/2))
+	return db
+}
+
+// BenchmarkSpineWeights times the one counting pass over an already bound
+// core that serves Count, random access and page seeks.
+func BenchmarkSpineWeights(b *testing.B) {
+	q := logictest.MustParseCQ("Q(x,y,z) :- A(x,y), A(y,z).")
+	for _, n := range []int{1 << 13, 1 << 16} {
+		core, err := cq.PrepareConstantDelay(pathDB(n), q, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := cq.NewSpineWeights(core, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkPageSeek times one deep page as qservd serves it: a seek to an
+// offset in the last quarter of the answers, then 64 constant-delay moves.
+func BenchmarkPageSeek(b *testing.B) {
+	q := logictest.MustParseCQ("Q(x,y,z) :- A(x,y), A(y,z).")
+	core, err := cq.PrepareConstantDelay(pathDB(1<<16), q, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w, err := cq.NewSpineWeights(core, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	od := core.Cursor(nil)
+	deep, span := w.Total()*3/4, w.Total()/4-64
+	od.Seek(w, deep)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		od.Seek(w, deep+uint64(i)*7919%span)
+		for k := 0; k < 64; k++ {
+			if _, ok := od.Next(); !ok {
+				b.Fatal("page ran off the end")
+			}
+		}
+	}
+}
+
+// BenchmarkCountAfterRefresh times the read-after-write unit of a churn
+// workload: one tuple inserted, the bound statement caught up by a delta
+// refresh, and its count taken again over the patched spine.
+func BenchmarkCountAfterRefresh(b *testing.B) {
+	q := logictest.MustParseCQ("Q(x,y,z) :- A(x,y), B(y,z).")
+	n := 1 << 14
+	db := e5DB(n)
+	a := db.Relation("A")
+	p, err := plan.Compile(q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pr, err := p.Bind(db)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The first refresh rebuilds and installs the incremental refresher.
+	a.Insert(database.Tuple{database.Value(n), 0})
+	if _, err := pr.Refresh(nil); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.Insert(database.Tuple{database.Value(n + 1 + i), database.Value(i % 199)})
+		if kind, err := pr.Refresh(nil); err != nil || kind != plan.RefreshDelta {
+			b.Fatal(kind, err)
+		}
+		if _, err := pr.Count(nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // ---- Parallel Yannakakis: sharded hash joins over sibling subtrees ----
 
 // parTreeInstance builds the E18 instance: a complete-binary-tree query of

@@ -218,6 +218,8 @@ type odometer struct {
 	out     database.Tuple
 	started bool
 	dead    bool
+	placed  bool     // Seek positioned the cursor: the first Next emits without reinit
+	digit   []uint64 // Seek's scratch: the offset still to place below each position
 }
 
 // row resolves the cursor-cur tuple of position j as a slab view.
@@ -361,6 +363,9 @@ func (o *odometer) Next() (database.Tuple, bool) {
 	}
 	if !o.started {
 		o.started = true
+		if o.placed {
+			return o.emit(), true
+		}
 		if len(o.buckets[0]) == 0 {
 			o.dead = true
 			return nil, false

@@ -97,7 +97,10 @@ func TestConstRefresherDifferential(t *testing.T) {
 		// The built core must already agree with a one-shot prepare.
 		checkCore := func(step int) {
 			t.Helper()
-			got := delay.Collect(core.Cursor(nil))
+			// The patched core — tombstoned slab rows, swap-removed root,
+			// relocated buckets — must still count and seek in its own
+			// enumeration order.
+			got := checkSeek(t, fmt.Sprintf("seed %d step %d (query %v)", seed, step, q), core)
 			fresh, err := PrepareConstantDelay(db, q, nil)
 			if err != nil {
 				t.Fatalf("seed %d step %d: fresh prepare: %v", seed, step, err)

@@ -1,322 +1,274 @@
 package cq
 
 import (
+	"errors"
 	"fmt"
 	"math/big"
+	"math/bits"
 	"math/rand"
-	"sort"
 
 	"repro/internal/database"
 	"repro/internal/delay"
-	"repro/internal/hypergraph"
 	"repro/internal/logic"
 )
 
-// RandomAccess gives O(‖φ‖·log‖D‖)-time access to the i-th answer of a
-// free-connex acyclic conjunctive query, in a fixed (data-dependent)
-// order, after the same linear preprocessing as constant-delay enumeration
-// plus one counting pass — the "random access and random-order
-// enumeration" extension of [23] mentioned in Section 4.3 of the paper.
-//
-// The structure: after the Theorem 4.6 preprocessing, φ(D) is the full
-// join of free-variable relations arranged in a join tree. A bottom-up
-// pass computes, for every tuple, the number of extensions in its subtree;
-// answer i is then found by descending the tree, picking the child tuples
-// by prefix-sum search (mixed-radix decomposition across sibling
-// subtrees).
-type RandomAccess struct {
-	head  []string
-	order []int // preorder of the join-tree nodes
-	rels  []Rel // aligned with node ids
-	tree  *hypergraph.JoinTree
+// Counting, random access and page seeks read one structure: the bound
+// OdometerCore. After the Theorem 4.6 preprocessing φ(D) is the full join
+// of the core's reduced parts arranged in a join tree, and the odometer
+// enumerates it in preorder-lexicographic order of its cursors. One
+// counting pass over the same slabs and probe indexes gives, for every row,
+// the number of answers of its subtree; |φ(D)| is then the root bucket's
+// total (Theorem 4.21 read off the reduced tree), and answer i is found by
+// descending the tree with one prefix-sum search per position — the "random
+// access" extension of [23] mentioned in Section 4.3 of the paper — in the
+// odometer's own order by construction, so a cursor placed at i continues
+// with constant delay.
 
-	// Per node: tuple weights (number of subtree extensions) and, per
-	// separator key, the bucket tuples with cumulative weights. Buckets are
-	// fingerprint-keyed with exact collision resolution via the chain in
-	// bucket.next, so probes never build string keys.
-	weight    [][]*big.Int
-	buckets   []map[uint64]*bucket
-	childCols [][][]int // childCols[node][k]: parent columns forming the separator with child k
-	rootB     *bucket
+// ErrCountOverflow reports that a query has more answers than a uint64
+// holds, so no SpineWeights — and with it no random access or seek — exists
+// for the core. Counting falls back to an arbitrary-precision engine and
+// pagination to skipping.
+var ErrCountOverflow = errors.New("cq: answer count overflows uint64")
 
-	outPos [][2]int // head variable -> (node, column)
-	total  *big.Int
+// SpineWeights is the counting pass over one OdometerCore. It is immutable
+// and indexed by slab row id, so Index compaction (which relocates bucket
+// storage but keeps ids and in-bucket order) leaves it valid, and the
+// tombstones delta deletes leave in the slabs are simply never read. Any
+// other change to the core — a delta patch, a slab compaction's rebased
+// copy — needs a new pass.
+type SpineWeights struct {
+	core *OdometerCore
+	kids [][]int // kids[j]: positions whose tree parent is j, ascending
+	// cum[j][row] is the number of answers of j's subtree summed over the
+	// rows of row's bucket up to and including row, in bucket order. Leaf
+	// positions keep no array: every row counts once, so the sum is the
+	// row's rank in its bucket.
+	cum   [][]uint64
+	total uint64
 }
 
-type bucket struct {
-	key    database.Tuple // the separator projection all bucket tuples share
-	next   *bucket        // fingerprint-collision chain (distinct key, same hash)
-	tuples []database.Tuple
-	weight []*big.Int // weight of each tuple
-	cum    []*big.Int // cumulative weights (cum[i] = Σ_{j≤i} weight[j])
-}
-
-// findBucket walks the chain at t's fingerprint, comparing the actual
-// separator values.
-func findBucket(m map[uint64]*bucket, t database.Tuple, cols []int) *bucket {
-	for b := m[t.KeyHash(cols)]; b != nil; b = b.next {
-		match := true
-		for i, c := range cols {
-			if b.key[i] != t[c] {
-				match = false
-				break
+// NewSpineWeights runs the counting pass over oc: top-down from the root
+// bucket, each bucket summed once, in time linear in the rows of the
+// non-leaf positions. Like the counting DP it replaces it ticks no steps;
+// the work shows as a "count" span on c's sink. It fails with
+// ErrCountOverflow when a count does not fit a uint64.
+func NewSpineWeights(oc *OdometerCore, c *delay.Counter) (*SpineWeights, error) {
+	span := c.StartSpan("count", -1)
+	defer span.End()
+	m := len(oc.order)
+	w := &SpineWeights{core: oc, kids: make([][]int, m), cum: make([][]uint64, m)}
+	if !oc.NonEmpty() {
+		return w, nil
+	}
+	for j := 1; j < m; j++ {
+		p := oc.parentPos[j]
+		w.kids[p] = append(w.kids[p], j)
+	}
+	for j := range w.kids {
+		if len(w.kids[j]) > 0 {
+			n := oc.slabs[j].Len()
+			if n == 0 {
+				n = 1 // an arity-0 part: its one row has id 0 and no slab storage
 			}
-		}
-		if match {
-			return b
+			w.cum[j] = make([]uint64, n)
 		}
 	}
-	return nil
+	var ok bool
+	if w.total, ok = w.sum(0, oc.root); !ok {
+		return nil, ErrCountOverflow
+	}
+	return w, nil
 }
 
-// internBucket is findBucket with get-or-create semantics.
-func internBucket(m map[uint64]*bucket, t database.Tuple, cols []int) *bucket {
-	if b := findBucket(m, t, cols); b != nil {
-		return b
+// Total returns |φ(D)|.
+func (w *SpineWeights) Total() uint64 { return w.total }
+
+// below returns the number of answers below bucket b of position j, once
+// sum has filled it.
+func (w *SpineWeights) below(j int, b []int32) uint64 {
+	if w.cum[j] == nil {
+		return uint64(len(b))
 	}
-	key := make(database.Tuple, len(cols))
-	for i, c := range cols {
-		key[i] = t[c]
+	if len(b) == 0 {
+		return 0
 	}
-	fp := t.KeyHash(cols)
-	b := &bucket{key: key, next: m[fp]}
-	m[fp] = b
-	return b
+	return w.cum[j][b[len(b)-1]]
 }
 
-func (b *bucket) totalWeight() *big.Int {
-	if len(b.cum) == 0 {
-		return new(big.Int)
+// sum is below for the counting pass itself: it fills cum[j] over b on the
+// first visit. After full reduction every row extends to an answer, so a
+// nonzero sum at the bucket's last row marks the bucket done.
+func (w *SpineWeights) sum(j int, b []int32) (uint64, bool) {
+	if t := w.below(j, b); t != 0 || w.cum[j] == nil {
+		return t, true
 	}
-	return b.cum[len(b.cum)-1]
+	oc := w.core
+	var run uint64
+	for _, id := range b {
+		row := oc.slabs[j].Row(id)
+		n := uint64(1)
+		for _, k := range w.kids[j] {
+			t, ok := w.sum(k, oc.idx[k].Lookup(row, oc.probes[k][1]))
+			hi, lo := bits.Mul64(n, t)
+			if !ok || hi != 0 {
+				return 0, false
+			}
+			n = lo
+		}
+		var carry uint64
+		if run, carry = bits.Add64(run, n, 0); carry != 0 {
+			return 0, false
+		}
+		w.cum[j][id] = run
+	}
+	return run, true
 }
 
-// find returns the index i with cum[i-1] ≤ x < cum[i] and the residue
-// x − cum[i−1], by binary search.
-func (b *bucket) find(x *big.Int) (int, *big.Int) {
-	i := sort.Search(len(b.cum), func(i int) bool { return b.cum[i].Cmp(x) > 0 })
-	res := new(big.Int).Set(x)
-	if i > 0 {
-		res.Sub(res, b.cum[i-1])
+// locate finds the row of bucket b holding the x-th answer below it: the
+// row's index in b and x's offset inside that row's subtree.
+func (w *SpineWeights) locate(j int, b []int32, x uint64) (int, uint64) {
+	cum := w.cum[j]
+	if cum == nil {
+		return int(x), 0
 	}
-	return i, res
+	lo, hi := 0, len(b)-1
+	for lo < hi {
+		if mid := (lo + hi) / 2; cum[b[mid]] > x {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if lo > 0 {
+		x -= cum[b[lo-1]]
+	}
+	return lo, x
 }
 
-// NewRandomAccess builds the access structure for a free-connex acyclic
-// conjunctive query.
+// Seek places the cursor so that the next Next yields answer i of the
+// odometer's order and later calls continue from there at constant delay.
+// It reports false, leaving the cursor exhausted, when i ≥ w.Total(). The
+// cost is one bucket lookup and one binary search per spine position; like
+// reinit it ticks one step per position. w must be the weights of the
+// cursor's core. Seek allocates only on a cursor's first call.
+func (od *Odometer) Seek(w *SpineWeights, i uint64) bool {
+	o := od.o
+	oc := o.core
+	if w.core != oc {
+		panic("cq: Seek with the weights of another core")
+	}
+	o.started, o.placed, o.dead = false, true, i >= w.total
+	if o.dead {
+		return false
+	}
+	if o.digit == nil {
+		o.digit = make([]uint64, len(oc.order))
+	}
+	o.buckets[0], o.digit[0] = oc.root, i
+	for j := range oc.order {
+		t, rem := w.locate(j, o.buckets[j], o.digit[j])
+		o.cursors[j] = t
+		o.c.Tick(1)
+		// rem is a mixed-radix number over the children's buckets, the
+		// first child the most significant digit.
+		kids := w.kids[j]
+		if len(kids) == 0 {
+			continue
+		}
+		row := o.row(j, t)
+		for _, k := range kids {
+			o.buckets[k] = oc.idx[k].Lookup(row, oc.probes[k][1])
+		}
+		for n := len(kids) - 1; n > 0; n-- {
+			k := kids[n]
+			radix := w.below(k, o.buckets[k])
+			o.digit[k], rem = rem%radix, rem/radix
+		}
+		o.digit[kids[0]] = rem
+	}
+	return true
+}
+
+// RandomAccess gives O(‖φ‖·log‖D‖)-time access to the i-th answer of a
+// free-connex acyclic conjunctive query, in the constant-delay
+// enumerator's order: a thin view over a bound core and its weights that
+// owns one cursor. A handle is for one goroutine at a time; any number of
+// handles share a core and its weights.
+type RandomAccess struct {
+	w   *SpineWeights
+	cur *Odometer
+}
+
+// RandomAccess returns a handle over the core and its weights; the handle's
+// cursor ticks c.
+func (oc *OdometerCore) RandomAccess(w *SpineWeights, c *delay.Counter) *RandomAccess {
+	return &RandomAccess{w: w, cur: oc.Cursor(c)}
+}
+
+// NewRandomAccess runs the constant-delay preprocessing and the counting
+// pass for a free-connex acyclic conjunctive query. It fails with
+// ErrCountOverflow when the query has 2⁶⁴ answers or more.
 func NewRandomAccess(db *database.Database, q *logic.CQ) (*RandomAccess, error) {
-	return NewRandomAccessCounted(db, q, nil)
-}
-
-// NewRandomAccessCounted is NewRandomAccess reporting phase spans through
-// c's sink (the construction predates step counting, so the internal passes
-// tick nothing; the spans carry wall time only).
-func NewRandomAccessCounted(db *database.Database, q *logic.CQ, c *delay.Counter) (*RandomAccess, error) {
-	parts, err := BuildFreeParts(db, q, c)
+	oc, err := PrepareConstantDelay(db, q, nil)
 	if err != nil {
 		return nil, err
 	}
-	// Join tree over the part schemas, plus full reduction.
-	rspan := c.StartSpan("semijoin-reduce", -1)
-	h := hypergraph.New()
-	for i, p := range parts {
-		h.AddEdge(hypergraph.NewEdge(fmt.Sprintf("V%d", i), p.Schema...))
+	w, err := NewSpineWeights(oc, nil)
+	if err != nil {
+		return nil, err
 	}
-	jt, ok := hypergraph.GYO(h)
-	if !ok {
-		rspan.End()
-		return nil, fmt.Errorf("cq: internal: free parts not acyclic")
-	}
-	ch := jt.Children()
-	post := postorder(jt)
-	for _, i := range post {
-		for _, c := range ch[i] {
-			parts[i] = semijoin(parts[i], parts[c])
-		}
-	}
-	for k := len(post) - 1; k >= 0; k-- {
-		i := post[k]
-		for _, c := range ch[i] {
-			parts[c] = semijoin(parts[c], parts[i])
-		}
-	}
-	rspan.End()
-	cspan := c.StartSpan("count", -1)
-	defer cspan.End()
-	ra := &RandomAccess{head: q.Head, rels: parts, tree: jt}
-	ra.weight = make([][]*big.Int, len(parts))
-	ra.buckets = make([]map[uint64]*bucket, len(parts))
-	// Hoist the separator column lists: childCols[i][k] are the columns of
-	// node i's tuples forming the separator with its k-th child, aligned
-	// with that child's own sepCols grouping.
-	ra.childCols = make([][][]int, len(parts))
-	for i := range parts {
-		ra.childCols[i] = make([][]int, len(ch[i]))
-		for k, c := range ch[i] {
-			var cols []int
-			for _, v := range parts[c].Schema {
-				if pc := parts[i].col(v); pc >= 0 {
-					cols = append(cols, pc)
-				}
-			}
-			ra.childCols[i][k] = cols
-		}
-	}
-
-	// Bottom-up weights: weight(t) = Π over children of the total weight
-	// of the child bucket matching t on the separator.
-	for _, i := range post {
-		rel := parts[i]
-		ra.weight[i] = make([]*big.Int, rel.R.Len())
-		for ti, t := range rel.R.Tuples {
-			w := big.NewInt(1)
-			for k, c := range ch[i] {
-				b := ra.childBucket(i, k, c, t)
-				if b == nil {
-					w = new(big.Int)
-					break
-				}
-				w.Mul(w, b.totalWeight())
-			}
-			ra.weight[i][ti] = w
-		}
-		// Group into buckets keyed on the separator towards the parent.
-		sep := ra.sepCols(i, jt.Parent[i])
-		ra.buckets[i] = map[uint64]*bucket{}
-		for ti, t := range rel.R.Tuples {
-			b := internBucket(ra.buckets[i], t, sep)
-			b.tuples = append(b.tuples, t)
-			b.weight = append(b.weight, ra.weight[i][ti])
-			prev := new(big.Int)
-			if len(b.cum) > 0 {
-				prev = b.cum[len(b.cum)-1]
-			}
-			b.cum = append(b.cum, new(big.Int).Add(prev, ra.weight[i][ti]))
-		}
-	}
-	root := jt.Root()
-	ra.rootB = findBucket(ra.buckets[root], database.Tuple{}, nil)
-	if ra.rootB == nil {
-		ra.rootB = &bucket{}
-	}
-	ra.total = ra.rootB.totalWeight()
-
-	// Preorder and output positions.
-	var pre func(i int)
-	pre = func(i int) {
-		ra.order = append(ra.order, i)
-		for _, c := range ch[i] {
-			pre(c)
-		}
-	}
-	pre(root)
-	for _, v := range q.Head {
-		found := false
-		for _, i := range ra.order {
-			if k := parts[i].col(v); k >= 0 {
-				ra.outPos = append(ra.outPos, [2]int{i, k})
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("cq: head variable %q missing from join parts", v)
-		}
-	}
-	return ra, nil
+	return oc.RandomAccess(w, nil), nil
 }
 
-// sepCols returns the columns of node i shared with node p (nil if p < 0:
-// the root groups into a single bucket under the empty key).
-func (ra *RandomAccess) sepCols(i, p int) []int {
-	if p < 0 {
-		return nil
-	}
-	var cols []int
-	for col, v := range ra.rels[i].Schema {
-		if ra.rels[p].col(v) >= 0 {
-			cols = append(cols, col)
-		}
-	}
-	return cols
-}
-
-// childBucket returns the bucket of child c (the k-th child of parent)
-// matching parent tuple t on the precomputed separator columns.
-func (ra *RandomAccess) childBucket(parent, k, c int, t database.Tuple) *bucket {
-	return findBucket(ra.buckets[c], t, ra.childCols[parent][k])
-}
-
-// Count returns |φ(D)|, computed during construction — this doubles as a
+// Count returns |φ(D)|, computed by the counting pass — this doubles as a
 // counting algorithm for free-connex queries.
-func (ra *RandomAccess) Count() *big.Int { return new(big.Int).Set(ra.total) }
+func (ra *RandomAccess) Count() *big.Int { return new(big.Int).SetUint64(ra.w.total) }
 
-// Get returns the i-th answer (0-based) in the structure's fixed order.
-// Each call costs O(‖φ‖·log‖D‖): one prefix-sum search per join-tree node.
+// Get returns the i-th answer (0-based). See GetInt.
 func (ra *RandomAccess) Get(i *big.Int) (database.Tuple, error) {
-	if i.Sign() < 0 || i.Cmp(ra.total) >= 0 {
-		return nil, fmt.Errorf("cq: index %s out of range [0, %s)", i, ra.total)
+	if !i.IsUint64() {
+		return nil, ra.outOfRange(i)
 	}
-	chosen := make(map[int]database.Tuple, len(ra.order))
-	ch := ra.tree.Children()
-	var descend func(node int, b *bucket, idx *big.Int)
-	descend = func(node int, b *bucket, idx *big.Int) {
-		ti, res := b.find(idx)
-		t := b.tuples[ti]
-		chosen[node] = t
-		// Mixed-radix decomposition of res across the children: child c1 is
-		// the most significant digit.
-		kids := ch[node]
-		if len(kids) == 0 {
-			return
-		}
-		// radix for child k = Π_{j>k} totalWeight(bucket_j)
-		bks := make([]*bucket, len(kids))
-		for k, c := range kids {
-			bks[k] = ra.childBucket(node, k, c, t)
-		}
-		for k := range kids {
-			radix := big.NewInt(1)
-			for j := k + 1; j < len(kids); j++ {
-				radix.Mul(radix, bks[j].totalWeight())
-			}
-			digit := new(big.Int)
-			digit.DivMod(res, radix, res)
-			descend(kids[k], bks[k], digit)
-		}
-	}
-	descend(ra.tree.Root(), ra.rootB, new(big.Int).Set(i))
-	out := make(database.Tuple, len(ra.head))
-	for k, pc := range ra.outPos {
-		out[k] = chosen[pc[0]][pc[1]]
-	}
-	return out, nil
+	return ra.get(i.Uint64())
 }
 
-// GetInt is Get with an int index.
+// GetInt returns the i-th answer (0-based) at a cost of O(‖φ‖·log‖D‖): one
+// prefix-sum search per spine position. The tuple is the handle's buffer,
+// valid until its next call; warm calls allocate nothing.
 func (ra *RandomAccess) GetInt(i int64) (database.Tuple, error) {
-	return ra.Get(big.NewInt(i))
+	if i < 0 {
+		return nil, ra.outOfRange(i)
+	}
+	return ra.get(uint64(i))
+}
+
+func (ra *RandomAccess) get(i uint64) (database.Tuple, error) {
+	if !ra.cur.Seek(ra.w, i) {
+		return nil, ra.outOfRange(i)
+	}
+	t, _ := ra.cur.Next()
+	return t, nil
+}
+
+func (ra *RandomAccess) outOfRange(i interface{}) error {
+	return fmt.Errorf("cq: index %v out of range [0, %d)", i, ra.w.total)
 }
 
 // RandomOrder returns an enumerator producing every answer exactly once in
 // uniformly random order — the random-order enumeration of [23]. It
 // requires the answer count to fit in memory as a permutation (≤ 1<<24).
 func (ra *RandomAccess) RandomOrder(rng *rand.Rand) (delay.Enumerator, error) {
-	if !ra.total.IsInt64() || ra.total.Int64() > 1<<24 {
-		return nil, fmt.Errorf("cq: %s answers is too many for an in-memory permutation", ra.total)
+	if ra.w.total > 1<<24 {
+		return nil, fmt.Errorf("cq: %d answers is too many for an in-memory permutation", ra.w.total)
 	}
-	n := ra.total.Int64()
-	perm := rng.Perm(int(n))
+	perm := rng.Perm(int(ra.w.total))
 	i := 0
 	return delay.Func(func() (database.Tuple, bool) {
 		if i >= len(perm) {
 			return nil, false
 		}
-		t, err := ra.GetInt(int64(perm[i]))
+		t, err := ra.get(uint64(perm[i]))
 		i++
-		if err != nil {
-			return nil, false
-		}
-		return t, true
+		return t, err == nil
 	}), nil
 }

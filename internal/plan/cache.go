@@ -36,7 +36,7 @@ type Cache struct {
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
-	refreshes atomic.Uint64
+	refreshes [3]atomic.Uint64 // by RefreshKind
 	clock     atomic.Uint64
 }
 
@@ -83,7 +83,14 @@ func (c *Cache) Stats() (hits, misses uint64) {
 // Refreshes returns how many probes found a stale statement and caught it
 // up in place (Prepared.Refresh) instead of binding a fresh one. A refresh
 // counts as neither hit nor miss.
-func (c *Cache) Refreshes() uint64 { return c.refreshes.Load() }
+func (c *Cache) Refreshes() uint64 {
+	return c.RefreshesOf(RefreshNoop) + c.RefreshesOf(RefreshDelta) + c.RefreshesOf(RefreshRebind)
+}
+
+// RefreshesOf returns how many of those refreshes were of the given kind:
+// noop (the mutation missed the statement's read set — a bystander kept
+// its memos), delta (patched in place) or rebind (spine rebuilt).
+func (c *Cache) RefreshesOf(k RefreshKind) uint64 { return c.refreshes[k].Load() }
 
 // Len returns the number of bound statements currently cached.
 func (c *Cache) Len() int {
@@ -316,8 +323,10 @@ func (fl *Flight) Run(counter *delay.Counter) {
 	var pr *Prepared
 	var err error
 	refreshed := false
+	var kind RefreshKind
 	if stale != nil {
-		if _, rerr := stale.pr.Refresh(counter); rerr == nil {
+		var rerr error
+		if kind, rerr = stale.pr.Refresh(counter); rerr == nil {
 			pr, refreshed = stale.pr, true
 		}
 	}
@@ -337,7 +346,7 @@ func (fl *Flight) Run(counter *delay.Counter) {
 		// Re-insert: a concurrent Sweep may have dropped the entry while
 		// the refresh was in flight.
 		c.prepared[key] = stale
-		c.refreshes.Add(1)
+		c.refreshes[kind].Add(1)
 	} else if err == nil {
 		c.misses.Add(1)
 		e := &preparedEntry{gen: pr.Generation(), pr: pr}

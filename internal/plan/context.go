@@ -18,23 +18,26 @@ import (
 // reports exhaustion as soon as the context is done, and Err tells the
 // two apart. It implements delay.Enumerator.
 type CtxEnumerator struct {
-	e   delay.Enumerator
-	ctx context.Context
-	err error
+	e    delay.Enumerator
+	ctx  context.Context
+	err  error
+	done bool // e is exhausted or the context ended; e is not called again
 }
 
 // Next produces the next answer unless the context has been cancelled or
 // its deadline has passed, in which case it reports ok=false and records
-// the context error.
+// the context error. Once it has reported ok=false it keeps doing so.
 func (ce *CtxEnumerator) Next() (database.Tuple, bool) {
-	if ce.err != nil {
+	if ce.done {
 		return nil, false
 	}
-	if err := ce.ctx.Err(); err != nil {
-		ce.err = err
+	if ce.err = ce.ctx.Err(); ce.err != nil {
+		ce.done = true
 		return nil, false
 	}
-	return ce.e.Next()
+	t, ok := ce.e.Next()
+	ce.done = !ok
+	return t, ok
 }
 
 // Err returns nil after ordinary exhaustion and the context's error
@@ -48,12 +51,43 @@ func (ce *CtxEnumerator) Err() error { return ce.err }
 // one more delay unit — no goroutines, timers, or partial state are left
 // behind, because cancellation is observed synchronously by the drainer.
 func (pr *Prepared) EnumerateCtx(ctx context.Context, c *delay.Counter) (*CtxEnumerator, error) {
+	return pr.EnumerateAt(ctx, c, 0)
+}
+
+// EnumerateAt is EnumerateCtx starting at answer offset of the route's
+// deterministic order — what a pagination cursor resumes. On the
+// constant-delay route the cursor is placed by one seek over the spine's
+// counting pass, O(‖φ‖·log‖D‖) whatever the offset, and continues at
+// constant delay; the other routes, and a spine with more answers than a
+// uint64 counts, enumerate and discard offset answers. An offset at or past
+// the end yields an exhausted enumerator; a context ending during the skip
+// shows in its Err.
+func (pr *Prepared) EnumerateAt(ctx context.Context, c *delay.Counter, offset uint64) (*CtxEnumerator, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	if err := pr.check(); err != nil {
+		return nil, err
+	}
+	if offset > 0 {
+		pr.mu.Lock()
+		core, w, err := pr.spineWeightsLocked(c)
+		pr.mu.Unlock()
+		if err == nil {
+			od := core.Cursor(c)
+			od.Seek(w, offset)
+			return &CtxEnumerator{e: od, ctx: ctx}, nil
+		}
 	}
 	e, err := pr.Enumerate(c)
 	if err != nil {
 		return nil, err
 	}
-	return &CtxEnumerator{e: e, ctx: ctx}, nil
+	ce := &CtxEnumerator{e: e, ctx: ctx}
+	for ; offset > 0; offset-- {
+		if _, ok := ce.Next(); !ok {
+			break
+		}
+	}
+	return ce, nil
 }

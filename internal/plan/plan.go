@@ -14,8 +14,9 @@
 //     handle. Binding snapshots the database generation; executing a
 //     Prepared after the database mutated fails with ErrStalePlan.
 //   - Prepared exposes the unified execution API — Decide, Count,
-//     Enumerate, NewRandomAccess, ParEval — each call reusing the bound
-//     preprocessing, so repeated executions pay only the per-answer work.
+//     Enumerate (EnumerateAt from an offset), NewRandomAccess, ParEval —
+//     each call reusing the bound preprocessing, so repeated executions pay
+//     only the per-answer work.
 //
 // Cache keys Plans by an allocation-free structural fingerprint and
 // Prepareds by (plan, database, generation), so a serving loop gets

@@ -66,12 +66,18 @@ type Prepared struct {
 	matDone bool
 	matRows []database.Tuple
 	matErr  error
-	raDone  bool
-	ra      *cq.RandomAccess
-	raErr   error
 	parDone bool
 	parRows []database.Tuple
 	parErr  error
+
+	// The counting pass over the constant-delay spine, built on first use
+	// and kept per published core: wCore is the core w indexes. Slab
+	// compaction republishes a rebased core at an unchanged generation, which
+	// this comparison catches; a delta refresh patches the same core in place
+	// and drops the memo with the others.
+	wCore *cq.OdometerCore
+	w     *cq.SpineWeights
+	wErr  error
 
 	// Union state: bound head-stripped disjuncts (decide) and the
 	// materialized union answers once a pass completed (enumerate).
@@ -305,6 +311,12 @@ func (pr *Prepared) countSlow(c *delay.Counter) (*big.Int, error) {
 	if p.UCQ != nil {
 		return counting.CountUCQ(pr.db, p.UCQ)
 	}
+	if _, w, err := pr.spineWeightsLocked(c); err == nil {
+		// Free-connex: the count is read off the spine already reduced for
+		// enumeration. Without a spine, or with more answers than a uint64
+		// holds, the engines below count exactly from the database.
+		return new(big.Int).SetUint64(w.Total()), nil
+	}
 	switch p.CountEngine {
 	case EngineStarSizeCount:
 		s := counting.BigInt{}
@@ -421,23 +433,43 @@ func (pr *Prepared) enumerateUnion(c *delay.Counter) (delay.Enumerator, error) {
 	return delay.Slice(all), nil
 }
 
-// NewRandomAccess builds (once, memoized) the random-access structure over
-// the i-th answer of a free-connex acyclic query — the Section 4.3
-// extension. Only the constant-delay route supports it.
+// errNoRandomAccess refuses the routes without a constant-delay spine.
+var errNoRandomAccess = errors.New("plan: random access requires a free-connex acyclic query without comparisons")
+
+// spineWeightsLocked returns the published constant-delay core with its
+// counting pass, building the pass when the core has none yet. Caller holds
+// pr.mu. It fails on every other route, on a spine that failed to build,
+// and with cq.ErrCountOverflow.
+func (pr *Prepared) spineWeightsLocked(c *delay.Counter) (*cq.OdometerCore, *cq.SpineWeights, error) {
+	if pr.plan.UCQ != nil || pr.plan.EnumerateEngine != EngineConstantDelay {
+		return nil, nil, errNoRandomAccess
+	}
+	core := pr.constCore.Load()
+	if core == nil {
+		return nil, nil, pr.spineErr
+	}
+	if pr.wCore != core {
+		pr.wCore = core
+		pr.w, pr.wErr = cq.NewSpineWeights(core, c)
+	}
+	return core, pr.w, pr.wErr
+}
+
+// NewRandomAccess returns a random-access handle over the i-th answer of a
+// free-connex acyclic query — the Section 4.3 extension. Only the
+// constant-delay route supports it. Handles are cheap views over the bound
+// spine and its memoized counting pass; each is for one goroutine.
 func (pr *Prepared) NewRandomAccess(c *delay.Counter) (*cq.RandomAccess, error) {
 	if err := pr.check(); err != nil {
 		return nil, err
 	}
-	if pr.plan.UCQ != nil || pr.plan.EnumerateEngine != EngineConstantDelay {
-		return nil, errors.New("plan: random access requires a free-connex acyclic query without comparisons")
-	}
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
-	if !pr.raDone {
-		pr.ra, pr.raErr = cq.NewRandomAccessCounted(pr.db, pr.plan.CQ, c)
-		pr.raDone = true
+	core, w, err := pr.spineWeightsLocked(c)
+	if err != nil {
+		return nil, err
 	}
-	return pr.ra, pr.raErr
+	return core.RandomAccess(w, c), nil
 }
 
 // ParEval evaluates the full answer set with the parallel Yannakakis

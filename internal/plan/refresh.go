@@ -22,7 +22,8 @@ import (
 type RefreshKind int
 
 const (
-	// RefreshNoop: the database had not mutated; nothing was done.
+	// RefreshNoop: nothing the statement reads had mutated; its bound
+	// state and memoized results were kept.
 	RefreshNoop RefreshKind = iota
 	// RefreshDelta: the bound state was patched incrementally (or the
 	// route binds nothing eagerly and only the memos were dropped).
@@ -86,6 +87,22 @@ func (pr *Prepared) trackRelations() {
 	}
 }
 
+// readSetUnchanged reports whether every relation the statement reads is
+// the relation, at the generation, pinned by the last bind/refresh. Only
+// the spine routes pin a read set; the lazy routes always report false.
+func (pr *Prepared) readSetUnchanged() bool {
+	if !pr.hasSpine() {
+		return false
+	}
+	for _, s := range pr.snaps {
+		cur := pr.db.Relation(s.name)
+		if cur != s.rel || (cur != nil && cur.Generation() != s.gen) {
+			return false
+		}
+	}
+	return true
+}
+
 // collectDeltas gathers each read relation's delta since the last
 // bind/refresh. ok is false — forcing a rebuild — when a relation was
 // replaced, a delta window has expired, or the combined delta is so
@@ -134,6 +151,12 @@ func (pr *Prepared) Refresh(c *delay.Counter) (RefreshKind, error) {
 	defer span.End()
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
+	if pr.readSetUnchanged() {
+		// The generation moved through relations this statement never
+		// reads: spine, refreshers and memos are all still exact.
+		pr.gen = g
+		return RefreshNoop, nil
+	}
 	pr.clearMemosLocked()
 	if !pr.hasSpine() {
 		// Lazy routes bind nothing eagerly: every execution engine reads
@@ -210,7 +233,7 @@ func (pr *Prepared) clearMemosLocked() {
 	pr.decided, pr.decideV, pr.decideE = false, false, nil
 	pr.counted, pr.countV, pr.countE = false, nil, nil
 	pr.matDone, pr.matRows, pr.matErr = false, nil, nil
-	pr.raDone, pr.ra, pr.raErr = false, nil, nil
+	pr.wCore, pr.w, pr.wErr = nil, nil, nil
 	pr.parDone, pr.parRows, pr.parErr = false, nil, nil
 	pr.uDone, pr.uRows = false, nil
 }

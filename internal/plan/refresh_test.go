@@ -1,6 +1,7 @@
 package plan_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -207,6 +208,25 @@ func TestDifferentialRefreshReplay(t *testing.T) {
 				// per-pass step totals must match exactly.
 				if cRef.Steps() != freshExec {
 					failInstance(t, seed, q, db, "step %d (%s, %v): refreshed exec steps %d != fresh %d", step, m, kind, cRef.Steps(), freshExec)
+				}
+				// Whatever that order is, one generation has one: random
+				// access and resumed enumerations address the patched
+				// spine's own sequence, position for position.
+				ra, err := pr.NewRandomAccess(nil)
+				if err != nil {
+					failInstance(t, seed, q, db, "step %d (%s, %v): NewRandomAccess: %v", step, m, kind, err)
+				}
+				for i, row := range got {
+					if tp, err := ra.GetInt(int64(i)); err != nil || !tp.Equal(row) {
+						failInstance(t, seed, q, db, "step %d (%s, %v): GetInt(%d) = %v, %v; the stream has %v", step, m, kind, i, tp, err, row)
+					}
+					e, err := pr.EnumerateAt(context.Background(), nil, uint64(i))
+					if err != nil {
+						failInstance(t, seed, q, db, "step %d (%s, %v): EnumerateAt(%d): %v", step, m, kind, i, err)
+					}
+					if rest := delay.Collect(e); !sameSequence(rest, got[i:]) {
+						failInstance(t, seed, q, db, "step %d (%s, %v): EnumerateAt(%d) = %v, want the stream's suffix %v", step, m, kind, i, rest, got[i:])
+					}
 				}
 			case plan.EngineLinearDelay, plan.EngineNeqEnum:
 				if !sameSequence(got, freshRows) {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/database"
 	"repro/internal/delay"
 	"repro/internal/logic"
+	"repro/internal/oracle"
 	"repro/internal/plan"
 )
 
@@ -126,21 +127,26 @@ func TestStalePlanAllMethods(t *testing.T) {
 // delete — not just insert — advance the generation too, since bound
 // spines hold row-id references into the slabs. No-op mutations (Sort on a
 // sorted relation, Dedup with nothing to remove, deleting an absent tuple)
-// must NOT stale a warm plan: that was the spurious-staleness bug.
+// must NOT stale a warm plan: that was the spurious-staleness bug. A
+// mutation that stales the plan through a relation it never reads is caught
+// up by a noop Refresh (memos kept); one inside its read set costs the first
+// refresh's rebuild.
 func TestStalePlanIndexOnlyMutations(t *testing.T) {
 	for _, tc := range []struct {
-		name      string
-		setup     func(db *database.Database) // pre-Bind state adjustment
-		mutate    func(db *database.Database)
-		wantStale bool
+		name        string
+		setup       func(db *database.Database) // pre-Bind state adjustment
+		mutate      func(db *database.Database)
+		wantStale   bool
+		wantRefresh plan.RefreshKind
 	}{
 		{
 			// (0, 5) appended after the chainDB Dedup leaves A unsorted,
 			// so this Sort really moves rows.
-			name:      "Sort(reorders)",
-			setup:     func(db *database.Database) { db.Relation("A").Insert(database.Tuple{0, 5}) },
-			mutate:    func(db *database.Database) { db.Relation("A").Sort() },
-			wantStale: true,
+			name:        "Sort(reorders)",
+			setup:       func(db *database.Database) { db.Relation("A").Insert(database.Tuple{0, 5}) },
+			mutate:      func(db *database.Database) { db.Relation("A").Sort() },
+			wantStale:   true,
+			wantRefresh: plan.RefreshRebind,
 		},
 		{
 			name:      "Sort(no-op)",
@@ -149,10 +155,11 @@ func TestStalePlanIndexOnlyMutations(t *testing.T) {
 		},
 		{
 			// chainDB already holds A(0,0); the duplicate makes Dedup real.
-			name:      "Dedup(removes)",
-			setup:     func(db *database.Database) { db.Relation("A").Insert(database.Tuple{0, 0}) },
-			mutate:    func(db *database.Database) { db.Relation("A").Dedup() },
-			wantStale: true,
+			name:        "Dedup(removes)",
+			setup:       func(db *database.Database) { db.Relation("A").Insert(database.Tuple{0, 0}) },
+			mutate:      func(db *database.Database) { db.Relation("A").Dedup() },
+			wantStale:   true,
+			wantRefresh: plan.RefreshRebind,
 		},
 		{
 			name:      "Dedup(no-op)",
@@ -160,14 +167,16 @@ func TestStalePlanIndexOnlyMutations(t *testing.T) {
 			wantStale: false,
 		},
 		{
-			name:      "Insert",
-			mutate:    func(db *database.Database) { db.Relation("A").Insert(database.Tuple{800, 801}) },
-			wantStale: true,
+			name:        "Insert",
+			mutate:      func(db *database.Database) { db.Relation("A").Insert(database.Tuple{800, 801}) },
+			wantStale:   true,
+			wantRefresh: plan.RefreshRebind,
 		},
 		{
-			name:      "Delete",
-			mutate:    func(db *database.Database) { db.Relation("A").Delete(database.Tuple{0, 0}) },
-			wantStale: true,
+			name:        "Delete",
+			mutate:      func(db *database.Database) { db.Relation("A").Delete(database.Tuple{0, 0}) },
+			wantStale:   true,
+			wantRefresh: plan.RefreshRebind,
 		},
 		{
 			name:      "Delete(absent)",
@@ -175,9 +184,29 @@ func TestStalePlanIndexOnlyMutations(t *testing.T) {
 			wantStale: false,
 		},
 		{
-			name:      "AddRelation",
-			mutate:    func(db *database.Database) { db.AddRelation(database.NewRelation("Zz", 1)) },
-			wantStale: true,
+			name:        "AddRelation",
+			mutate:      func(db *database.Database) { db.AddRelation(database.NewRelation("Zz", 1)) },
+			wantStale:   true,
+			wantRefresh: plan.RefreshNoop,
+		},
+		{
+			name:        "Insert(unread relation)",
+			setup:       func(db *database.Database) { db.AddRelation(database.NewRelation("Zz", 1)) },
+			mutate:      func(db *database.Database) { db.Relation("Zz").Insert(database.Tuple{1}) },
+			wantStale:   true,
+			wantRefresh: plan.RefreshNoop,
+		},
+		{
+			// Replacing a read relation wholesale is a different *Relation
+			// at any generation: never a noop.
+			name: "AddRelation(replaces a read relation)",
+			mutate: func(db *database.Database) {
+				b := database.NewRelation("B", 2)
+				b.InsertValues(0, 0)
+				db.AddRelation(b)
+			},
+			wantStale:   true,
+			wantRefresh: plan.RefreshRebind,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -200,6 +229,20 @@ func TestStalePlanIndexOnlyMutations(t *testing.T) {
 			}
 			if _, err := pr.Enumerate(nil); tc.wantStale != errors.Is(err, plan.ErrStalePlan) {
 				t.Errorf("Enumerate after %s: got %v, wantStale %v", tc.name, err, tc.wantStale)
+			}
+			if kind, err := pr.Refresh(nil); err != nil || kind != tc.wantRefresh {
+				t.Errorf("Refresh after %s: %v, %v; want %v", tc.name, kind, err, tc.wantRefresh)
+			}
+			e, err := pr.Enumerate(nil)
+			if err != nil {
+				t.Fatalf("Enumerate after Refresh: %v", err)
+			}
+			want, err := oracle.Eval(db, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := delay.Collect(e); !sameAnswers(got, want) {
+				t.Errorf("after %s + Refresh: answers %v, oracle %v", tc.name, got, want)
 			}
 		})
 	}

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/database"
 )
@@ -93,5 +94,56 @@ func TestCursorRoundTrip(t *testing.T) {
 	}
 	if _, err := decodeToken(bytes.Repeat([]byte{8}, 32), kindCursor, encodeToken(key, in)); err == nil {
 		t.Fatal("cursor verified under a different key")
+	}
+}
+
+// TestWritePacing pins the write budget from below (a sleep never wakes
+// early, so the bounds hold on any host): a burst is admitted without a wait,
+// n mutations beyond it take n intervals whichever goroutines send them, a
+// refused request spends no budget, and a writer that was idle is not made to
+// wait.
+func TestWritePacing(t *testing.T) {
+	s := New(tinyDB(), nil, Config{})
+	h := s.Handler()
+	mutate := func(op string, v int64) int {
+		buf, _ := json.Marshal(map[string]interface{}{"pred": "A", "op": op, "tuple": []int64{v}})
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/mutate", bytes.NewReader(buf)))
+		return rec.Code
+	}
+	for i := 0; i < 4*writeBurst; i++ {
+		if code := mutate("upsert", 7); code != http.StatusBadRequest {
+			t.Fatalf("unknown op answered %d, want 400", code)
+		}
+	}
+	if !s.writeDue.IsZero() {
+		t.Fatal("a refused mutation spent write budget")
+	}
+
+	const beyond = 20
+	start := time.Now()
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < (writeBurst+beyond)/2; i++ {
+				if code := mutate("insert", int64(100*g+i)); code != http.StatusOK {
+					t.Errorf("insert answered %d", code)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got, want := time.Since(start), beyond*writeInterval; got < want {
+		t.Fatalf("%d mutations took %v, want at least %v", writeBurst+beyond, got, want)
+	}
+
+	time.Sleep(2 * writeBurst * writeInterval)
+	s.writeMu.Lock()
+	due := s.writeDue
+	s.writeMu.Unlock()
+	if mutate("delete", 100); !s.writeDue.Before(time.Now()) || !s.writeDue.After(due) {
+		t.Fatalf("an idle writer's mutation was due at %v, after the request", s.writeDue)
 	}
 }

@@ -98,81 +98,17 @@ func sameSets(a, b answerSet) bool {
 // well-formed and no answer is duplicated across pages.
 func walkPages(t *testing.T, h http.Handler, query string, pageSize int) answerSet {
 	t.Helper()
-	got := answerSet{}
-	cursor := ""
-	for page := 0; ; page++ {
-		body := map[string]interface{}{"query": query, "limit": pageSize}
-		if cursor != "" {
-			body["cursor"] = cursor
-		}
-		code, out := postJSON(t, h, "/v1/enumerate", body)
-		if code != http.StatusOK {
-			t.Fatalf("page %d (size %d): status %d: %s", page, pageSize, code, out["error"])
-		}
-		var answers [][]int64
-		if err := json.Unmarshal(out["answers"], &answers); err != nil {
-			t.Fatalf("page %d: bad answers: %v", page, err)
-		}
-		if len(answers) > pageSize {
-			t.Fatalf("page %d: %d answers exceed page size %d", page, len(answers), pageSize)
-		}
-		for _, a := range answers {
-			got[keyOf(a)]++
-			if got[keyOf(a)] > 1 {
-				t.Fatalf("page %d: duplicate answer %v across pages", page, a)
-			}
-		}
-		var done bool
-		if err := json.Unmarshal(out["done"], &done); err != nil {
-			t.Fatalf("page %d: bad done: %v", page, err)
-		}
-		if done {
-			if out["next_cursor"] != nil {
-				t.Fatalf("page %d: done page still carries a cursor", page)
-			}
-			return got
-		}
-		if err := json.Unmarshal(out["next_cursor"], &cursor); err != nil || cursor == "" {
-			t.Fatalf("page %d: not done but no usable cursor (%v)", page, err)
-		}
-	}
+	return walkPagesBody(t, h, map[string]interface{}{"query": query}, pageSize)
 }
 
 // streamAll drains /v1/enumerate in stream mode (NDJSON) to one set.
 func streamAll(t *testing.T, h http.Handler, query string) answerSet {
 	t.Helper()
-	buf, _ := json.Marshal(map[string]interface{}{"query": query, "stream": true})
-	req := httptest.NewRequest("POST", "/v1/enumerate", bytes.NewReader(buf))
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("stream: status %d: %s", rec.Code, rec.Body.String())
+	answers, tail := streamInOrder(t, h, map[string]interface{}{"query": query})
+	if !tail.Done {
+		t.Fatalf("stream ended without a done line: %+v", tail)
 	}
-	got := answerSet{}
-	sawDone := false
-	dec := json.NewDecoder(rec.Body)
-	for dec.More() {
-		var line struct {
-			Answer []int64 `json:"answer"`
-			Done   *bool   `json:"done"`
-			Error  string  `json:"error"`
-		}
-		if err := dec.Decode(&line); err != nil {
-			t.Fatalf("stream: bad NDJSON line: %v", err)
-		}
-		switch {
-		case line.Error != "":
-			t.Fatalf("stream: server error %q", line.Error)
-		case line.Done != nil:
-			sawDone = true
-		default:
-			got[keyOf(line.Answer)]++
-		}
-	}
-	if !sawDone {
-		t.Fatal("stream ended without a done line")
-	}
-	return got
+	return toSet(answers)
 }
 
 // The three serving routes under differential test. Each builder may give
@@ -269,6 +205,19 @@ func TestServePaginationDifferential(t *testing.T) {
 			if got := streamAll(t, h, q.String()); !sameSets(got, want) {
 				t.Fatalf("seed %d %s: stream ≠ oracle\nreplay: go test ./internal/serve -run %s -seed=%d",
 					seed, rc.name, t.Name(), seed)
+			}
+			// One generation, one order: pages resumed through cursors and
+			// the stream serve the same sequence, position for position.
+			pages := pagesInOrder(t, h, map[string]interface{}{"query": q.String()}, "", 3)
+			stream, _ := streamInOrder(t, h, map[string]interface{}{"query": q.String()})
+			if len(pages) != len(stream) {
+				t.Fatalf("seed %d %s: %d answers in pages, %d in the stream", seed, rc.name, len(pages), len(stream))
+			}
+			for i := range stream {
+				if keyOf(pages[i]) != keyOf(stream[i]) {
+					t.Fatalf("seed %d %s: position %d: pages have %v, the stream %v\nreplay: go test ./internal/serve -run %s -seed=%d",
+						seed, rc.name, i, pages[i], stream[i], t.Name(), seed)
+				}
 			}
 
 			// Resume-after-mutation: a mid-pagination cursor dies with 410

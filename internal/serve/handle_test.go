@@ -233,37 +233,7 @@ func TestStreamTruncationAndResume(t *testing.T) {
 // statement handle).
 func walkPagesBody(t *testing.T, h http.Handler, base map[string]interface{}, pageSize int) answerSet {
 	t.Helper()
-	got := answerSet{}
-	cursor := ""
-	for page := 0; ; page++ {
-		body := map[string]interface{}{"limit": pageSize}
-		for k, v := range base {
-			body[k] = v
-		}
-		if cursor != "" {
-			body["cursor"] = cursor
-		}
-		code, out := postJSON(t, h, "/v1/enumerate", body)
-		if code != http.StatusOK {
-			t.Fatalf("page %d: status %d: %s", page, code, out["error"])
-		}
-		var answers [][]int64
-		json.Unmarshal(out["answers"], &answers)
-		for _, a := range answers {
-			got[keyOf(a)]++
-			if got[keyOf(a)] > 1 {
-				t.Fatalf("page %d: duplicate answer %v", page, a)
-			}
-		}
-		var done bool
-		json.Unmarshal(out["done"], &done)
-		if done {
-			return got
-		}
-		if err := json.Unmarshal(out["next_cursor"], &cursor); err != nil || cursor == "" {
-			t.Fatalf("page %d: not done but no cursor", page)
-		}
-	}
+	return distinctSet(t, "pages", pagesInOrder(t, h, base, "", pageSize))
 }
 
 // TestServeHandleDifferential: for 250 seeded instances per route, a

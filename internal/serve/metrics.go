@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/obs"
+	"repro/internal/plan"
 )
 
 // metrics is the server's live instrumentation: request counts per
@@ -70,6 +71,9 @@ type Stats struct {
 	CacheHits       uint64           `json:"cache_hits"`
 	CacheMisses     uint64           `json:"cache_misses"`
 	CacheRefreshes  uint64           `json:"cache_refreshes"`
+	RefreshNoop     uint64           `json:"cache_refresh_noop"`   // of cache_refreshes: read set untouched, memos kept
+	RefreshDelta    uint64           `json:"cache_refresh_delta"`  // patched in place
+	RefreshRebind   uint64           `json:"cache_refresh_rebind"` // spine rebuilt
 	CacheLen        int              `json:"cache_len"`
 	LatencyP50NS    int64            `json:"latency_p50_ns"`
 	LatencyP99NS    int64            `json:"latency_p99_ns"`
@@ -97,6 +101,9 @@ func (s *Server) Stats() Stats {
 		BindWaitP99NS:   s.m.bindWait.QuantileInterpolated(0.99),
 		BindCostP99NS:   s.m.bindCost.QuantileInterpolated(0.99),
 		CacheRefreshes:  s.cache.Refreshes(),
+		RefreshNoop:     s.cache.RefreshesOf(plan.RefreshNoop),
+		RefreshDelta:    s.cache.RefreshesOf(plan.RefreshDelta),
+		RefreshRebind:   s.cache.RefreshesOf(plan.RefreshRebind),
 		CacheLen:        s.cache.Len(),
 		// Interpolated within the winning log₂ bucket: the raw Quantile
 		// returns the bucket's upper bound, which pinned E21's p50/p99 to

@@ -29,9 +29,10 @@
 // The server keeps no per-client state: a cursor is fingerprint + generation
 // + offset, and the deterministic enumeration order of every engine makes
 // the offset meaningful across requests — even after the cached Prepared
-// was evicted and transparently re-bound. On the constant-delay route pages
-// are served via the random-access engine's Get(i), so a page at offset k
-// costs O(limit · log n) instead of O(k + limit).
+// was evicted and transparently re-bound. Pages and resumed streams start
+// at plan.Prepared.EnumerateAt: on the constant-delay route one seek over the
+// bound spine, so a page at offset k costs O(log n + limit); the other routes
+// still skip, O(k + limit).
 package serve
 
 import (
@@ -123,8 +124,11 @@ type Server struct {
 	cache *plan.Cache
 	dbMu  sync.RWMutex // read: query execution; write: mutation
 	sem   chan struct{}
-	m     *metrics
-	binds *bindQueue
+
+	writeMu  sync.Mutex
+	writeDue time.Time // when the latest admitted mutation was due (paceWrite)
+	m        *metrics
+	binds    *bindQueue
 }
 
 // New builds a Server over db. dict may be nil (numeric constants only).
@@ -498,6 +502,33 @@ func (s *Server) enumerate(ctx context.Context, w http.ResponseWriter, q *reques
 	return s.servePage(ctx, w, pr, gen, offset, limit)
 }
 
+// A mutation is the one request that costs everybody else: it holds the
+// write lock for O(rows), and afterwards every statement reading the relation
+// refreshes and every index on it is rebuilt. Mutations are therefore
+// admitted at a sustained rate of one per writeInterval, writeBurst of them
+// back to back, which leaves readers a fixed share of the machine next to a
+// closed loop of writers and makes a write-bound client's rate a matter of
+// the clock, not of how fast the host runs the reads in between.
+const (
+	writeInterval = 2 * time.Millisecond
+	writeBurst    = 16
+)
+
+// paceWrite blocks until the write budget admits one more mutation. Due
+// times lie on a grid, so a mutation that comes late does not delay the ones
+// behind it; a writer idle for longer than the burst starts a fresh grid.
+func (s *Server) paceWrite() {
+	s.writeMu.Lock()
+	now := time.Now()
+	s.writeDue = s.writeDue.Add(writeInterval)
+	if oldest := now.Add(-(writeBurst - 1) * writeInterval); s.writeDue.Before(oldest) {
+		s.writeDue = oldest
+	}
+	wait := s.writeDue.Sub(now)
+	s.writeMu.Unlock()
+	time.Sleep(wait)
+}
+
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	var req mutateRequest
 	if !decodeBody(s, w, r, &req) {
@@ -525,26 +556,24 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("database: relation %s has arity %d, got tuple of length %d", rel.Name, rel.Arity, len(req.Tuple)))
 		return
 	}
+	if req.Op != "insert" && req.Op != "delete" {
+		s.m.badRequests.Add(1)
+		writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("unknown op %q", req.Op))
+		return
+	}
 	t := make(database.Tuple, len(req.Tuple))
 	for i, v := range req.Tuple {
 		t[i] = database.Value(v)
 	}
+	s.paceWrite() // only what will take the write lock spends budget
 	s.dbMu.Lock()
 	defer s.dbMu.Unlock()
-	var applied bool
-	switch req.Op {
-	case "insert":
-		if err := rel.InsertBatch([]database.Tuple{t}); err != nil {
-			s.m.badRequests.Add(1)
-			writeError(w, http.StatusBadRequest, "bad_tuple", err.Error())
-			return
-		}
-		applied = true
-	case "delete":
+	applied := true
+	if req.Op == "delete" {
 		applied = rel.Delete(t)
-	default:
+	} else if err := rel.InsertBatch([]database.Tuple{t}); err != nil {
 		s.m.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("unknown op %q", req.Op))
+		writeError(w, http.StatusBadRequest, "bad_tuple", err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{
@@ -563,10 +592,7 @@ func tupleInts(t database.Tuple) []int64 {
 	return out
 }
 
-// servePage writes one page of answers starting at offset. On the
-// constant-delay route pages are random-accessed in O(limit · log n); the
-// other engines re-enumerate and skip, which is linear in the offset but
-// still one pass per page.
+// servePage writes one page of answers starting at offset.
 func (s *Server) servePage(ctx context.Context, w http.ResponseWriter, pr *plan.Prepared, gen, offset uint64, limit int) error {
 	answers, done, err := s.page(ctx, pr, offset, limit)
 	if err != nil {
@@ -588,66 +614,27 @@ func (s *Server) servePage(ctx context.Context, w http.ResponseWriter, pr *plan.
 // page extracts answers [offset, offset+limit) in the engine's
 // deterministic order and reports whether the enumeration is exhausted.
 func (s *Server) page(ctx context.Context, pr *plan.Prepared, offset uint64, limit int) ([][]int64, bool, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
-	// Fast path: random access over the constant-delay route.
-	if pr.Plan().EnumerateEngine == plan.EngineConstantDelay {
-		if ra, err := pr.NewRandomAccess(nil); err == nil {
-			total := ra.Count()
-			if !total.IsInt64() {
-				return nil, false, fmt.Errorf("serve: answer count %s overflows pagination", total.String())
-			}
-			n := total.Int64()
-			answers := make([][]int64, 0, limit)
-			for i := int64(offset); i < n && len(answers) < limit; i++ {
-				if err := ctx.Err(); err != nil {
-					return nil, false, err
-				}
-				t, err := ra.GetInt(i)
-				if err != nil {
-					return nil, false, err
-				}
-				answers = append(answers, tupleInts(t))
-			}
-			return answers, int64(offset)+int64(len(answers)) >= n, nil
-		}
-		// Random access can refuse (e.g. comparisons); fall through to the
-		// enumerator path, staleness included in its error surface.
-	}
-	e, err := pr.EnumerateCtx(ctx, nil)
+	e, err := pr.EnumerateAt(ctx, nil, offset)
 	if err != nil {
 		return nil, false, err
 	}
-	for skipped := uint64(0); skipped < offset; skipped++ {
-		if _, ok := e.Next(); !ok {
-			return nil, e.Err() == nil, e.Err()
-		}
-	}
 	answers := make([][]int64, 0, limit)
-	done := false
-	for len(answers) < limit {
-		t, ok := e.Next()
-		if !ok {
-			if err := e.Err(); err != nil {
-				return nil, false, err
-			}
-			done = true
-			break
+	more := true
+	for more && len(answers) < limit {
+		var t database.Tuple
+		if t, more = e.Next(); more {
+			answers = append(answers, tupleInts(t))
 		}
-		answers = append(answers, tupleInts(t))
 	}
-	if !done {
+	if more {
 		// Peek one ahead so the last full page reports done without an
 		// extra round trip.
-		if _, ok := e.Next(); !ok {
-			if err := e.Err(); err != nil {
-				return nil, false, err
-			}
-			done = true
-		}
+		_, more = e.Next()
 	}
-	return answers, done, nil
+	if err := e.Err(); err != nil {
+		return nil, false, err
+	}
+	return answers, !more, nil
 }
 
 // cursorAt mints the cursor that resumes pr's enumeration at offset.
@@ -669,17 +656,12 @@ func (s *Server) cursorAt(pr *plan.Prepared, gen, offset uint64) string {
 // were written count as served. The enumeration is synchronous in this
 // handler, so cancellation leaks nothing.
 func (s *Server) streamAnswers(ctx context.Context, w http.ResponseWriter, pr *plan.Prepared, gen, offset uint64) error {
-	e, err := pr.EnumerateCtx(ctx, nil)
+	e, err := pr.EnumerateAt(ctx, nil, offset)
 	if err != nil {
 		return err
 	}
-	for skipped := uint64(0); skipped < offset; skipped++ {
-		if _, ok := e.Next(); !ok {
-			break
-		}
-	}
 	if err := e.Err(); err != nil {
-		return err
+		return err // the deadline ended the skip to offset: nothing is written yet
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
