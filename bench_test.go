@@ -795,9 +795,9 @@ func BenchmarkPlanCacheBind(b *testing.B) {
 
 // BenchmarkPreparedRefresh pins the delta-binding contract (qbench E20
 // runs the size sweep). cold is the full Bind; refresh is a single-tuple
-// insert absorbed in place by Prepared.Refresh on a warm statement;
-// rebind pays the same mutation with a fresh Bind — the cliff Refresh
-// exists to avoid.
+// insert caught up by Prepared.Refresh on a warm statement — absorbed in
+// place, with the budget rebuild amortised in (rebinds/op); rebind pays
+// the same mutation with a fresh Bind — the cliff Refresh exists to avoid.
 func BenchmarkPreparedRefresh(b *testing.B) {
 	q := logictest.MustParseCQ("Q(x,y) :- A(x,y), B(y,z).")
 	n := 1 << 14
@@ -832,15 +832,23 @@ func BenchmarkPreparedRefresh(b *testing.B) {
 		if _, err := pr.Refresh(nil); err != nil {
 			b.Fatal(err)
 		}
+		// Deltas are absorbed in place until the refresher's budget is
+		// spent; the rebind that follows is part of the price, so it is
+		// timed and counted, not refused.
+		rebinds := 0
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			a.Insert(database.Tuple{database.Value(n + 1 + i), database.Value(i % 199)})
 			kind, err := pr.Refresh(nil)
-			if err != nil || kind != plan.RefreshDelta {
+			if err != nil || kind == plan.RefreshNoop {
 				b.Fatal(kind, err)
 			}
+			if kind == plan.RefreshRebind {
+				rebinds++
+			}
 		}
+		b.ReportMetric(float64(rebinds)/float64(b.N), "rebinds/op")
 	})
 	b.Run("rebind", func(b *testing.B) {
 		db := e5DB(n)

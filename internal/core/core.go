@@ -103,21 +103,6 @@ func CountUCQ(db *database.Database, u *logic.UCQ) (*big.Int, error) {
 	return pr.Count(nil)
 }
 
-// EnumerateUCQ enumerates a union of conjunctive queries: constant delay
-// with deduplication when the union is free-connex via union extensions
-// (Theorem 4.13), and a materializing fallback otherwise.
-func EnumerateUCQ(db *database.Database, u *logic.UCQ, c *delay.Counter) (delay.Enumerator, error) {
-	p, err := plan.CompileUCQ(u)
-	if err != nil {
-		return nil, err
-	}
-	pr, err := p.BindCounted(db, c)
-	if err != nil {
-		return nil, err
-	}
-	return pr.Enumerate(c)
-}
-
 // Enumerate produces an answer enumerator with the best applicable engine:
 // constant delay for free-connex (with or without disequalities), linear
 // delay for other acyclic queries, and a materializing fallback otherwise.

@@ -65,6 +65,7 @@ func BuildFreeParts(db *database.Database, q *logic.CQ, c *delay.Counter) ([]Rel
 	span := c.StartSpan("semijoin-reduce", -1)
 	defer span.End()
 	// Bottom-up elimination pass (step 2).
+	free := headSet(q)
 	b := make([]Rel, len(t.Rels))
 	for _, i := range t.postord {
 		if i == t.HeadIdx {
@@ -75,20 +76,7 @@ func BuildFreeParts(db *database.Database, q *logic.CQ, c *delay.Counter) ([]Rel
 			r = semijoin(r, b[ch])
 			c.Tick(int64(r.R.Len()) + 1)
 		}
-		// Keep the variables that are free or shared with the parent.
-		keep := make(map[string]bool)
-		p := t.JT.Parent[i]
-		var pe hypergraph.Edge
-		if p >= 0 {
-			pe = t.JT.Nodes[p]
-		}
-		freeSet := headSet(q)
-		for _, v := range r.Schema {
-			if freeSet[v] || (p >= 0 && pe.Has(v)) {
-				keep[v] = true
-			}
-		}
-		r = project(r, sortedVars(keep))
+		r = project(r, t.keptVars(i, r.Schema, free))
 		r.R.Dedup()
 		c.Tick(int64(r.R.Len()) + 1)
 		b[i] = r
@@ -102,6 +90,20 @@ func BuildFreeParts(db *database.Database, q *logic.CQ, c *delay.Counter) ([]Rel
 		return nil, fmt.Errorf("cq: internal: head node has no children for %s", q.Name)
 	}
 	return parts, nil
+}
+
+// keptVars is the projection rule of the elimination pass: of node i's
+// variables, the ones that are free or shared with the tree parent,
+// sorted.
+func (t *Tree) keptVars(i int, schema []string, free map[string]bool) []string {
+	keep := make(map[string]bool)
+	p := t.JT.Parent[i]
+	for _, v := range schema {
+		if free[v] || (p >= 0 && t.JT.Nodes[p].Has(v)) {
+			keep[v] = true
+		}
+	}
+	return sortedVars(keep)
 }
 
 func headSet(q *logic.CQ) map[string]bool {
@@ -158,35 +160,6 @@ type OdometerCore struct {
 // answers the decision problem without any further work.
 func (oc *OdometerCore) NonEmpty() bool { return !oc.dead && len(oc.root) > 0 }
 
-// IndexWaste totals the abandoned row slots across the spine's probe
-// indexes — the layout degradation accumulated by incremental refreshes
-// (ConstRefresher patches the indexes in place).
-func (oc *OdometerCore) IndexWaste() int {
-	w := 0
-	for _, ix := range oc.idx {
-		if ix != nil {
-			w += ix.Waste()
-		}
-	}
-	return w
-}
-
-// CompactIndexes rebuilds the row layout of every spine index whose waste
-// is at least minWaste slots, returning the total number of slots
-// reclaimed. Row ids are unchanged, so refresher bookkeeping keyed on slab
-// rows stays valid; compaction is safe concurrently with enumeration
-// (database.Index.Compact swaps the layout atomically) but must be
-// serialized with Refresh like any other spine patching.
-func (oc *OdometerCore) CompactIndexes(minWaste int) int {
-	total := 0
-	for _, ix := range oc.idx {
-		if ix != nil && ix.Waste() >= minWaste {
-			total += ix.Compact()
-		}
-	}
-	return total
-}
-
 // Cursor starts a fresh enumeration pass over the core. Cursors are
 // independent: each holds its own positions, buckets, and output buffer,
 // ticking c only for the constant-delay cursor moves (never for the
@@ -227,15 +200,17 @@ func (o *odometer) row(j, cur int) database.Tuple {
 	return o.core.slabs[j].Row(o.buckets[j][cur])
 }
 
-// NewOdometer builds the constant-delay enumerator for the full join of
-// parts (schemas forming an acyclic hypergraph), with output columns
-// ordered as head. The parts are full-reduced in place.
-func NewOdometer(head []string, parts []Rel, c *delay.Counter) (*Odometer, error) {
-	core, err := NewOdometerCore(head, parts, c)
-	if err != nil {
-		return nil, err
+// partsTree returns a join tree of the free parts' schemas.
+func partsTree(schemas [][]string) (*hypergraph.JoinTree, error) {
+	h := hypergraph.New()
+	for i, sc := range schemas {
+		h.AddEdge(hypergraph.NewEdge(fmt.Sprintf("V%d", i), sc...))
 	}
-	return core.Cursor(c), nil
+	jt, ok := hypergraph.GYO(h)
+	if !ok {
+		return nil, fmt.Errorf("cq: internal: head-part schemas not acyclic")
+	}
+	return jt, nil
 }
 
 // NewOdometerCore full-reduces parts along a join tree of their schemas,
@@ -244,14 +219,13 @@ func NewOdometer(head []string, parts []Rel, c *delay.Counter) (*Odometer, error
 func NewOdometerCore(head []string, parts []Rel, c *delay.Counter) (*OdometerCore, error) {
 	span := c.StartSpan("semijoin-reduce", -1)
 	defer span.End()
-	// Join tree of the part schemas.
-	h := hypergraph.New()
+	schemas := make([][]string, len(parts))
 	for i, p := range parts {
-		h.AddEdge(hypergraph.NewEdge(fmt.Sprintf("V%d", i), p.Schema...))
+		schemas[i] = p.Schema
 	}
-	jt, ok := hypergraph.GYO(h)
-	if !ok {
-		return nil, fmt.Errorf("cq: internal: head-part schemas not acyclic")
+	jt, err := partsTree(schemas)
+	if err != nil {
+		return nil, err
 	}
 	// Full-reduce parts along jt.
 	ch := jt.Children()

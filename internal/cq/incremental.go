@@ -34,16 +34,31 @@ package cq
 // translated to row-id insertions (Slab.Append + Index.AddRow) and
 // removals (Index.RemoveRow, root swap-remove).
 //
+// Both refreshers drive ONE reducer (the reducer type below): atom filters
+// feed the base deltas into a tree of parts — on the constant-delay route
+// through the elimination layer of the head-extended tree first — and one
+// function, layer.sweep, runs every layer: bottom-up, then top-down. The
+// reducer also holds the ONE bound on how far a patched spine may degrade,
+// the budget: every delta tuple fed into a node and every row added to or
+// removed from a fully-reduced part is charged to it, and once the charge
+// passes half of what the build itself was charged (plus 1024) Apply
+// declines. What patching leaves behind is paid for that way: a tombstoned
+// slab row and a cut index slot are a part row removed, a relocated index
+// bucket is a part row added, and a dead node row (a source row whose
+// count fell to 0 is never unlinked) is the projection of a tuple that
+// was charged when it was fed. The rebuild that follows — O(1) amortised
+// per change, since the limit grows with the base — reclaims all of it;
+// nothing compacts in place.
+//
 // Any inconsistency — a delete of an untracked occurrence, a support
-// underflow, a full slab, too much accumulated layout waste — makes
-// Apply return false WITHOUT attempting repair. The caller must then
-// discard the refresher and fall back to a full rebuild, which is always
-// correct; partial node-state mutations before the failure are harmless
-// because nothing reads the refresher again.
+// underflow, a full slab, a spent budget — makes Apply return false
+// WITHOUT attempting repair. The caller must then discard the refresher
+// and fall back to a full rebuild, which is always correct; partial
+// node-state mutations before the failure are harmless because nothing
+// reads the refresher again.
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/database"
 	"repro/internal/hypergraph"
@@ -94,7 +109,6 @@ type incOut struct {
 // child deltas in any order, then call finish to collect the net output
 // delta of the pass.
 type incNode struct {
-	schema   []string
 	projCols []int // output projection columns; nil = identity
 	edges    []*incEdge
 	src      map[string]*incRow
@@ -104,13 +118,11 @@ type incNode struct {
 	fail     bool
 }
 
-func newIncNode(schema []string, projCols []int) *incNode {
+func newIncNode() *incNode {
 	return &incNode{
-		schema:   schema,
-		projCols: projCols,
-		src:      make(map[string]*incRow),
-		out:      make(map[string]*incOut),
-		prev:     make(map[string]bool),
+		src:  make(map[string]*incRow),
+		out:  make(map[string]*incOut),
+		prev: make(map[string]bool),
 	}
 }
 
@@ -319,184 +331,266 @@ func (f *atomFilter) proj(t database.Tuple) database.Tuple {
 }
 
 // feed pushes one base-relation delta through the filter into the node's
-// source. Inserts land before deletes (the caller batches them so), so a
-// net-zero churn inside one window cannot underflow the counters.
-func (f *atomFilter) feed(nd *incNode, d database.Delta) bool {
+// source, returning how many occurrences it fed. Inserts land before
+// deletes (the caller batches them so), so a net-zero churn inside one
+// window cannot underflow the counters.
+func (f *atomFilter) feed(nd *incNode, d database.Delta) (int, bool) {
+	n := 0
 	for _, t := range d.Ins {
 		if f.match(t) {
 			nd.srcAdd(f.proj(t), 1)
+			n++
 		}
 	}
 	for _, t := range d.Del {
 		if f.match(t) {
 			if !nd.srcDel(f.proj(t), 1) {
-				return false
+				return n, false
 			}
+			n++
 		}
 	}
-	return true
+	return n, true
 }
 
-// sharedCols returns the aligned column lists of the variables shared by
-// the two schemas, in a's order.
-func sharedCols(a, b []string) (ac, bc []int) {
-	for i, v := range a {
-		for j, w := range b {
-			if v == w {
-				ac = append(ac, i)
-				bc = append(bc, j)
-				break
+// --- the reducer --------------------------------------------------------
+
+// layer is one pass of semijoin nodes: order visits them so that the
+// nodes from[i] — whose output deltas feed node i's edges, edge e from
+// node from[i][e] — come before i.
+type layer struct {
+	nodes []*incNode
+	order []int
+	from  [][]int
+}
+
+// newLayer builds the nodes of one pass. Node i reads schemas[i] and emits
+// its projection onto outs[i]; nil outs is the identity throughout.
+func newLayer(schemas, outs [][]string, order []int, from [][]int) *layer {
+	emits := outs
+	if emits == nil {
+		emits = schemas
+	}
+	ly := &layer{nodes: make([]*incNode, len(from)), order: order, from: from}
+	for _, i := range order {
+		nd := newIncNode()
+		if outs != nil {
+			// Non-nil also when empty: an arity-0 projection is no identity.
+			nd.projCols = make([]int, len(outs[i]))
+			for k, v := range outs[i] {
+				nd.projCols[k] = Rel{Schema: schemas[i]}.col(v)
 			}
 		}
+		for _, j := range from[i] {
+			nd.addEdge(commonCols(Rel{Schema: schemas[i]}, Rel{Schema: emits[j]}))
+		}
+		ly.nodes[i] = nd
 	}
-	return ac, bc
+	return ly
+}
+
+// sweep runs one pass: every node takes its source delta — src[i]; a nil
+// src means the sources were fed directly — and the output deltas of the
+// nodes feeding its edges, and emits its own net delta.
+func (ly *layer) sweep(src []setDelta) ([]setDelta, bool) {
+	out := make([]setDelta, len(ly.nodes))
+	for _, i := range ly.order {
+		nd := ly.nodes[i]
+		if src != nil {
+			for _, u := range src[i].add {
+				nd.srcAdd(u, 1)
+			}
+			for _, u := range src[i].del {
+				if !nd.srcDel(u, 1) {
+					return nil, false
+				}
+			}
+		}
+		for e, j := range ly.from[i] {
+			for _, u := range out[j].add {
+				nd.childAdd(e, u)
+			}
+			for _, u := range out[j].del {
+				if !nd.childDel(e, u) {
+					return nil, false
+				}
+			}
+		}
+		var ok bool
+		if out[i], ok = nd.finish(); !ok {
+			return nil, false
+		}
+	}
+	return out, true
+}
+
+// reducer is the maintenance pipeline of one bound spine: per-atom filters
+// feeding the base deltas into the lowest layer, the constant-delay
+// route's elimination layer (nil on the linear-delay route, whose parts
+// are the atoms themselves), and the two-pass full reducer over the tree
+// of parts. It owns the budget.
+type reducer struct {
+	filters []atomFilter // aligned with the query's atoms
+	elim    *layer       // over the atom nodes of the head-extended tree
+	partOf  []int        // with elim: part p is the output of elim node partOf[p]
+	parts   []setDelta   // run's scratch for the parts' source deltas
+	up, fin *layer       // bottom-up and top-down over the parts' join tree
+
+	spent, limit int // the budget; limit 0 while the build itself runs
+}
+
+// reduceOver installs the two-pass reducer over the parts' join tree jt.
+// Reverse postorder visits parents first: final[parent] is settled before
+// its delta feeds the child's one edge.
+func (rd *reducer) reduceOver(schemas [][]string, jt *hypergraph.JoinTree) {
+	post := postorder(jt)
+	pre := make([]int, len(post))
+	above := make([][]int, len(post))
+	for k, i := range post {
+		pre[len(post)-1-k] = i
+		if p := jt.Parent[i]; p >= 0 {
+			above[i] = []int{p}
+		}
+	}
+	rd.up = newLayer(schemas, nil, post, jt.Children())
+	rd.fin = newLayer(schemas, nil, pre, above)
+}
+
+// run pushes one base delta batch through every layer and returns the net
+// delta of each fully-reduced part, charging the budget with every tuple
+// fed in and every part row added or removed. It declines — before
+// touching any state — once the budget is spent.
+func (rd *reducer) run(deltas map[string]database.Delta) ([]setDelta, bool) {
+	if rd.limit > 0 && rd.spent > rd.limit {
+		return nil, false
+	}
+	lowest := rd.up
+	if rd.elim != nil {
+		lowest = rd.elim
+	}
+	for i := range rd.filters {
+		f := &rd.filters[i]
+		n, ok := f.feed(lowest.nodes[i], deltas[f.atom.Pred])
+		if !ok {
+			return nil, false
+		}
+		rd.spent += n
+	}
+	var parts []setDelta
+	if rd.elim != nil {
+		out, ok := rd.elim.sweep(nil)
+		if !ok {
+			return nil, false
+		}
+		parts = rd.parts
+		for p, i := range rd.partOf {
+			parts[p] = out[i]
+		}
+	}
+	upOut, ok := rd.up.sweep(parts)
+	clear(rd.parts)
+	if !ok {
+		return nil, false
+	}
+	finOut, ok := rd.fin.sweep(upOut)
+	if !ok {
+		return nil, false
+	}
+	for _, d := range finOut {
+		rd.spent += len(d.add) + len(d.del)
+	}
+	return finOut, true
+}
+
+// load materializes the fully-reduced parts by making the whole base the
+// first delta (the build IS the first run, from empty) and arms the budget
+// at half of what that build was charged.
+func (rd *reducer) load(db *database.Database, q *logic.CQ) ([]setDelta, error) {
+	initial := make(map[string]database.Delta)
+	for _, a := range q.Atoms {
+		if _, done := initial[a.Pred]; !done {
+			initial[a.Pred] = database.Delta{Ins: db.Relation(a.Pred).Tuples}
+		}
+	}
+	finOut, ok := rd.run(initial)
+	if !ok {
+		return nil, fmt.Errorf("cq: internal: initial maintenance pass failed for %s", q.Name)
+	}
+	rd.limit = rd.spent/2 + 1024
+	rd.spent = 0
+	return finOut, nil
+}
+
+// newReducer starts a reducer with one filter per atom of q, which also
+// gives each atom's schema (its distinct variables).
+func newReducer(q *logic.CQ) (*reducer, [][]string) {
+	rd := &reducer{filters: make([]atomFilter, len(q.Atoms))}
+	schemas := make([][]string, len(q.Atoms))
+	for i, a := range q.Atoms {
+		rd.filters[i] = newAtomFilter(a)
+		schemas[i] = a.Vars()
+	}
+	return rd, schemas
 }
 
 // --- constant-delay refresher -----------------------------------------
 
 // ConstRefresher incrementally maintains a bound OdometerCore under base
 // relation deltas. Built by NewConstRefresher together with the core it
-// patches; Apply pushes one delta batch through the maintenance pipeline
-// and patches the core's slabs, indexes, and root bucket in place. A
-// false return means the refresher could not apply the delta safely —
-// the caller must discard BOTH the refresher and the core and rebuild.
+// patches; Apply pushes one delta batch through the reducer and patches
+// the core's slabs, indexes, and root bucket in place. A false return
+// means the refresher could not apply the delta safely — the caller must
+// discard BOTH the refresher and the core and rebuild.
 type ConstRefresher struct {
-	q       *logic.CQ
-	headIdx int
-
-	// Elimination layer: one node per query atom, in join-tree postorder.
-	filters      []atomFilter
-	atomNodes    []*incNode
-	atomChildren [][]int
-	atomPostord  []int
-
-	// Part reduction layers over the refresher's own join tree of the
-	// part schemas (valid by join-tree independence of full reduction).
-	partNode   []int // part p's atom-layer node index
-	upNodes    []*incNode
-	finNodes   []*incNode
-	upChildren [][]int
-	upPostord  []int
-	upParent   []int
-	upRoot     int
+	rd *reducer
 
 	// Core patching state.
-	core     *OdometerCore
-	pos      []map[string]int32 // per core position: tuple key -> row id
-	rootIdx  map[int32]int      // root row id -> index in core.root
-	sizes    []int              // live rows per core position
-	baseRows int                // live rows at build time (waste budget)
-	churn    int                // rows appended + removed since build
+	core    *OdometerCore
+	pos     []map[string]int32 // per core position: tuple key -> row id
+	rootIdx map[int32]int      // root row id -> index in core.root
+	sizes   []int              // live rows per core position
 }
 
-// NewConstRefresher builds the maintenance pipeline for a free-connex
-// query over db, materializes the fully-reduced free parts by feeding
-// the entire base through it (build IS the first Apply, from empty), and
-// returns the refresher together with the OdometerCore it maintains.
+// NewConstRefresher builds the reducer for a free-connex query over db —
+// the elimination layer over the head-extended join tree, then the parts
+// reduced over the refresher's own join tree of their schemas (valid by
+// join-tree independence of full reduction) — loads the base through it,
+// and returns the refresher together with the OdometerCore it maintains.
 func NewConstRefresher(db *database.Database, q *logic.CQ) (*ConstRefresher, *OdometerCore, error) {
 	t, err := BuildTree(db, q, true)
 	if err != nil {
 		return nil, nil, err
 	}
-	cr := &ConstRefresher{
-		q:            q,
-		headIdx:      t.HeadIdx,
-		filters:      make([]atomFilter, len(t.Rels)),
-		atomNodes:    make([]*incNode, len(t.Rels)),
-		atomChildren: t.children,
-		atomPostord:  t.postord,
-	}
-	freeSet := headSet(q)
-	outSchema := make([][]string, len(t.Rels))
-	for i := range t.Rels {
-		if i == cr.headIdx {
-			continue
-		}
-		a := q.Atoms[i]
-		cr.filters[i] = newAtomFilter(a)
-		schema := a.Vars()
-		keep := make(map[string]bool)
-		p := t.JT.Parent[i]
-		var pe hypergraph.Edge
-		if p >= 0 {
-			pe = t.JT.Nodes[p]
-		}
-		for _, v := range schema {
-			if freeSet[v] || (p >= 0 && pe.Has(v)) {
-				keep[v] = true
-			}
-		}
-		outSchema[i] = sortedVars(keep)
-		projCols := make([]int, len(outSchema[i]))
-		for k, v := range outSchema[i] {
-			projCols[k] = Rel{Schema: schema}.col(v)
-		}
-		cr.atomNodes[i] = newIncNode(schema, projCols)
-	}
-	// Edges need every child's output schema, so a second sweep.
-	for i := range t.Rels {
-		if i == cr.headIdx {
-			continue
-		}
-		nd := cr.atomNodes[i]
-		for _, ch := range t.children[i] {
-			sc, cc := sharedCols(nd.schema, outSchema[ch])
-			nd.addEdge(sc, cc)
-		}
-	}
-
-	// Part layers: the head's children carry the free parts.
-	cr.partNode = t.children[cr.headIdx]
-	if len(cr.partNode) == 0 {
+	// The head's children carry the free parts.
+	partNode := t.children[t.HeadIdx]
+	if len(partNode) == 0 {
 		return nil, nil, fmt.Errorf("cq: internal: head node has no children for %s", q.Name)
 	}
-	partSchemas := make([][]string, len(cr.partNode))
-	h := hypergraph.New()
-	for p, node := range cr.partNode {
-		partSchemas[p] = outSchema[node]
-		h.AddEdge(hypergraph.NewEdge(fmt.Sprintf("V%d", p), partSchemas[p]...))
+	rd, schemas := newReducer(q)
+	// The head is the root, hence last in postorder: the elimination layer
+	// is every node before it.
+	outs := make([][]string, len(schemas))
+	free := headSet(q)
+	for i := range outs {
+		outs[i] = t.keptVars(i, schemas[i], free)
 	}
-	jt, ok := hypergraph.GYO(h)
-	if !ok {
-		return nil, nil, fmt.Errorf("cq: internal: head-part schemas not acyclic")
+	rd.elim = newLayer(schemas, outs, t.postord[:len(q.Atoms)], t.children)
+	rd.partOf, rd.parts = partNode, make([]setDelta, len(partNode))
+	partSchemas := make([][]string, len(partNode))
+	for p, node := range partNode {
+		partSchemas[p] = outs[node]
 	}
-	cr.upChildren = jt.Children()
-	cr.upPostord = postorder(jt)
-	cr.upParent = jt.Parent
-	cr.upRoot = jt.Root()
-	cr.upNodes = make([]*incNode, len(cr.partNode))
-	cr.finNodes = make([]*incNode, len(cr.partNode))
-	for p := range cr.partNode {
-		cr.upNodes[p] = newIncNode(partSchemas[p], nil)
-		cr.finNodes[p] = newIncNode(partSchemas[p], nil)
+	jt, err := partsTree(partSchemas)
+	if err != nil {
+		return nil, nil, err
 	}
-	for p := range cr.partNode {
-		for _, cc := range cr.upChildren[p] {
-			sc, ccols := sharedCols(partSchemas[p], partSchemas[cc])
-			cr.upNodes[p].addEdge(sc, ccols)
-		}
-		if p != cr.upRoot {
-			sc, pc := sharedCols(partSchemas[p], partSchemas[cr.upParent[p]])
-			cr.finNodes[p].addEdge(sc, pc)
-		}
-	}
+	rd.reduceOver(partSchemas, jt)
 
-	// Initial state: the whole base is the first delta (from empty).
-	initial := make(map[string]database.Delta)
-	for i := range t.Rels {
-		if i == cr.headIdx {
-			continue
-		}
-		pred := q.Atoms[i].Pred
-		if _, done := initial[pred]; !done {
-			initial[pred] = database.Delta{Ins: db.Relation(pred).Tuples}
-		}
+	finOut, err := rd.load(db, q)
+	if err != nil {
+		return nil, nil, err
 	}
-	finOut, ok := cr.runPipeline(initial)
-	if !ok {
-		return nil, nil, fmt.Errorf("cq: internal: initial maintenance pass failed for %s", q.Name)
-	}
-	parts := make([]Rel, len(cr.partNode))
+	parts := make([]Rel, len(partNode))
 	for p := range parts {
 		parts[p] = Rel{
 			Schema: partSchemas[p],
@@ -510,13 +604,12 @@ func NewConstRefresher(db *database.Database, q *logic.CQ) (*ConstRefresher, *Od
 	if err != nil {
 		return nil, nil, err
 	}
-	cr.core = core
+	cr := &ConstRefresher{rd: rd, core: core}
 	cr.pos = make([]map[string]int32, len(core.order))
 	cr.sizes = make([]int, len(core.order))
 	for j := range core.order {
 		rel := core.rels[j].R
 		cr.sizes[j] = rel.Len()
-		cr.baseRows += rel.Len()
 		cr.pos[j] = make(map[string]int32, rel.Len())
 		for i, tp := range rel.Tuples {
 			cr.pos[j][tp.FullKey()] = int32(i)
@@ -529,107 +622,12 @@ func NewConstRefresher(db *database.Database, q *logic.CQ) (*ConstRefresher, *Od
 	return cr, core, nil
 }
 
-// runPipeline pushes one base delta batch through the three maintenance
-// layers and returns the net delta of each fully-reduced part.
-func (cr *ConstRefresher) runPipeline(deltas map[string]database.Delta) ([]setDelta, bool) {
-	nodeOut := make([]setDelta, len(cr.atomNodes))
-	for _, i := range cr.atomPostord {
-		if i == cr.headIdx {
-			continue
-		}
-		nd := cr.atomNodes[i]
-		if !cr.filters[i].feed(nd, deltas[cr.filters[i].atom.Pred]) {
-			return nil, false
-		}
-		for ei, ch := range cr.atomChildren[i] {
-			for _, u := range nodeOut[ch].add {
-				nd.childAdd(ei, u)
-			}
-			for _, u := range nodeOut[ch].del {
-				if !nd.childDel(ei, u) {
-					return nil, false
-				}
-			}
-		}
-		var ok bool
-		if nodeOut[i], ok = nd.finish(); !ok {
-			return nil, false
-		}
-	}
-
-	upOut := make([]setDelta, len(cr.partNode))
-	for _, j := range cr.upPostord {
-		nd := cr.upNodes[j]
-		d := nodeOut[cr.partNode[j]]
-		for _, u := range d.add {
-			nd.srcAdd(u, 1)
-		}
-		for _, u := range d.del {
-			if !nd.srcDel(u, 1) {
-				return nil, false
-			}
-		}
-		for ei, cc := range cr.upChildren[j] {
-			for _, u := range upOut[cc].add {
-				nd.childAdd(ei, u)
-			}
-			for _, u := range upOut[cc].del {
-				if !nd.childDel(ei, u) {
-					return nil, false
-				}
-			}
-		}
-		var ok bool
-		if upOut[j], ok = nd.finish(); !ok {
-			return nil, false
-		}
-	}
-
-	finOut := make([]setDelta, len(cr.partNode))
-	// Reverse postorder visits parents before children: final[parent] is
-	// settled before its delta feeds the child's edge.
-	for k := len(cr.upPostord) - 1; k >= 0; k-- {
-		j := cr.upPostord[k]
-		nd := cr.finNodes[j]
-		for _, u := range upOut[j].add {
-			nd.srcAdd(u, 1)
-		}
-		for _, u := range upOut[j].del {
-			if !nd.srcDel(u, 1) {
-				return nil, false
-			}
-		}
-		if j != cr.upRoot {
-			p := cr.upParent[j]
-			for _, u := range finOut[p].add {
-				nd.childAdd(0, u)
-			}
-			for _, u := range finOut[p].del {
-				if !nd.childDel(0, u) {
-					return nil, false
-				}
-			}
-		}
-		var ok bool
-		if finOut[j], ok = nd.finish(); !ok {
-			return nil, false
-		}
-	}
-	return finOut, true
-}
-
-// Apply pushes one base delta batch through the pipeline and patches the
+// Apply pushes one base delta batch through the reducer and patches the
 // bound core in place. On false the refresher and the core must both be
 // discarded (node state may have advanced past the core's), and the
 // caller rebuilds from scratch — always safe, never wrong answers.
 func (cr *ConstRefresher) Apply(deltas map[string]database.Delta) bool {
-	// Bounded degradation: once patching has churned a large fraction of
-	// the originally bound rows, slab tombstones and index waste make a
-	// rebuild both cheaper and cleaner.
-	if cr.churn > cr.baseRows/2+1024 {
-		return false
-	}
-	finOut, ok := cr.runPipeline(deltas)
+	finOut, ok := cr.rd.run(deltas)
 	if !ok {
 		return false
 	}
@@ -657,7 +655,6 @@ func (cr *ConstRefresher) Apply(deltas map[string]database.Delta) bool {
 			}
 			delete(cr.pos[j], k)
 			cr.sizes[j]--
-			cr.churn++
 		}
 		for _, t := range d.add {
 			var id int32
@@ -687,7 +684,6 @@ func (cr *ConstRefresher) Apply(deltas map[string]database.Delta) bool {
 			}
 			cr.pos[j][t.FullKey()] = id
 			cr.sizes[j]++
-			cr.churn++
 		}
 	}
 	core.dead = false
@@ -699,94 +695,6 @@ func (cr *ConstRefresher) Apply(deltas map[string]database.Delta) bool {
 	return true
 }
 
-// SlabWaste totals the tombstoned slab rows across the core's positions:
-// storage grown by Apply that deletes have since abandoned (root
-// swap-remove and Index.RemoveRow drop the row id but never the slot, so
-// under delete/insert churn the slabs only grow).
-func (cr *ConstRefresher) SlabWaste() int {
-	w := 0
-	for j := range cr.core.slabs {
-		if n := cr.core.slabs[j].Len() - cr.sizes[j]; n > 0 {
-			w += n
-		}
-	}
-	return w
-}
-
-// CompactSlabs rebuilds the row storage of every core position whose slab
-// holds at least minWaste tombstoned rows, returning a fresh core over the
-// compacted slabs (nil when no position crossed the threshold) and the
-// number of rows reclaimed. The old core is left fully intact — live
-// enumeration cursors keep reading it — so the caller must republish the
-// returned core for new cursors; the refresher itself switches over
-// immediately and subsequent Apply calls patch the new core.
-//
-// Live rows are re-laid-out in ascending old-id order and each index is
-// rebased structure-preservingly (Index.Rebase), so bucket contents and
-// the root sequence keep their exact enumeration order: pagination
-// cursors minted at the current generation resolve to the same answers
-// against the compacted core.
-func (cr *ConstRefresher) CompactSlabs(minWaste int) (*OdometerCore, int) {
-	core := cr.core
-	var ncore *OdometerCore
-	reclaimed := 0
-	for j := range core.slabs {
-		waste := core.slabs[j].Len() - cr.sizes[j]
-		if waste < minWaste {
-			continue // arity-0 positions report Len 0 and never qualify
-		}
-		if ncore == nil {
-			c := *core
-			c.slabs = append([]database.Slab(nil), core.slabs...)
-			c.idx = append([]*database.Index(nil), core.idx...)
-			ncore = &c
-		}
-		live := make([]int32, 0, cr.sizes[j])
-		for _, id := range cr.pos[j] {
-			live = append(live, id)
-		}
-		sort.Slice(live, func(a, b int) bool { return live[a] < live[b] })
-		sl, remap := core.rels[j].R.CompactSlab(core.slabs[j], live)
-		ncore.slabs[j] = sl
-		if j == 0 {
-			// The root bucket holds exactly the live ids (deletes swap-
-			// remove), so every remap hit is valid; order is preserved
-			// elementwise.
-			nroot := make([]int32, len(core.root))
-			for i, id := range core.root {
-				nroot[i] = remap[id]
-			}
-			ncore.root = nroot
-			cr.rootIdx = make(map[int32]int, len(nroot))
-			for i, id := range nroot {
-				cr.rootIdx[id] = i
-			}
-		} else {
-			ncore.idx[j] = core.idx[j].Rebase(sl, remap)
-		}
-		np := make(map[string]int32, len(cr.pos[j]))
-		for k, id := range cr.pos[j] {
-			np[k] = remap[id]
-		}
-		cr.pos[j] = np
-		reclaimed += waste
-	}
-	if ncore == nil {
-		return nil, 0
-	}
-	cr.core = ncore
-	// Compaction restored density, so the churn budget that forces the
-	// eventual full rebuild resets to the remaining (sub-threshold) waste:
-	// sustained delete/insert churn stays on the delta path indefinitely
-	// instead of hitting the rebuild cliff every baseRows/2 mutations.
-	cr.baseRows = 0
-	for _, n := range cr.sizes {
-		cr.baseRows += n
-	}
-	cr.churn = cr.SlabWaste()
-	return ncore, reclaimed
-}
-
 // --- linear-delay refresher -------------------------------------------
 
 // LinearRefresher incrementally maintains a LinearPrep's fully-reduced
@@ -794,153 +702,35 @@ func (cr *ConstRefresher) CompactSlabs(minWaste int) (*OdometerCore, int) {
 // through InsertBatch/DeleteBatch — enumeration passes restrict copies,
 // so no row ids dangle — and the boolean fast path is kept in sync.
 type LinearRefresher struct {
-	q *logic.CQ
-	t *Tree
-
-	filters   []atomFilter
-	atomNodes []*incNode // atom multiset → set
-	upNodes   []*incNode
-	finNodes  []*incNode
-
-	rels []Rel // maintained fully-reduced base, aligned with t.Rels
+	rd   *reducer
+	rels []Rel // maintained fully-reduced base, aligned with the tree's Rels
 	lp   *LinearPrep
 }
 
-// NewLinearRefresher builds the maintenance pipeline for an acyclic
-// query, materializes its fully-reduced base by feeding the entire
-// database through it, and returns the refresher with the LinearPrep it
-// maintains.
+// NewLinearRefresher builds the reducer for an acyclic query — its parts
+// are the atoms, reduced over the query's own join tree — loads the base
+// through it, and returns the refresher with the LinearPrep it maintains.
 func NewLinearRefresher(db *database.Database, q *logic.CQ) (*LinearRefresher, *LinearPrep, error) {
 	t, err := BuildTree(db, q, false)
 	if err != nil {
 		return nil, nil, err
 	}
-	lr := &LinearRefresher{
-		q:         q,
-		t:         t,
-		filters:   make([]atomFilter, len(t.Rels)),
-		atomNodes: make([]*incNode, len(t.Rels)),
-		upNodes:   make([]*incNode, len(t.Rels)),
-		finNodes:  make([]*incNode, len(t.Rels)),
-		rels:      make([]Rel, len(t.Rels)),
+	rd, schemas := newReducer(q)
+	rd.reduceOver(schemas, t.JT)
+	finOut, err := rd.load(db, q)
+	if err != nil {
+		return nil, nil, err
 	}
-	root := t.JT.Root()
-	for i := range t.Rels {
-		a := q.Atoms[i]
-		lr.filters[i] = newAtomFilter(a)
-		schema := a.Vars()
-		lr.atomNodes[i] = newIncNode(schema, nil)
-		lr.upNodes[i] = newIncNode(schema, nil)
-		lr.finNodes[i] = newIncNode(schema, nil)
-	}
-	for i := range t.Rels {
-		for _, ch := range t.children[i] {
-			sc, cc := sharedCols(lr.upNodes[i].schema, lr.upNodes[ch].schema)
-			lr.upNodes[i].addEdge(sc, cc)
-		}
-		if i != root {
-			p := t.JT.Parent[i]
-			sc, pc := sharedCols(lr.finNodes[i].schema, lr.finNodes[p].schema)
-			lr.finNodes[i].addEdge(sc, pc)
-		}
-	}
-
-	initial := make(map[string]database.Delta)
-	for i := range t.Rels {
-		pred := q.Atoms[i].Pred
-		if _, done := initial[pred]; !done {
-			initial[pred] = database.Delta{Ins: db.Relation(pred).Tuples}
-		}
-	}
-	finOut, ok := lr.runPipeline(initial)
-	if !ok {
-		return nil, nil, fmt.Errorf("cq: internal: initial maintenance pass failed for %s", q.Name)
-	}
-	for i := range t.Rels {
+	lr := &LinearRefresher{rd: rd, rels: make([]Rel, len(schemas))}
+	for i, a := range q.Atoms {
 		lr.rels[i] = Rel{
-			Schema: lr.atomNodes[i].schema,
-			R:      database.FromTuples(q.Atoms[i].Pred, len(lr.atomNodes[i].schema), finOut[i].add),
+			Schema: schemas[i],
+			R:      database.FromTuples(a.Pred, len(schemas[i]), finOut[i].add),
 		}
 	}
 	lr.lp = &LinearPrep{t: t, head: q.Head, boolean: len(q.Head) == 0}
 	lr.sync()
 	return lr, lr.lp, nil
-}
-
-// runPipeline pushes one base delta batch through the atom, bottom-up,
-// and top-down layers, returning the net delta of each fully-reduced
-// base relation.
-func (lr *LinearRefresher) runPipeline(deltas map[string]database.Delta) ([]setDelta, bool) {
-	t := lr.t
-	atomOut := make([]setDelta, len(t.Rels))
-	for i := range t.Rels {
-		nd := lr.atomNodes[i]
-		if !lr.filters[i].feed(nd, deltas[lr.filters[i].atom.Pred]) {
-			return nil, false
-		}
-		var ok bool
-		if atomOut[i], ok = nd.finish(); !ok {
-			return nil, false
-		}
-	}
-
-	upOut := make([]setDelta, len(t.Rels))
-	for _, i := range t.postord {
-		nd := lr.upNodes[i]
-		for _, u := range atomOut[i].add {
-			nd.srcAdd(u, 1)
-		}
-		for _, u := range atomOut[i].del {
-			if !nd.srcDel(u, 1) {
-				return nil, false
-			}
-		}
-		for ei, ch := range t.children[i] {
-			for _, u := range upOut[ch].add {
-				nd.childAdd(ei, u)
-			}
-			for _, u := range upOut[ch].del {
-				if !nd.childDel(ei, u) {
-					return nil, false
-				}
-			}
-		}
-		var ok bool
-		if upOut[i], ok = nd.finish(); !ok {
-			return nil, false
-		}
-	}
-
-	root := t.JT.Root()
-	finOut := make([]setDelta, len(t.Rels))
-	for k := len(t.postord) - 1; k >= 0; k-- {
-		i := t.postord[k]
-		nd := lr.finNodes[i]
-		for _, u := range upOut[i].add {
-			nd.srcAdd(u, 1)
-		}
-		for _, u := range upOut[i].del {
-			if !nd.srcDel(u, 1) {
-				return nil, false
-			}
-		}
-		if i != root {
-			p := t.JT.Parent[i]
-			for _, u := range finOut[p].add {
-				nd.childAdd(0, u)
-			}
-			for _, u := range finOut[p].del {
-				if !nd.childDel(0, u) {
-					return nil, false
-				}
-			}
-		}
-		var ok bool
-		if finOut[i], ok = nd.finish(); !ok {
-			return nil, false
-		}
-	}
-	return finOut, true
 }
 
 // sync re-derives the LinearPrep's derived state from the maintained
@@ -964,11 +754,11 @@ func (lr *LinearRefresher) sync() {
 	}
 }
 
-// Apply pushes one base delta batch through the pipeline and patches the
+// Apply pushes one base delta batch through the reducer and patches the
 // maintained relations. On false the refresher and prep must be
 // discarded and rebuilt.
 func (lr *LinearRefresher) Apply(deltas map[string]database.Delta) bool {
-	finOut, ok := lr.runPipeline(deltas)
+	finOut, ok := lr.rd.run(deltas)
 	if !ok {
 		return false
 	}

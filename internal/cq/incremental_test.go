@@ -239,3 +239,180 @@ func TestConstRefresherSelfJoin(t *testing.T) {
 	}
 	equalAnswerSets(t, "self-join after delete", got, delay.Collect(fresh.Cursor(nil)))
 }
+
+// stateRows totals the source rows tracked by every node of the reducer.
+func (rd *reducer) stateRows() int {
+	n := 0
+	for _, ly := range []*layer{rd.elim, rd.up, rd.fin} {
+		if ly == nil {
+			continue
+		}
+		for _, nd := range ly.nodes {
+			if nd != nil {
+				n += len(nd.src)
+			}
+		}
+	}
+	return n
+}
+
+// chainAB is A(i,i+1), B(i,i+1) for i < n: every A tuple joins one B tuple.
+func chainAB(n int) *database.Database {
+	db := database.NewDatabase()
+	a := database.NewRelation("A", 2)
+	b := database.NewRelation("B", 2)
+	for i := 0; i < n; i++ {
+		a.InsertValues(database.Value(i), database.Value(i+1))
+		b.InsertValues(database.Value(i), database.Value(i+1))
+	}
+	db.AddRelation(a)
+	db.AddRelation(b)
+	return db
+}
+
+// TestRefresherStateBounded is the regression test for the refresher state
+// leak: a tuple that joins nothing never reaches the reduced parts, so the
+// budget — which counted part rows only — never saw it, while the rows it
+// left behind in the nodes' source maps (a count of 0 is never unlinked)
+// grew with every round. Every tuple fed is charged now: Apply declines
+// within limit/2 rounds of a build, and the caller's rebuild brings node
+// state back to base size.
+func TestRefresherStateBounded(t *testing.T) {
+	type refresher interface {
+		Apply(map[string]database.Delta) bool
+	}
+	for _, tc := range []struct {
+		name  string
+		build func(*database.Database, *testing.T) (refresher, *reducer)
+	}{
+		{"const", func(db *database.Database, t *testing.T) (refresher, *reducer) {
+			cr, _, err := NewConstRefresher(db, logictest.MustParseCQ("Q(x,y,z) :- A(x,y), B(y,z)."))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return cr, cr.rd
+		}},
+		{"linear", func(db *database.Database, t *testing.T) (refresher, *reducer) {
+			lr, _, err := NewLinearRefresher(db, logictest.MustParseCQ("Q(x,z) :- A(x,y), B(y,z)."))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return lr, lr.rd
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := chainAB(200)
+			a := db.Relation("A")
+			r, rd := tc.build(db, t)
+			base := rd.stateRows()
+			dt := trackDeltas(db)
+			const rounds = 20000
+			rebuilds, sinceBuild, peak := 0, 0, 0
+			apply := func() {
+				if r.Apply(dt.collect(t)) {
+					return
+				}
+				// The caller's protocol: discard and rebuild.
+				r, rd = tc.build(db, t)
+				rebuilds++
+				sinceBuild = 0
+			}
+			for round := 0; round < rounds; round++ {
+				// y = 10⁶+round occurs in no B tuple: the tuple joins nothing.
+				tup := database.Tuple{database.Value(-1 - round), database.Value(1_000_000 + round)}
+				a.Insert(tup)
+				apply()
+				if !a.Delete(tup) {
+					t.Fatalf("round %d: delete missed", round)
+				}
+				apply()
+				sinceBuild++
+				if n := rd.stateRows(); n > peak {
+					peak = n
+				}
+				if sinceBuild == 1 && rebuilds > 0 {
+					// First full round after a rebuild: at most this round's
+					// own tuple is tracked beyond the base.
+					if n := rd.stateRows(); n > base+3 {
+						t.Fatalf("round %d: %d node rows after a rebuild, base %d", round, n, base)
+					}
+				}
+				if 2*sinceBuild > rd.limit+4 {
+					t.Fatalf("round %d: %d rounds since the last build and Apply still accepts (limit %d, spent %d)",
+						round, sinceBuild, rd.limit, rd.spent)
+				}
+			}
+			if rebuilds == 0 {
+				t.Fatalf("Apply never declined in %d rounds: the budget does not see tuples that join nothing", rounds)
+			}
+			// One round leaves at most one dead row per layer.
+			if bound := base + 3*(rd.limit/2+3); peak > bound {
+				t.Fatalf("node state peaked at %d rows, bound %d (base %d)", peak, bound, base)
+			}
+			t.Logf("base %d rows, limit %d, peak %d, %d rebuilds in %d rounds", base, rd.limit, peak, rebuilds, rounds)
+		})
+	}
+}
+
+// TestSpineSlabsBoundedByBudget: delete/reinsert churn of tuples that DO
+// join tombstones one slab row per delete and appends one per reinsert.
+// Nothing compacts a bound spine in place; the budget rebuild is what
+// bounds the slabs, at 1.5 × base + 1024 rows each, and the enumeration
+// agrees with a fresh prepare on both sides of every rebuild.
+func TestSpineSlabsBoundedByBudget(t *testing.T) {
+	const base = 600
+	q := logictest.MustParseCQ("Q(x,y) :- A(x,y), B(y,z).")
+	db := chainAB(base)
+	a := db.Relation("A")
+	cr, core, err := NewConstRefresher(db, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string) {
+		t.Helper()
+		got := checkSeek(t, what, core)
+		fresh, err := PrepareConstantDelay(db, q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		equalAnswerSets(t, what, got, delay.Collect(fresh.Cursor(nil)))
+	}
+	dt := trackDeltas(db)
+	rebuilds, peak := 0, 0
+	for round := 0; round < 6000; round++ {
+		i := (round / 2) % base
+		tup := database.Tuple{database.Value(i), database.Value(i + 1)}
+		if round%2 == 0 {
+			if !a.Delete(tup) {
+				t.Fatalf("round %d: delete missed", round)
+			}
+		} else {
+			a.Insert(tup)
+		}
+		deltas := dt.collect(t)
+		if !cr.Apply(deltas) {
+			// The declined core is still the previous round's: the budget
+			// check comes before any patching.
+			if cr, core, err = NewConstRefresher(db, q); err != nil {
+				t.Fatal(err)
+			}
+			rebuilds++
+			check(fmt.Sprintf("round %d, after the budget rebuild", round))
+		} else if cr.rd.spent > cr.rd.limit {
+			check(fmt.Sprintf("round %d, last delta before the budget rebuild", round))
+		}
+		for j := range core.slabs {
+			if n := core.slabs[j].Len(); n > peak {
+				peak = n
+			}
+		}
+	}
+	if rebuilds < 2 {
+		t.Fatalf("%d budget rebuilds in 6000 rounds, want several", rebuilds)
+	}
+	if bound := base*3/2 + 1024; peak > bound {
+		t.Fatalf("a spine slab reached %d rows, bound %d", peak, bound)
+	}
+	check("final")
+	t.Logf("peak slab %d rows over base %d, %d rebuilds", peak, base, rebuilds)
+}

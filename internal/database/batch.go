@@ -132,8 +132,8 @@ func (ix *Index) buildProbeTable(sh *shard) probeTable {
 }
 
 // tables returns a state whose flat probe tables are built, constructing
-// them on first batched probe. The build races only with Compact (both
-// take tableMu); in-place patching is already serialized with all lookups.
+// them on first batched probe. Concurrent builders serialize on tableMu;
+// in-place patching is already serialized with all lookups.
 func (ix *Index) tables() *indexState {
 	if st := ix.state.Load(); st.tables != nil {
 		return st

@@ -148,96 +148,3 @@ func TestBatchedForcedCollisions(t *testing.T) {
 		}
 	}
 }
-
-// lookupAll snapshots every bucket of ix as probed through the scalar path.
-func lookupAll(ix *Index, probes []Tuple, cols []int) [][]int32 {
-	out := make([][]int32, len(probes))
-	for i, tu := range probes {
-		out[i] = append([]int32(nil), ix.Lookup(tu, cols)...)
-	}
-	return out
-}
-
-// TestIndexCompact churns an index through add/remove cycles — the
-// ConstRefresher access pattern — and checks that Compact reclaims the
-// abandoned slots, preserves every bucket (including fingerprint-collision
-// overflow spans), and keeps waste bounded when invoked at the threshold.
-func TestIndexCompact(t *testing.T) {
-	degenerate := func(tu Tuple, cols []int) uint64 {
-		if len(cols) > 0 {
-			return uint64(tu[cols[0]]) & 1
-		}
-		return 0
-	}
-	for _, tc := range []struct {
-		name string
-		hash keyHashFunc
-	}{{"default", nil}, {"degenerate", degenerate}} {
-		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(9))
-			r := batchRelation(rng, "R", 2, 512, 24)
-			sl := r.Slab()
-			ix := buildIndex(r.Tuples, []int{0}, sl, 1, tc.hash)
-			live := make([]bool, r.Len())
-			for i := range live {
-				live[i] = true
-			}
-			maxWaste := 0
-			for round := 0; round < 200; round++ {
-				// Remove a random live row, re-add a random dead one: spans
-				// shrink, relocate, and regrow, accumulating waste.
-				for k := 0; k < 8; k++ {
-					i := rng.Intn(r.Len())
-					if live[i] {
-						if !ix.RemoveRow(int32(i)) {
-							t.Fatalf("round %d: RemoveRow(%d) did not find the row", round, i)
-						}
-					} else {
-						ix.AddRow(int32(i))
-					}
-					live[i] = !live[i]
-				}
-				if ix.Waste() >= 64 {
-					before := lookupAll(ix, r.Tuples, []int{0})
-					reclaimed := ix.Compact()
-					if reclaimed == 0 {
-						t.Fatalf("round %d: Compact reclaimed nothing at waste %d", round, ix.Waste())
-					}
-					if ix.Waste() != 0 {
-						t.Fatalf("round %d: waste %d after Compact, want 0", round, ix.Waste())
-					}
-					after := lookupAll(ix, r.Tuples, []int{0})
-					for i := range before {
-						if !sameIDs(before[i], after[i]) {
-							t.Fatalf("round %d probe %d: bucket %v after Compact, want %v", round, i, after[i], before[i])
-						}
-					}
-				}
-				if ix.Waste() > maxWaste {
-					maxWaste = ix.Waste()
-				}
-			}
-			// The threshold sweep keeps waste bounded: at most the threshold
-			// plus one burst of relocations (each of the 8 patches in a
-			// burst can abandon up to one whole bucket). Unbounded churn
-			// would accumulate an order of magnitude more over 200 rounds.
-			if bound := 64 + 8*128; maxWaste > bound {
-				t.Fatalf("waste reached %d under periodic compaction, bound %d", maxWaste, bound)
-			}
-			// Batched probes agree with scalar after churn + compaction.
-			ix.Compact()
-			sc := GetScratch()
-			defer sc.Release()
-			got := ix.ContainsBatch(sl, []int{0}, sc.Iota(r.Len()), sc)
-			var want []int32
-			for i, tu := range r.Tuples {
-				if ix.Contains(tu, []int{0}) {
-					want = append(want, int32(i))
-				}
-			}
-			if !sameIDs(got, want) {
-				t.Fatalf("post-churn ContainsBatch %v, scalar %v", got, want)
-			}
-		})
-	}
-}

@@ -112,44 +112,6 @@ func (r *Relation) slabLocked() Slab {
 // Row returns tuple i as a view into the relation's slab.
 func (r *Relation) Row(i int) Tuple { return r.Slab().Row(int32(i)) }
 
-// CompactSlab rebuilds the relation's row storage from the live rows of
-// sl, reclaiming the slots tombstoned by delete churn: Slab.Append-grown
-// storage is never shrunk by deletes — the incremental refreshers abandon
-// slots, so under sustained delete/insert churn a spine slab only grows.
-// live lists the surviving row ids in ascending order; the result is a
-// fresh dense slab whose row i is a copy of sl.Row(live[i]), installed as
-// the relation's storage together with rebuilt tuple views. The returned
-// remap translates old row ids to new ones (-1 for dead rows), for
-// Index.Rebase and refresher bookkeeping. The relation's generation is
-// untouched — the live tuple set is identical, only its layout moved — so
-// the caller must itself rebase every holder of old row ids (indexes,
-// position maps) before publishing the new slab.
-func (r *Relation) CompactSlab(sl Slab, live []int32) (Slab, []int32) {
-	if sl.arity == 0 {
-		panic("database: CompactSlab on arity-0 slab")
-	}
-	ns := Slab{arity: sl.arity, data: make([]Value, len(live)*sl.arity)}
-	remap := make([]int32, sl.Len())
-	for i := range remap {
-		remap[i] = -1
-	}
-	tuples := make([]Tuple, len(live))
-	for i, id := range live {
-		copy(ns.data[i*sl.arity:(i+1)*sl.arity], sl.Row(id))
-		remap[id] = int32(i)
-		tuples[i] = ns.Row(int32(i))
-	}
-	r.mu.Lock()
-	r.Tuples = tuples
-	r.indexes = nil
-	r.indexesBig = nil
-	r.sorted = false
-	r.mapped = false // the compacted slab is a heap copy
-	r.slabPtr.Store(&ns)
-	r.mu.Unlock()
-	return ns, remap
-}
-
 // --- fingerprints -----------------------------------------------------
 
 const keyHashSeed uint64 = 0x9e3779b97f4a7c15
@@ -276,19 +238,18 @@ type shard struct {
 // many goroutines need no locking, and the probe path performs zero
 // allocations.
 type Index struct {
-	Cols  []int
-	slab  Slab
-	hash  keyHashFunc
-	fast  bool // hash is the default fingerprint, so Slab.HashCols applies
-	mask  uint32
-	waste int // row slots abandoned by AddRow relocations and RemoveRow shrinks
+	Cols []int
+	slab Slab
+	hash keyHashFunc
+	fast bool // hash is the default fingerprint, so Slab.HashCols applies
+	mask uint32
 
 	// state holds the bucket layout, plus the lazily built flat probe
-	// tables of the batch kernels, behind one atomic pointer: Compact and
-	// the lazy table build swap in a whole new layout while concurrent
-	// readers keep a consistent view of the old one.
+	// tables of the batch kernels, behind one atomic pointer: the lazy
+	// table build swaps in a whole new state while concurrent readers
+	// keep a consistent view of the old one.
 	state   atomic.Pointer[indexState]
-	tableMu sync.Mutex // serializes lazy table builds and Compact swaps
+	tableMu sync.Mutex // serializes lazy table builds
 }
 
 // indexState is one immutable-together snapshot of an index's layout.
@@ -546,19 +507,15 @@ next:
 // their bucket, deleted rows are cut out of theirs. Lookup's contract —
 // one contiguous, allocation-free sub-slice per key — is preserved by
 // relocating a bucket to the tail of the shard's row array when it cannot
-// grow in place; the abandoned slots are tracked in waste so the consumer
-// can fall back to a rebuild once the layout degrades too far. Patching
-// is NOT safe concurrently with lookups; the refresh path serializes
-// both.
+// grow in place. The abandoned slots are never reclaimed: the consumer
+// bounds them by rebuilding after a budget of changes (the cq refreshers
+// charge every patched row to theirs). Patching is NOT safe concurrently
+// with lookups; the refresh path serializes both.
 
 // SetSlab repoints the index at a grown slab (from Slab.Append). The new
 // slab must extend the indexed one: existing row ids must resolve to the
 // same tuples.
 func (ix *Index) SetSlab(s Slab) { ix.slab = s }
-
-// Waste returns the number of abandoned row slots accumulated by AddRow
-// relocations and RemoveRow shrinks — a proxy for layout degradation.
-func (ix *Index) Waste() int { return ix.waste }
 
 // patchState returns the layout about to be patched in place, first
 // dropping any derived probe tables (their spans are about to go stale).
@@ -615,7 +572,6 @@ func (ix *Index) appendToSpan(sh *shard, sp span, id int32) span {
 	off := int32(len(sh.rows))
 	sh.rows = append(sh.rows, sh.rows[sp.off:sp.off+sp.n]...)
 	sh.rows = append(sh.rows, id)
-	ix.waste += int(sp.n)
 	return span{off, sp.n + 1}
 }
 
@@ -671,92 +627,10 @@ func (ix *Index) cutFromSpan(sh *shard, sp span, id int32) (span, bool) {
 	for i := sp.off; i < sp.off+sp.n; i++ {
 		if sh.rows[i] == id {
 			sh.rows[i] = sh.rows[sp.off+sp.n-1]
-			ix.waste++
 			return span{sp.off, sp.n - 1}, true
 		}
 	}
 	return sp, false
-}
-
-// Compact rebuilds every shard's row array with the buckets laid out
-// contiguously, reclaiming the slots abandoned by AddRow relocations and
-// RemoveRow shrinks. Row ids are untouched — only the CSR layout changes —
-// so refresher state keyed on slab rows stays valid. The rebuilt layout is
-// swapped in atomically: Compact is safe concurrently with lookups (in-
-// flight bucket slices keep aliasing the old row array, which stays
-// intact), but like AddRow/RemoveRow it must be serialized with other
-// patching; plan.Cache runs both under its own lock. Returns the number of
-// reclaimed slots.
-func (ix *Index) Compact() int {
-	if ix.waste == 0 {
-		return 0
-	}
-	ix.tableMu.Lock()
-	defer ix.tableMu.Unlock()
-	old := ix.state.Load().shards
-	shards := make([]shard, len(old))
-	for i := range old {
-		shards[i] = compactShard(&old[i])
-	}
-	reclaimed := ix.waste
-	ix.waste = 0
-	ix.state.Store(&indexState{shards: shards})
-	return reclaimed
-}
-
-// Rebase returns a new index over a compacted slab: remap translates every
-// old slab row id to its new id, as produced by Relation.CompactSlab.
-// Bucket structure — the fingerprint → key grouping, each bucket's content
-// order, overflow chains — is preserved exactly, so an enumeration pass
-// over the rebased index visits rows in the same order as over the
-// original; only the ids and the (now dense) CSR layout change. The
-// receiver is left fully intact, keeping in-flight cursors over the old
-// slab valid.
-func (ix *Index) Rebase(sl Slab, remap []int32) *Index {
-	nix := &Index{Cols: ix.Cols, slab: sl, hash: ix.hash, fast: ix.fast, mask: ix.mask}
-	old := ix.state.Load().shards
-	shards := make([]shard, len(old))
-	for i := range old {
-		ns := compactShard(&old[i])
-		for k, id := range ns.rows {
-			ns.rows[k] = remap[id]
-		}
-		shards[i] = ns
-	}
-	nix.state.Store(&indexState{shards: shards})
-	return nix
-}
-
-// compactShard rewrites one shard's buckets into a dense row array.
-func compactShard(sh *shard) shard {
-	live := 0
-	for _, sp := range sh.buckets {
-		live += int(sp.n)
-	}
-	for _, sps := range sh.overflow {
-		for _, sp := range sps {
-			live += int(sp.n)
-		}
-	}
-	rows := make([]int32, 0, live)
-	buckets := make(map[uint64]span, len(sh.buckets))
-	for fp, sp := range sh.buckets {
-		buckets[fp] = span{int32(len(rows)), sp.n}
-		rows = append(rows, sh.rows[sp.off:sp.off+sp.n]...)
-	}
-	var overflow map[uint64][]span
-	if len(sh.overflow) > 0 {
-		overflow = make(map[uint64][]span, len(sh.overflow))
-		for fp, sps := range sh.overflow {
-			nsps := make([]span, len(sps))
-			for i, sp := range sps {
-				nsps[i] = span{int32(len(rows)), sp.n}
-				rows = append(rows, sh.rows[sp.off:sp.off+sp.n]...)
-			}
-			overflow[fp] = nsps
-		}
-	}
-	return shard{buckets: buckets, rows: rows, overflow: overflow}
 }
 
 // --- KeyMap -----------------------------------------------------------

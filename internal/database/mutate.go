@@ -223,19 +223,20 @@ func (r *Relation) DeleteBatch(ts []Tuple) int {
 	if len(ts) == 0 || len(r.Tuples) == 0 {
 		return 0
 	}
-	drop := make(map[string]bool, len(ts))
+	cols := identityCols(r.Arity)
+	drop := NewKeyMap(cols)
 	for _, t := range ts {
 		if len(t) == r.Arity {
-			drop[t.FullKey()] = true
+			drop.Intern(t)
 		}
 	}
-	if len(drop) == 0 {
+	if drop.Len() == 0 {
 		return 0
 	}
 	var removed []Tuple
 	kept := r.Tuples[:0]
 	for _, t := range r.Tuples {
-		if drop[t.FullKey()] {
+		if drop.Find(t, cols) >= 0 {
 			removed = append(removed, t)
 		} else {
 			kept = append(kept, t)

@@ -109,30 +109,6 @@ func (c *Cache) SetMaxPrepared(n int) {
 	c.mu.Unlock()
 }
 
-// Sweep drops every cached statement whose database has mutated since it
-// was bound or refreshed, returning how many were dropped. Useful after a
-// bulk load, when catching the survivors up would be pure waste. Surviving
-// statements get their spine index layouts compacted
-// (Prepared.CompactIndexes) and their tombstoned slab rows reclaimed
-// (Prepared.CompactSlabs) once past the waste threshold, so periodic
-// sweeps bound both index waste and row-storage growth under sustained
-// mutate/refresh churn.
-func (c *Cache) Sweep() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for k, e := range c.prepared {
-		if e.gen != k.db.Generation() {
-			delete(c.prepared, k)
-			n++
-			continue
-		}
-		e.pr.CompactIndexes()
-		e.pr.CompactSlabs()
-	}
-	return n
-}
-
 // evictLocked enforces maxPrepared by dropping least-recently-used
 // entries. Caller holds the write lock.
 func (c *Cache) evictLocked() {
@@ -343,8 +319,8 @@ func (fl *Flight) Run(counter *delay.Counter) {
 	if refreshed {
 		stale.gen = pr.Generation()
 		c.touch(stale)
-		// Re-insert: a concurrent Sweep may have dropped the entry while
-		// the refresh was in flight.
+		// Re-insert: an LRU eviction may have dropped the entry while the
+		// refresh was in flight.
 		c.prepared[key] = stale
 		c.refreshes[kind].Add(1)
 	} else if err == nil {

@@ -136,12 +136,6 @@ func TestCacheMutateHeavyBounded(t *testing.T) {
 			t.Fatalf("round %d: cache holds %d statements, cap 4", i, n)
 		}
 	}
-
-	// Sweep drops exactly the stale survivors.
-	db.Relation("A").Insert(database.Tuple{2000, 1})
-	if n := cache.Sweep(); n != 1 {
-		t.Errorf("Sweep dropped %d statements, want 1 (only db mutated)", n)
-	}
 }
 
 // TestCacheUCQ: union plans are cached under the union fingerprint.
@@ -263,5 +257,58 @@ func TestCacheReset(t *testing.T) {
 	}
 	if _, misses := cache.Stats(); misses != 2 {
 		t.Errorf("misses=%d after Reset, want 2", misses)
+	}
+}
+
+// TestPrepareSingleflight: N goroutines racing to bind the same cold
+// statement must cost exactly one bind — one flight holder pays the miss,
+// every waiter is counted a hit and receives the same *Prepared.
+func TestPrepareSingleflight(t *testing.T) {
+	q := mustCQ(t, "Q(x,y) :- A(x,y), B(y,z).")
+	db := database.NewDatabase()
+	a := database.NewRelation("A", 2)
+	b := database.NewRelation("B", 2)
+	for i := 0; i < 50_000; i++ {
+		a.InsertValues(database.Value(i), database.Value(i+1))
+		b.InsertValues(database.Value(i), database.Value(i+1))
+	}
+	db.AddRelation(a)
+	db.AddRelation(b)
+	cache := plan.NewCache()
+	p, err := cache.Compile(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const n = 16
+	var start, wg sync.WaitGroup
+	start.Add(1)
+	prs := make([]*plan.Prepared, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			start.Wait()
+			pr, err := cache.PreparePlan(p, db, nil)
+			if err != nil {
+				t.Errorf("goroutine %d: %v", i, err)
+				return
+			}
+			prs[i] = pr
+		}(i)
+	}
+	start.Done()
+	wg.Wait()
+	for i := 1; i < n; i++ {
+		if prs[i] != prs[0] {
+			t.Fatalf("goroutine %d got a different Prepared than goroutine 0", i)
+		}
+	}
+	hits, misses := cache.Stats()
+	if misses != 1 {
+		t.Fatalf("%d concurrent cold Prepares cost %d binds, want exactly 1", n, misses)
+	}
+	if hits != n-1 {
+		t.Fatalf("hits %d, want %d (every waiter counts as a hit)", hits, n-1)
 	}
 }

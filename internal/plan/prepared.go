@@ -40,9 +40,9 @@ type Prepared struct {
 	// reusable preprocessing. At most one is non-nil; a build failure is
 	// recorded in spineErr and surfaced by Enumerate (and recovered from
 	// by the lazy decision paths). constCore is behind an atomic pointer
-	// because slab compaction (Cache.Sweep → CompactSlabs) republishes a
-	// rebuilt core at an unchanged generation, concurrently with Decide/
-	// Enumerate fast paths that read it without taking pr.mu.
+	// because Refresh's in-place rebind publishes a rebuilt core under
+	// pr.mu, while the Decide/Enumerate fast paths read it without taking
+	// pr.mu.
 	constCore atomic.Pointer[cq.OdometerCore]
 	linPrep   *cq.LinearPrep
 	neqPrep   *ineq.NeqPrep
@@ -70,86 +70,16 @@ type Prepared struct {
 	parRows []database.Tuple
 	parErr  error
 
-	// The counting pass over the constant-delay spine, built on first use
-	// and kept per published core: wCore is the core w indexes. Slab
-	// compaction republishes a rebased core at an unchanged generation, which
-	// this comparison catches; a delta refresh patches the same core in place
-	// and drops the memo with the others.
-	wCore *cq.OdometerCore
-	w     *cq.SpineWeights
-	wErr  error
+	// The counting pass over the constant-delay spine, built on first use;
+	// a refresh that patches or rebuilds the core drops it with the other
+	// memos.
+	w    *cq.SpineWeights
+	wErr error
 
 	// Union state: bound head-stripped disjuncts (decide) and the
 	// materialized union answers once a pass completed (enumerate).
 	uDone bool
 	uRows []database.Tuple
-}
-
-// spineCompactMinWaste is the per-index waste (abandoned row slots) at
-// which CompactIndexes rebuilds a spine index's layout. Small enough that
-// sustained churn cannot degrade probe locality far, large enough that a
-// handful of refreshed rows never triggers a rebuild.
-const spineCompactMinWaste = 64
-
-// SpineWaste reports the abandoned row slots accumulated in the bound
-// spine's probe indexes by incremental refreshes — the layout degradation
-// CompactIndexes reclaims. Zero for statements without a patched spine.
-func (pr *Prepared) SpineWaste() int {
-	pr.mu.Lock()
-	defer pr.mu.Unlock()
-	if core := pr.constCore.Load(); core != nil {
-		return core.IndexWaste()
-	}
-	return 0
-}
-
-// CompactIndexes rebuilds spine-index layouts whose waste crossed the
-// compaction threshold, returning the number of row slots reclaimed.
-// Compaction leaves row ids (and therefore refresher state) untouched and
-// is safe concurrently with in-flight enumerations; plan.Cache.Sweep calls
-// it on every surviving statement so sustained mutate/refresh loops keep
-// bounded waste without ever rebinding.
-func (pr *Prepared) CompactIndexes() int {
-	pr.mu.Lock()
-	defer pr.mu.Unlock()
-	if core := pr.constCore.Load(); core != nil {
-		return core.CompactIndexes(spineCompactMinWaste)
-	}
-	return 0
-}
-
-// SlabWaste reports the tombstoned slab rows accumulated in the bound
-// spine by incremental deletes — the storage-only-grows leak CompactSlabs
-// reclaims. Zero for statements without an installed constant-delay
-// refresher.
-func (pr *Prepared) SlabWaste() int {
-	pr.mu.Lock()
-	defer pr.mu.Unlock()
-	if pr.constR != nil {
-		return pr.constR.SlabWaste()
-	}
-	return 0
-}
-
-// CompactSlabs reclaims tombstoned spine slab rows once a position's waste
-// crosses the same threshold Index.Compact uses, returning the number of
-// rows reclaimed. The rebuilt core preserves enumeration order exactly and
-// is republished atomically at an unchanged generation, so concurrent
-// executions and already-minted pagination cursors stay valid: in-flight
-// cursors keep reading the old core, new ones pick up the dense layout.
-// plan.Cache.Sweep calls it on every surviving statement, bounding spine
-// storage under sustained delete/insert churn.
-func (pr *Prepared) CompactSlabs() int {
-	pr.mu.Lock()
-	defer pr.mu.Unlock()
-	if pr.constR == nil {
-		return 0
-	}
-	core, reclaimed := pr.constR.CompactSlabs(spineCompactMinWaste)
-	if core != nil {
-		pr.constCore.Store(core)
-	}
-	return reclaimed
 }
 
 // Bind runs the data-dependent preprocessing of p over db. See BindCounted.
@@ -448,8 +378,7 @@ func (pr *Prepared) spineWeightsLocked(c *delay.Counter) (*cq.OdometerCore, *cq.
 	if core == nil {
 		return nil, nil, pr.spineErr
 	}
-	if pr.wCore != core {
-		pr.wCore = core
+	if pr.w == nil && pr.wErr == nil {
 		pr.w, pr.wErr = cq.NewSpineWeights(core, c)
 	}
 	return core, pr.w, pr.wErr

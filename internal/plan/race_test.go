@@ -35,7 +35,7 @@ func sortTuples(ts []database.Tuple) {
 // TestCacheRaceStress hammers one plan.Cache from many goroutines with
 // interleaved Prepare (bind), Decide/Enumerate (execute), Refresh (via the
 // cache's refresh-in-place on the probe after each mutation), and
-// Sweep/Len/Stats — against a database mutating under a qgen script. The
+// Len/Stats — against a database mutating under a qgen script. The
 // locking discipline is the serving one (qservd uses the same): executions
 // hold a read lock on the database for their whole probe+execute window,
 // mutations hold the write lock. Workers alternate randomly between the
@@ -193,7 +193,7 @@ func TestCacheRaceStress(t *testing.T) {
 		}(w)
 	}
 
-	// Sweeper: cache maintenance ops need no database lock — they must be
+	// Observer: the cache's read-outs need no database lock — they must be
 	// safe against concurrent probes and refreshes by construction.
 	wg.Add(1)
 	go func() {
@@ -204,7 +204,6 @@ func TestCacheRaceStress(t *testing.T) {
 				return
 			default:
 			}
-			cache.Sweep()
 			cache.Len()
 			cache.Stats()
 			cache.Refreshes()

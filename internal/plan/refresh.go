@@ -233,7 +233,7 @@ func (pr *Prepared) clearMemosLocked() {
 	pr.decided, pr.decideV, pr.decideE = false, false, nil
 	pr.counted, pr.countV, pr.countE = false, nil, nil
 	pr.matDone, pr.matRows, pr.matErr = false, nil, nil
-	pr.wCore, pr.w, pr.wErr = nil, nil, nil
+	pr.w, pr.wErr = nil, nil
 	pr.parDone, pr.parRows, pr.parErr = false, nil, nil
 	pr.uDone, pr.uRows = false, nil
 }

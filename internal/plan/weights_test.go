@@ -175,25 +175,16 @@ func TestCountOverflowFallsBack(t *testing.T) {
 	}
 }
 
-// TestWeightsFollowTheCore drives the slab-compaction churn loop — delete,
-// refresh, reinsert, refresh, with Cache.Sweep (index and slab compaction,
-// the latter republishing a rebased core at an unchanged generation)
-// interleaved — while reader goroutines count, random-access and seek under
-// the read lock. Count, GetInt(i) and EnumerateAt(i) must agree with each
-// other position for position and with a fresh bind's answer set on every
-// round. Run with -race.
+// TestWeightsFollowTheCore drives a churn loop — delete, refresh, reinsert,
+// refresh — while reader goroutines count, random-access and seek under the
+// read lock. Count, GetInt(i) and EnumerateAt(i) must agree with each other
+// position for position and with a fresh bind's answer set on every round.
+// Run with -race.
 func TestWeightsFollowTheCore(t *testing.T) {
 	q := mustCQ(t, "Q(x,y,z) :- A(x,y), B(y,z).")
-	db := database.NewDatabase()
-	a := database.NewRelation("A", 2)
-	b := database.NewRelation("B", 2)
 	const base = 200
-	for i := 0; i < base; i++ {
-		a.InsertValues(database.Value(i), database.Value(i%50))
-		b.InsertValues(database.Value(i%50), database.Value(i))
-	}
-	db.AddRelation(a)
-	db.AddRelation(b)
+	db := joinDB(base)
+	a := db.Relation("A")
 	cache := plan.NewCache()
 	p, err := cache.Compile(q)
 	if err != nil {
@@ -278,7 +269,6 @@ func TestWeightsFollowTheCore(t *testing.T) {
 	}
 
 	const rounds = 400
-	compacted := false
 	for round := 0; round < rounds && !t.Failed(); round++ {
 		i := (round / 2) % base
 		tup := database.Tuple{database.Value(i), database.Value(i % 50)}
@@ -292,25 +282,7 @@ func TestWeightsFollowTheCore(t *testing.T) {
 		}
 		dbMu.Unlock()
 		check(round%40 == 0)
-		if (round+1)%25 == 0 {
-			// Sweep runs beside the readers: it excludes only writers.
-			dbMu.RLock()
-			pr, _ := cache.PeekPlan(p, db)
-			waste := 0
-			if pr != nil {
-				waste = pr.SlabWaste()
-			}
-			cache.Sweep()
-			if pr != nil && pr.SlabWaste() < waste {
-				compacted = true
-			}
-			dbMu.RUnlock()
-			check(true)
-		}
 	}
 	close(stop)
 	readers.Wait()
-	if !compacted && !t.Failed() {
-		t.Fatal("churn never tripped slab compaction — the test lost its teeth")
-	}
 }
