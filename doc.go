@@ -5,7 +5,8 @@
 // The implementation lives under internal/: see internal/core for the
 // public facade (query classification along the paper's dichotomies and
 // task dispatch), and DESIGN.md for the full system inventory and the
-// per-experiment index. The benchmarks in bench_test.go regenerate the
-// measured complexity shapes recorded in EXPERIMENTS.md, one per paper
-// artifact; cmd/qbench prints the same results as tables.
+// per-experiment index. The experiments that regenerate the measured
+// complexity shapes recorded in EXPERIMENTS.md, one per paper artifact, are
+// declared once, in the registry of internal/experiments: cmd/qbench prints
+// it as tables and bench_test.go runs it as benchmarks.
 package repro

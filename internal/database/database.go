@@ -395,24 +395,6 @@ func (r *Relation) Select(name string, pred func(Tuple) bool) *Relation {
 	return out
 }
 
-// batchKernels gates the vectorized probe kernels (see batch.go) inside
-// Semijoin, ParSemijoin, and Join. On by default; the step-identity and
-// differential suites flip it off to run the whole engine through the
-// scalar oracle path.
-var batchKernels atomic.Bool
-
-func init() { batchKernels.Store(true) }
-
-// SetBatchKernels enables or disables the batched probe kernels process-
-// wide and returns the previous setting. Scalar and batched execution
-// produce bit-identical results (same tuples, same order, same counted
-// steps); the toggle exists so differential tests can prove it.
-func SetBatchKernels(on bool) bool {
-	prev := batchKernels.Load()
-	batchKernels.Store(on)
-	return prev
-}
-
 // Semijoin keeps the tuples of r that agree with at least one tuple of s on
 // the given column pairs (rCols[i] of r must equal sCols[i] of s). This is
 // the workhorse of the Yannakakis full reducer (Theorem 4.2).
@@ -420,18 +402,9 @@ func Semijoin(r *Relation, rCols []int, s *Relation, sCols []int) *Relation {
 	return semijoinProbe(r, rCols, s.IndexOn(sCols))
 }
 
-// SemijoinScalar is Semijoin on the scalar probe path regardless of the
-// batch-kernel toggle: one hash, one bucket walk, one comparison per
-// probe. It is the oracle of the scalar≡batched differential suite.
-func SemijoinScalar(r *Relation, rCols []int, s *Relation, sCols []int) *Relation {
-	return semijoinScalarProbe(r, rCols, s.IndexOn(sCols))
-}
-
-// semijoinProbe dispatches one probe pass over r against a prebuilt index.
+// semijoinProbe is one batched probe pass over r against a prebuilt index
+// (see batch.go).
 func semijoinProbe(r *Relation, rCols []int, ix *Index) *Relation {
-	if !batchKernels.Load() {
-		return semijoinScalarProbe(r, rCols, ix)
-	}
 	out := NewRelation(r.Name, r.Arity)
 	n := len(r.Tuples)
 	if n == 0 {
@@ -448,7 +421,11 @@ func semijoinProbe(r *Relation, rCols []int, ix *Index) *Relation {
 	return out
 }
 
-func semijoinScalarProbe(r *Relation, rCols []int, ix *Index) *Relation {
+// SemijoinScalar is Semijoin on the scalar probe path: one hash, one bucket
+// walk, one comparison per probe. It is the oracle of the scalar≡batched
+// differential suite.
+func SemijoinScalar(r *Relation, rCols []int, s *Relation, sCols []int) *Relation {
+	ix := s.IndexOn(sCols)
 	out := NewRelation(r.Name, r.Arity)
 	if len(r.Tuples) == 0 {
 		return out
@@ -476,14 +453,10 @@ func ParSemijoin(r *Relation, rCols []int, s *Relation, sCols []int, par int) *R
 		return semijoinProbe(r, rCols, s.ParIndexOn(sCols, par))
 	}
 	ix := s.ParIndexOn(sCols, par)
-	batched := batchKernels.Load()
 	chunk := (len(r.Tuples) + par - 1) / par
 	parts := make([][]Tuple, par)
 	var wg sync.WaitGroup
-	var sl Slab
-	if batched {
-		sl = r.Slab()
-	}
+	sl := r.Slab()
 	for w := 0; w < par; w++ {
 		lo := w * chunk
 		hi := lo + chunk
@@ -496,23 +469,13 @@ func ParSemijoin(r *Relation, rCols []int, s *Relation, sCols []int, par int) *R
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			if batched {
-				sc := GetScratch()
-				ids := ix.ContainsBatch(sl, rCols, sc.IotaRange(lo, hi), sc)
-				keep := make([]Tuple, len(ids))
-				for i, id := range ids {
-					keep[i] = r.Tuples[id]
-				}
-				sc.Release()
-				parts[w] = keep
-				return
+			sc := GetScratch()
+			ids := ix.ContainsBatch(sl, rCols, sc.IotaRange(lo, hi), sc)
+			keep := make([]Tuple, len(ids))
+			for i, id := range ids {
+				keep[i] = r.Tuples[id]
 			}
-			keep := make([]Tuple, 0, hi-lo)
-			for _, t := range r.Tuples[lo:hi] {
-				if ix.Contains(t, rCols) {
-					keep = append(keep, t)
-				}
-			}
+			sc.Release()
 			parts[w] = keep
 		}(w, lo, hi)
 	}
@@ -548,9 +511,6 @@ func joinKeepCols(s *Relation, sCols []int) []int {
 // Join computes the natural join of r and s on the given column pairs. The
 // result columns are all of r's columns followed by s's columns not in sCols.
 func Join(name string, r *Relation, rCols []int, s *Relation, sCols []int) *Relation {
-	if !batchKernels.Load() {
-		return JoinScalar(name, r, rCols, s, sCols)
-	}
 	ix := s.IndexOn(sCols)
 	keep := joinKeepCols(s, sCols)
 	out := NewRelation(name, r.Arity+len(keep))
@@ -603,8 +563,8 @@ func Join(name string, r *Relation, rCols []int, s *Relation, sCols []int) *Rela
 	return out
 }
 
-// JoinScalar is Join on the scalar probe path regardless of the batch-
-// kernel toggle — the oracle of the scalar≡batched differential suite.
+// JoinScalar is Join on the scalar probe path — the oracle of the
+// scalar≡batched differential suite.
 func JoinScalar(name string, r *Relation, rCols []int, s *Relation, sCols []int) *Relation {
 	ix := s.IndexOn(sCols)
 	keep := joinKeepCols(s, sCols)

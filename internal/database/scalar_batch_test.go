@@ -91,23 +91,3 @@ func TestDifferentialScalarBatchJoin(t *testing.T) {
 		}
 	}
 }
-
-// TestSetBatchKernelsToggle proves the process-wide toggle routes the
-// public entry points through the scalar path and back, with identical
-// results either way.
-func TestSetBatchKernelsToggle(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	r := skewedRelation(rng, "R", 2)
-	s := skewedRelation(rng, "S", 2)
-
-	prev := database.SetBatchKernels(false)
-	if !prev {
-		t.Fatalf("batch kernels expected on by default")
-	}
-	off := database.Semijoin(r, []int{1}, s, []int{0})
-	database.SetBatchKernels(true)
-	on := database.Semijoin(r, []int{1}, s, []int{0})
-	if !tuplesEqualOrdered(off.Tuples, on.Tuples) {
-		t.Fatalf("toggle changed the semijoin result: off %d tuples, on %d", off.Len(), on.Len())
-	}
-}

@@ -9,12 +9,41 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/cq"
+	"repro/internal/database"
 	"repro/internal/delay"
-	"repro/internal/fodeg"
-	"repro/internal/logic/logictest"
+	"repro/internal/experiments"
 	"repro/internal/obs"
 )
+
+// observedEnum builds the registry's instance of experiment id at size n
+// and measures its enumerating op under a counter observed by o — the
+// instance and query are the ones qbench tabulates, not a copy.
+func observedEnum(t *testing.T, id, op string, n int, o *obs.Observer) (delay.Stats, []database.Tuple) {
+	t.Helper()
+	exps, err := experiments.Select(experiments.All, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops, _, err := exps[0].Tables[0].Setup(&experiments.Run{}).Build(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, candidate := range ops {
+		if candidate.Name == op {
+			c := &delay.Counter{}
+			c.SetSink(o)
+			return delay.Measure(c, func() delay.Enumerator {
+				e, err := candidate.Enum(c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return e
+			})
+		}
+	}
+	t.Fatalf("%s has no op %q", id, op)
+	return delay.Stats{}, nil
+}
 
 // e1MaxDelaySteps is the golden constant-delay bound for E1's enumerator on
 // the cycle-graph instance: the bounded-degree enumeration of Theorem 3.2
@@ -26,22 +55,8 @@ const e1MaxDelaySteps = 5
 
 func TestGoldenE1DelayHistogram(t *testing.T) {
 	for _, n := range []int{1 << 10, 1 << 14} {
-		s := boundedDegreeStructure(n)
-		p, _ := s.PredID("P")
-		q := fodeg.Ex{Var: "y", F: fodeg.Conj{Fs: []fodeg.Formula{
-			edgeFormula(s, "x", "y"), fodeg.Pr{Pred: p, T: fodeg.V("y")},
-		}}}
-
 		o := obs.New()
-		c := &delay.Counter{}
-		c.SetSink(o)
-		st, answers := delay.Measure(c, func() delay.Enumerator {
-			e, err := s.Enumerate(q, []string{"x"}, c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return e
-		})
+		st, answers := observedEnum(t, "E1", "Enumerate", n, o)
 		if len(answers) == 0 {
 			t.Fatalf("n=%d: E1 instance produced no answers", n)
 		}
@@ -72,21 +87,8 @@ func TestGoldenE1DelayHistogram(t *testing.T) {
 // constant delay and "small on the one size we looked at".
 func TestGoldenE1DelayIndependentOfN(t *testing.T) {
 	maxAt := func(n int) int64 {
-		s := boundedDegreeStructure(n)
-		p, _ := s.PredID("P")
-		q := fodeg.Ex{Var: "y", F: fodeg.Conj{Fs: []fodeg.Formula{
-			edgeFormula(s, "x", "y"), fodeg.Pr{Pred: p, T: fodeg.V("y")},
-		}}}
 		o := obs.New()
-		c := &delay.Counter{}
-		c.SetSink(o)
-		delay.Measure(c, func() delay.Enumerator {
-			e, err := s.Enumerate(q, []string{"x"}, c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return e
-		})
+		observedEnum(t, "E1", "Enumerate", n, o)
 		return o.DelaySteps.Max()
 	}
 	small, large := maxAt(1<<8), maxAt(1<<15)
@@ -100,18 +102,8 @@ func TestGoldenE1DelayIndependentOfN(t *testing.T) {
 // and semijoin reduction, then enumeration), so a reader of `qbench -trace`
 // output can attribute wall time to them.
 func TestE5TraceSnapshotPhases(t *testing.T) {
-	db := e5DB(1 << 10)
-	q := logictest.MustParseCQ("Q(x,y) :- A(x,y), B(y,z).")
 	o := obs.New()
-	c := &delay.Counter{}
-	c.SetSink(o)
-	delay.Measure(c, func() delay.Enumerator {
-		e, err := cq.EnumerateConstantDelay(db, q, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
-	})
+	observedEnum(t, "E5", "ConstantDelay", 1<<10, o)
 	tr := o.Snapshot("E5")
 	got := map[string]bool{}
 	for _, ph := range tr.Phases {
