@@ -1,9 +1,10 @@
 // Command qbench regenerates every experiment of DESIGN.md that the
-// registry of internal/experiments holds (E1–E20, E22, E24), printing one
+// registry of internal/experiments holds (E1–E24), printing one
 // paper-style table per experiment. Each experiment validates the *shape*
 // of a complexity bound stated in the paper — linear scaling, constant vs
 // linear delay, the n^k star-size sweep, the matrix-multiplication
-// reduction, and so on. This file is flags plus the -json/-trace/profile
+// reduction, and so on — or of the serving layer built on them (E21, E23:
+// open-loop traffic against serve in process). This file is flags plus the -json/-trace/profile
 // driver; the experiments themselves live in the registry.
 //
 // Usage:

@@ -4,7 +4,6 @@
 //
 // Usage:
 //
-//	qservd -gen 42 -addr :8080            # seeded qgen workload database
 //	qservd -data facts.txt -addr :8080    # database from a fact file
 //	qservd -data facts.snap -addr :8080   # mmap a prebuilt snapshot (see qsnap)
 //
@@ -19,8 +18,9 @@
 //	/healthz (GET), /v1/stats (GET), /debug/vars, /debug/pprof/*
 //
 // Enumeration cursors and statement handles are opaque, authenticated, and
-// stateless: they can be resumed against any future process serving the
-// same database generation.
+// stateless: they outlive cache evictions and in-place refreshes, but not
+// the process — each process signs them with a key of its own, so a
+// restart answers every earlier token with 400.
 //
 // Cold binds run in a deadline-aware bind lane (-bind-workers/-bind-queue)
 // so a bind storm cannot head-of-line-block warm traffic: requests whose
@@ -38,15 +38,12 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/database"
 	"repro/internal/serve"
 )
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	dataPath := flag.String("data", "", "fact file or snapshot to serve (overrides -gen)")
-	genSeed := flag.Int64("gen", 1, "serve a seeded qgen workload database")
-	genQueries := flag.Int("gen-queries", 6, "number of workload queries the seed covers")
+	dataPath := flag.String("data", "", "fact file or snapshot to serve (required)")
 	maxInflight := flag.Int("max-inflight", 64, "admission control: concurrent request bound (excess → 429)")
 	deadline := flag.Duration("deadline", 5*time.Second, "default per-request execution deadline")
 	cacheSize := flag.Int("cache", 256, "prepared-statement cache bound (LRU)")
@@ -55,26 +52,19 @@ func main() {
 	bindQueue := flag.Int("bind-queue", 32, "bind lane: queued cold binds before shedding (503)")
 	flag.Parse()
 
-	var (
-		db   *database.Database
-		dict *database.Dictionary
-	)
-	if *dataPath != "" {
-		var err error
-		db, dict, _, err = core.LoadPath(*dataPath)
-		if err != nil {
-			fatal(err)
-		}
-		// The snapshot mapping (if any) lives for the process; the closer is
-		// deliberately dropped — a daemon never unmaps its own database.
-		fmt.Printf("qservd: loaded %s (%d relations, generation %d)\n",
-			*dataPath, len(db.Names()), db.Generation())
-	} else {
-		w := serve.NewWorkload(*genSeed, *genQueries, 0)
-		db = w.DB
-		fmt.Printf("qservd: generated workload seed=%d (%d queries, %d relations, generation %d)\n",
-			w.Seed, len(w.Queries), len(db.Names()), db.Generation())
+	if *dataPath == "" {
+		fmt.Fprintln(os.Stderr, "qservd: -data is required")
+		flag.Usage()
+		os.Exit(2)
 	}
+	// The snapshot mapping (if any) lives for the process; the closer is
+	// deliberately dropped — a daemon never unmaps its own database.
+	db, dict, _, err := core.LoadPath(*dataPath)
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Printf("qservd: loaded %s (%d relations, generation %d)\n",
+		*dataPath, len(db.Names()), db.Generation())
 
 	srv := serve.New(db, dict, serve.Config{
 		MaxInFlight:     *maxInflight,

@@ -6,7 +6,6 @@
 // Usage:
 //
 //	qsnap -data facts.txt -o facts.snap                 # snapshot a fact file
-//	qsnap -gen 42 -o workload.snap                      # snapshot a seeded qgen workload
 //	qsnap -data facts.txt -index edge:0 -index edge:0,1 # prebuild CSR indexes
 //	qsnap -info facts.snap                              # print a snapshot's contents
 //
@@ -25,7 +24,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/database"
-	"repro/internal/serve"
 	"repro/internal/snapshot"
 )
 
@@ -37,8 +35,6 @@ func (l *listFlag) Set(v string) error { *l = append(*l, v); return nil }
 
 func main() {
 	dataPath := flag.String("data", "", "fact file (or snapshot) to load")
-	genSeed := flag.Int64("gen", -1, "snapshot a seeded qgen workload database instead of -data")
-	genQueries := flag.Int("gen-queries", 6, "number of workload queries the seed covers")
 	out := flag.String("o", "", "output snapshot path")
 	info := flag.String("info", "", "print the contents of an existing snapshot and exit")
 	var indexes listFlag
@@ -49,31 +45,14 @@ func main() {
 		printInfo(*info)
 		return
 	}
-	if *out == "" {
-		fmt.Fprintln(os.Stderr, "qsnap: -o is required")
+	if *out == "" || *dataPath == "" {
+		fmt.Fprintln(os.Stderr, "qsnap: -data and -o are required")
 		flag.Usage()
 		os.Exit(2)
 	}
-
-	var (
-		db   *database.Database
-		dict *database.Dictionary
-	)
-	switch {
-	case *dataPath != "":
-		var err error
-		db, dict, _, err = core.LoadPath(*dataPath)
-		if err != nil {
-			fatal(err)
-		}
-	case *genSeed >= 0:
-		w := serve.NewWorkload(*genSeed, *genQueries, 0)
-		db = w.DB
-		dict = database.NewDictionary()
-	default:
-		fmt.Fprintln(os.Stderr, "qsnap: one of -data or -gen is required")
-		flag.Usage()
-		os.Exit(2)
+	db, dict, _, err := core.LoadPath(*dataPath)
+	if err != nil {
+		fatal(err)
 	}
 
 	opts := &snapshot.Options{Indexes: map[string][][]int{}}

@@ -22,7 +22,8 @@ func TestAnalyzeVerdicts(t *testing.T) {
 	}{
 		{"Q(x,y) :- A(x,y), B(y,z).", true, true, 1, "Constant-Delay"},
 		{"Q(x,y) :- A(x,z), B(z,y).", true, false, 2, "linear delay"},
-		{"Q() :- E(x,y), E(y,z), E(z,x).", false, false, 0, "Hyperclique"},
+		{"Q() :- E(x,y), F(y,z), G(z,x).", false, false, 0, "Hyperclique"},
+		{"Q() :- E(x,y), E(y,z), E(z,x).", false, false, 0, "classification open"},
 	}
 	for _, c := range cases {
 		r := Analyze(logictest.MustParseCQ(c.src))

@@ -34,9 +34,6 @@ func (r Rel) Col(v string) int {
 // col is the internal alias of Col.
 func (r Rel) col(v string) int { return r.Col(v) }
 
-// hasVar reports whether v is in the schema.
-func (r Rel) hasVar(v string) bool { return r.col(v) >= 0 }
-
 // commonCols returns the aligned column lists of the variables shared by a
 // and b, in a's schema order.
 func commonCols(a, b Rel) (ac, bc []int) {
@@ -185,4 +182,3 @@ func sortedVars(vs map[string]bool) []string {
 	sort.Strings(out)
 	return out
 }
-

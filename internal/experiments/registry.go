@@ -5,11 +5,10 @@ import (
 	"strings"
 )
 
-// All is the registry, in the order qbench prints it. (E21 and E23 are
-// serving experiments driven by cmd/qload against cmd/qservd.)
+// All is the registry, in the order qbench prints it.
 var All = []*Experiment{
 	&e1, &e2, &e3, &e4, &e5, &e6, &e7, &e8, &e9, &e10, &e11, &e12, &e13, &e14,
-	&e15, &e16, &e17, &e18, &e19, &e20, &e22, &e24,
+	&e15, &e16, &e17, &e18, &e19, &e20, &e21, &e22, &e23, &e24,
 }
 
 // Select resolves a comma-separated list of experiment IDs (any case)

@@ -47,16 +47,6 @@ func (s *Structure) EvalConj(c CConj, asg map[string]int) bool {
 	return true
 }
 
-// EvalDNF evaluates a DNF under an assignment.
-func (s *Structure) EvalDNF(d CDNF, asg map[string]int) bool {
-	for _, c := range d {
-		if s.EvalConj(c, asg) {
-			return true
-		}
-	}
-	return false
-}
-
 // mentions reports whether the literal mentions variable v.
 func (l Lit) mentions(v string) bool {
 	if l.T1.Var == v {
@@ -445,4 +435,3 @@ func (s *Structure) ModelCheck(f Formula) (bool, error) {
 	}
 	return false, nil
 }
-

@@ -103,26 +103,8 @@ func (s *Structure) PredID(name string) (int, bool) {
 	return id, ok
 }
 
-// FuncID returns the id of a named function.
-func (s *Structure) FuncID(name string) (int, bool) {
-	id, ok := s.funcNames[name]
-	return id, ok
-}
-
-// FuncIDs returns the ids of all registered functions (including inverses).
-func (s *Structure) FuncIDs() []int {
-	out := make([]int, len(s.funcs))
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
 // Pred returns the bitmap with the given id.
 func (s *Structure) Pred(id int) []bool { return s.preds[id] }
-
-// PredCount returns the popcount of a bitmap.
-func (s *Structure) PredCount(id int) int { return s.counts[id] }
 
 // Inverse returns the id of the inverse of function id.
 func (s *Structure) Inverse(id int) int { return s.inverse[id] }

@@ -125,17 +125,6 @@ func (h *Hypergraph) Clone() *Hypergraph {
 	return c
 }
 
-// EdgesWith returns the indices of edges containing v.
-func (h *Hypergraph) EdgesWith(v string) []int {
-	var out []int
-	for i, e := range h.Edges {
-		if e.Has(v) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // JoinTree is a join tree of a hypergraph (Section 4.1): its nodes are the
 // hyperedges, and for every vertex v the set of nodes containing v induces a
 // connected subtree (the running-intersection property).

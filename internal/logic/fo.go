@@ -105,14 +105,6 @@ func Exists(vars []string, f Formula) Formula {
 	return f
 }
 
-// Forall quantifies variables left to right.
-func Forall(vars []string, f Formula) Formula {
-	for i := len(vars) - 1; i >= 0; i-- {
-		f = FForall{Var: vars[i], F: f}
-	}
-	return f
-}
-
 func (f FAtom) String() string {
 	parts := make([]string, len(f.Args))
 	for i, t := range f.Args {

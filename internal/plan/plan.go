@@ -107,7 +107,11 @@ func (r *Report) fillVerdicts() {
 	case !r.Acyclic:
 		r.DecisionVerdict = "cyclic: NP-complete combined complexity (Chandra–Merlin); generic backtracking used"
 		r.CountingVerdict = "cyclic: ♯P-hard in general; brute-force counting used"
-		r.EnumerationVerdict = "no Constant-Delay_lin expected (Theorem 4.9 under Hyperclique)"
+		if r.SelfJoinFree {
+			r.EnumerationVerdict = "no Constant-Delay_lin expected (Theorem 4.9 under Hyperclique)"
+		} else {
+			r.EnumerationVerdict = "cyclic (self-joins: classification open)"
+		}
 		return
 	}
 	r.DecisionVerdict = "O(‖φ‖·‖D‖) semijoin pass (Yannakakis, Theorem 4.2)"

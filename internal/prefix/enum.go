@@ -2,7 +2,6 @@ package prefix
 
 import (
 	"fmt"
-	"math/big"
 
 	"repro/internal/database"
 	"repro/internal/delay"
@@ -283,10 +282,4 @@ func EnumerateSigma1(db *database.Database, f logic.Formula, c *delay.Counter) (
 		}
 		return emit(), true
 	}), nil
-}
-
-// ExactSigma1Count is a brute-force reference: count set assignments by
-// enumerating all of them (small domains only).
-func ExactSigma1Count(db *database.Database, f logic.Formula) (*big.Int, error) {
-	return CountSigma1Exact(db, f)
 }

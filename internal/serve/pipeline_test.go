@@ -86,6 +86,37 @@ func TestWriteQueryErrorMapping(t *testing.T) {
 	}
 }
 
+// TestPanicReleasesReadLock: net/http recovers a handler's panic, so a
+// panic in an execute step must not leave the database read lock held —
+// every mutation after it would wait forever.
+func TestPanicReleasesReadLock(t *testing.T) {
+	s := New(tinyDB(), nil, Config{})
+	p := compileOn(t, s, "Q(x) :- A(x).")
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the execute step did not panic")
+			}
+		}()
+		s.withStatement(context.Background(), p, func(*plan.Prepared) error { panic("execute step") })
+	}()
+	done := make(chan int, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		body := strings.NewReader(`{"pred": "A", "op": "insert", "tuple": [2]}`)
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/mutate", body))
+		done <- rec.Code
+	}()
+	select {
+	case code := <-done:
+		if code != http.StatusOK {
+			t.Fatalf("/v1/mutate after the panic: status %d", code)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("/v1/mutate still blocked 1s after a panic inside withStatement: the read lock leaked")
+	}
+}
+
 // failingWriter is a ResponseWriter whose peer goes away: the first ok
 // writes succeed, then gone is called (if set) and, when fail is set, every
 // later write fails.

@@ -314,18 +314,13 @@ func (s *Server) resolvePlan(w http.ResponseWriter, req *queryRequest) (*plan.Pl
 // binds; the caller reports that as retryable.
 func (s *Server) withStatement(ctx context.Context, p *plan.Plan, fn func(pr *plan.Prepared) error) error {
 	for attempt := 0; attempt < 4; attempt++ {
-		s.dbMu.RLock()
-		pr, warm := s.cache.PeekPlan(p, s.db)
-		if warm {
-			err := fn(pr)
-			s.dbMu.RUnlock()
+		if warm, err := s.runWarm(p, fn); warm {
 			if !errors.Is(err, plan.ErrStalePlan) {
 				return err
 			}
 			s.m.staleRetries.Add(1)
 			continue
 		}
-		s.dbMu.RUnlock()
 		if err := s.binds.bind(ctx, p); err != nil {
 			return err
 		}
@@ -334,6 +329,20 @@ func (s *Server) withStatement(ctx context.Context, p *plan.Plan, fn func(pr *pl
 		// generation.
 	}
 	return plan.ErrStalePlan
+}
+
+// runWarm is the fast lane: under the database read lock it probes the
+// cache and, if p is bound at the current generation, runs fn. The unlock is
+// deferred because net/http recovers a handler's panic — a read lock left
+// held by one would never admit a mutation again.
+func (s *Server) runWarm(p *plan.Plan, fn func(pr *plan.Prepared) error) (warm bool, err error) {
+	s.dbMu.RLock()
+	defer s.dbMu.RUnlock()
+	pr, warm := s.cache.PeekPlan(p, s.db)
+	if !warm {
+		return false, nil
+	}
+	return true, fn(pr)
 }
 
 // retryAfter answers 503 with a Retry-After hint rounded up to seconds.

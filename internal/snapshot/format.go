@@ -105,10 +105,6 @@ const entrySorted = 1 << 0
 // 2-byte columns follow.
 const tocEntrySize = 56
 
-func (e *tocEntry) encodedLen() int {
-	return tocEntrySize + len(e.name) + 2*len(e.cols)
-}
-
 func (e *tocEntry) encode(b []byte) []byte {
 	b = append(b, e.kind, e.flags)
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(e.cols)))
