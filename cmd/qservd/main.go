@@ -85,10 +85,26 @@ func main() {
 
 	fmt.Printf("qservd: serving on %s (max-inflight %d, deadline %s, cache %d, bind-workers %d, bind-queue %d)\n",
 		*addr, *maxInflight, *deadline, *cacheSize, *bindWorkers, *bindQueue)
-	if err := http.ListenAndServe(*addr, mux); err != nil {
+	hs := &http.Server{
+		Addr:              *addr,
+		Handler:           mux,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+	if err := hs.ListenAndServe(); err != nil {
 		fatal(err)
 	}
 }
+
+// The socket timeouts. A client gets readHeaderTimeout to send its request
+// headers and may keep an idle connection open for idleTimeout. There is no
+// WriteTimeout: it would cut legitimate streams, which may run for the
+// 30 s maximum deadline; a stream bounds its own writes by its deadline
+// instead (serve's streamAnswers).
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "qservd:", err)

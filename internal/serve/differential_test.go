@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 
 	"repro/internal/database"
@@ -37,20 +36,14 @@ func newHandler(db *database.Database, cfg serve.Config) http.Handler {
 // postJSON drives the mux in-process: no TCP, just the handler.
 func postJSON(t *testing.T, h http.Handler, path string, body interface{}) (int, map[string]json.RawMessage) {
 	t.Helper()
-	buf, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := httptest.NewRequest("POST", path, bytes.NewReader(buf))
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
+	code, raw := postBody(t, h, path, body)
 	var out map[string]json.RawMessage
-	if rec.Body.Len() > 0 {
-		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
-			t.Fatalf("POST %s: body is not JSON: %v\n%s", path, err, rec.Body.String())
+	if len(raw) > 0 {
+		if err := json.Unmarshal(raw, &out); err != nil {
+			t.Fatalf("POST %s: body is not JSON: %v\n%s", path, err, raw)
 		}
 	}
-	return rec.Code, out
+	return code, out
 }
 
 type answerSet map[string]int
@@ -165,7 +158,9 @@ var routes = []routeCase{
 
 // TestServePaginationDifferential: for 250 seeded instances per route,
 // cursor-resumed pagination at several page sizes (including 1) and the
-// NDJSON stream each produce exactly the oracle's answer set; and a cursor
+// NDJSON stream each produce exactly the oracle's answer set, every page and
+// stream line in the bytes the map-based encoder wrote (pagesInOrder and
+// streamInOrder check each against parentForm); and a cursor
 // that survives a mutation is refused as stale, after which a restarted
 // pagination matches the oracle on the mutated database.
 func TestServePaginationDifferential(t *testing.T) {

@@ -8,12 +8,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/database"
 	"repro/internal/plan"
 )
 
@@ -139,10 +141,11 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 	return w.ResponseRecorder.Write(p)
 }
 
-// TestStreamStopsAtWriteError: a stream whose peer is gone must stop
-// enumerating at the first failed write instead of walking all 50k
-// answers, count as served only what was written, and — like a client
-// that cancels mid-stream — never be booked as an expired deadline.
+// TestStreamStopsAtWriteError: a stream is written a chunk at a time, and
+// one whose peer is gone must stop enumerating at the first failed chunk
+// write instead of walking all 50k answers, count as served exactly the
+// answers in the chunks that were written, and — like a client that cancels
+// mid-stream — never be booked as an expired deadline.
 func TestStreamStopsAtWriteError(t *testing.T) {
 	s := New(bindChainDB(50_000), nil, Config{})
 	h := s.Handler()
@@ -151,27 +154,102 @@ func TestStreamStopsAtWriteError(t *testing.T) {
 		h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/enumerate", body).WithContext(ctx))
 	}
 
-	const k = 100
+	const k = 3 // chunks the peer takes before it goes away
 	w := &failingWriter{ResponseRecorder: httptest.NewRecorder(), ok: k, fail: true}
 	stream(w, context.Background())
 	if w.writes != k+1 {
 		t.Fatalf("stream attempted %d writes against a peer that died after %d; it must stop at the first failure", w.writes, k)
 	}
-	if st := s.Stats(); st.AnswersServed != k || st.DeadlineExpired != 0 {
-		t.Fatalf("answers_served %d deadline_expired %d, want %d and 0", st.AnswersServed, st.DeadlineExpired, k)
+	written := int64(bytes.Count(w.Body.Bytes(), []byte("\n")))
+	if written == 0 || written >= 50_000 || !bytes.HasSuffix(w.Body.Bytes(), []byte("]}\n")) {
+		t.Fatalf("%d whole answer lines in the %d chunks written", written, k)
+	}
+	if st := s.Stats(); st.AnswersServed != written || st.DeadlineExpired != 0 {
+		t.Fatalf("answers_served %d deadline_expired %d, want %d and 0", st.AnswersServed, st.DeadlineExpired, written)
 	}
 
 	// A client hanging up cancels the request context: the stream is cut
-	// with a truncation record, but no deadline was missed.
+	// after the answers still buffered, with a truncation record whose
+	// cursor resumes right after the last of them; no deadline was missed.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	w = &failingWriter{ResponseRecorder: httptest.NewRecorder(), ok: k, gone: cancel}
 	stream(w, ctx)
-	if !bytes.Contains(w.Body.Bytes(), []byte(`"truncated":true`)) {
+	lines := bytes.Split(bytes.TrimSuffix(w.Body.Bytes(), []byte("\n")), []byte("\n"))
+	var tail struct {
+		Truncated bool   `json:"truncated"`
+		Cursor    string `json:"cursor"`
+	}
+	if err := json.Unmarshal(lines[len(lines)-1], &tail); err != nil || !tail.Truncated {
 		t.Fatalf("cancelled stream ended without a truncation record: ...%s", w.Body.Bytes()[max(0, w.Body.Len()-200):])
+	}
+	if w.writes != k+1 {
+		t.Fatalf("cancelled stream made %d writes, want the %d chunks before the cut and one with the rest", w.writes, k)
+	}
+	cur, err := decodeToken(s.cfg.CursorKey, kindCursor, tail.Cursor)
+	if answers := uint64(len(lines) - 1); err != nil || cur.offset != answers {
+		t.Fatalf("truncation cursor %+v (%v) after %d answers", cur, err, answers)
 	}
 	if st := s.Stats(); st.DeadlineExpired != 0 {
 		t.Fatalf("client disconnect booked as deadline_expired (%d)", st.DeadlineExpired)
+	}
+}
+
+// TestStalledReaderReleasesReadLock: a stream writes under the database read
+// lock, so a client that sends a stream request and never reads used to
+// block the server's write — and every mutation queued behind the lock —
+// until it hung up. The stream's write deadline (its own deadline plus
+// writeGrace) now ends the write, and with it the hold on the lock.
+func TestStalledReaderReleasesReadLock(t *testing.T) {
+	db := database.NewDatabase()
+	r := database.NewRelation("R", 1)
+	for i := 0; i < 1<<10; i++ {
+		r.Insert(database.Tuple{database.Value(i)})
+	}
+	db.AddRelation(r)
+	srv := httptest.NewUnstartedServer(New(db, nil, Config{}).Handler())
+	// Small socket buffers at both ends, so the 2²⁰-answer stream fills
+	// them within its first chunks whatever the host's defaults.
+	srv.Config.ConnState = func(c net.Conn, st http.ConnState) {
+		if tc, ok := c.(*net.TCPConn); ok && st == http.StateNew {
+			tc.SetWriteBuffer(4 << 10)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.(*net.TCPConn).SetReadBuffer(4 << 10)
+	body := `{"query": "Q(x,y) :- R(x), R(y).", "stream": true, "deadline_ms": 200}`
+	fmt.Fprintf(conn, "POST /v1/enumerate HTTP/1.1\r\nHost: qservd\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
+	// The mutate must queue behind a stream already holding the read lock,
+	// not slip in ahead of it: send it once the stream's own 200 ms are up
+	// and only its blocked write can still be holding the lock.
+	time.Sleep(300 * time.Millisecond)
+
+	done := make(chan error, 1)
+	go func() {
+		resp, err := http.Post(srv.URL+"/v1/mutate", "application/json",
+			strings.NewReader(`{"pred": "R", "op": "insert", "tuple": [5000]}`))
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				err = fmt.Errorf("status %d", resp.StatusCode)
+			}
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("/v1/mutate beside a stalled stream: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("/v1/mutate still blocked 2s behind a stream whose client stopped reading")
 	}
 }
 

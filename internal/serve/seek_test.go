@@ -21,7 +21,7 @@ type streamTail struct {
 }
 
 // streamInOrder drains one /v1/enumerate stream request into its answers,
-// in the order served, and its terminal record.
+// in the order served, and its terminal record, checking every line's bytes.
 func streamInOrder(t *testing.T, h http.Handler, body map[string]interface{}) ([][]int64, streamTail) {
 	t.Helper()
 	body["stream"] = true
@@ -31,6 +31,7 @@ func streamInOrder(t *testing.T, h http.Handler, body map[string]interface{}) ([
 	if rec.Code != http.StatusOK {
 		t.Fatalf("stream: status %d: %s", rec.Code, rec.Body.String())
 	}
+	checkWire(t, rec.Body.Bytes())
 	lines := strings.Split(strings.TrimSpace(rec.Body.String()), "\n")
 	var tail streamTail
 	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &tail); err != nil || tail.Done == tail.Truncated {
@@ -51,8 +52,8 @@ func streamInOrder(t *testing.T, h http.Handler, body map[string]interface{}) ([
 
 // pagesInOrder walks /v1/enumerate pages of the statement named by base
 // (query text or handle) from cursor ("" = the start) to exhaustion,
-// asserting every page is well-formed, and returns the answers in the order
-// served.
+// asserting every page is well-formed and in the map-based encoder's bytes,
+// and returns the answers in the order served.
 func pagesInOrder(t *testing.T, h http.Handler, base map[string]interface{}, cursor string, pageSize int) [][]int64 {
 	t.Helper()
 	var all [][]int64
@@ -64,10 +65,13 @@ func pagesInOrder(t *testing.T, h http.Handler, base map[string]interface{}, cur
 		if cursor != "" {
 			body["cursor"] = cursor
 		}
-		code, out := postJSON(t, h, "/v1/enumerate", body)
+		code, raw := postBody(t, h, "/v1/enumerate", body)
 		if code != http.StatusOK {
-			t.Fatalf("page %d (size %d): status %d: %s %s", page, pageSize, code, out["error"], out["detail"])
+			t.Fatalf("page %d (size %d): status %d: %s", page, pageSize, code, raw)
 		}
+		checkWire(t, raw)
+		var out map[string]json.RawMessage
+		json.Unmarshal(raw, &out)
 		var answers [][]int64
 		if err := json.Unmarshal(out["answers"], &answers); err != nil {
 			t.Fatalf("page %d: bad answers: %v", page, err)

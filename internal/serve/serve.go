@@ -15,7 +15,11 @@
 //	              with the lock released, then re-probes
 //	execute       the endpoint's engine call over the bound statement,
 //	              still under the read lock
-//	encode        the endpoint's response (JSON, or NDJSON when streaming)
+//	encode        the endpoint's response: a typed struct through
+//	              encoding/json for point answers; answers appended by
+//	              hand into a pooled buffer for pages and NDJSON streams
+//	              (encode.go), a stream written and flushed once per 32 KiB
+//	              chunk under a write deadline
 //
 // The concurrency discipline is the one TestCacheRaceStress pins down at the
 // plan layer: every query request holds a read lock on the database for its
@@ -162,7 +166,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/enumerate", s.guard("enumerate", s.query(s.admitEnumerate, s.enumerate)))
 	mux.HandleFunc("POST /v1/mutate", s.guard("mutate", s.handleMutate))
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]interface{}{"status": "ok", "generation": s.db.Generation()})
+		writeJSON(w, http.StatusOK, healthResponse{Generation: s.db.Generation(), Status: "ok"})
 	})
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.Stats())
@@ -219,6 +223,39 @@ type errorBody struct {
 	Error  string `json:"error"`
 	Detail string `json:"detail,omitempty"`
 }
+
+// The point responses. Each declares its fields in sorted key order, the
+// order in which encoding/json writes a map's keys, so the bytes are those
+// of the map each one replaced.
+type (
+	prepareResponse struct {
+		Engines     engines `json:"engines"`
+		Fingerprint string  `json:"fingerprint"`
+		Generation  uint64  `json:"generation"`
+		Handle      string  `json:"handle"`
+	}
+	engines struct {
+		Count     plan.Engine `json:"count"`
+		Decide    plan.Engine `json:"decide"`
+		Enumerate plan.Engine `json:"enumerate"`
+	}
+	decideResponse struct {
+		Answer     bool   `json:"answer"`
+		Generation uint64 `json:"generation"`
+	}
+	countResponse struct {
+		Count      string `json:"count"`
+		Generation uint64 `json:"generation"`
+	}
+	mutateResponse struct {
+		Applied    bool   `json:"applied"`
+		Generation uint64 `json:"generation"`
+	}
+	healthResponse struct {
+		Generation uint64 `json:"generation"`
+		Status     string `json:"status"`
+	}
+)
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
@@ -421,19 +458,19 @@ func (s *Server) query(
 }
 
 func (s *Server) prepare(_ context.Context, w http.ResponseWriter, q *request, pr *plan.Prepared) error {
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"fingerprint": fmt.Sprintf("%016x", q.p.Fingerprint()),
-		"handle": encodeToken(s.cfg.CursorKey, token{
+	writeJSON(w, http.StatusOK, prepareResponse{
+		Engines: engines{
+			Count:     q.p.CountEngine,
+			Decide:    q.p.DecideEngine,
+			Enumerate: q.p.EnumerateEngine,
+		},
+		Fingerprint: fmt.Sprintf("%016x", q.p.Fingerprint()),
+		Generation:  pr.Generation(),
+		Handle: encodeToken(s.cfg.CursorKey, token{
 			kind: kindHandle,
 			fp:   q.p.Fingerprint(),
 			gen:  pr.Generation(),
 		}),
-		"engines": map[string]plan.Engine{
-			"decide":    q.p.DecideEngine,
-			"count":     q.p.CountEngine,
-			"enumerate": q.p.EnumerateEngine,
-		},
-		"generation": pr.Generation(),
 	})
 	return nil
 }
@@ -443,10 +480,7 @@ func (s *Server) decide(_ context.Context, w http.ResponseWriter, _ *request, pr
 	if err != nil {
 		return err
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"answer":     ans,
-		"generation": pr.Generation(),
-	})
+	writeJSON(w, http.StatusOK, decideResponse{Answer: ans, Generation: pr.Generation()})
 	return nil
 }
 
@@ -455,10 +489,7 @@ func (s *Server) count(_ context.Context, w http.ResponseWriter, _ *request, pr 
 	if err != nil {
 		return err
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"count":      n.String(),
-		"generation": pr.Generation(),
-	})
+	writeJSON(w, http.StatusOK, countResponse{Count: n.String(), Generation: pr.Generation()})
 	return nil
 }
 
@@ -585,54 +616,47 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_tuple", err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"applied":    applied,
-		"generation": s.db.Generation(),
-	})
+	writeJSON(w, http.StatusOK, mutateResponse{Applied: applied, Generation: s.db.Generation()})
 }
 
 // ---- enumeration: pages, cursors, streaming ----
 
-func tupleInts(t database.Tuple) []int64 {
-	out := make([]int64, len(t))
-	for i, v := range t {
-		out[i] = int64(v)
-	}
-	return out
-}
-
-// servePage writes one page of answers starting at offset.
+// servePage writes one page of answers starting at offset. The page is
+// appended whole into one pooled buffer and written at once: a deadline
+// expiring before the page is complete answers 504, not a partial page.
 func (s *Server) servePage(ctx context.Context, w http.ResponseWriter, pr *plan.Prepared, gen, offset uint64, limit int) error {
-	answers, done, err := s.page(ctx, pr, offset, limit)
-	if err != nil {
+	buf := getBuf()
+	defer putBuf(buf)
+	var n int
+	var err error
+	if *buf, n, err = s.appendPage(ctx, *buf, pr, gen, offset, limit); err != nil {
 		return err
 	}
-	resp := map[string]interface{}{
-		"answers":    answers,
-		"done":       done,
-		"generation": gen,
-	}
-	if !done {
-		resp["next_cursor"] = s.cursorAt(pr, gen, offset+uint64(len(answers)))
-	}
-	s.m.answersServed.Add(int64(len(answers)))
-	writeJSON(w, http.StatusOK, resp)
+	s.m.answersServed.Add(int64(n))
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(*buf) // a failed write means the client is gone: nothing is left to tell it
 	return nil
 }
 
-// page extracts answers [offset, offset+limit) in the engine's
-// deterministic order and reports whether the enumeration is exhausted.
-func (s *Server) page(ctx context.Context, pr *plan.Prepared, offset uint64, limit int) ([][]int64, bool, error) {
+// appendPage appends the page body of answers [offset, offset+limit) in the
+// engine's deterministic order and reports how many it holds. The buffer is
+// returned even on error, so its capacity goes back to the pool.
+func (s *Server) appendPage(ctx context.Context, b []byte, pr *plan.Prepared, gen, offset uint64, limit int) ([]byte, int, error) {
 	e, err := pr.EnumerateAt(ctx, nil, offset)
 	if err != nil {
-		return nil, false, err
+		return b, 0, err
 	}
-	answers := make([][]int64, 0, limit)
-	more := true
-	for more && len(answers) < limit {
+	b = append(b, pageHead...)
+	n, more := 0, true
+	for more && n < limit {
 		var t database.Tuple
 		if t, more = e.Next(); more {
-			answers = append(answers, tupleInts(t))
+			if n > 0 {
+				b = append(b, ',')
+			}
+			b = appendTuple(b, t)
+			n++
 		}
 	}
 	if more {
@@ -641,9 +665,13 @@ func (s *Server) page(ctx context.Context, pr *plan.Prepared, offset uint64, lim
 		_, more = e.Next()
 	}
 	if err := e.Err(); err != nil {
-		return nil, false, err
+		return b, 0, err
 	}
-	return answers, !more, nil
+	var cursor string
+	if more {
+		cursor = s.cursorAt(pr, gen, offset+uint64(n))
+	}
+	return appendPageTail(b, !more, gen, cursor), n, nil
 }
 
 // cursorAt mints the cursor that resumes pr's enumeration at offset.
@@ -656,14 +684,19 @@ func (s *Server) cursorAt(pr *plan.Prepared, gen, offset uint64) string {
 	})
 }
 
+// writeGrace is how long past its deadline a stream may still be writing:
+// room for the truncation record.
+const writeGrace = time.Second
+
 // streamAnswers writes newline-delimited JSON, one answer per line, then a
-// terminal record. A completed stream ends with {"done":true,"count":n}; a
+// terminal record. A completed stream ends with {"count":n,"done":true}; a
 // deadline expiring mid-stream cuts at an answer boundary and ends with
-// {"truncated":true,"cursor":...} so the client can tell a cut from a
-// finish and resume exactly where the stream stopped. A failed write means
-// the peer is gone: the enumeration stops there and only the answers that
-// were written count as served. The enumeration is synchronous in this
-// handler, so cancellation leaks nothing.
+// {"cursor":...,"truncated":true} so the client can tell a cut from a
+// finish and resume exactly where the stream stopped. Lines are sent a
+// chunk at a time (encode.go). A failed write means the peer is gone: the
+// enumeration stops there and only the answers in chunks that were written
+// count as served. The enumeration is synchronous in this handler, so
+// cancellation leaks nothing.
 func (s *Server) streamAnswers(ctx context.Context, w http.ResponseWriter, pr *plan.Prepared, gen, offset uint64) error {
 	e, err := pr.EnumerateAt(ctx, nil, offset)
 	if err != nil {
@@ -672,38 +705,52 @@ func (s *Server) streamAnswers(ctx context.Context, w http.ResponseWriter, pr *p
 	if err := e.Err(); err != nil {
 		return err // the deadline ended the skip to offset: nothing is written yet
 	}
+	// The stream writes under the database read lock, so a client that
+	// stops reading would block a write, and every mutation behind it, for
+	// as long as it held the connection open. The write deadline bounds
+	// that to the stream's own deadline plus writeGrace. httptest's
+	// recorder has no deadlines and answers ErrNotSupported; net/http
+	// clears the deadline when the request ends.
+	if dl, ok := ctx.Deadline(); ok {
+		http.NewResponseController(w).SetWriteDeadline(dl.Add(writeGrace))
+	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	var n int64
-	for {
-		t, ok := e.Next()
-		if !ok {
-			break
-		}
-		if err := enc.Encode(map[string]interface{}{"answer": tupleInts(t)}); err != nil {
-			s.m.answersServed.Add(n)
-			return nil
-		}
+	buf := getBuf()
+	c := chunkWriter{w: w, b: *buf}
+	c.f, _ = w.(http.Flusher)
+	var n, served int64 // answers encoded; answers in chunks written
+	defer func() {
+		s.m.answersServed.Add(served)
+		*buf = c.b
+		putBuf(buf)
+	}()
+	for t, more := e.Next(); more; t, more = e.Next() {
+		c.b = appendAnswerLine(c.b, t)
 		n++
-		if flusher != nil && n%64 == 0 {
-			flusher.Flush()
+		if len(c.b) >= chunkSize {
+			if !c.write(true) {
+				return nil
+			}
+			served = n
 		}
 	}
-	s.m.answersServed.Add(n)
 	if err := e.Err(); err != nil {
-		// Headers are out; report the cut in-band with a resume cursor
-		// positioned after the last emitted answer.
+		// Headers are out; report the cut in-band, after the answers
+		// still buffered, with a resume cursor positioned after the last.
 		s.expired(err)
-		enc.Encode(map[string]interface{}{
-			"truncated": true,
-			"error":     "deadline_exceeded",
-			"detail":    err.Error(),
-			"cursor":    s.cursorAt(pr, gen, offset+uint64(n)),
+		c.b = appendRecord(c.b, streamCut{
+			Cursor:    s.cursorAt(pr, gen, offset+uint64(n)),
+			Detail:    err.Error(),
+			Error:     "deadline_exceeded",
+			Truncated: true,
 		})
-		return nil
+	} else {
+		c.b = appendRecord(c.b, streamDone{Count: n, Done: true})
 	}
-	enc.Encode(map[string]interface{}{"done": true, "count": n})
+	// The last chunk is left for net/http to flush as the handler returns.
+	if c.write(false) {
+		served = n
+	}
 	return nil
 }
