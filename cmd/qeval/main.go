@@ -103,10 +103,10 @@ func main() {
 		case "text":
 			if u != nil {
 				for i, d := range u.Disjuncts {
-					fmt.Printf("--- disjunct %d ---\n%s", i+1, core.Analyze(d))
+					fmt.Printf("--- disjunct %d ---\n%s", i+1, plan.Analyze(d))
 				}
 			} else {
-				fmt.Print(core.Analyze(q))
+				fmt.Print(plan.Analyze(q))
 			}
 		case "json":
 			p := compilePlan(c, q, u)

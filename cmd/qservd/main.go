@@ -22,14 +22,13 @@
 // the process — each process signs them with a key of its own, so a
 // restart answers every earlier token with 400.
 //
-// Cold binds run in a deadline-aware bind lane (-bind-workers/-bind-queue)
-// so a bind storm cannot head-of-line-block warm traffic: requests whose
-// deadline cannot survive the estimated bind wait are shed with 503 and a
-// Retry-After hint.
+// All tuning is serve.Config's defaults. A bind storm cannot block warm
+// traffic: cold binds run in a deadline-aware lane that sheds, with 503 and
+// a Retry-After hint, each request whose deadline cannot survive the wait.
 package main
 
 import (
-	"expvar"
+	_ "expvar"
 	"flag"
 	"fmt"
 	"net/http"
@@ -44,12 +43,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	dataPath := flag.String("data", "", "fact file or snapshot to serve (required)")
-	maxInflight := flag.Int("max-inflight", 64, "admission control: concurrent request bound (excess → 429)")
-	deadline := flag.Duration("deadline", 5*time.Second, "default per-request execution deadline")
-	cacheSize := flag.Int("cache", 256, "prepared-statement cache bound (LRU)")
-	pageSize := flag.Int("page", 1024, "maximum enumerate page size")
-	bindWorkers := flag.Int("bind-workers", 2, "bind lane: concurrent cold-bind bound")
-	bindQueue := flag.Int("bind-queue", 32, "bind lane: queued cold binds before shedding (503)")
 	flag.Parse()
 
 	if *dataPath == "" {
@@ -66,14 +59,7 @@ func main() {
 	fmt.Printf("qservd: loaded %s (%d relations, generation %d)\n",
 		*dataPath, len(db.Names()), db.Generation())
 
-	srv := serve.New(db, dict, serve.Config{
-		MaxInFlight:     *maxInflight,
-		DefaultDeadline: *deadline,
-		MaxPrepared:     *cacheSize,
-		MaxPageSize:     *pageSize,
-		BindWorkers:     *bindWorkers,
-		BindQueueDepth:  *bindQueue,
-	})
+	srv := serve.New(db, dict, serve.Config{})
 	srv.Publish("qservd")
 
 	mux := http.NewServeMux()
@@ -81,10 +67,8 @@ func main() {
 	// expvar and pprof register themselves on the default mux; mount it
 	// under /debug/ so /debug/vars and /debug/pprof/* work as usual.
 	mux.Handle("/debug/", http.DefaultServeMux)
-	_ = expvar.Handler()
 
-	fmt.Printf("qservd: serving on %s (max-inflight %d, deadline %s, cache %d, bind-workers %d, bind-queue %d)\n",
-		*addr, *maxInflight, *deadline, *cacheSize, *bindWorkers, *bindQueue)
+	fmt.Printf("qservd: serving on %s\n", *addr)
 	hs := &http.Server{
 		Addr:              *addr,
 		Handler:           mux,

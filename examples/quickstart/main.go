@@ -9,8 +9,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/database"
-	"repro/internal/delay"
 	"repro/internal/logic"
+	"repro/internal/plan"
 )
 
 func main() {
@@ -47,28 +47,38 @@ func main() {
 
 	// 1. Classification (Theorem 4.2 / 4.6 / 4.28 verdicts).
 	fmt.Println("--- analysis ---")
-	fmt.Print(core.Analyze(q))
+	fmt.Print(plan.Analyze(q))
+
+	// Compile picks the engines from the analysis; Bind runs their
+	// preprocessing over db once, and every task below reuses it. This
+	// query projects away the joining variable p, so it is not free-connex
+	// and enumerates with linear delay (Theorem 4.3); a free-connex query
+	// would get constant delay (Theorem 4.6).
+	p, err := plan.Compile(q)
+	if err != nil {
+		log.Fatal(err)
+	}
+	pr, err := p.Bind(db)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// 2. Decide the Boolean version.
-	ok, err := core.Decide(db, q)
+	ok, err := pr.Decide(nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\nsatisfiable:", ok)
 
 	// 3. Count without enumerating (star-size counting, Theorem 4.28).
-	n, err := core.Count(db, q)
+	n, err := pr.Count(nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("answers:", n)
 
-	// 4. Enumerate. The dispatcher picks the engine from the analysis: this
-	// query projects away the joining variable p, so it is not free-connex
-	// and gets the linear-delay enumerator (Theorem 4.3); a free-connex
-	// query would get constant delay (Theorem 4.6).
-	c := &delay.Counter{}
-	e, err := core.Enumerate(db, q, c)
+	// 4. Enumerate.
+	e, err := pr.Enumerate(nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,3 +1,5 @@
+// Package core keeps the loaders bench/ imports: LoadFacts, LoadPath and
+// FormatTuple. Queries run through internal/plan (Compile → Bind → Execute).
 package core
 
 import (

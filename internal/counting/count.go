@@ -17,15 +17,12 @@ import (
 // tree (Theorem 4.21). Every variable is charged at its topmost occurrence
 // in the tree so its weight is multiplied exactly once. The schemas of rels
 // must form an acyclic hypergraph and their union must cover vars.
-func CountFullJoin(rels []cq.Rel, vars []string, w Weight, s Semiring) (interface{}, error) {
-	return CountFullJoinCounted(rels, vars, w, s, nil)
-}
-
-// CountFullJoinCounted is CountFullJoin reporting phase spans ("tree-build"
-// for the GYO run, "semijoin-reduce" for the full reduction, "count" for the
-// DP) through c's sink. The counting pass predates step counting, so c is
-// never ticked: it only carries the observability sink.
-func CountFullJoinCounted(rels []cq.Rel, vars []string, w Weight, s Semiring, c *delay.Counter) (interface{}, error) {
+//
+// c (nil for none) receives phase spans ("tree-build" for the GYO run,
+// "semijoin-reduce" for the full reduction, "count" for the DP) through its
+// sink. The counting pass predates step counting, so c is never ticked: it
+// only carries the observability sink.
+func CountFullJoin(rels []cq.Rel, vars []string, w Weight, s Semiring, c *delay.Counter) (interface{}, error) {
 	if len(rels) == 0 {
 		return nil, fmt.Errorf("counting: no relations")
 	}
@@ -211,14 +208,8 @@ func schemasOf(rels []cq.Rel) string {
 
 // CountQuantifierFree computes the weighted count of a projection-free
 // acyclic conjunctive query (♯FACQ⁰, Theorem 4.21): q.Head must list all of
-// q's variables.
-func CountQuantifierFree(db *database.Database, q *logic.CQ, w Weight, s Semiring) (interface{}, error) {
-	return CountQuantifierFreeCounted(db, q, w, s, nil)
-}
-
-// CountQuantifierFreeCounted is CountQuantifierFree reporting phase spans
-// through c's sink (see CountFullJoinCounted; c is never ticked).
-func CountQuantifierFreeCounted(db *database.Database, q *logic.CQ, w Weight, s Semiring, c *delay.Counter) (interface{}, error) {
+// q's variables. c (nil for none) receives phase spans as in CountFullJoin.
+func CountQuantifierFree(db *database.Database, q *logic.CQ, w Weight, s Semiring, c *delay.Counter) (interface{}, error) {
 	if len(q.Head) != len(q.Vars()) {
 		return nil, fmt.Errorf("counting: query %s has projections; use Count", q.Name)
 	}
@@ -226,7 +217,7 @@ func CountQuantifierFreeCounted(db *database.Database, q *logic.CQ, w Weight, s 
 	if err != nil {
 		return nil, err
 	}
-	return CountFullJoinCounted(rels, q.Head, w, s, c)
+	return CountFullJoin(rels, q.Head, w, s, c)
 }
 
 func atomRels(db *database.Database, q *logic.CQ) ([]cq.Rel, error) {
@@ -258,15 +249,12 @@ func atomRels(db *database.Database, q *logic.CQ) ([]cq.Rel, error) {
 //
 // The weight of an answer is the product of its components' weights, so
 // Count generalizes to ♯FACQ.
-func Count(db *database.Database, q *logic.CQ, w Weight, s Semiring) (interface{}, error) {
-	return CountCounted(db, q, w, s, nil)
-}
-
-// CountCounted is Count reporting phase spans through c's sink: one "join"
-// span covering the S-component materialization (step 2, the only step whose
+//
+// c (nil for none) receives phase spans through its sink: one "join" span
+// covering the S-component materialization (step 2, the only step whose
 // cost grows with the quantified star size), then the spans of the final
-// CountFullJoinCounted. c is never ticked (see CountFullJoinCounted).
-func CountCounted(db *database.Database, q *logic.CQ, w Weight, s Semiring, c *delay.Counter) (interface{}, error) {
+// CountFullJoin. c is never ticked (see CountFullJoin).
+func Count(db *database.Database, q *logic.CQ, w Weight, s Semiring, c *delay.Counter) (interface{}, error) {
 	if len(q.NegAtoms) > 0 || len(q.Comparisons) > 0 {
 		return nil, fmt.Errorf("counting: query %s has negation or comparisons", q.Name)
 	}
@@ -288,7 +276,7 @@ func CountCounted(db *database.Database, q *logic.CQ, w Weight, s Semiring, c *d
 		}
 	}
 	if q.IsBoolean() {
-		ok, err := cq.Decide(db, q)
+		ok, err := cq.Decide(db, q, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -327,7 +315,7 @@ func CountCounted(db *database.Database, q *logic.CQ, w Weight, s Semiring, c *d
 		}
 		sort.Strings(head)
 		sub := &logic.CQ{Name: fmt.Sprintf("%s_c%d", q.Name, ci), Head: head, Atoms: atoms}
-		tuples, err := cq.Eval(db, sub)
+		tuples, err := cq.Eval(db, sub, nil)
 		if err != nil {
 			jspan.End()
 			return nil, fmt.Errorf("counting: component %d: %w", ci, err)
@@ -356,7 +344,7 @@ func CountCounted(db *database.Database, q *logic.CQ, w Weight, s Semiring, c *d
 		parts = append(parts, r)
 	}
 	jspan.End()
-	return CountFullJoinCounted(parts, q.Head, w, s, c)
+	return CountFullJoin(parts, q.Head, w, s, c)
 }
 
 // atomIndexOf parses the atom index out of a hypergraph edge name
@@ -372,7 +360,7 @@ func atomIndexOf(name string) int {
 // the plain answer count as a string-convertible big integer.
 func CountInt(db *database.Database, q *logic.CQ) (string, error) {
 	s := BigInt{}
-	v, err := Count(db, q, UnitWeight(s), s)
+	v, err := Count(db, q, UnitWeight(s), s, nil)
 	if err != nil {
 		return "", err
 	}

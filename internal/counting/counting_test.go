@@ -53,7 +53,7 @@ func TestCountQuantifierFreeSimple(t *testing.T) {
 	db.AddRelation(e)
 	q := logictest.MustParseCQ("Q(x,y,z) :- E(x,y), E(y,z).")
 	s := BigInt{}
-	got, err := CountQuantifierFree(db, q, UnitWeight(s), s)
+	got, err := CountQuantifierFree(db, q, UnitWeight(s), s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestCountQuantifierFreeSimple(t *testing.T) {
 		t.Errorf("count = %s, want %s", s.String(got), want)
 	}
 	// Rejects projected queries.
-	if _, err := CountQuantifierFree(db, logictest.MustParseCQ("Q(x) :- E(x,y)."), UnitWeight(s), s); err == nil {
+	if _, err := CountQuantifierFree(db, logictest.MustParseCQ("Q(x) :- E(x,y)."), UnitWeight(s), s, nil); err == nil {
 		t.Errorf("projection must be rejected by the quantifier-free counter")
 	}
 }
@@ -76,7 +76,7 @@ func TestCountWeighted(t *testing.T) {
 	q := logictest.MustParseCQ("Q(x,y) :- E(x,y).")
 	s := Float64{}
 	w := func(v database.Value) interface{} { return float64(v) }
-	got, err := CountQuantifierFree(db, q, w, s)
+	got, err := CountQuantifierFree(db, q, w, s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestCountDifferential(t *testing.T) {
 		q := randomACQ(rng)
 		db := randomDB(rng, q, 3, 8)
 
-		got, err := Count(db, q, UnitWeight(bi), bi)
+		got, err := Count(db, q, UnitWeight(bi), bi, nil)
 		if err != nil {
 			t.Fatalf("trial %d: Count(%s): %v", trial, q, err)
 		}
@@ -173,7 +173,7 @@ func TestCountDifferential(t *testing.T) {
 
 		// Weighted, over GF(97): weight v ↦ v mod 97.
 		wgf := func(v database.Value) interface{} { return uint64(v) % 97 }
-		gotGF, err := Count(db, q, wgf, gf)
+		gotGF, err := Count(db, q, wgf, gf, nil)
 		if err != nil {
 			t.Fatalf("trial %d: Count GF: %v", trial, err)
 		}
@@ -184,7 +184,7 @@ func TestCountDifferential(t *testing.T) {
 
 		// Weighted over ℚ: weight v ↦ 1/v.
 		wra := func(v database.Value) interface{} { return big.NewRat(1, int64(v)) }
-		gotRa, err := Count(db, q, wra, ra)
+		gotRa, err := Count(db, q, wra, ra, nil)
 		if err != nil {
 			t.Fatalf("trial %d: Count Rat: %v", trial, err)
 		}
@@ -201,27 +201,27 @@ func TestCountBooleanAndErrors(t *testing.T) {
 	e.InsertValues(1, 2)
 	db.AddRelation(e)
 	s := BigInt{}
-	got, err := Count(db, logictest.MustParseCQ("B() :- E(x,y)."), UnitWeight(s), s)
+	got, err := Count(db, logictest.MustParseCQ("B() :- E(x,y)."), UnitWeight(s), s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !s.Eq(got, big.NewInt(1)) {
 		t.Errorf("true Boolean count = %s, want 1", s.String(got))
 	}
-	got, err = Count(db, logictest.MustParseCQ("B() :- E(x,x)."), UnitWeight(s), s)
+	got, err = Count(db, logictest.MustParseCQ("B() :- E(x,x)."), UnitWeight(s), s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !s.Eq(got, big.NewInt(0)) {
 		t.Errorf("false Boolean count = %s, want 0", s.String(got))
 	}
-	if _, err := Count(db, logictest.MustParseCQ("Q() :- E(x,y), E(y,z), E(z,x)."), UnitWeight(s), s); err == nil {
+	if _, err := Count(db, logictest.MustParseCQ("Q() :- E(x,y), E(y,z), E(z,x)."), UnitWeight(s), s, nil); err == nil {
 		t.Errorf("cyclic query must be rejected")
 	}
-	if _, err := Count(db, logictest.MustParseCQ("Q(x) :- E(x,y), x != y."), UnitWeight(s), s); err == nil {
+	if _, err := Count(db, logictest.MustParseCQ("Q(x) :- E(x,y), x != y."), UnitWeight(s), s, nil); err == nil {
 		t.Errorf("comparisons must be rejected")
 	}
-	if _, err := Count(db, logictest.MustParseCQ("Q(w) :- E(x,y)."), UnitWeight(s), s); err == nil {
+	if _, err := Count(db, logictest.MustParseCQ("Q(w) :- E(x,y)."), UnitWeight(s), s, nil); err == nil {
 		t.Errorf("unsafe query must be rejected")
 	}
 }
@@ -321,16 +321,16 @@ func TestMatchingQueryStarSize(t *testing.T) {
 // CountFullJoin input validation.
 func TestCountFullJoinValidation(t *testing.T) {
 	s := BigInt{}
-	if _, err := CountFullJoin(nil, nil, UnitWeight(s), s); err == nil {
+	if _, err := CountFullJoin(nil, nil, UnitWeight(s), s, nil); err == nil {
 		t.Errorf("no relations must fail")
 	}
 	r := database.NewRelation("R", 1)
 	r.InsertValues(1)
 	rel := cq.Rel{Schema: []string{"x"}, R: r}
-	if _, err := CountFullJoin([]cq.Rel{rel}, []string{"x", "y"}, UnitWeight(s), s); err == nil {
+	if _, err := CountFullJoin([]cq.Rel{rel}, []string{"x", "y"}, UnitWeight(s), s, nil); err == nil {
 		t.Errorf("uncovered variable must fail")
 	}
-	if _, err := CountFullJoin([]cq.Rel{rel}, []string{"y"}, UnitWeight(s), s); err == nil {
+	if _, err := CountFullJoin([]cq.Rel{rel}, []string{"y"}, UnitWeight(s), s, nil); err == nil {
 		t.Errorf("extraneous schema variable must fail")
 	}
 	// Cyclic schemas must fail.
@@ -339,7 +339,7 @@ func TestCountFullJoinValidation(t *testing.T) {
 		return cq.Rel{Schema: vs, R: rr}
 	}
 	if _, err := CountFullJoin([]cq.Rel{mk("A", "a", "b"), mk("B", "b", "c"), mk("C", "c", "a")},
-		[]string{"a", "b", "c"}, UnitWeight(s), s); err == nil {
+		[]string{"a", "b", "c"}, UnitWeight(s), s, nil); err == nil {
 		t.Errorf("cyclic join must fail")
 	}
 }
@@ -353,12 +353,12 @@ func TestCountDeterministic(t *testing.T) {
 	db.AddRelation(graphs.RandomRelation(rng, "R", 2, 500, 60))
 	db.AddRelation(graphs.RandomRelation(rng, "S", 2, 500, 60))
 	s := BigInt{}
-	first, err := Count(db, q, UnitWeight(s), s)
+	first, err := Count(db, q, UnitWeight(s), s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 5; round++ {
-		again, err := Count(db, q, UnitWeight(s), s)
+		again, err := Count(db, q, UnitWeight(s), s, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -72,7 +72,7 @@ func TestDifferentialCountFullJoin(t *testing.T) {
 			failInstance(t, seed, q, db, "oracle: %v", err)
 		}
 		s := BigInt{}
-		v, err := CountQuantifierFree(db, q, UnitWeight(s), s)
+		v, err := CountQuantifierFree(db, q, UnitWeight(s), s, nil)
 		if err != nil {
 			failInstance(t, seed, q, db, "CountQuantifierFree: %v", err)
 		}

@@ -78,11 +78,11 @@ func PerfectMatchingsViaACQ(adj [][]bool) (*big.Int, error) {
 	if n == 0 {
 		return big.NewInt(1), nil // the empty graph has one (empty) matching
 	}
-	cphi, err := CountQuantifierFree(db, phi, UnitWeight(s), s)
+	cphi, err := CountQuantifierFree(db, phi, UnitWeight(s), s, nil)
 	if err != nil {
 		return nil, err
 	}
-	cpsi, err := Count(db, psi, UnitWeight(s), s)
+	cpsi, err := Count(db, psi, UnitWeight(s), s, nil)
 	if err != nil {
 		return nil, err
 	}

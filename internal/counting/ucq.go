@@ -62,7 +62,7 @@ func CountUCQ(db *database.Database, u *logic.UCQ) (*big.Int, error) {
 func countIntersection(db *database.Database, q *logic.CQ) (*big.Int, error) {
 	if q.IsAcyclic() {
 		s := BigInt{}
-		v, err := Count(db, q, UnitWeight(s), s)
+		v, err := Count(db, q, UnitWeight(s), s, nil)
 		if err == nil {
 			return v.(*big.Int), nil
 		}

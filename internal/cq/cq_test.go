@@ -136,7 +136,7 @@ func TestDecideAndEvalPath(t *testing.T) {
 	db.AddRelation(e)
 
 	q := logictest.MustParseCQ("Q(x,z) :- E(x,y), E(y,z).")
-	got, err := Eval(db, q)
+	got, err := Eval(db, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestDecideAndEvalPath(t *testing.T) {
 	equalAnswerSets(t, "path eval", got, want)
 
 	bq := logictest.MustParseCQ("B() :- E(x,y), E(y,z), E(z,w).")
-	ok, err := Decide(db, bq)
+	ok, err := Decide(db, bq, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestDecideAndEvalPath(t *testing.T) {
 		t.Errorf("three-step path exists")
 	}
 	bq4 := logictest.MustParseCQ("B() :- E(x,y), E(y,z), E(z,w), E(w,u).")
-	ok, err = Decide(db, bq4)
+	ok, err = Decide(db, bq4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,16 +164,16 @@ func TestDecideAndEvalPath(t *testing.T) {
 func TestRejectsCyclicNegatedComparisons(t *testing.T) {
 	db := database.NewDatabase()
 	db.AddRelation(database.NewRelation("E", 2))
-	if _, err := Eval(db, logictest.MustParseCQ("Q() :- E(x,y), E(y,z), E(z,x).")); err == nil {
+	if _, err := Eval(db, logictest.MustParseCQ("Q() :- E(x,y), E(y,z), E(z,x)."), nil); err == nil {
 		t.Errorf("cyclic query must be rejected")
 	}
-	if _, err := Eval(db, logictest.MustParseCQ("Q(x) :- E(x,y), !E(y,x).")); err == nil {
+	if _, err := Eval(db, logictest.MustParseCQ("Q(x) :- E(x,y), !E(y,x)."), nil); err == nil {
 		t.Errorf("negated atoms must be rejected")
 	}
-	if _, err := Eval(db, logictest.MustParseCQ("Q(x) :- E(x,y), x != y.")); err == nil {
+	if _, err := Eval(db, logictest.MustParseCQ("Q(x) :- E(x,y), x != y."), nil); err == nil {
 		t.Errorf("comparisons must be rejected")
 	}
-	if _, err := Eval(db, logictest.MustParseCQ("Q(x,w) :- E(x,y).")); err == nil {
+	if _, err := Eval(db, logictest.MustParseCQ("Q(x,w) :- E(x,y)."), nil); err == nil {
 		t.Errorf("unsafe head variable must be rejected")
 	}
 }
@@ -208,7 +208,7 @@ func TestFigure1QueryEnumeration(t *testing.T) {
 	}
 	equalAnswerSets(t, "figure 1 linear delay", delay.Collect(le), want)
 
-	ev, err := Eval(db, q)
+	ev, err := Eval(db, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestRandomACQDifferential(t *testing.T) {
 		}
 		want := q.EvalNaive(db)
 
-		got, err := Eval(db, q)
+		got, err := Eval(db, q, nil)
 		if err != nil {
 			t.Fatalf("trial %d: Eval(%s): %v", trial, q, err)
 		}
@@ -319,7 +319,7 @@ func TestRandomACQDifferential(t *testing.T) {
 
 		// Boolean decision agrees with naive on the Boolean-ified query.
 		bq := &logic.CQ{Name: "B", Atoms: q.Atoms}
-		ok, err := Decide(db, bq)
+		ok, err := Decide(db, bq, nil)
 		if err != nil {
 			t.Fatalf("trial %d: decide: %v", trial, err)
 		}

@@ -51,14 +51,14 @@ func TestEvalDeterministicSequence(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	q := logictest.MustParseCQ("Q(x,w) :- R(x,y), S(y,z), T(z,w).")
 	db := randomDB(rng, q, 20, 250)
-	first, err := Eval(db, q)
+	first, err := Eval(db, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(first) == 0 {
 		t.Fatal("no answers; vacuous")
 	}
-	again, err := Eval(db, q)
+	again, err := Eval(db, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +104,11 @@ func TestRandomACQEnumerationDeterministic(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		q := randomACQ(rng)
 		db := randomDB(rng, q, 6, 30)
-		first, err := Eval(db, q)
+		first, err := Eval(db, q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		again, err := Eval(db, q)
+		again, err := Eval(db, q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -85,7 +85,7 @@ func TestDifferentialEval(t *testing.T) {
 				failInstance(t, seed, q, db, "EvalNaive %v != oracle %v", naive, want)
 			}
 		}
-		got, err := Eval(db, q)
+		got, err := Eval(db, q, nil)
 		if err != nil {
 			failInstance(t, seed, q, db, "Eval: %v", err)
 		}
@@ -196,7 +196,7 @@ func TestDifferentialDecide(t *testing.T) {
 		if naive := q.DecideNaive(db); naive != want {
 			failInstance(t, seed, q, db, "DecideNaive %v != oracle %v", naive, want)
 		}
-		got, err := Decide(db, q)
+		got, err := Decide(db, q, nil)
 		if err != nil {
 			failInstance(t, seed, q, db, "Decide: %v", err)
 		}
@@ -220,9 +220,9 @@ func TestDifferentialStepCounts(t *testing.T) {
 	for _, seed := range diffSeeds() {
 		q, db := qgen.Instance(seed)
 		seqC := &delay.Counter{}
-		seq, err := EvalCounted(db, q, seqC)
+		seq, err := Eval(db, q, seqC)
 		if err != nil {
-			failInstance(t, seed, q, db, "EvalCounted: %v", err)
+			failInstance(t, seed, q, db, "Eval: %v", err)
 		}
 		parC := &delay.Counter{}
 		if _, err := ParEval(db, q, 4, parC); err != nil {
@@ -326,7 +326,7 @@ func FuzzDifferentialEval(f *testing.F) {
 		if err != nil {
 			t.Skip() // budget blow-up, not an engine disagreement
 		}
-		got, err := Eval(db, q)
+		got, err := Eval(db, q, nil)
 		if err != nil {
 			t.Fatalf("seed %d: Eval: %v\n%s", seed, err, qgen.FormatInstance(q, db))
 		}

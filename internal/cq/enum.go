@@ -418,7 +418,7 @@ func PrepareLinearDelay(db *database.Database, q *logic.CQ, c *delay.Counter) (*
 	lp := &LinearPrep{t: t, head: q.Head}
 	if len(q.Head) == 0 {
 		lp.boolean = true
-		ok, err := Decide(db, q)
+		ok, err := Decide(db, q, nil)
 		if err != nil {
 			return nil, err
 		}

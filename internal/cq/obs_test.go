@@ -30,12 +30,12 @@ func TestStepIdentityWithObserver(t *testing.T) {
 		name string
 		run  func(db *database.Database, q *logic.CQ, c *delay.Counter) error
 	}{
-		{"EvalCounted", func(db *database.Database, q *logic.CQ, c *delay.Counter) error {
-			_, err := EvalCounted(db, q, c)
+		{"Eval", func(db *database.Database, q *logic.CQ, c *delay.Counter) error {
+			_, err := Eval(db, q, c)
 			return err
 		}},
-		{"DecideCounted", func(db *database.Database, q *logic.CQ, c *delay.Counter) error {
-			_, err := DecideCounted(db, q, c)
+		{"Decide", func(db *database.Database, q *logic.CQ, c *delay.Counter) error {
+			_, err := Decide(db, q, c)
 			return err
 		}},
 		// ParEval is covered separately below: on empty joins its reducer's

@@ -129,7 +129,7 @@ func (e *parEngine) reduceDown(t *Tree, i, w int) {
 // independent sibling subtrees and sharded hash-index builds, using up to
 // par workers (par < 1 means GOMAXPROCS). The reduced relations, their
 // tuple order, and the counted steps on a nonempty join are identical to
-// the sequential FullReduceCounted.
+// the sequential FullReduce.
 func (t *Tree) ParFullReduce(par int, c *delay.Counter) bool {
 	if t.HeadIdx >= 0 {
 		panic("cq: ParFullReduce on a head-extended tree")

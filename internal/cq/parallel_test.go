@@ -59,7 +59,7 @@ func TestParEvalMatchesEvalFixedQueries(t *testing.T) {
 	for _, qs := range queries {
 		q := logictest.MustParseCQ(qs)
 		db := randomDB(rng, q, 30, 200)
-		want, err := Eval(db, q)
+		want, err := Eval(db, q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func TestParEvalMatchesEvalRandomACQ(t *testing.T) {
 			continue
 		}
 		db := randomDB(rng, q, 6, 25)
-		want, err := Eval(db, q)
+		want, err := Eval(db, q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestParDecideMatchesDecide(t *testing.T) {
 		q := randomACQ(rng)
 		q.Head = nil // Boolean
 		db := randomDB(rng, q, 5, 10)
-		want, err := Decide(db, q)
+		want, err := Decide(db, q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func TestParFullReduceMatchesFullReduce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	okSeq := seq.FullReduce()
+	okSeq := seq.FullReduce(nil)
 	for _, p := range parDegrees {
 		par, err := BuildTree(db, q, false)
 		if err != nil {
@@ -150,7 +150,7 @@ func TestParStepsEqualSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	q, db := treeQueryDB(rng, 4, 3000, 80)
 	cs := &delay.Counter{}
-	want, err := EvalCounted(db, q, cs)
+	want, err := Eval(db, q, cs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,13 +100,12 @@ func postorder(jt *hypergraph.JoinTree) []int {
 // followed by a top-down pass. Afterwards every tuple of every relation
 // participates in at least one solution of the full join. It reports
 // whether the join is nonempty.
-func (t *Tree) FullReduce() bool { return t.FullReduceCounted(nil) }
-
-// FullReduceCounted is FullReduce ticking c once per semijoin result tuple,
-// so the reducer's O(‖φ‖·‖D‖) work is observable as counted steps. The
-// tick placement mirrors ParFullReduce exactly: sequential and parallel
-// runs of the reducer record the same total on a nonempty join.
-func (t *Tree) FullReduceCounted(c *delay.Counter) bool {
+//
+// c (nil for none) is ticked once per semijoin result tuple, so the
+// reducer's O(‖φ‖·‖D‖) work is observable as counted steps. The tick
+// placement mirrors ParFullReduce exactly: sequential and parallel runs of
+// the reducer record the same total on a nonempty join.
+func (t *Tree) FullReduce(c *delay.Counter) bool {
 	if t.HeadIdx >= 0 {
 		panic("cq: FullReduce on a head-extended tree")
 	}
@@ -137,13 +136,8 @@ func (t *Tree) FullReduceCounted(c *delay.Counter) bool {
 
 // Decide answers the Boolean query problem for an acyclic conjunctive query
 // via the bottom-up semijoin pass (Theorem 4.2 specialized to sentences):
-// time O(‖φ‖·‖D‖) up to hashing.
-func Decide(db *database.Database, q *logic.CQ) (bool, error) {
-	return DecideCounted(db, q, nil)
-}
-
-// DecideCounted is Decide with step counting (see FullReduceCounted).
-func DecideCounted(db *database.Database, q *logic.CQ, c *delay.Counter) (bool, error) {
+// time O(‖φ‖·‖D‖) up to hashing. c (nil for none) counts as in FullReduce.
+func Decide(db *database.Database, q *logic.CQ, c *delay.Counter) (bool, error) {
 	bm := c.StartSpan("tree-build", -1)
 	t, err := BuildTree(db, q, false)
 	bm.End()
@@ -170,22 +164,19 @@ func DecideCounted(db *database.Database, q *logic.CQ, c *delay.Counter) (bool, 
 // variables of the subtree plus the separator towards the parent), keeping
 // intermediate results within O(‖φ(D)‖·‖D‖). Answers are in head order,
 // deduplicated and sorted.
-func Eval(db *database.Database, q *logic.CQ) ([]database.Tuple, error) {
-	return EvalCounted(db, q, nil)
-}
-
-// EvalCounted is Eval with step counting: one tick per tuple of every
-// intermediate semijoin, join, and projection result. ParEval ticks at the
-// same points, so counted steps compare the total work of the two engines
-// independently of scheduling.
-func EvalCounted(db *database.Database, q *logic.CQ, c *delay.Counter) ([]database.Tuple, error) {
+//
+// c (nil for none) is ticked once per tuple of every intermediate semijoin,
+// join, and projection result. ParEval ticks at the same points, so counted
+// steps compare the total work of the two engines independently of
+// scheduling.
+func Eval(db *database.Database, q *logic.CQ, c *delay.Counter) ([]database.Tuple, error) {
 	bm := c.StartSpan("tree-build", -1)
 	t, err := BuildTree(db, q, false)
 	bm.End()
 	if err != nil {
 		return nil, err
 	}
-	if !t.FullReduceCounted(c) {
+	if !t.FullReduce(c) {
 		return nil, nil
 	}
 	span := c.StartSpan("join", -1)

@@ -117,14 +117,6 @@ func (c *Counter) SetSink(s Sink) {
 	}
 }
 
-// Sink returns the attached sink, or nil.
-func (c *Counter) Sink() Sink {
-	if c == nil {
-		return nil
-	}
-	return c.sink
-}
-
 // MarkStart begins a delay measurement sequence: the next MarkOutput
 // reports the gap from this point. Call it when preprocessing hands over
 // the enumerator. No-op without a sink.

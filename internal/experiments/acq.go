@@ -33,7 +33,7 @@ var (
 
 // countChain2 is the Theorem 4.21 counting DP on the projection-free chain.
 func countChain2(db *database.Database) (any, error) {
-	return counting.CountQuantifierFree(db, chain2Full, unitBigInt, counting.BigInt{})
+	return counting.CountQuantifierFree(db, chain2Full, unitBigInt, counting.BigInt{}, nil)
 }
 
 var e4 = Experiment{
@@ -47,7 +47,7 @@ var e4 = Experiment{
 			db := randomDB(r.Rand(1), n, n/2, "R", "S", "T")
 			answers := 0
 			eval := run("Eval", func() error {
-				res, err := cq.Eval(db, chain3)
+				res, err := cq.Eval(db, chain3, nil)
 				answers = len(res)
 				return err
 			})
@@ -63,11 +63,11 @@ var e4 = Experiment{
 		Setup: each(func(r *Run, n int) ([]Op, Row, error) {
 			db := randomDB(r.Rand(3), n, n/2, "R", "S", "T")
 			return []Op{
-				run("BottomUpOnly(Decide)", func() error { _, err := cq.Decide(db, chain3Bool); return err }),
+				run("BottomUpOnly(Decide)", func() error { _, err := cq.Decide(db, chain3Bool, nil); return err }),
 				run("FullReducer", func() error {
 					t, err := cq.BuildTree(db, chain3Bool, false)
 					if err == nil {
-						t.FullReduce()
+						t.FullReduce(nil)
 					}
 					return err
 				}),
@@ -291,10 +291,10 @@ var e12 = Experiment{
 				return []Op{
 						{Name: "BigInt", Do: func(ctr) (any, error) { return countChain2(db) }},
 						{Name: "GF", Do: func(ctr) (any, error) {
-							return counting.CountQuantifierFree(db, chain2Full, counting.UnitWeight(gf), gf)
+							return counting.CountQuantifierFree(db, chain2Full, counting.UnitWeight(gf), gf, nil)
 						}},
 						{Name: "Rational", Do: func(ctr) (any, error) {
-							return counting.CountQuantifierFree(db, chain2Full, inverse, counting.Rational{})
+							return counting.CountQuantifierFree(db, chain2Full, inverse, counting.Rational{}, nil)
 						}},
 					}, func(m []Measured) ([]any, error) {
 						return []any{n, counting.BigInt{}.String(m[0].Value), m[0].Wall, m[1].Wall, m[2].Wall}, nil
@@ -330,7 +330,7 @@ var e12 = Experiment{
 			db := dbOf(rr, s)
 			return []Op{
 				{Name: "CountingDP", Do: func(ctr) (any, error) { return countChain2(db) }},
-				run("MaterializeThenCount", func() error { _, err := cq.Eval(db, chain2Full); return err }),
+				run("MaterializeThenCount", func() error { _, err := cq.Eval(db, chain2Full, nil); return err }),
 			}, nil, nil
 		}),
 	}},
@@ -354,7 +354,7 @@ var e13 = Experiment{
 					q.Atoms = append(q.Atoms, logic.NewAtom(name, "t", x))
 					db.AddRelation(graphs.RandomRelation(r.Rand(9), name, 2, n, n/4))
 				}
-				return []Op{{Do: func(ctr) (any, error) { return counting.Count(db, q, unitBigInt, counting.BigInt{}) }}},
+				return []Op{{Do: func(ctr) (any, error) { return counting.Count(db, q, unitBigInt, counting.BigInt{}, nil) }}},
 					func(m []Measured) ([]any, error) { return []any{k, n, q.QuantifiedStarSize(), m[0].Wall}, nil }, nil
 			}}
 		},

@@ -145,7 +145,7 @@ func benchPar(name string, seq func(db *database.Database, q *logic.CQ, c ctr) (
 }
 
 func evalSeq(db *database.Database, q *logic.CQ, c ctr) (any, error) {
-	res, err := cq.EvalCounted(db, q, c)
+	res, err := cq.Eval(db, q, c)
 	return len(res), err
 }
 
@@ -181,7 +181,7 @@ var e18 = Experiment{
 		benchPar("ParYannakakisEval", evalSeq, evalPar),
 		benchPar("ParYannakakisDecide",
 			func(db *database.Database, q *logic.CQ, c ctr) (any, error) {
-				return cq.DecideCounted(db, boolean(q), c)
+				return cq.Decide(db, boolean(q), c)
 			},
 			func(db *database.Database, q *logic.CQ, p int, c ctr) (any, error) {
 				return cq.ParDecide(db, boolean(q), p, c)
@@ -200,7 +200,7 @@ func fullReduce(db *database.Database, q *logic.CQ, p int, c ctr) (any, error) {
 		return nil, err
 	}
 	if p == 0 {
-		return t.FullReduceCounted(c), nil
+		return t.FullReduce(c), nil
 	}
 	return t.ParFullReduce(p, c), nil
 }
@@ -220,7 +220,17 @@ var e19 = Experiment{
 				const warmRuns = 16
 				return []Op{
 						// Every run re-does the full Compile → Bind → Execute chain.
-						{Label: "oneshot", Reps: reps, Do: func(c ctr) (any, error) { return drained(c)(core.Enumerate(db, chainXY, c)) }},
+						{Label: "oneshot", Reps: reps, Do: func(c ctr) (any, error) {
+							p, err := plan.Compile(chainXY)
+							if err != nil {
+								return nil, err
+							}
+							pr, err := p.BindCounted(db, c)
+							if err != nil {
+								return nil, err
+							}
+							return drained(c)(pr.Enumerate(c))
+						}},
 						// The first run binds; the rest probe the cache and walk a fresh cursor.
 						{Label: "cached", Reps: reps, Do: func(c ctr) (any, error) {
 							p, err := cache.Compile(chainXY)

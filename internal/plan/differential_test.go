@@ -1,9 +1,9 @@
 package plan_test
 
 // Differential suite for the Compile → Bind → Execute pipeline: on hundreds
-// of seeded random instances the pipeline must agree with the one-shot core
-// facade and with internal/oracle's brute-force reference — on the answers
-// AND on the counted steps. A failure prints the seed, the query, and the
+// of seeded random instances the pipeline must agree with the engines it
+// routes to, called directly, and with internal/oracle's brute-force
+// reference — on the answers AND on the counted steps. A failure prints the seed, the query, and the
 // database, so any mismatch reproduces with
 //
 //	go test ./internal/plan -run TestDifferential -seed=N
@@ -14,10 +14,11 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/counting"
+	"repro/internal/cq"
 	"repro/internal/database"
 	"repro/internal/delay"
+	"repro/internal/logic"
 	"repro/internal/oracle"
 	"repro/internal/plan"
 	"repro/internal/qgen"
@@ -81,12 +82,24 @@ func sameSequence(a, b []database.Tuple) bool {
 	return true
 }
 
+// oneShot enumerates q with the engine p routes it to, called directly
+// rather than through Bind: the engine side of each comparison.
+func oneShot(p *plan.Plan, db *database.Database, q *logic.CQ, c *delay.Counter) (delay.Enumerator, error) {
+	switch p.EnumerateEngine {
+	case plan.EngineConstantDelay:
+		return cq.EnumerateConstantDelay(db, q, c)
+	case plan.EngineLinearDelay:
+		return cq.EnumerateLinearDelay(db, q, c)
+	}
+	return nil, fmt.Errorf("no direct engine for route %s", p.EnumerateEngine)
+}
+
 // TestDifferentialPipeline: for every seeded instance, the explicit
 // Compile → Bind → Execute chain produces the oracle's answer set for
 // decide, count, and enumerate, with the total counted steps bit-identical
-// to the one-shot core facade; and a second execution of the same Prepared
-// (the warm path) replays the identical answer sequence with the identical
-// execution step count while skipping all preprocessing.
+// to the routed engine called directly; and a second execution of the same
+// Prepared (the warm path) replays the identical answer sequence with the
+// identical execution step count while skipping all preprocessing.
 func TestDifferentialPipeline(t *testing.T) {
 	for _, seed := range diffSeeds() {
 		q, db := qgen.Instance(seed)
@@ -94,22 +107,22 @@ func TestDifferentialPipeline(t *testing.T) {
 		if err != nil {
 			failInstance(t, seed, q, db, "oracle: %v", err)
 		}
-
-		// One-shot facade: compile + bind + enumerate on one counter.
-		c1 := &delay.Counter{}
-		e1, err := core.Enumerate(db, q, c1)
-		if err != nil {
-			failInstance(t, seed, q, db, "core.Enumerate: %v", err)
-		}
-		got1 := delay.Collect(e1)
-		oneShotSteps := c1.Steps()
-
-		// Explicit pipeline, cold: same counter placement, so the grand
-		// total must be bit-identical to the facade.
 		p, err := plan.Compile(q)
 		if err != nil {
 			failInstance(t, seed, q, db, "Compile: %v", err)
 		}
+
+		// The routed engine alone: preprocessing + enumeration on one counter.
+		c1 := &delay.Counter{}
+		e1, err := oneShot(p, db, q, c1)
+		if err != nil {
+			failInstance(t, seed, q, db, "%s: %v", p.EnumerateEngine, err)
+		}
+		got1 := delay.Collect(e1)
+		oneShotSteps := c1.Steps()
+
+		// Explicit pipeline, cold: Bind runs the same preprocessing on the
+		// counter, so the grand total must be bit-identical to the engine's.
 		c2 := &delay.Counter{}
 		pr, err := p.BindCounted(db, c2)
 		if err != nil {
@@ -125,7 +138,7 @@ func TestDifferentialPipeline(t *testing.T) {
 		execSteps := coldSteps - bindSteps
 
 		if !sameAnswers(got1, want) {
-			failInstance(t, seed, q, db, "core.Enumerate %v != oracle %v", got1, want)
+			failInstance(t, seed, q, db, "%s %v != oracle %v", p.EnumerateEngine, got1, want)
 		}
 		if !sameAnswers(got2, want) {
 			failInstance(t, seed, q, db, "pipeline enumerate %v != oracle %v", got2, want)
@@ -159,8 +172,8 @@ func TestDifferentialPipeline(t *testing.T) {
 			}
 		}
 
-		// Decide and count through the same Prepared agree with the oracle
-		// and with the one-shot wrappers.
+		// Decide and count through the same Prepared agree with the oracle,
+		// and decide with the Yannakakis semijoin pass called directly.
 		okPipeline, err := pr.Decide(nil)
 		if err != nil {
 			failInstance(t, seed, q, db, "Decide: %v", err)
@@ -168,12 +181,12 @@ func TestDifferentialPipeline(t *testing.T) {
 		if okPipeline != (len(want) > 0) {
 			failInstance(t, seed, q, db, "Decide %v != oracle %v", okPipeline, len(want) > 0)
 		}
-		okFacade, err := core.Decide(db, q)
+		okEngine, err := cq.Decide(db, &logic.CQ{Name: q.Name, Atoms: q.Atoms}, nil)
 		if err != nil {
-			failInstance(t, seed, q, db, "core.Decide: %v", err)
+			failInstance(t, seed, q, db, "cq.Decide: %v", err)
 		}
-		if okFacade != okPipeline {
-			failInstance(t, seed, q, db, "core.Decide %v != pipeline %v", okFacade, okPipeline)
+		if okEngine != okPipeline {
+			failInstance(t, seed, q, db, "cq.Decide %v != pipeline %v", okEngine, okPipeline)
 		}
 		n, err := pr.Count(nil)
 		if err != nil {
@@ -185,9 +198,10 @@ func TestDifferentialPipeline(t *testing.T) {
 	}
 }
 
-// TestDifferentialUCQ: unions through the pipeline — DecideUCQ (the
-// satellite bugfix), inclusion–exclusion counting, and union enumeration
-// all agree with the brute-force UCQ oracle.
+// TestDifferentialUCQ: unions through the pipeline — short-circuit decide,
+// inclusion–exclusion counting, and union enumeration — all agree with the
+// brute-force UCQ oracle, and decide with the disjuncts' semijoin passes
+// called directly.
 func TestDifferentialUCQ(t *testing.T) {
 	cfg := qgen.Default()
 	for _, seed := range diffSeeds() {
@@ -199,12 +213,16 @@ func TestDifferentialUCQ(t *testing.T) {
 			failInstance(t, seed, u, db, "oracle: %v", err)
 		}
 
-		got, err := core.DecideUCQ(db, u)
-		if err != nil {
-			failInstance(t, seed, u, db, "DecideUCQ: %v", err)
+		got := false
+		for _, d := range u.Disjuncts {
+			ok, err := cq.Decide(db, &logic.CQ{Name: d.Name, Atoms: d.Atoms}, nil)
+			if err != nil {
+				failInstance(t, seed, u, db, "cq.Decide %s: %v", d.Name, err)
+			}
+			got = got || ok
 		}
 		if got != (len(want) > 0) {
-			failInstance(t, seed, u, db, "DecideUCQ %v != oracle %v", got, len(want) > 0)
+			failInstance(t, seed, u, db, "cq.Decide over disjuncts %v != oracle %v", got, len(want) > 0)
 		}
 
 		p, err := plan.CompileUCQ(u)
@@ -220,7 +238,7 @@ func TestDifferentialUCQ(t *testing.T) {
 			failInstance(t, seed, u, db, "Decide: %v", err)
 		}
 		if ok != got {
-			failInstance(t, seed, u, db, "pipeline Decide %v != DecideUCQ %v", ok, got)
+			failInstance(t, seed, u, db, "pipeline Decide %v != cq.Decide over disjuncts %v", ok, got)
 		}
 		n, err := pr.Count(nil)
 		if err != nil {

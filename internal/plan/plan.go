@@ -14,17 +14,16 @@
 //     handle. Binding snapshots the database generation; executing a
 //     Prepared after the database mutated fails with ErrStalePlan.
 //   - Prepared exposes the unified execution API — Decide, Count,
-//     Enumerate (EnumerateAt from an offset), NewRandomAccess, ParEval —
-//     each call reusing the bound preprocessing, so repeated executions pay
-//     only the per-answer work.
+//     Enumerate (EnumerateAt from an offset), NewRandomAccess — each call
+//     reusing the bound preprocessing, so repeated executions pay only the
+//     per-answer work.
 //
 // Cache keys Plans by an allocation-free structural fingerprint and
 // Prepareds by (plan, database, generation), so a serving loop gets
 // amortized preprocessing without bookkeeping.
 //
-// The one-shot facade in internal/core wraps this pipeline; its classifier
-// (Report, Analyze) lives here so that compilation and classification are
-// one step.
+// The classifier (Report, Analyze) lives here so that compilation and
+// classification are one step.
 package plan
 
 import (
@@ -64,12 +63,15 @@ func Analyze(q *logic.CQ) *Report {
 		SelfJoinFree: q.IsSelfJoinFree(),
 		HasNegation:  len(q.NegAtoms) > 0,
 	}
+	hasEq := false
 	for _, c := range q.Comparisons {
 		switch c.Op {
 		case logic.LT, logic.LE:
 			r.HasOrder = true
 		case logic.NEQ:
 			r.HasDiseq = true
+		case logic.EQ:
+			hasEq = true
 		}
 	}
 	h := q.Hypergraph()
@@ -79,57 +81,86 @@ func Analyze(q *logic.CQ) *Report {
 		r.FreeConnex = hypergraph.FreeConnex(h, q.Head)
 		r.StarSize = hypergraph.QuantifiedStarSize(h, q.Head)
 	}
-	r.fillVerdicts()
+	r.fillVerdicts(hasEq)
 	return r
 }
 
-func (r *Report) fillVerdicts() {
+// Verdict fragments. A verdict states the theorem that classifies the query
+// and, wherever Compile does not route to the algorithm that theorem names,
+// ends with the engine it does route to.
+const (
+	backtracking  = "; generic backtracking used"
+	disequalities = " with disequalities (Theorem 4.20)"
+	betaNCQ       = "quasi-linear (β-acyclic NCQ, Theorem 4.31)"
+	cyclicNCQ     = "no quasi-linear algorithm expected (not β-acyclic, Theorem 4.31 under Triangle)"
+)
+
+// fillVerdicts mirrors Compile's routing branch by branch.
+func (r *Report) fillVerdicts(hasEq bool) {
 	switch {
 	case r.HasNegation && len(r.Query.Atoms) == 0:
 		if r.BetaAcyclic {
-			r.DecisionVerdict = "quasi-linear (β-acyclic NCQ, Theorem 4.31)"
+			r.DecisionVerdict = betaNCQ + "; NCQ solver used (nest-point elimination)"
+			r.EnumerationVerdict = betaNCQ + backtracking
 		} else {
-			r.DecisionVerdict = "no quasi-linear algorithm expected (not β-acyclic, Theorem 4.31 under Triangle)"
+			r.DecisionVerdict = cyclicNCQ + "; NCQ solver used (exhaustive search)"
+			r.EnumerationVerdict = cyclicNCQ + backtracking
 		}
-		r.CountingVerdict = "not covered (negative queries: see #SAT literature, Section 4.5)"
-		r.EnumerationVerdict = r.DecisionVerdict
-		return
+		r.CountingVerdict = "not covered (negative queries: see #SAT literature, Section 4.5)" + backtracking
 	case r.HasNegation:
-		r.DecisionVerdict = "signed query: only partial characterizations known ([18], Section 4.5); generic backtracking used"
+		r.DecisionVerdict = "signed query: only partial characterizations known ([18], Section 4.5)" + backtracking
 		r.CountingVerdict = r.DecisionVerdict
 		r.EnumerationVerdict = r.DecisionVerdict
-		return
 	case r.HasOrder:
-		r.DecisionVerdict = "W[1]-complete in general (ACQ<, Theorem 4.15); generic backtracking used"
+		r.DecisionVerdict = "W[1]-complete in general (ACQ<, Theorem 4.15)" + backtracking
 		r.CountingVerdict = r.DecisionVerdict
 		r.EnumerationVerdict = r.DecisionVerdict
-		return
 	case !r.Acyclic:
-		r.DecisionVerdict = "cyclic: NP-complete combined complexity (Chandra–Merlin); generic backtracking used"
-		r.CountingVerdict = "cyclic: ♯P-hard in general; brute-force counting used"
+		r.DecisionVerdict = "cyclic: NP-complete combined complexity (Chandra–Merlin)" + backtracking
+		r.CountingVerdict = "cyclic: ♯P-hard in general" + backtracking
 		if r.SelfJoinFree {
-			r.EnumerationVerdict = "no Constant-Delay_lin expected (Theorem 4.9 under Hyperclique)"
+			r.EnumerationVerdict = "no Constant-Delay_lin expected (Theorem 4.9 under Hyperclique)" + backtracking
 		} else {
-			r.EnumerationVerdict = "cyclic (self-joins: classification open)"
+			r.EnumerationVerdict = "cyclic (self-joins: classification open)" + backtracking
 		}
-		return
-	}
-	r.DecisionVerdict = "O(‖φ‖·‖D‖) semijoin pass (Yannakakis, Theorem 4.2)"
-	if r.StarSize == 1 {
-		r.CountingVerdict = "polynomial via star-size algorithm, k = 1 (free-connex, Theorem 4.28)"
-	} else {
-		r.CountingVerdict = fmt.Sprintf("(‖D‖+‖φ‖)^O(k) via star-size algorithm, k = %d (Theorem 4.28)", r.StarSize)
-	}
-	suffix := ""
-	if r.HasDiseq {
-		suffix = " with disequalities (Theorem 4.20)"
-	}
-	if r.FreeConnex {
-		r.EnumerationVerdict = "Constant-Delay_lin (free-connex, Theorem 4.6)" + suffix
-	} else if r.SelfJoinFree {
-		r.EnumerationVerdict = "linear delay (Theorem 4.3); constant delay impossible under Mat-Mul (Theorem 4.8)" + suffix
-	} else {
-		r.EnumerationVerdict = "linear delay (Theorem 4.3); not free-connex (self-joins: classification open)" + suffix
+	default:
+		// Acyclic; any comparisons are = or ≠. With comparisons, deciding
+		// backtracks and counting runs inclusion–exclusion over them;
+		// enumeration keeps the witness-set enumerator for a free-connex
+		// query whose comparisons are all ≠ and backtracks otherwise.
+		cmp := r.HasDiseq || hasEq
+		r.DecisionVerdict = "O(‖φ‖·‖D‖) semijoin pass (Yannakakis, Theorem 4.2)"
+		if cmp {
+			r.DecisionVerdict = "O(‖φ‖·‖D‖) for the comparison-free part (Theorem 4.2)" + backtracking
+		}
+		switch {
+		case r.StarSize == 1 && cmp:
+			r.CountingVerdict = "polynomial, k = 1 (free-connex, Theorem 4.28); inclusion–exclusion over the comparisons used"
+		case r.StarSize == 1:
+			r.CountingVerdict = "polynomial via star-size algorithm, k = 1 (free-connex, Theorem 4.28)"
+		default:
+			format := "(‖D‖+‖φ‖)^O(k) via star-size algorithm, k = %d (Theorem 4.28)"
+			if cmp {
+				format = "(‖D‖+‖φ‖)^O(k), k = %d (Theorem 4.28); inclusion–exclusion over the comparisons used"
+			}
+			r.CountingVerdict = fmt.Sprintf(format, r.StarSize)
+		}
+		suffix := ""
+		switch {
+		case r.HasDiseq && !hasEq && r.FreeConnex:
+			suffix = disequalities
+		case r.HasDiseq:
+			suffix = disequalities + backtracking
+		case hasEq:
+			suffix = backtracking
+		}
+		if r.FreeConnex {
+			r.EnumerationVerdict = "Constant-Delay_lin (free-connex, Theorem 4.6)" + suffix
+		} else if r.SelfJoinFree {
+			r.EnumerationVerdict = "linear delay (Theorem 4.3); constant delay impossible under Mat-Mul (Theorem 4.8)" + suffix
+		} else {
+			r.EnumerationVerdict = "linear delay (Theorem 4.3); not free-connex (self-joins: classification open)" + suffix
+		}
 	}
 }
 
@@ -323,5 +354,5 @@ func CompileUCQ(u *logic.UCQ) (*Plan, error) {
 }
 
 // unionMaxExtra bounds the number of fresh atoms tried per disjunct in the
-// union-extension search, matching the one-shot facade.
+// union-extension search.
 const unionMaxExtra = 2

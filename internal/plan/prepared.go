@@ -23,8 +23,8 @@ var ErrStalePlan = errors.New("plan: prepared query is stale: database generatio
 
 // Prepared is a plan bound to a database: the data-dependent preprocessing
 // has run and is reusable across any number of executions. Decide, Count,
-// Enumerate, NewRandomAccess and ParEval never repeat classification,
-// join-tree construction, semijoin reduction, or index builds — repeated
+// Enumerate and NewRandomAccess never repeat classification, join-tree
+// construction, semijoin reduction, or index builds — repeated
 // executions pay only the per-answer work, which is the amortization all
 // the paper's preprocessing/delay splits are about.
 //
@@ -66,9 +66,6 @@ type Prepared struct {
 	matDone bool
 	matRows []database.Tuple
 	matErr  error
-	parDone bool
-	parRows []database.Tuple
-	parErr  error
 
 	// The counting pass over the constant-delay spine, built on first use;
 	// a refresh that patches or rebuilds the core drops it with the other
@@ -173,7 +170,7 @@ func (pr *Prepared) Decide(c *delay.Counter) (bool, error) {
 }
 
 // decideSlow runs the decision engine chosen at compile time on the
-// head-stripped query, mirroring the one-shot facade.
+// head-stripped query.
 func (pr *Prepared) decideSlow(c *delay.Counter) (bool, error) {
 	p := pr.plan
 	switch p.DecideEngine {
@@ -186,7 +183,7 @@ func (pr *Prepared) decideSlow(c *delay.Counter) (bool, error) {
 	case EngineBacktrack:
 		return ineq.DecideBacktrack(pr.db, p.boolQ)
 	default:
-		return cq.DecideCounted(pr.db, p.boolQ, c)
+		return cq.Decide(pr.db, p.boolQ, c)
 	}
 }
 
@@ -250,7 +247,7 @@ func (pr *Prepared) countSlow(c *delay.Counter) (*big.Int, error) {
 	switch p.CountEngine {
 	case EngineStarSizeCount:
 		s := counting.BigInt{}
-		v, err := counting.CountCounted(pr.db, p.CQ, counting.UnitWeight(s), s, c)
+		v, err := counting.Count(pr.db, p.CQ, counting.UnitWeight(s), s, c)
 		if err != nil {
 			return nil, err
 		}
@@ -342,7 +339,7 @@ func (pr *Prepared) enumerateUnion(c *delay.Counter) (delay.Enumerator, error) {
 			}), nil
 		}
 		// The extension plan failed against this database (e.g. a missing
-		// base relation): fall back like the one-shot facade.
+		// base relation): fall back to materializing each disjunct.
 	}
 	var all []database.Tuple
 	seen := map[string]bool{}
@@ -399,24 +396,4 @@ func (pr *Prepared) NewRandomAccess(c *delay.Counter) (*cq.RandomAccess, error) 
 		return nil, err
 	}
 	return core.RandomAccess(w, c), nil
-}
-
-// ParEval evaluates the full answer set with the parallel Yannakakis
-// engine over par workers, memoized (the answers are independent of par;
-// the differential suites pin that). The returned slice is shared: callers
-// must not mutate it.
-func (pr *Prepared) ParEval(par int, c *delay.Counter) ([]database.Tuple, error) {
-	if err := pr.check(); err != nil {
-		return nil, err
-	}
-	if pr.plan.UCQ != nil {
-		return nil, errors.New("plan: ParEval is per-query; enumerate the union instead")
-	}
-	pr.mu.Lock()
-	defer pr.mu.Unlock()
-	if !pr.parDone {
-		pr.parRows, pr.parErr = cq.ParEval(pr.db, pr.plan.CQ, par, c)
-		pr.parDone = true
-	}
-	return pr.parRows, pr.parErr
 }

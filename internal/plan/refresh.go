@@ -234,6 +234,5 @@ func (pr *Prepared) clearMemosLocked() {
 	pr.counted, pr.countV, pr.countE = false, nil, nil
 	pr.matDone, pr.matRows, pr.matErr = false, nil, nil
 	pr.w, pr.wErr = nil, nil
-	pr.parDone, pr.parRows, pr.parErr = false, nil, nil
 	pr.uDone, pr.uRows = false, nil
 }

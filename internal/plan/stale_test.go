@@ -94,9 +94,6 @@ func TestStalePlanAllMethods(t *testing.T) {
 	if _, err := pr.NewRandomAccess(nil); !errors.Is(err, plan.ErrStalePlan) {
 		t.Errorf("NewRandomAccess after mutation: got %v, want ErrStalePlan", err)
 	}
-	if _, err := pr.ParEval(2, nil); !errors.Is(err, plan.ErrStalePlan) {
-		t.Errorf("ParEval after mutation: got %v, want ErrStalePlan", err)
-	}
 
 	// Re-Bind recovers: the same immutable plan binds against the new
 	// generation and the new tuple shows up.

@@ -70,9 +70,6 @@ type Config struct {
 	MaxBodyBytes int64
 	// MaxPageSize caps (and defaults) the enumerate page size. Default 1024.
 	MaxPageSize int
-	// MaxPrepared bounds the plan cache's prepared-statement set (LRU).
-	// Default 256.
-	MaxPrepared int
 	// CursorKey authenticates cursors and statement handles. Nil draws a
 	// random per-server key; tests inject a fixed key to exercise forgery
 	// handling.
@@ -101,9 +98,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxPageSize <= 0 {
 		c.MaxPageSize = 1024
 	}
-	if c.MaxPrepared <= 0 {
-		c.MaxPrepared = 256
-	}
 	if c.BindWorkers <= 0 {
 		c.BindWorkers = 2
 	}
@@ -119,6 +113,9 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// maxPrepared bounds the plan cache's prepared-statement set (LRU).
+const maxPrepared = 256
 
 // Server serves prepared-statement queries over one database.
 type Server struct {
@@ -139,7 +136,7 @@ type Server struct {
 func New(db *database.Database, dict *database.Dictionary, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	cache := plan.NewCache()
-	cache.SetMaxPrepared(cfg.MaxPrepared)
+	cache.SetMaxPrepared(maxPrepared)
 	s := &Server{
 		cfg:   cfg,
 		db:    db,

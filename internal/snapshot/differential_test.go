@@ -16,7 +16,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/cq"
 	"repro/internal/database"
 	"repro/internal/delay"
 	"repro/internal/logic"
@@ -49,12 +49,12 @@ func failInstance(t *testing.T, seed int64, q fmt.Stringer, db *database.Databas
 
 // backingResult is everything one backing's evaluation produced: answers,
 // decide/count results, and the counted-step checkpoints of both the
-// one-shot facade and the explicit pipeline.
+// routed engine called directly and the explicit pipeline.
 type backingResult struct {
 	answers     []database.Tuple
 	decide      bool
 	count       *big.Int
-	facadeSteps int64 // core.Enumerate: compile + bind + enumerate
+	engineSteps int64 // the routed engine alone: preprocess + enumerate
 	bindSteps   int64
 	decideSteps int64
 	countSteps  int64
@@ -66,21 +66,29 @@ type backingResult struct {
 // after a mapped snapshot is closed.
 func evalBacking(db *database.Database, q *logic.CQ) (*backingResult, error) {
 	res := &backingResult{}
-
-	c := &delay.Counter{}
-	e, err := core.Enumerate(db, q, c)
-	if err != nil {
-		return nil, fmt.Errorf("core.Enumerate: %w", err)
-	}
-	for _, tu := range delay.Collect(e) {
-		res.answers = append(res.answers, tu.Clone())
-	}
-	res.facadeSteps = c.Steps()
-
 	p, err := plan.Compile(q)
 	if err != nil {
 		return nil, fmt.Errorf("Compile: %w", err)
 	}
+
+	c := &delay.Counter{}
+	var e delay.Enumerator
+	switch p.EnumerateEngine {
+	case plan.EngineConstantDelay:
+		e, err = cq.EnumerateConstantDelay(db, q, c)
+	case plan.EngineLinearDelay:
+		e, err = cq.EnumerateLinearDelay(db, q, c)
+	default:
+		err = fmt.Errorf("no direct engine for route %s", p.EnumerateEngine)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", p.EnumerateEngine, err)
+	}
+	for _, tu := range delay.Collect(e) {
+		res.answers = append(res.answers, tu.Clone())
+	}
+	res.engineSteps = c.Steps()
+
 	pc := &delay.Counter{}
 	pr, err := p.BindCounted(db, pc)
 	if err != nil {
@@ -129,8 +137,8 @@ func compareBackings(t *testing.T, seed int64, q *logic.CQ, db *database.Databas
 	if res.count.Cmp(ref.count) != 0 {
 		failInstance(t, seed, q, db, "%s count %s != original %s", label, res.count, ref.count)
 	}
-	if res.facadeSteps != ref.facadeSteps {
-		failInstance(t, seed, q, db, "%s facade steps %d != original %d", label, res.facadeSteps, ref.facadeSteps)
+	if res.engineSteps != ref.engineSteps {
+		failInstance(t, seed, q, db, "%s engine steps %d != original %d", label, res.engineSteps, ref.engineSteps)
 	}
 	if res.bindSteps != ref.bindSteps {
 		failInstance(t, seed, q, db, "%s bind steps %d != original %d", label, res.bindSteps, ref.bindSteps)
