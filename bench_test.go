@@ -85,9 +85,6 @@ func BenchmarkE17RandomAccess(b *testing.B)            { benchTables(b, "E17Rand
 func BenchmarkSpineWeights(b *testing.B)               { benchTables(b, "SpineWeights") }
 func BenchmarkPageSeek(b *testing.B)                   { benchTables(b, "PageSeek") }
 func BenchmarkCountAfterRefresh(b *testing.B)          { benchTables(b, "CountAfterRefresh") }
-func BenchmarkParYannakakisEval(b *testing.B)          { benchTables(b, "ParYannakakisEval") }
-func BenchmarkParYannakakisDecide(b *testing.B)        { benchTables(b, "ParYannakakisDecide") }
-func BenchmarkParYannakakisFullReduce(b *testing.B)    { benchTables(b, "ParYannakakisFullReduce") }
 func BenchmarkPlanCacheBind(b *testing.B)              { benchTables(b, "PlanCacheBind") }
 func BenchmarkPreparedRefresh(b *testing.B)            { benchTables(b, "PreparedRefresh") }
 func BenchmarkAblationReducerPasses(b *testing.B)      { benchTables(b, "AblationReducerPasses") }

@@ -1,11 +1,12 @@
 // Command qbench regenerates every experiment of DESIGN.md that the
-// registry of internal/experiments holds (E1–E24), printing one
-// paper-style table per experiment. Each experiment validates the *shape*
-// of a complexity bound stated in the paper — linear scaling, constant vs
-// linear delay, the n^k star-size sweep, the matrix-multiplication
-// reduction, and so on — or of the serving layer built on them (E21, E23:
-// open-loop traffic against serve in process). This file is flags plus the -json/-trace/profile
-// driver; the experiments themselves live in the registry.
+// registry of internal/experiments holds (E1–E24 but the retired E18),
+// printing one paper-style table per experiment. Each experiment validates
+// the *shape* of a complexity bound stated in the paper — linear scaling,
+// constant vs linear delay, the n^k star-size sweep, the
+// matrix-multiplication reduction, and so on — or of the serving layer
+// built on them (E21, E23: open-loop traffic against serve in process).
+// This file is flags plus the -json/-trace/profile driver; the experiments
+// themselves live in the registry.
 //
 // Usage:
 //
@@ -51,8 +52,7 @@ func run(args []string, registry []*experiments.Experiment, stdout, stderr io.Wr
 	fs := flag.NewFlagSet("qbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	quick := fs.Bool("quick", false, "smaller instance sizes")
-	only := fs.String("run", "", "run a subset of experiments (comma-separated, e.g. E5,E18)")
-	parallel := fs.Int("parallel", 0, "worker count for the parallel Yannakakis engine (E18); 0 = GOMAXPROCS")
+	only := fs.String("run", "", "run a subset of experiments (comma-separated, e.g. E5,E19)")
 	repeat := fs.Int("repeat", 8, "executions per query in the plan-cache amortization experiment (E19)")
 	jsonOut := fs.String("json", "", "write a machine-readable report (wall ns, allocs, counted steps) to this file")
 	traceOut := fs.String("trace", "", "write an observability trace (delay histograms, phase spans) to this file")
@@ -90,7 +90,7 @@ func run(args []string, registry []*experiments.Experiment, stdout, stderr io.Wr
 	var traces []obs.Trace
 	for _, e := range selected {
 		fmt.Fprintf(stdout, "\n=== %s: %s ===\n", e.ID, e.Title)
-		r := &experiments.Run{Mode: mode, Parallel: *parallel, Repeat: *repeat,
+		r := &experiments.Run{Mode: mode, Repeat: *repeat,
 			Observe: *traceOut != "" || *jsonOut != "", Out: stdout}
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)

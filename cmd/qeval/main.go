@@ -69,7 +69,7 @@ func main() {
 	// A ";" marks a union of conjunctive queries.
 	var q *logic.CQ
 	var u *logic.UCQ
-	pspan := c.StartSpan("parse", -1)
+	pspan := c.StartSpan("parse")
 	if strings.Contains(*queryStr, ";") {
 		var err error
 		u, err = logic.ParseUCQ(*queryStr)
@@ -88,7 +88,7 @@ func main() {
 	dict := database.NewDictionary()
 	db := database.NewDatabase()
 	if *dataPath != "" {
-		lspan := c.StartSpan("load", -1)
+		lspan := c.StartSpan("load")
 		var err error
 		db, dict, _, err = core.LoadPath(*dataPath)
 		lspan.End()
@@ -125,7 +125,7 @@ func main() {
 			q = &logic.CQ{Name: q.Name, Atoms: q.Atoms, NegAtoms: q.NegAtoms, Comparisons: q.Comparisons}
 		}
 		pr := bindPlan(c, db, compilePlan(c, q, u))
-		espan := c.StartSpan("execute", -1)
+		espan := c.StartSpan("execute")
 		ok, err := pr.Decide(c)
 		espan.End()
 		if err != nil {
@@ -134,7 +134,7 @@ func main() {
 		fmt.Println(ok)
 	case "count":
 		pr := bindPlan(c, db, compilePlan(c, q, u))
-		espan := c.StartSpan("execute", -1)
+		espan := c.StartSpan("execute")
 		n, err := pr.Count(c)
 		espan.End()
 		if err != nil {
@@ -189,7 +189,7 @@ func main() {
 
 // compilePlan compiles whichever of q/u is set under a "compile" span.
 func compilePlan(c *delay.Counter, q *logic.CQ, u *logic.UCQ) *plan.Plan {
-	span := c.StartSpan("compile", -1)
+	span := c.StartSpan("compile")
 	defer span.End()
 	var p *plan.Plan
 	var err error

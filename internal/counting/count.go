@@ -46,7 +46,7 @@ func CountFullJoin(rels []cq.Rel, vars []string, w Weight, s Semiring, c *delay.
 			return nil, fmt.Errorf("counting: variable %q not covered by any relation", v)
 		}
 	}
-	tspan := c.StartSpan("tree-build", -1)
+	tspan := c.StartSpan("tree-build")
 	jt, ok := hypergraph.GYO(h)
 	tspan.End()
 	if !ok {
@@ -54,7 +54,7 @@ func CountFullJoin(rels []cq.Rel, vars []string, w Weight, s Semiring, c *delay.
 	}
 	ch := jt.Children()
 	// Full reduce along the tree so the DP never mixes dangling tuples.
-	rspan := c.StartSpan("semijoin-reduce", -1)
+	rspan := c.StartSpan("semijoin-reduce")
 	post := postorderOf(jt)
 	red := make([]cq.Rel, len(rels))
 	copy(red, rels)
@@ -70,7 +70,7 @@ func CountFullJoin(rels []cq.Rel, vars []string, w Weight, s Semiring, c *delay.
 		}
 	}
 	rspan.End()
-	cspan := c.StartSpan("count", -1)
+	cspan := c.StartSpan("count")
 	defer cspan.End()
 	// Charge each requested variable to its topmost node (preorder-first).
 	charged := make([][]int, len(rels)) // column indexes charged at node i
@@ -152,8 +152,8 @@ func CountFullJoin(rels []cq.Rel, vars []string, w Weight, s Semiring, c *delay.
 	total := s.Zero()
 	// Sum in sorted key order: neither map iteration nor interning order may
 	// leak into the result for semirings whose Add is not exactly
-	// associative (floats), and deterministic totals are what the parallel
-	// engine is diff-tested against. (At the root the separator is empty, so
+	// associative (floats), and deterministic totals are what the
+	// differential suites compare. (At the root the separator is empty, so
 	// there is normally a single key; the sort is belt and braces.)
 	order := make([]int, sums[root].ids.Len())
 	for i := range order {
@@ -295,7 +295,7 @@ func Count(db *database.Database, q *logic.CQ, w Weight, s Semiring, c *delay.Co
 
 	var parts []cq.Rel
 	// Step 2: one materialized relation per S-component.
-	jspan := c.StartSpan("join", -1)
+	jspan := c.StartSpan("join")
 	for ci, comp := range comps {
 		var atoms []logic.Atom
 		freeVars := make(map[string]bool)

@@ -12,9 +12,21 @@ import (
 
 // These tests pin down that every enumerator and evaluator in this package
 // produces the identical answer *sequence* on repeated runs — a
-// prerequisite for diff-testing the parallel engine against the sequential
-// one, and for golden tests over enumeration order. Map iteration order
+// prerequisite for golden tests over enumeration order. Map iteration order
 // must never leak into outputs.
+
+// exactSequence fails unless got equals want answer for answer, in order.
+func exactSequence(t *testing.T, label string, got, want []database.Tuple) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: got %d answers, want %d", label, len(got), len(want))
+	}
+	for i := range got {
+		if !got[i].Equal(want[i]) {
+			t.Fatalf("%s: answer %d: got %v, want %v", label, i, got[i], want[i])
+		}
+	}
+}
 
 func runTwice(t *testing.T, label string, mk func() delay.Enumerator) {
 	t.Helper()

@@ -56,13 +56,13 @@ func PrepareConstantDelay(db *database.Database, q *logic.CQ, c *delay.Counter) 
 // head node's children relations, whose schemas consist of free variables
 // only and form an acyclic hypergraph. φ(D) is exactly their join.
 func BuildFreeParts(db *database.Database, q *logic.CQ, c *delay.Counter) ([]Rel, error) {
-	bm := c.StartSpan("tree-build", -1)
+	bm := c.StartSpan("tree-build")
 	t, err := BuildTree(db, q, true)
 	bm.End()
 	if err != nil {
 		return nil, err
 	}
-	span := c.StartSpan("semijoin-reduce", -1)
+	span := c.StartSpan("semijoin-reduce")
 	defer span.End()
 	// Bottom-up elimination pass (step 2).
 	free := headSet(q)
@@ -217,7 +217,7 @@ func partsTree(schemas [][]string) (*hypergraph.JoinTree, error) {
 // builds the probe indexes, and returns the reusable core (see
 // OdometerCore). The parts are full-reduced in place.
 func NewOdometerCore(head []string, parts []Rel, c *delay.Counter) (*OdometerCore, error) {
-	span := c.StartSpan("semijoin-reduce", -1)
+	span := c.StartSpan("semijoin-reduce")
 	defer span.End()
 	schemas := make([][]string, len(parts))
 	for i, p := range parts {
@@ -409,7 +409,7 @@ type LinearPrep struct {
 // Theorem 4.3). For Boolean queries it resolves the decision problem
 // instead, so Enumerate is constant-time.
 func PrepareLinearDelay(db *database.Database, q *logic.CQ, c *delay.Counter) (*LinearPrep, error) {
-	bm := c.StartSpan("tree-build", -1)
+	bm := c.StartSpan("tree-build")
 	t, err := BuildTree(db, q, false)
 	bm.End()
 	if err != nil {
@@ -425,7 +425,7 @@ func PrepareLinearDelay(db *database.Database, q *logic.CQ, c *delay.Counter) (*
 		lp.boolOK = ok
 		return lp, nil
 	}
-	span := c.StartSpan("semijoin-reduce", -1)
+	span := c.StartSpan("semijoin-reduce")
 	defer span.End()
 	lp.base = reduceCopy(t, t.Rels, c)
 	return lp, nil

@@ -53,7 +53,7 @@ type SpineWeights struct {
 // the work shows as a "count" span on c's sink. It fails with
 // ErrCountOverflow when a count does not fit a uint64.
 func NewSpineWeights(oc *OdometerCore, c *delay.Counter) (*SpineWeights, error) {
-	span := c.StartSpan("count", -1)
+	span := c.StartSpan("count")
 	defer span.End()
 	m := len(oc.order)
 	w := &SpineWeights{core: oc, kids: make([][]int, m), cum: make([][]uint64, m)}

@@ -27,14 +27,6 @@ type Tree struct {
 // synthetic head edge {free(q)} is added (Definition 4.4) and the tree is
 // rooted at it; q must then be free-connex.
 func BuildTree(db *database.Database, q *logic.CQ, withHead bool) (*Tree, error) {
-	return buildTree(db, q, withHead, 1)
-}
-
-// buildTree is BuildTree with the per-atom relation construction (select,
-// project, dedup — the linear preprocessing scan over each base relation)
-// fanned out over par workers. The atoms are independent of one another, so
-// the resulting tree is identical for every par.
-func buildTree(db *database.Database, q *logic.CQ, withHead bool, par int) (*Tree, error) {
 	if err := checkPlainACQ(q); err != nil {
 		return nil, err
 	}
@@ -56,23 +48,12 @@ func buildTree(db *database.Database, q *logic.CQ, withHead bool, par int) (*Tre
 	}
 	t := &Tree{Q: q, JT: jt, HeadIdx: headIdx}
 	t.Rels = make([]Rel, len(jt.Nodes))
-	errs := make([]error, len(jt.Nodes))
-	e := newParEngine(par, nil)
-	e.forEach(len(jt.Nodes), 0, func(i, _ int) {
-		if i == headIdx {
-			return
-		}
-		r, err := AtomRelation(db, q.Atoms[i])
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		t.Rels[i] = r
-	})
-	for _, err := range errs {
+	for i, a := range q.Atoms {
+		r, err := AtomRelation(db, a)
 		if err != nil {
 			return nil, err
 		}
+		t.Rels[i] = r
 	}
 	t.children = jt.Children()
 	t.postord = postorder(jt)
@@ -102,14 +83,12 @@ func postorder(jt *hypergraph.JoinTree) []int {
 // whether the join is nonempty.
 //
 // c (nil for none) is ticked once per semijoin result tuple, so the
-// reducer's O(‖φ‖·‖D‖) work is observable as counted steps. The tick
-// placement mirrors ParFullReduce exactly: sequential and parallel runs of
-// the reducer record the same total on a nonempty join.
+// reducer's O(‖φ‖·‖D‖) work is observable as counted steps.
 func (t *Tree) FullReduce(c *delay.Counter) bool {
 	if t.HeadIdx >= 0 {
 		panic("cq: FullReduce on a head-extended tree")
 	}
-	span := c.StartSpan("semijoin-reduce", -1)
+	span := c.StartSpan("semijoin-reduce")
 	defer span.End()
 	// Bottom-up.
 	for _, i := range t.postord {
@@ -138,13 +117,13 @@ func (t *Tree) FullReduce(c *delay.Counter) bool {
 // via the bottom-up semijoin pass (Theorem 4.2 specialized to sentences):
 // time O(‖φ‖·‖D‖) up to hashing. c (nil for none) counts as in FullReduce.
 func Decide(db *database.Database, q *logic.CQ, c *delay.Counter) (bool, error) {
-	bm := c.StartSpan("tree-build", -1)
+	bm := c.StartSpan("tree-build")
 	t, err := BuildTree(db, q, false)
 	bm.End()
 	if err != nil {
 		return false, err
 	}
-	span := c.StartSpan("semijoin-reduce", -1)
+	span := c.StartSpan("semijoin-reduce")
 	defer span.End()
 	for _, i := range t.postord {
 		for _, ch := range t.children[i] {
@@ -166,11 +145,9 @@ func Decide(db *database.Database, q *logic.CQ, c *delay.Counter) (bool, error) 
 // deduplicated and sorted.
 //
 // c (nil for none) is ticked once per tuple of every intermediate semijoin,
-// join, and projection result. ParEval ticks at the same points, so counted
-// steps compare the total work of the two engines independently of
-// scheduling.
+// join, and projection result.
 func Eval(db *database.Database, q *logic.CQ, c *delay.Counter) ([]database.Tuple, error) {
-	bm := c.StartSpan("tree-build", -1)
+	bm := c.StartSpan("tree-build")
 	t, err := BuildTree(db, q, false)
 	bm.End()
 	if err != nil {
@@ -179,7 +156,7 @@ func Eval(db *database.Database, q *logic.CQ, c *delay.Counter) ([]database.Tupl
 	if !t.FullReduce(c) {
 		return nil, nil
 	}
-	span := c.StartSpan("join", -1)
+	span := c.StartSpan("join")
 	defer span.End()
 	head := headSet(q)
 	// acc[i] = join of subtree(i) projected onto subtree head vars ∪ sep to
@@ -197,8 +174,7 @@ func Eval(db *database.Database, q *logic.CQ, c *delay.Counter) ([]database.Tupl
 
 // evalNode computes acc[i] of the Eval join pass: the join of node i with
 // its children's accumulators, projected onto the head variables present
-// plus the separator towards the parent. It is shared by the sequential and
-// parallel engines; for a fixed node it only reads acc entries of the
+// plus the separator towards the parent. It only reads acc entries of the
 // node's children.
 func (t *Tree) evalNode(i int, head map[string]bool, acc []Rel, c *delay.Counter) Rel {
 	a := t.Rels[i]

@@ -8,7 +8,7 @@ package database
 //
 //   - Slab.HashCols fingerprints a run of slab rows in one pass over the
 //     flat column data — no per-tuple slice-header chase.
-//   - Each shard gets a lazily built flat open-addressing probe table
+//   - Each index gets a lazily built flat open-addressing probe table
 //     (fingerprint → primary span), replacing the Go map walk with a
 //     couple of cache lines of linear probing.
 //   - A small direct-mapped result cache in the scratch groups probes by
@@ -81,7 +81,7 @@ func (ix *Index) hashRows(sl Slab, cols []int, rowIDs []int32, dst []uint64) {
 
 // --- flat probe tables ------------------------------------------------
 
-// tableEnt is one slot of a shard's flat probe table: the primary span of
+// tableEnt is one slot of an index's flat probe table: the primary span of
 // fp together with its key values inlined (keys of up to two columns — all
 // the engines emit today — fit in k0/k1, so resolving the exact key is a
 // compare within the already-loaded entry instead of a random access into
@@ -94,18 +94,18 @@ type tableEnt struct {
 	k0, k1 Value
 }
 
-// probeTable is a flat open-addressing copy of a shard's fingerprint →
-// primary-span map. Slots are addressed by the high fingerprint bits (the
-// low bits route between shards), with linear probing.
+// probeTable is a flat open-addressing copy of the shard's fingerprint →
+// primary-span map. Slots are addressed by the high fingerprint bits, with
+// linear probing.
 type probeTable struct {
 	ents []tableEnt
 	mask uint32
 }
 
-func (ix *Index) buildProbeTable(sh *shard) probeTable {
+func (ix *Index) buildProbeTable(sh *shard) *probeTable {
 	n := len(sh.buckets)
 	if n == 0 {
-		return probeTable{}
+		return &probeTable{}
 	}
 	size := 1
 	for size < n*2 {
@@ -128,27 +128,23 @@ func (ix *Index) buildProbeTable(sh *shard) probeTable {
 		}
 		ents[slot] = e
 	}
-	return probeTable{ents: ents, mask: mask}
+	return &probeTable{ents: ents, mask: mask}
 }
 
-// tables returns a state whose flat probe tables are built, constructing
-// them on first batched probe. Concurrent builders serialize on tableMu;
+// tables returns a state whose flat probe table is built, constructing it
+// on first batched probe. Concurrent builders serialize on tableMu;
 // in-place patching is already serialized with all lookups.
 func (ix *Index) tables() *indexState {
-	if st := ix.state.Load(); st.tables != nil {
+	if st := ix.state.Load(); st.table != nil {
 		return st
 	}
 	ix.tableMu.Lock()
 	defer ix.tableMu.Unlock()
 	st := ix.state.Load()
-	if st.tables != nil {
+	if st.table != nil {
 		return st
 	}
-	tabs := make([]probeTable, len(st.shards))
-	for i := range st.shards {
-		tabs[i] = ix.buildProbeTable(&st.shards[i])
-	}
-	st = &indexState{shards: st.shards, tables: tabs}
+	st = &indexState{shard: st.shard, table: ix.buildProbeTable(&st.shard)}
 	ix.state.Store(st)
 	return st
 }
@@ -158,8 +154,7 @@ func (ix *Index) tables() *indexState {
 // scalar path (primary first, overflow spans after). Returns the same
 // bucket slice Lookup would.
 func (ix *Index) lookupFP(st *indexState, fp uint64, probe Tuple, probeCols []int) []int32 {
-	si := uint32(fp) & ix.mask
-	pt := &st.tables[si]
+	pt := st.table
 	if len(pt.ents) == 0 {
 		return nil
 	}
@@ -170,7 +165,7 @@ func (ix *Index) lookupFP(st *indexState, fp uint64, probe Tuple, probeCols []in
 			return nil
 		}
 		if e.fp == fp {
-			sh := &st.shards[si]
+			sh := &st.shard
 			// Exact-key check against the entry's inlined key values for
 			// one- and two-column keys (no slab access; slicing sh.rows
 			// below does not dereference it either), via the slab for

@@ -56,7 +56,7 @@ func TestBatchedProbeAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	r := batchRelation(rng, "R", 2, 4096, 512)
 	s := batchRelation(rng, "S", 2, 4096, 512)
-	ix := buildIndex(s.Tuples, []int{0}, s.Slab(), 1, nil)
+	ix := buildIndex(s.Tuples, []int{0}, s.Slab(), nil)
 	sl := r.Slab()
 	cols := []int{1}
 	sc := GetScratch()
@@ -108,43 +108,41 @@ func TestBatchedForcedCollisions(t *testing.T) {
 		cols := []int{rng.Intn(2)}
 		probeCols := []int{rng.Intn(2)}
 		sl := r.Slab()
-		for _, par := range []int{1, 4} {
-			ix := buildIndex(s.Tuples, cols, s.Slab(), par, degenerate)
-			sc := GetScratch()
-			ids := sc.Iota(r.Len())
+		ix := buildIndex(s.Tuples, cols, s.Slab(), degenerate)
+		sc := GetScratch()
+		ids := sc.Iota(r.Len())
 
-			// ContainsBatch must keep exactly the scalar survivors, in order.
-			got := ix.ContainsBatch(sl, probeCols, ids, sc)
-			var want []int32
-			for i, tu := range r.Tuples {
-				if ix.Contains(tu, probeCols) {
-					want = append(want, int32(i))
-				}
+		// ContainsBatch must keep exactly the scalar survivors, in order.
+		got := ix.ContainsBatch(sl, probeCols, ids, sc)
+		var want []int32
+		for i, tu := range r.Tuples {
+			if ix.Contains(tu, probeCols) {
+				want = append(want, int32(i))
 			}
-			if !sameIDs(got, want) {
-				t.Fatalf("seed %d par %d: ContainsBatch %v, scalar %v", seed, par, got, want)
-			}
-
-			// LookupBatch must hand out the very buckets Lookup returns.
-			pos := 0
-			ix.LookupBatch(sl, probeCols, sc.Iota(r.Len()), sc, func(i int, bids []int32) {
-				for pos < i {
-					if n := len(ix.Lookup(r.Tuples[pos], probeCols)); n != 0 {
-						t.Fatalf("seed %d par %d: LookupBatch skipped row %d with %d scalar rows", seed, par, pos, n)
-					}
-					pos++
-				}
-				if sids := ix.Lookup(r.Tuples[i], probeCols); !sameIDs(bids, sids) {
-					t.Fatalf("seed %d par %d row %d: LookupBatch %v, Lookup %v", seed, par, i, bids, sids)
-				}
-				pos = i + 1
-			})
-			for ; pos < r.Len(); pos++ {
-				if n := len(ix.Lookup(r.Tuples[pos], probeCols)); n != 0 {
-					t.Fatalf("seed %d par %d: LookupBatch missed trailing row %d with %d scalar rows", seed, par, pos, n)
-				}
-			}
-			sc.Release()
 		}
+		if !sameIDs(got, want) {
+			t.Fatalf("seed %d: ContainsBatch %v, scalar %v", seed, got, want)
+		}
+
+		// LookupBatch must hand out the very buckets Lookup returns.
+		pos := 0
+		ix.LookupBatch(sl, probeCols, sc.Iota(r.Len()), sc, func(i int, bids []int32) {
+			for pos < i {
+				if n := len(ix.Lookup(r.Tuples[pos], probeCols)); n != 0 {
+					t.Fatalf("seed %d: LookupBatch skipped row %d with %d scalar rows", seed, pos, n)
+				}
+				pos++
+			}
+			if sids := ix.Lookup(r.Tuples[i], probeCols); !sameIDs(bids, sids) {
+				t.Fatalf("seed %d row %d: LookupBatch %v, Lookup %v", seed, i, bids, sids)
+			}
+			pos = i + 1
+		})
+		for ; pos < r.Len(); pos++ {
+			if n := len(ix.Lookup(r.Tuples[pos], probeCols)); n != 0 {
+				t.Fatalf("seed %d: LookupBatch missed trailing row %d with %d scalar rows", seed, pos, n)
+			}
+		}
+		sc.Release()
 	}
 }

@@ -1,7 +1,7 @@
 package database_test
 
 // Micro-benchmarks for the index/probe layer: index construction, point
-// lookups, and the semijoin built on them (sequential and parallel). Run
+// lookups, and the semijoin built on them. Run
 // with -benchmem; the lookup path is pinned allocation-free by
 // TestLookupAllocs, and cmd/benchgate compares these numbers across
 // branches in CI.
@@ -45,16 +45,6 @@ func BenchmarkIndexBuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		freshView(r).IndexOn([]int{0})
-	}
-}
-
-func BenchmarkIndexBuildPar(b *testing.B) {
-	r := benchRelation("R", 1, benchN, benchDom)
-	b.SetBytes(int64(r.Len()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		freshView(r).ParIndexOn([]int{0}, 4)
 	}
 }
 
@@ -131,17 +121,6 @@ func BenchmarkLookupBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ix.ContainsBatch(sl, cols, sc.Iota(r.Len()), sc)
-	}
-}
-
-func BenchmarkSemijoinPar(b *testing.B) {
-	r := benchRelation("R", 1, benchN, benchDom)
-	s := benchRelation("S", 2, benchN, benchDom)
-	b.SetBytes(int64(r.Len() + s.Len()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		database.ParSemijoin(freshView(r), []int{1}, freshView(s), []int{0}, 4)
 	}
 }
 

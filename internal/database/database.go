@@ -298,19 +298,6 @@ func (r *Relation) Clone() *Relation {
 // It is safe to call from multiple goroutines; concurrent builds on the
 // same relation are serialized and the first result is shared.
 func (r *Relation) IndexOn(cols []int) *Index {
-	return r.indexOn(cols, 1)
-}
-
-// ParIndexOn is IndexOn with the build parallelized over par workers:
-// tuple fingerprints are computed in parallel chunks, then the buckets are
-// built as par fingerprint-disjoint shards, one goroutine each. The
-// resulting merged view answers Lookup without locks and is cached like a
-// sequential index.
-func (r *Relation) ParIndexOn(cols []int, par int) *Index {
-	return r.indexOn(cols, par)
-}
-
-func (r *Relation) indexOn(cols []int, par int) *Index {
 	sig, packed := colsSig(cols)
 	var bigSig string
 	if !packed {
@@ -325,14 +312,11 @@ func (r *Relation) indexOn(cols []int, par int) *Index {
 	} else if ix, ok := r.indexesBig[bigSig]; ok {
 		return ix
 	}
-	if par < 2 || len(r.Tuples) < 1024 {
-		par = 1
-	}
 	var hash keyHashFunc
 	if p := testIndexHash.Load(); p != nil {
 		hash = *p
 	}
-	ix := buildIndex(r.Tuples, cols, r.slabLocked(), par, hash)
+	ix := buildIndex(r.Tuples, cols, r.slabLocked(), hash)
 	if packed {
 		if r.indexes == nil {
 			r.indexes = make(map[uint64]*Index)
@@ -435,59 +419,6 @@ func SemijoinScalar(r *Relation, rCols []int, s *Relation, sCols []int) *Relatio
 		if ix.Contains(t, rCols) {
 			out.Tuples = append(out.Tuples, t)
 		}
-	}
-	return out
-}
-
-// ParSemijoin is Semijoin with the index build sharded over par workers and
-// the probe pass chunked over par goroutines. The output tuple order is
-// identical to the sequential Semijoin (chunk results are concatenated in
-// input order), so parallel and sequential engines are diff-testable.
-func ParSemijoin(r *Relation, rCols []int, s *Relation, sCols []int, par int) *Relation {
-	if par < 2 || len(r.Tuples) < 1024 {
-		// A single-worker call probes the relation's shared sequential
-		// index; sharding the build buys nothing at this size.
-		if par < 2 {
-			return semijoinProbe(r, rCols, s.IndexOn(sCols))
-		}
-		return semijoinProbe(r, rCols, s.ParIndexOn(sCols, par))
-	}
-	ix := s.ParIndexOn(sCols, par)
-	chunk := (len(r.Tuples) + par - 1) / par
-	parts := make([][]Tuple, par)
-	var wg sync.WaitGroup
-	sl := r.Slab()
-	for w := 0; w < par; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(r.Tuples) {
-			hi = len(r.Tuples)
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			sc := GetScratch()
-			ids := ix.ContainsBatch(sl, rCols, sc.IotaRange(lo, hi), sc)
-			keep := make([]Tuple, len(ids))
-			for i, id := range ids {
-				keep[i] = r.Tuples[id]
-			}
-			sc.Release()
-			parts[w] = keep
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	out := NewRelation(r.Name, r.Arity)
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out.Tuples = make([]Tuple, 0, total)
-	for _, p := range parts {
-		out.Tuples = append(out.Tuples, p...)
 	}
 	return out
 }

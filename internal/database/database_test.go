@@ -297,57 +297,6 @@ func randomRel(seed int64, name string, n, dom int) *Relation {
 	return r
 }
 
-func TestParIndexOnMatchesIndexOn(t *testing.T) {
-	// Above the sharding threshold so the parallel path is really taken.
-	r := randomRel(1, "R", 5000, 300)
-	seq := NewRelation("R", 2)
-	seq.Tuples = r.Tuples
-	ixSeq := seq.IndexOn([]int{1})
-	ixPar := r.ParIndexOn([]int{1}, 4)
-	if ixSeq.Buckets() != ixPar.Buckets() {
-		t.Fatalf("bucket count: seq %d, par %d", ixSeq.Buckets(), ixPar.Buckets())
-	}
-	cols := []int{1}
-	for _, tu := range r.Tuples {
-		a, b := ixSeq.Lookup(tu, cols), ixPar.Lookup(tu, cols)
-		if len(a) != len(b) {
-			t.Fatalf("key %v: seq %d tuples, par %d", tu[1], len(a), len(b))
-		}
-		for i := range a {
-			if !ixSeq.Row(a[i]).Equal(ixPar.Row(b[i])) {
-				t.Fatalf("key %v tuple %d: %v vs %v", tu[1], i, ixSeq.Row(a[i]), ixPar.Row(b[i]))
-			}
-		}
-	}
-	if got := r.ParIndexOn([]int{1}, 4); got != ixPar {
-		t.Error("ParIndexOn did not cache")
-	}
-}
-
-func TestParSemijoinMatchesSemijoin(t *testing.T) {
-	for _, n := range []int{50, 5000} { // below and above the parallel threshold
-		r := randomRel(2, "R", n, 97)
-		s := randomRel(3, "S", n, 97)
-		want := Semijoin(r, []int{1}, s, []int{0})
-		for _, p := range []int{1, 2, 4, 8} {
-			rc := NewRelation("R", 2)
-			rc.Tuples = r.Tuples
-			sc := NewRelation("S", 2)
-			sc.Tuples = s.Tuples
-			got := ParSemijoin(rc, []int{1}, sc, []int{0}, p)
-			if got.Len() != want.Len() {
-				t.Fatalf("n=%d par=%d: %d tuples, want %d", n, p, got.Len(), want.Len())
-			}
-			for i := range want.Tuples {
-				if !got.Tuples[i].Equal(want.Tuples[i]) {
-					t.Fatalf("n=%d par=%d: tuple %d order differs: %v vs %v",
-						n, p, i, got.Tuples[i], want.Tuples[i])
-				}
-			}
-		}
-	}
-}
-
 func TestIndexOnConcurrent(t *testing.T) {
 	r := randomRel(4, "R", 3000, 50)
 	done := make(chan *Index, 8)

@@ -1,7 +1,7 @@
 package database_test
 
 // Differential tests for the relational primitives: the hash-based
-// Semijoin/ParSemijoin/Join and the sharded index are compared against
+// Semijoin/Join and the index are compared against
 // transparent nested-loop references on random relations from
 // internal/qgen. (External test package: qgen itself depends on database.)
 
@@ -95,11 +95,6 @@ func TestDifferentialSemijoin(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: Semijoin %v != naive %v (rCols %v, sCols %v)\n%s%s",
 				seed, got, want, rCols, sCols, dump(r), dump(s))
-		}
-		par := sortTuples(database.ParSemijoin(r, rCols, s, sCols, 4).Tuples)
-		if !reflect.DeepEqual(par, want) {
-			t.Fatalf("seed %d: ParSemijoin %v != naive %v (rCols %v, sCols %v)\n%s%s",
-				seed, par, want, rCols, sCols, dump(r), dump(s))
 		}
 	}
 }

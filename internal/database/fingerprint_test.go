@@ -21,12 +21,7 @@ func TestFingerprintMatchesStringKeys(t *testing.T) {
 		r := qgen.RandRelation(rng, "R", arity, rng.Intn(50), 5)
 		k := 1 + rng.Intn(arity)
 		cols := rng.Perm(arity)[:k]
-		var ix *database.Index
-		if rng.Intn(2) == 0 {
-			ix = r.IndexOn(cols)
-		} else {
-			ix = r.ParIndexOn(cols, 1+rng.Intn(4))
-		}
+		ix := r.IndexOn(cols)
 
 		// String-key ground truth: group rows by Tuple.Key.
 		groups := map[string][]database.Tuple{}

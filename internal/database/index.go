@@ -15,7 +15,6 @@ package database
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -142,10 +141,10 @@ type keyHashFunc func(t Tuple, cols []int) uint64
 func defaultKeyHash(t Tuple, cols []int) uint64 { return t.KeyHash(cols) }
 
 // testIndexHash, when non-nil, replaces the default fingerprint in every
-// subsequent IndexOn/ParIndexOn build. In-package tests inject degraded
-// hashes directly through buildIndex; this process-wide hook exists for
-// the cross-package differential suites (internal/snapshot, internal/plan)
-// that must degrade whole-engine runs they cannot reach into.
+// subsequent IndexOn build. In-package tests inject degraded hashes
+// directly through buildIndex; this process-wide hook exists for the
+// cross-package differential suites (internal/snapshot, internal/plan) that
+// must degrade whole-engine runs they cannot reach into.
 var testIndexHash atomic.Pointer[keyHashFunc]
 
 // SetIndexHashForTesting forces every subsequent index build process-wide
@@ -216,13 +215,13 @@ func colsSigBig(cols []int) string {
 
 // --- the index --------------------------------------------------------
 
-// span is one bucket: rows [off, off+n) of its shard's row array, all
+// span is one bucket: rows [off, off+n) of the shard's row array, all
 // sharing a single key-column projection.
 type span struct{ off, n int32 }
 
-// shard holds the buckets of the fingerprints routed to it. buckets maps a
-// fingerprint to its first bucket; in the (cosmically rare) event that two
-// distinct keys share a fingerprint, the extra buckets live in overflow.
+// shard is an index's bucket layout. buckets maps a fingerprint to its
+// first bucket; in the (cosmically rare) event that two distinct keys
+// share a fingerprint, the extra buckets live in overflow.
 type shard struct {
 	buckets  map[uint64]span
 	rows     []int32
@@ -231,21 +230,17 @@ type shard struct {
 
 // Index is a hash index of a relation's tuples keyed on a column subset.
 // Buckets hold row ids into the relation's Slab, grouped by the exact key
-// projection (fingerprint collisions are resolved at build time), and are
-// partitioned into one or more fingerprint-disjoint shards: a sequential
-// build produces a single shard, a parallel build (ParIndexOn) one shard
-// per worker. After construction the index is read-only, so lookups from
-// many goroutines need no locking, and the probe path performs zero
-// allocations.
+// projection (fingerprint collisions are resolved at build time). After
+// construction the index is read-only, so lookups from many goroutines
+// need no locking, and the probe path performs zero allocations.
 type Index struct {
 	Cols []int
 	slab Slab
 	hash keyHashFunc
 	fast bool // hash is the default fingerprint, so Slab.HashCols applies
-	mask uint32
 
 	// state holds the bucket layout, plus the lazily built flat probe
-	// tables of the batch kernels, behind one atomic pointer: the lazy
+	// table of the batch kernels, behind one atomic pointer: the lazy
 	// table build swaps in a whole new state while concurrent readers
 	// keep a consistent view of the old one.
 	state   atomic.Pointer[indexState]
@@ -253,11 +248,11 @@ type Index struct {
 }
 
 // indexState is one immutable-together snapshot of an index's layout.
-// tables (when non-nil) is derived from exactly these shards; bundling
-// them keeps a reader from pairing fresh tables with stale spans.
+// table (when non-nil) is derived from exactly this shard; bundling them
+// keeps a reader from pairing a fresh table with stale spans.
 type indexState struct {
-	shards []shard
-	tables []probeTable // one per shard; nil until a batched probe builds them
+	shard shard
+	table *probeTable // nil until a batched probe builds it
 }
 
 // keyEq reports whether the indexed row's key columns equal the probe's
@@ -278,7 +273,7 @@ func (ix *Index) keyEq(row int32, probe Tuple, probeCols []int) bool {
 // garbage collected and must not be modified. Lookup allocates nothing.
 func (ix *Index) Lookup(probe Tuple, probeCols []int) []int32 {
 	fp := ix.hash(probe, probeCols)
-	sh := &ix.state.Load().shards[uint32(fp)&ix.mask]
+	sh := &ix.state.Load().shard
 	sp, ok := sh.buckets[fp]
 	if !ok {
 		return nil
@@ -314,109 +309,46 @@ func (ix *Index) Row(id int32) Tuple { return ix.slab.Row(id) }
 
 // Buckets returns the number of distinct keys in the index.
 func (ix *Index) Buckets() int {
-	shards := ix.state.Load().shards
-	n := 0
-	for i := range shards {
-		n += len(shards[i].buckets)
-		for _, sps := range shards[i].overflow {
-			n += len(sps)
-		}
+	sh := &ix.state.Load().shard
+	n := len(sh.buckets)
+	for _, sps := range sh.overflow {
+		n += len(sps)
 	}
 	return n
 }
 
 // buildIndex constructs the index over tuples (backed by sl) keyed on
-// cols, with the fingerprint pass and the shard builds fanned out over par
-// workers when par ≥ 2. A nil hash selects the default fingerprint
-// (Tuple.KeyHash) and additionally enables the batched slab-hashing
-// kernel; tests inject a degraded hash to force collisions.
-func buildIndex(tuples []Tuple, cols []int, sl Slab, par int, hash keyHashFunc) *Index {
+// cols: assign each distinct fingerprint a dense id, count, prefix-sum,
+// fill, then split any bucket that mixes distinct true keys (a real
+// fingerprint collision) into per-key groups. A nil hash selects the
+// default fingerprint (Tuple.KeyHash) and additionally enables the batched
+// slab-hashing kernel; tests inject a degraded hash to force collisions.
+func buildIndex(tuples []Tuple, cols []int, sl Slab, hash keyHashFunc) *Index {
 	fast := hash == nil
 	if fast {
 		hash = defaultKeyHash
-	}
-	if par > runtime.GOMAXPROCS(0) {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par < 1 {
-		par = 1
-	}
-	shardCount := 1
-	for shardCount < par {
-		shardCount <<= 1
-	}
-	n := len(tuples)
-	fps := make([]uint64, n)
-	if par < 2 || n < 1024 {
-		for i, t := range tuples {
-			fps[i] = hash(t, cols)
-		}
-	} else {
-		var wg sync.WaitGroup
-		chunk := (n + par - 1) / par
-		for w := 0; w < par; w++ {
-			lo, hi := w*chunk, (w+1)*chunk
-			if hi > n {
-				hi = n
-			}
-			if lo >= hi {
-				continue
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				for i := lo; i < hi; i++ {
-					fps[i] = hash(tuples[i], cols)
-				}
-			}(lo, hi)
-		}
-		wg.Wait()
 	}
 	ix := &Index{
 		Cols: append([]int(nil), cols...),
 		slab: sl,
 		hash: hash,
 		fast: fast,
-		mask: uint32(shardCount - 1),
 	}
-	shards := make([]shard, shardCount)
-	if shardCount == 1 {
-		shards[0] = ix.buildShard(fps, 0)
-	} else {
-		var wg sync.WaitGroup
-		for s := 0; s < shardCount; s++ {
-			wg.Add(1)
-			go func(s uint32) {
-				defer wg.Done()
-				shards[s] = ix.buildShard(fps, s)
-			}(uint32(s))
-		}
-		wg.Wait()
+	fps := make([]uint64, len(tuples))
+	for i, t := range tuples {
+		fps[i] = hash(t, cols)
 	}
-	ix.state.Store(&indexState{shards: shards})
-	return ix
-}
-
-// buildShard builds the CSR bucket layout for the rows whose fingerprint
-// routes to shard s: assign each distinct fingerprint a dense id, count,
-// prefix-sum, fill, then split any bucket that mixes distinct true keys
-// (a real fingerprint collision) into per-key groups.
-func (ix *Index) buildShard(fps []uint64, s uint32) shard {
 	idOf := make(map[uint64]int32)
 	var counts []int32
-	var mine, ids []int32
+	ids := make([]int32, len(tuples))
 	for i, fp := range fps {
-		if uint32(fp)&ix.mask != s {
-			continue
-		}
 		id, ok := idOf[fp]
 		if !ok {
 			id = int32(len(counts))
 			idOf[fp] = id
 			counts = append(counts, 0)
 		}
-		mine = append(mine, int32(i))
-		ids = append(ids, id)
+		ids[i] = id
 		counts[id]++
 	}
 	offs := make([]int32, len(counts))
@@ -425,11 +357,10 @@ func (ix *Index) buildShard(fps []uint64, s uint32) shard {
 		offs[id] = off
 		off += c
 	}
-	rows := make([]int32, len(mine))
+	rows := make([]int32, len(tuples))
 	cur := make([]int32, len(counts))
-	for k, rowID := range mine {
-		id := ids[k]
-		rows[offs[id]+cur[id]] = rowID
+	for rowID, id := range ids {
+		rows[offs[id]+cur[id]] = int32(rowID)
 		cur[id]++
 	}
 	buckets := make(map[uint64]span, len(counts))
@@ -448,7 +379,8 @@ func (ix *Index) buildShard(fps []uint64, s uint32) shard {
 			sh.overflow[fp] = groups[1:]
 		}
 	}
-	return sh
+	ix.state.Store(&indexState{shard: sh})
+	return ix
 }
 
 // uniformKey reports whether every row of the span agrees with the first
@@ -506,7 +438,7 @@ next:
 // rebuilding it: inserted rows are appended to the slab and routed into
 // their bucket, deleted rows are cut out of theirs. Lookup's contract —
 // one contiguous, allocation-free sub-slice per key — is preserved by
-// relocating a bucket to the tail of the shard's row array when it cannot
+// relocating a bucket to the tail of the row array when it cannot
 // grow in place. The abandoned slots are never reclaimed: the consumer
 // bounds them by rebuilding after a budget of changes (the cq refreshers
 // charge every patched row to theirs). Patching is NOT safe concurrently
@@ -517,16 +449,16 @@ next:
 // same tuples.
 func (ix *Index) SetSlab(s Slab) { ix.slab = s }
 
-// patchState returns the layout about to be patched in place, first
-// dropping any derived probe tables (their spans are about to go stale).
+// patchShard returns the layout about to be patched in place, first
+// dropping any derived probe table (its spans are about to go stale).
 // Callers are serialized with lookups per the patching contract above.
-func (ix *Index) patchState() *indexState {
+func (ix *Index) patchShard() *shard {
 	st := ix.state.Load()
-	if st.tables != nil {
-		st = &indexState{shards: st.shards}
+	if st.table != nil {
+		st = &indexState{shard: st.shard}
 		ix.state.Store(st)
 	}
-	return st
+	return &st.shard
 }
 
 // AddRow routes slab row id into its bucket, creating the bucket if the
@@ -535,7 +467,7 @@ func (ix *Index) patchState() *indexState {
 func (ix *Index) AddRow(id int32) {
 	t := ix.slab.Row(id)
 	fp := ix.hash(t, ix.Cols)
-	sh := &ix.patchState().shards[uint32(fp)&ix.mask]
+	sh := ix.patchShard()
 	sp, ok := sh.buckets[fp]
 	if !ok {
 		sh.rows = append(sh.rows, id)
@@ -561,7 +493,7 @@ func (ix *Index) AddRow(id int32) {
 }
 
 // appendToSpan grows a bucket by one row: in place when the span already
-// sits at the tail of the shard's row array, otherwise by relocating the
+// sits at the tail of the row array, otherwise by relocating the
 // whole bucket to the tail (keeping it contiguous for Lookup) and
 // abandoning the old slots.
 func (ix *Index) appendToSpan(sh *shard, sp span, id int32) span {
@@ -582,7 +514,7 @@ func (ix *Index) appendToSpan(sh *shard, sp span, id int32) span {
 func (ix *Index) RemoveRow(id int32) bool {
 	t := ix.slab.Row(id)
 	fp := ix.hash(t, ix.Cols)
-	sh := &ix.patchState().shards[uint32(fp)&ix.mask]
+	sh := ix.patchShard()
 	sp, ok := sh.buckets[fp]
 	if !ok {
 		return false

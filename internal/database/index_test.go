@@ -29,40 +29,38 @@ func TestForcedCollisions(t *testing.T) {
 			r.InsertValues(Value(rng.Intn(12)), Value(rng.Intn(12)))
 		}
 		cols := []int{rng.Intn(2)}
-		for _, par := range []int{1, 4} {
-			ix := buildIndex(r.Tuples, cols, r.Slab(), par, degenerate)
-			// Every probe (hits and misses) must return scan-exact rows.
-			for probe := Value(0); probe < 14; probe++ {
-				pt := Tuple{probe, probe}
-				var want []Tuple
-				for _, tu := range r.Tuples {
-					if tu[cols[0]] == probe {
-						want = append(want, tu)
-					}
-				}
-				var got []Tuple
-				for _, id := range ix.Lookup(pt, cols) {
-					got = append(got, ix.Row(id))
-				}
-				if len(got) != len(want) {
-					t.Fatalf("seed %d par %d probe %d: got %d rows, scan %d", seed, par, probe, len(got), len(want))
-				}
-				sort.Slice(got, func(i, j int) bool { return got[i].Compare(got[j]) < 0 })
-				sort.Slice(want, func(i, j int) bool { return want[i].Compare(want[j]) < 0 })
-				for i := range got {
-					if !got[i].Equal(want[i]) {
-						t.Fatalf("seed %d par %d probe %d: row %d = %v, want %v", seed, par, probe, i, got[i], want[i])
-					}
-				}
-			}
-			// Bucket count must reflect true keys, not fingerprints.
-			keys := map[Value]bool{}
+		ix := buildIndex(r.Tuples, cols, r.Slab(), degenerate)
+		// Every probe (hits and misses) must return scan-exact rows.
+		for probe := Value(0); probe < 14; probe++ {
+			pt := Tuple{probe, probe}
+			var want []Tuple
 			for _, tu := range r.Tuples {
-				keys[tu[cols[0]]] = true
+				if tu[cols[0]] == probe {
+					want = append(want, tu)
+				}
 			}
-			if ix.Buckets() != len(keys) {
-				t.Fatalf("seed %d par %d: Buckets() = %d, want %d true keys", seed, par, ix.Buckets(), len(keys))
+			var got []Tuple
+			for _, id := range ix.Lookup(pt, cols) {
+				got = append(got, ix.Row(id))
 			}
+			if len(got) != len(want) {
+				t.Fatalf("seed %d probe %d: got %d rows, scan %d", seed, probe, len(got), len(want))
+			}
+			sort.Slice(got, func(i, j int) bool { return got[i].Compare(got[j]) < 0 })
+			sort.Slice(want, func(i, j int) bool { return want[i].Compare(want[j]) < 0 })
+			for i := range got {
+				if !got[i].Equal(want[i]) {
+					t.Fatalf("seed %d probe %d: row %d = %v, want %v", seed, probe, i, got[i], want[i])
+				}
+			}
+		}
+		// Bucket count must reflect true keys, not fingerprints.
+		keys := map[Value]bool{}
+		for _, tu := range r.Tuples {
+			keys[tu[cols[0]]] = true
+		}
+		if ix.Buckets() != len(keys) {
+			t.Fatalf("seed %d: Buckets() = %d, want %d true keys", seed, ix.Buckets(), len(keys))
 		}
 	}
 }

@@ -317,7 +317,7 @@ func TestIndexPatchOverflow(t *testing.T) {
 	r.Dedup() // tuples: 0,1,2,3
 	slab := r.Slab()
 	collide := func(Tuple, []int) uint64 { return 42 }
-	ix := buildIndex(r.Tuples, []int{0}, slab, 1, collide)
+	ix := buildIndex(r.Tuples, []int{0}, slab, collide)
 
 	for k := Value(0); k < 4; k++ {
 		if n := len(ix.Lookup(Tuple{k}, []int{0})); n != 1 {

@@ -121,7 +121,7 @@ func DictionaryFromNames(names []string) (*Dictionary, error) {
 
 // --- CSR index dump/restore -------------------------------------------
 
-// IndexCSR is the serializable layout of a single-shard hash index: the
+// IndexCSR is the serializable layout of a hash index: the
 // bucket row array plus one (fingerprint, span) triple per bucket, sorted
 // by fingerprint. A fingerprint that holds several distinct true keys (a
 // real 64-bit collision, or a degraded test hash) appears once per key —
@@ -135,18 +135,18 @@ type IndexCSR struct {
 	Lens []int32
 }
 
-// DumpIndex builds a fresh single-shard index on cols with the default
-// fingerprint and returns its CSR layout in deterministic (fingerprint-
-// sorted) order. The build is not cached: snapshot writing must not
-// perturb the relation's warm index cache, and a cached index may be
-// sharded (ParIndexOn) or test-hashed, neither of which serializes.
+// DumpIndex builds a fresh index on cols with the default fingerprint and
+// returns its CSR layout in deterministic (fingerprint-sorted) order. The
+// build is not cached: snapshot writing must not perturb the relation's
+// warm index cache, and a cached index may be test-hashed, which does not
+// serialize.
 func (r *Relation) DumpIndex(cols []int) IndexCSR {
 	r.mu.Lock()
 	sl := r.slabLocked()
 	tuples := r.Tuples
 	r.mu.Unlock()
-	ix := buildIndex(tuples, cols, sl, 1, nil)
-	sh := &ix.state.Load().shards[0]
+	ix := buildIndex(tuples, cols, sl, nil)
+	sh := &ix.state.Load().shard
 	c := IndexCSR{
 		Cols: append([]int(nil), cols...),
 		Rows: append([]int32(nil), sh.rows...),
@@ -222,7 +222,7 @@ func (r *Relation) RestoreIndex(c IndexCSR) error {
 		hash: defaultKeyHash,
 		fast: true,
 	}
-	ix.state.Store(&indexState{shards: []shard{sh}})
+	ix.state.Store(&indexState{shard: sh})
 	if sig, packed := colsSig(c.Cols); packed {
 		if r.indexes == nil {
 			r.indexes = make(map[uint64]*Index)

@@ -74,24 +74,23 @@ func Collect(e Enumerator) []database.Tuple {
 // enumeration delays and completed phase spans. internal/obs provides the
 // standard implementation (log-bucketed histograms plus a span timeline);
 // the indirection keeps this package dependency-free. Implementations must
-// be goroutine-safe: the parallel engines report spans from many workers.
+// be goroutine-safe: one sink may be shared by concurrent runs.
 type Sink interface {
 	// ObserveDelay records the gap between two consecutive enumeration
 	// emissions, in counted RAM steps and wall nanoseconds.
 	ObserveDelay(steps, wallNS int64)
 	// ObserveSpan records a completed phase span (parse, tree-build,
 	// semijoin-reduce, enumerate, count, join) with the counter values and
-	// wall clock at its boundaries. worker is the reporting worker of a
-	// parallel engine, or -1 for single-threaded phases.
-	ObserveSpan(phase string, worker int, startSteps, endSteps int64, start, end time.Time)
+	// wall clock at its boundaries.
+	ObserveSpan(phase string, startSteps, endSteps int64, start, end time.Time)
 }
 
 // Counter counts elementary RAM steps. Engines call Tick at each elementary
 // operation (index probe, cursor advance, comparison). A nil Counter is
 // valid and counts nothing, so instrumentation is zero-cost to disable.
-// Tick and Steps are goroutine-safe, so one counter may be shared by the
-// workers of a parallel engine: the counted total is the paper's sequential
-// work bound regardless of how the work is spread over cores.
+// Tick and Steps are goroutine-safe, so one counter may be shared by
+// concurrent runs: the counted total is then the sum of their sequential
+// work.
 //
 // A Counter optionally carries a Sink. The sink never affects the counted
 // steps — observation hooks (MarkOutput, StartSpan) read the counter but
@@ -148,24 +147,23 @@ func (c *Counter) MarkOutput() {
 // disabled) is valid and End on it is a no-op, so the calling convention is
 // unconditional:
 //
-//	m := c.StartSpan("semijoin-reduce", worker)
+//	m := c.StartSpan("semijoin-reduce")
 //	... phase work ...
 //	m.End()
 type SpanMark struct {
-	c      *Counter
-	phase  string
-	worker int
-	steps  int64
-	start  time.Time
+	c     *Counter
+	phase string
+	steps int64
+	start time.Time
 }
 
 // StartSpan opens a phase span. With a nil counter or no sink it returns
 // the zero SpanMark without reading the clock.
-func (c *Counter) StartSpan(phase string, worker int) SpanMark {
+func (c *Counter) StartSpan(phase string) SpanMark {
 	if c == nil || c.sink == nil {
 		return SpanMark{}
 	}
-	return SpanMark{c: c, phase: phase, worker: worker, steps: c.steps.Load(), start: time.Now()}
+	return SpanMark{c: c, phase: phase, steps: c.steps.Load(), start: time.Now()}
 }
 
 // End closes the span and reports it.
@@ -173,7 +171,7 @@ func (m SpanMark) End() {
 	if m.c == nil || m.c.sink == nil {
 		return
 	}
-	m.c.sink.ObserveSpan(m.phase, m.worker, m.steps, m.c.steps.Load(), m.start, time.Now())
+	m.c.sink.ObserveSpan(m.phase, m.steps, m.c.steps.Load(), m.start, time.Now())
 }
 
 // Tick records n elementary steps.
@@ -228,7 +226,7 @@ func Measure(c *Counter, build func() Enumerator) (Stats, []database.Tuple) {
 
 	var out []database.Tuple
 	c.MarkStart()
-	span := c.StartSpan("enumerate", -1)
+	span := c.StartSpan("enumerate")
 	last := c.Steps()
 	lastT := time.Now()
 	for {

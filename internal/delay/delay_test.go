@@ -151,8 +151,8 @@ func TestMeasureReusedCounter(t *testing.T) {
 	}
 }
 
-// The counter must be safe to share across the workers of a parallel
-// engine (run with -race to see the point of this test).
+// The counter must be safe to share across concurrent runs (run with
+// -race to see the point of this test).
 func TestCounterConcurrent(t *testing.T) {
 	c := &Counter{}
 	var wg sync.WaitGroup

@@ -1,8 +1,8 @@
 package experiments
 
-// The engine extensions: random access over the bound spine (E17), parallel
-// Yannakakis (E18), the plan cache (E19), delta-binding (E20), batched probe
-// kernels (E22), snapshots (E24), and the gated benchmarks that pin them.
+// The engine extensions: random access over the bound spine (E17), the plan
+// cache (E19), delta-binding (E20), batched probe kernels (E22), snapshots
+// (E24), and the gated benchmarks that pin them.
 
 import (
 	"bytes"
@@ -119,90 +119,6 @@ var e17 = Experiment{
 	Shape: []string{"shape: Get and seek+scan stay ~flat (log factor) while skip-enumeration to index n/2",
 		"grows linearly — the random-access/random-order regime of [23]; a 64-answer page costs",
 		"about one Get plus 64 constant-delay moves, not 64 Gets."},
-}
-
-// parOps is the sequential baseline, then the parallel engine at each worker
-// count, over the depth-4 tree query (14 atoms) with n tuples per relation.
-func parOps(r *Run, n int, pars []int, seq func(db *database.Database, q *logic.CQ, c ctr) (any, error),
-	par func(db *database.Database, q *logic.CQ, p int, c ctr) (any, error)) []Op {
-	q, db := treeInstance(r.Rand(18), 4, n)
-	ops := []Op{{Name: "sequential", Label: "seq", Do: func(c ctr) (any, error) { return seq(db, q, c) }}}
-	for _, p := range pars {
-		ops = append(ops, Op{Name: fmt.Sprintf("par=%d", p), Label: "par", Do: func(c ctr) (any, error) { return par(db, q, p, c) }})
-	}
-	return ops
-}
-
-// benchPar is a bench-only table of parOps at 1, 2 and 4 workers: counted
-// steps are identical by construction, so it isolates scheduling from work.
-func benchPar(name string, seq func(db *database.Database, q *logic.CQ, c ctr) (any, error),
-	par func(db *database.Database, q *logic.CQ, p int, c ctr) (any, error)) Table {
-	return Table{Bench: name, Sizes: sizes(nil, nil, []int{1 << 14}), Setup: func(r *Run) Sweep {
-		return Sweep{Build: func(n int) ([]Op, Row, error) {
-			return parOps(r, n, []int{1, 2, 4}, seq, par), nil, nil
-		}}
-	}}
-}
-
-func evalSeq(db *database.Database, q *logic.CQ, c ctr) (any, error) {
-	res, err := cq.Eval(db, q, c)
-	return len(res), err
-}
-
-func evalPar(db *database.Database, q *logic.CQ, p int, c ctr) (any, error) {
-	res, err := cq.ParEval(db, q, p, c)
-	return len(res), err
-}
-
-func boolean(q *logic.CQ) *logic.CQ { return &logic.CQ{Name: "B", Atoms: q.Atoms} }
-
-var e18 = Experiment{
-	ID: "E18", Title: "Extension: parallel Yannakakis with sharded hash joins — wall time scales with cores, counted steps do not",
-	Tables: []Table{{
-		Cols:  []string{"n:8", "answers:10", "seqTime:12", "parTime:12", "speedup:9.2", "seqSteps:12", "parSteps:12", "stepRatio:10.3"},
-		Sizes: sizes([]int{1 << 14, 1 << 16, 1 << 17}, []int{1 << 12, 1 << 14}, nil),
-		Setup: func(r *Run) Sweep {
-			r.Printf("binary-tree query, 14 atoms; sequential Eval vs ParEval with %d workers (-parallel)\n", cq.Parallelism(r.Parallel))
-			return Sweep{Build: func(n int) ([]Op, Row, error) {
-				return parOps(r, n, []int{r.Parallel}, evalSeq, evalPar), func(m []Measured) ([]any, error) {
-					seq, par := m[0], m[1]
-					if seq.Value != par.Value {
-						return nil, fmt.Errorf("parallel engine disagrees: %d vs %d answers", par.Value, seq.Value)
-					}
-					if seq.Steps != par.Steps {
-						return nil, fmt.Errorf("parallel engine counted %d steps, sequential %d: stepRatio must be 1.000", par.Steps, seq.Steps)
-					}
-					r.RecordAt(n, "seq_ns", seq.Wall.Nanoseconds(), "par_ns", par.Wall.Nanoseconds(), "seq_steps", seq.Steps, "par_steps", par.Steps)
-					return []any{n, seq.Value, seq.Wall, par.Wall, ratio(seq.Wall, par.Wall), seq.Steps, par.Steps, float64(par.Steps) / float64(seq.Steps)}, nil
-				}, nil
-			}}
-		},
-	},
-		benchPar("ParYannakakisEval", evalSeq, evalPar),
-		benchPar("ParYannakakisDecide",
-			func(db *database.Database, q *logic.CQ, c ctr) (any, error) {
-				return cq.Decide(db, boolean(q), c)
-			},
-			func(db *database.Database, q *logic.CQ, p int, c ctr) (any, error) {
-				return cq.ParDecide(db, boolean(q), p, c)
-			}),
-		benchPar("ParYannakakisFullReduce",
-			func(db *database.Database, q *logic.CQ, c ctr) (any, error) { return fullReduce(db, q, 0, c) }, fullReduce),
-	},
-	Shape: []string{"shape: speedup tracks the worker count while stepRatio stays 1.000 —",
-		"parallelism changes wall time, never the counted O(‖φ‖·‖D‖·‖φ(D)‖) work."},
-}
-
-// fullReduce runs the two-pass reducer alone: sequentially at p = 0.
-func fullReduce(db *database.Database, q *logic.CQ, p int, c ctr) (any, error) {
-	t, err := cq.BuildTree(db, boolean(q), false)
-	if err != nil {
-		return nil, err
-	}
-	if p == 0 {
-		return t.FullReduce(c), nil
-	}
-	return t.ParFullReduce(p, c), nil
 }
 
 var e19 = Experiment{
@@ -456,7 +372,8 @@ var e20 = Experiment{
 
 // kernelShapes is one relation pair per key distribution: the E5 chain (tiny
 // shared domain, long equal-key runs), the E12 random instance (near-unique
-// keys), and the E18 tree edges (the parallel engine's operating point).
+// keys), and the tree-query edges of the retired E18 (the row keeps its
+// label, a key of BENCH_E22.json).
 func kernelShapes(rng *rand.Rand, n int) []kernelShape {
 	chain := chainDB(n)
 	return []kernelShape{
@@ -538,7 +455,7 @@ var e22 = Experiment{
 	}},
 	Shape: []string{"shape: batched kernels win where probes dominate (hash staging, flat tables,",
 		"inline keys, branch-free compaction); counted steps are bit-identical, so the",
-		"complexity accounting of E4/E5/E18 is untouched by vectorization."},
+		"complexity accounting of E4/E5 is untouched by vectorization."},
 }
 
 var snapshotQuery = logictest.MustParseCQ("Q(x) :- edge(x,y), label(y).")

@@ -92,11 +92,10 @@ type Measured struct {
 // Run carries one experiment run: the caller sets the exported
 // configuration and reads Extra and Traces back afterwards.
 type Run struct {
-	Mode     Mode
-	Parallel int       // E18 worker count; 0 = GOMAXPROCS
-	Repeat   int       // E19 executions per query
-	Observe  bool      // attach an obs.Observer to every labelled counter
-	Out      io.Writer // nil discards the tables
+	Mode    Mode
+	Repeat  int       // E19 executions per query
+	Observe bool      // attach an obs.Observer to every labelled counter
+	Out     io.Writer // nil discards the tables
 
 	Extra  map[string]any // -json extras recorded by the experiment
 	Traces []obs.Trace    // one per labelled counter, when Observe is set

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -54,21 +53,6 @@ func randomDB(rng *rand.Rand, n, dom int, names ...string) *database.Database {
 		db.AddRelation(graphs.RandomRelation(rng, name, 2, n, dom))
 	}
 	return db
-}
-
-// treeInstance builds a complete-binary-tree query of the given depth —
-// E1(x1,x2), E2(x1,x3), E3(x2,x4), … — with head {x1}, over random binary
-// relations of relSize tuples each. Sibling subtrees of its join tree are
-// independent, which is exactly the parallelism the Par* engine exploits.
-func treeInstance(rng *rand.Rand, depth, relSize int) (*logic.CQ, *database.Database) {
-	q := &logic.CQ{Name: "T", Head: []string{"x1"}}
-	db := database.NewDatabase()
-	for child := 2; child < 1<<depth; child++ {
-		name := fmt.Sprintf("E%d", child-1)
-		q.Atoms = append(q.Atoms, logic.NewAtom(name, fmt.Sprintf("x%d", child/2), fmt.Sprintf("x%d", child)))
-		db.AddRelation(graphs.RandomRelation(rng, name, 2, relSize, relSize/2))
-	}
-	return q, db
 }
 
 // graphStructure is the functional fodeg structure of a graph with one

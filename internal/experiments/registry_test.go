@@ -12,8 +12,8 @@ import (
 
 // TestEveryExperimentHoldsItsInvariants runs the whole registry the way
 // `qbench -quick` does, at each table's smallest quick size, and fails on
-// any invariant error (E18 stepRatio = 1.000, E20 stays on the delta path,
-// E22 tuple-for-tuple identity, E24 step identity across backings, …).
+// any invariant error (E20 stays on the delta path, E22 tuple-for-tuple
+// identity, E24 step identity across backings, …).
 func TestEveryExperimentHoldsItsInvariants(t *testing.T) {
 	for _, e := range All {
 		t.Run(e.ID, func(t *testing.T) {
@@ -56,8 +56,8 @@ func TestRegistryIDsUniqueAndSelectable(t *testing.T) {
 	if all, err := Select(All, ""); err != nil || len(all) != len(All) {
 		t.Errorf("Select(\"\") = %d experiments, %v; want all %d", len(all), err, len(All))
 	}
-	if two, err := Select(All, "E18,E5"); err != nil || len(two) != 2 || two[0].ID != "E5" {
-		t.Errorf("Select(E18,E5) = %v, %v; want E5 then E18", two, err)
+	if two, err := Select(All, "E19,E5"); err != nil || len(two) != 2 || two[0].ID != "E5" {
+		t.Errorf("Select(E19,E5) = %v, %v; want E5 then E19", two, err)
 	}
 	if _, err := Select(All, "E5,E99"); err == nil || !strings.Contains(err.Error(), "E99") {
 		t.Errorf("Select(E5,E99) error = %v; want one naming E99", err)

@@ -94,7 +94,7 @@ func PrepareNeq(db *database.Database, q *logic.CQ, c *delay.Counter) (*NeqPrep,
 		}
 	}
 	plain := &logic.CQ{Name: q.Name, Head: q.Head, Atoms: q.Atoms}
-	bspan := c.StartSpan("tree-build", -1)
+	bspan := c.StartSpan("tree-build")
 	t, err := cq.BuildTree(db, plain, true)
 	bspan.End()
 	if err != nil {
@@ -160,7 +160,7 @@ func PrepareNeq(db *database.Database, q *logic.CQ, c *delay.Counter) (*NeqPrep,
 	}
 
 	// Linear-time filters on the atom relations.
-	rspan := c.StartSpan("semijoin-reduce", -1)
+	rspan := c.StartSpan("semijoin-reduce")
 	for i := range q.Atoms {
 		r := t.Rels[i]
 		var checks []func(database.Tuple) bool

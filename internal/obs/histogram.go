@@ -1,6 +1,6 @@
 // Package obs is the per-query observability layer: log-bucketed delay
-// histograms over counted RAM steps and wall nanoseconds, phase spans with
-// per-worker attribution, and trace/expvar/pprof export hooks.
+// histograms over counted RAM steps and wall nanoseconds, phase spans, and
+// trace/expvar/pprof export hooks.
 //
 // The paper's headline claims are *per-output delay* bounds (constant-delay
 // enumeration, Theorems 3.2 and 4.6) and *phase-separated* costs (linear
@@ -25,8 +25,8 @@ const numBuckets = 64
 
 // Histogram is a fixed-size log₂-bucketed histogram of int64 samples.
 // Observe is lock-free and goroutine-safe, so one histogram may be fed by
-// the workers of a parallel engine; the bucket counts depend only on the
-// multiset of observed values, never on interleaving.
+// concurrent runs; the bucket counts depend only on the multiset of
+// observed values, never on interleaving.
 type Histogram struct {
 	counts [numBuckets]atomic.Int64
 	n      atomic.Int64

@@ -12,14 +12,10 @@ import (
 )
 
 // Span is one completed phase span on the trace timeline. Times are
-// nanoseconds relative to the Observer's epoch (New), so spans from
-// different workers share one clock; steps are counter readings at the
-// boundaries. In a parallel engine a span's step delta includes ticks from
-// concurrently running workers — the wall interval, not the step delta, is
-// what belongs to the worker.
+// nanoseconds relative to the Observer's epoch (New); steps are counter
+// readings at the boundaries.
 type Span struct {
 	Phase      string `json:"phase"`
-	Worker     int    `json:"worker"` // -1 for single-threaded phases
 	StartNS    int64  `json:"start_ns"`
 	EndNS      int64  `json:"end_ns"`
 	StartSteps int64  `json:"start_steps"`
@@ -61,13 +57,12 @@ func (o *Observer) ObserveDelay(steps, wallNS int64) {
 }
 
 // ObserveSpan implements delay.Sink.
-func (o *Observer) ObserveSpan(phase string, worker int, startSteps, endSteps int64, start, end time.Time) {
+func (o *Observer) ObserveSpan(phase string, startSteps, endSteps int64, start, end time.Time) {
 	if o == nil {
 		return
 	}
 	s := Span{
 		Phase:      phase,
-		Worker:     worker,
 		StartNS:    start.Sub(o.epoch).Nanoseconds(),
 		EndNS:      end.Sub(o.epoch).Nanoseconds(),
 		StartSteps: startSteps,
@@ -92,10 +87,9 @@ func (o *Observer) Spans() []Span {
 
 // PhaseSummary aggregates the spans of one phase.
 type PhaseSummary struct {
-	Phase   string `json:"phase"`
-	Spans   int    `json:"spans"`
-	Workers int    `json:"workers"` // distinct reporting workers
-	WallNS  int64  `json:"wall_ns"` // summed span wall time (overlaps counted once per span)
+	Phase  string `json:"phase"`
+	Spans  int    `json:"spans"`
+	WallNS int64  `json:"wall_ns"` // summed span wall time (overlaps counted once per span)
 }
 
 // Trace is the machine-readable dump of one Observer, written by
@@ -116,19 +110,16 @@ func (o *Observer) Snapshot(label string) Trace {
 	}
 	spans := o.Spans()
 	byPhase := map[string]*PhaseSummary{}
-	workers := map[string]map[int]bool{}
 	var order []string
 	for _, s := range spans {
 		p, ok := byPhase[s.Phase]
 		if !ok {
 			p = &PhaseSummary{Phase: s.Phase}
 			byPhase[s.Phase] = p
-			workers[s.Phase] = map[int]bool{}
 			order = append(order, s.Phase)
 		}
 		p.Spans++
 		p.WallNS += s.EndNS - s.StartNS
-		workers[s.Phase][s.Worker] = true
 	}
 	tr := Trace{
 		Label:       label,
@@ -137,9 +128,7 @@ func (o *Observer) Snapshot(label string) Trace {
 		Spans:       spans,
 	}
 	for _, ph := range order {
-		p := byPhase[ph]
-		p.Workers = len(workers[ph])
-		tr.Phases = append(tr.Phases, *p)
+		tr.Phases = append(tr.Phases, *byPhase[ph])
 	}
 	return tr
 }

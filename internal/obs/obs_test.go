@@ -93,9 +93,9 @@ func TestHistogramConcurrent(t *testing.T) {
 func TestObserverSpansAndSnapshot(t *testing.T) {
 	o := New()
 	base := o.epoch
-	o.ObserveSpan("semijoin-reduce", 1, 0, 10, base.Add(5*time.Millisecond), base.Add(8*time.Millisecond))
-	o.ObserveSpan("semijoin-reduce", 2, 10, 20, base.Add(6*time.Millisecond), base.Add(9*time.Millisecond))
-	o.ObserveSpan("tree-build", -1, 0, 0, base, base.Add(1*time.Millisecond))
+	o.ObserveSpan("semijoin-reduce", 0, 10, base.Add(5*time.Millisecond), base.Add(8*time.Millisecond))
+	o.ObserveSpan("semijoin-reduce", 10, 20, base.Add(6*time.Millisecond), base.Add(9*time.Millisecond))
+	o.ObserveSpan("tree-build", 0, 0, base, base.Add(1*time.Millisecond))
 	o.ObserveDelay(3, 100)
 	o.ObserveDelay(5, 200)
 
@@ -116,8 +116,8 @@ func TestObserverSpansAndSnapshot(t *testing.T) {
 		byPhase[p.Phase] = p
 	}
 	sj := byPhase["semijoin-reduce"]
-	if sj.Spans != 2 || sj.Workers != 2 {
-		t.Errorf("semijoin-reduce summary %+v, want 2 spans from 2 workers", sj)
+	if sj.Spans != 2 {
+		t.Errorf("semijoin-reduce summary %+v, want 2 spans", sj)
 	}
 	if sj.WallNS != (6 * time.Millisecond).Nanoseconds() {
 		t.Errorf("semijoin-reduce wall = %d ns, want 6ms", sj.WallNS)
@@ -127,7 +127,7 @@ func TestObserverSpansAndSnapshot(t *testing.T) {
 func TestNilObserverSafe(t *testing.T) {
 	var o *Observer
 	o.ObserveDelay(1, 1)
-	o.ObserveSpan("x", 0, 0, 0, time.Time{}, time.Time{})
+	o.ObserveSpan("x", 0, 0, time.Time{}, time.Time{})
 	if s := o.Spans(); s != nil {
 		t.Errorf("nil observer spans = %v, want nil", s)
 	}
@@ -143,7 +143,7 @@ func TestWriteTraceRoundTrip(t *testing.T) {
 	c.MarkStart()
 	c.Tick(4)
 	c.MarkOutput()
-	sp := c.StartSpan("enumerate", -1)
+	sp := c.StartSpan("enumerate")
 	c.Tick(2)
 	sp.End()
 
@@ -196,11 +196,11 @@ func TestDisabledPathAllocs(t *testing.T) {
 		c.MarkStart()
 		c.Tick(1)
 		c.MarkOutput()
-		sp := c.StartSpan("enumerate", -1)
+		sp := c.StartSpan("enumerate")
 		c.Tick(1)
 		sp.End()
 		nilC.MarkOutput()
-		nilC.StartSpan("x", 0).End()
+		nilC.StartSpan("x").End()
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled observability path allocates %.1f allocs/op, want 0", allocs)

@@ -6,12 +6,11 @@
 // with the optimized engines, O(‖dom‖^vars) and proud of it.
 //
 // Its purpose is differential testing: every answer-producing engine in the
-// repository (sequential and parallel Yannakakis, constant- and
-// linear-delay enumeration, random access, the counting DP, UCQ
-// inclusion–exclusion) is compared against this oracle on randomized
-// instances (see internal/qgen). The implementation is kept independent of
-// internal/logic's own EvalNaive so that a bug in one naive evaluator
-// cannot hide the same bug in the other.
+// repository (Yannakakis, constant- and linear-delay enumeration, random
+// access, the counting DP, UCQ inclusion–exclusion) is compared against
+// this oracle on randomized instances (see internal/qgen). The
+// implementation is kept independent of internal/logic's own EvalNaive so
+// that a bug in one naive evaluator cannot hide the same bug in the other.
 //
 // The only concession to tractability is constraint-driven pruning: a
 // constraint (atom, negated atom, comparison) is checked as soon as all of

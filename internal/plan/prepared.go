@@ -96,7 +96,7 @@ func (p *Plan) BindCounted(db *database.Database, c *delay.Counter) (*Prepared, 
 	if db == nil {
 		return nil, errors.New("plan: nil database")
 	}
-	span := c.StartSpan("bind", -1)
+	span := c.StartSpan("bind")
 	defer span.End()
 	pr := &Prepared{plan: p, db: db, gen: db.Generation()}
 	if p.UCQ != nil {

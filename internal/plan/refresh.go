@@ -147,7 +147,7 @@ func (pr *Prepared) Refresh(c *delay.Counter) (RefreshKind, error) {
 	if g == pr.gen {
 		return RefreshNoop, nil
 	}
-	span := c.StartSpan("refresh", -1)
+	span := c.StartSpan("refresh")
 	defer span.End()
 	pr.mu.Lock()
 	defer pr.mu.Unlock()

@@ -22,7 +22,7 @@ import (
 type countSpans struct{ n atomic.Int64 }
 
 func (*countSpans) ObserveDelay(int64, int64) {}
-func (s *countSpans) ObserveSpan(phase string, _ int, _, _ int64, _, _ time.Time) {
+func (s *countSpans) ObserveSpan(phase string, _, _ int64, _, _ time.Time) {
 	if phase == "count" {
 		s.n.Add(1)
 	}

@@ -59,7 +59,7 @@ func EnumerateEq1(db *database.Database, c *delay.Counter) (delay.Enumerator, er
 	if r3 == nil {
 		return nil, fmt.Errorf("ucq: missing relation R3")
 	}
-	ispan := c.StartSpan("index-build", -1)
+	ispan := c.StartSpan("index-build")
 	idx := r3.IndexOn([]int{0})
 	ispan.End()
 

@@ -313,13 +313,13 @@ func searchExtension(d *logic.CQ, cands []Provided, maxExtra int) ([]ExtAtom, bo
 // in Theorem 4.8; the paper's fully interleaved variant with strictly linear
 // preprocessing is implemented for Equation 1 in EnumerateEq1.
 func Enumerate(db *database.Database, u *logic.UCQ, maxExtra int, c *delay.Counter) (delay.Enumerator, error) {
-	aspan := c.StartSpan("parse", -1)
+	aspan := c.StartSpan("parse")
 	plan, err := Analyze(u, maxExtra)
 	aspan.End()
 	if err != nil {
 		return nil, err
 	}
-	mspan := c.StartSpan("join", -1)
+	mspan := c.StartSpan("join")
 	defer mspan.End()
 	answers := make([][]database.Tuple, len(u.Disjuncts))
 	var enums []delay.Enumerator
