@@ -86,6 +86,7 @@ func BenchmarkSpineWeights(b *testing.B)               { benchTables(b, "SpineWe
 func BenchmarkPageSeek(b *testing.B)                   { benchTables(b, "PageSeek") }
 func BenchmarkCountAfterRefresh(b *testing.B)          { benchTables(b, "CountAfterRefresh") }
 func BenchmarkPlanCacheBind(b *testing.B)              { benchTables(b, "PlanCacheBind") }
+func BenchmarkColdBind(b *testing.B)                   { benchTables(b, "ColdBind") }
 func BenchmarkPreparedRefresh(b *testing.B)            { benchTables(b, "PreparedRefresh") }
 func BenchmarkAblationReducerPasses(b *testing.B)      { benchTables(b, "AblationReducerPasses") }
 func BenchmarkAblationCountVsMaterialize(b *testing.B) { benchTables(b, "AblationCountVsMaterialize") }

@@ -26,6 +26,8 @@ func LoadFacts(r io.Reader, dict *database.Dictionary) (*database.Database, erro
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	lineNo := 0
+	const arenaRows = 1024
+	var arena []database.Value
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
@@ -46,7 +48,14 @@ func LoadFacts(r io.Reader, dict *database.Dictionary) (*database.Database, erro
 		if strings.TrimSpace(argsStr) != "" {
 			args = strings.Split(argsStr, ",")
 		}
-		tuple := make(database.Tuple, len(args))
+		// Rows are sliced off arena chunks (non-nil, so an arity-0 row is
+		// empty, not nil) instead of allocated one by one.
+		n := len(args)
+		if len(arena) < n || arena == nil {
+			arena = make([]database.Value, arenaRows*n)
+		}
+		tuple := database.Tuple(arena[:n:n])
+		arena = arena[n:]
 		for i, a := range args {
 			a = strings.TrimSpace(a)
 			if a == "" {

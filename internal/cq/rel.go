@@ -114,6 +114,14 @@ func AtomRelation(db *database.Database, a logic.Atom) (Rel, error) {
 		return Rel{}, fmt.Errorf("cq: relation %q has arity %d, atom has %d arguments", a.Pred, base.Arity, len(a.Args))
 	}
 	vars := a.Vars()
+	if len(vars) == len(a.Args) {
+		// A plain atom (distinct variables, no constants) over sorted,
+		// duplicate-free rows: the selection, projection and Dedup below
+		// would reproduce those rows in the same order, so share them.
+		if v, ok := base.SortedView(a.Pred); ok {
+			return Rel{Schema: vars, R: v}, nil
+		}
+	}
 	firstCol := make(map[string]int)
 	for i, t := range a.Args {
 		if !t.IsConst {

@@ -294,6 +294,41 @@ func (r *Relation) Clone() *Relation {
 	return c
 }
 
+// SortedView returns a private relation with r's rows, in r's order, when
+// those rows are strictly ascending — sorted and duplicate-free, exactly
+// what Dedup would leave. ok is false otherwise. The view copies only the
+// row headers and shares r's slab, which no mutation writes in place
+// (mutations drop or replace the slab), so mutating either relation
+// leaves the other intact; the shared slab is capped at its length so an
+// Append on the view's side always copies. The view has its own indexes,
+// flags and generation (0). A relation not flagged sorted is refused
+// without a scan; a flagged one is still checked row by row, because Sort
+// sets the flag without removing duplicates and snapshots persist it.
+func (r *Relation) SortedView(name string) (*Relation, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.sorted {
+		return nil, false
+	}
+	for i := 1; i < len(r.Tuples); i++ {
+		if r.Tuples[i-1].Compare(r.Tuples[i]) >= 0 {
+			return nil, false
+		}
+	}
+	v := NewRelation(name, r.Arity)
+	v.sorted = true
+	if len(r.Tuples) == 0 {
+		return v, true
+	}
+	v.Tuples = append([]Tuple(nil), r.Tuples...)
+	if r.Arity > 0 {
+		s := r.slabLocked()
+		s.data = s.data[:len(s.data):len(s.data)]
+		v.slabPtr.Store(&s)
+	}
+	return v, true
+}
+
 // IndexOn builds (or returns the cached) hash index on the given columns.
 // It is safe to call from multiple goroutines; concurrent builds on the
 // same relation are serialized and the first result is shared.
@@ -332,16 +367,26 @@ func (r *Relation) IndexOn(cols []int) *Index {
 }
 
 // Project returns a new deduplicated relation containing the projection of r
-// onto the given columns.
+// onto the given columns, in first-occurrence order.
 func (r *Relation) Project(name string, cols []int) *Relation {
 	out := NewRelation(name, len(cols))
 	// Fingerprint-keyed dedup with exact collision resolution against the
-	// already-kept rows.
-	seen := make(map[uint64][]int32, len(r.Tuples))
+	// already-kept rows: head holds the last kept row of each fingerprint
+	// and next[j] the kept row before j with the same fingerprint (-1 ends
+	// the chain). Kept rows are sliced off arena chunks, as in Join.
+	head := make(map[uint64]int32, len(r.Tuples))
+	var next []int32
+	ar := len(cols)
+	const arenaRows = 1024
+	var arena []Value
 	for _, t := range r.Tuples {
 		fp := t.KeyHash(cols)
-		dup := false
-		for _, j := range seen[fp] {
+		first, ok := head[fp]
+		if !ok {
+			first = -1
+		}
+		j := first
+		for ; j >= 0; j = next[j] {
 			kept := out.Tuples[j]
 			same := true
 			for i, c := range cols {
@@ -351,15 +396,19 @@ func (r *Relation) Project(name string, cols []int) *Relation {
 				}
 			}
 			if same {
-				dup = true
 				break
 			}
 		}
-		if dup {
+		if j >= 0 {
 			continue
 		}
-		seen[fp] = append(seen[fp], int32(len(out.Tuples)))
-		p := make(Tuple, len(cols))
+		head[fp] = int32(len(out.Tuples))
+		next = append(next, first)
+		if len(arena) < ar || arena == nil { // non-nil, so arity-0 rows are empty, not nil
+			arena = make([]Value, arenaRows*ar)
+		}
+		p := Tuple(arena[:ar:ar])
+		arena = arena[ar:]
 		for i, c := range cols {
 			p[i] = t[c]
 		}

@@ -209,10 +209,54 @@ var e19 = Experiment{
 				}),
 			}, nil, err
 		}),
+	}, {
+		// A cold bind pays only for the relations its statement reads: compile,
+		// bind and decide a never-seen neq2 statement (bench/'s cold_bind
+		// shape) over a 2^11-row edge/label pair, beside a 2^16-row unrelated
+		// pair and, as the control, without it. Nothing reads the unrelated
+		// pair, so the two rows should cost the same allocs/op.
+		Bench: "ColdBind", Param: "unrelated", Sizes: sizes(nil, nil, []int{0, 1 << 16}),
+		Setup: each(func(r *Run, n int) ([]Op, Row, error) {
+			db := coldDB(n)
+			return []Op{run("cold", func() error {
+				p, err := plan.Compile(coldNeq2)
+				if err != nil {
+					return err
+				}
+				pr, err := p.Bind(db)
+				if err != nil {
+					return err
+				}
+				if ok, err := pr.Decide(nil); err != nil || !ok {
+					return fmt.Errorf("cold decide: %v, %v", ok, err)
+				}
+				return nil
+			})}, nil, nil
+		}),
 	}},
 	Shape: []string{"shape: speedup approaches the preprocess/execute time ratio as N grows — the",
 		"bind work (join tree, reduction, indexes) is amortized across executions while",
 		"each execution keeps the engine's delay guarantee."},
+}
+
+// coldNeq2 is bench/'s neq2 shape over the cold pair.
+var coldNeq2 = logictest.MustParseCQ("Q(x,y) :- edge_c(x,y), label_c(y), x != y.")
+
+// coldDB draws bench/'s cold pair (2^11 edges, labels a quarter of them, both
+// over [1, 2^10]) and, when unrelated > 0, an edge/label pair of that many
+// edges in the same proportions that no cold statement reads.
+func coldDB(unrelated int) *database.Database {
+	rng := rand.New(rand.NewSource(41))
+	db := database.NewDatabase()
+	add := func(edge, label string, n int) {
+		db.AddRelation(graphs.RandomRelation(rng, edge, 2, n, n/2))
+		db.AddRelation(graphs.RandomRelation(rng, label, 1, n/4, n/2))
+	}
+	add("edge_c", "label_c", 1<<11)
+	if unrelated > 0 {
+		add("edge", "label", unrelated)
+	}
+	return db
 }
 
 // warmExecute probes the cache for the chain statement and walks a fresh

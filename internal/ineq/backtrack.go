@@ -133,7 +133,12 @@ func runBacktrack(db *database.Database, q *logic.CQ, stopAtFirst bool) ([]datab
 	for _, v := range q.Head {
 		needVar(v)
 	}
-	dom := db.Domain()
+	// Only the extra variables range over the active domain; a query whose
+	// variables all occur in positive atoms reads no relation but its own.
+	var dom []database.Value
+	if len(extraVars) > 0 {
+		dom = db.Domain()
+	}
 
 	asg := logic.Assignment{}
 	seen := map[string]bool{}

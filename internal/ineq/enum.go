@@ -19,7 +19,7 @@ type residual struct{ a, b string }
 // its subtree.
 type part struct {
 	free      cq.Rel
-	witness   map[string][]database.Tuple // free-projection key -> witness rows
+	witness   map[string][]database.Tuple // free-projection key -> witness rows; nil without a deferred residual
 	deferCols map[string]int              // deferred variable -> column in witness rows
 }
 
@@ -249,14 +249,22 @@ func PrepareNeq(db *database.Database, q *logic.CQ, c *delay.Counter) (*NeqPrep,
 		rels[i] = r
 	}
 
-	// Root children: split free columns from witness columns.
+	// Root children: split free columns from witness columns. Only a
+	// deferred residual reads the witness maps (witnessCheck), so without
+	// one they are not built; the per-row step is counted either way.
+	hasDeferred := false
+	for _, rc := range residuals {
+		if !freeSet[rc.a] || !freeSet[rc.b] {
+			hasDeferred = true
+		}
+	}
 	var parts []part
 	var freeRels []cq.Rel
 	for _, ch := range children[t.HeadIdx] {
 		r := rels[ch]
 		var freeCols []int
 		var freeVars []string
-		pt := part{witness: map[string][]database.Tuple{}, deferCols: map[string]int{}}
+		pt := part{deferCols: map[string]int{}}
 		for col, v := range r.Schema {
 			if freeSet[v] {
 				freeCols = append(freeCols, col)
@@ -267,10 +275,14 @@ func PrepareNeq(db *database.Database, q *logic.CQ, c *delay.Counter) (*NeqPrep,
 		}
 		fr := cq.Rel{Schema: freeVars, R: r.R.Project(r.R.Name, freeCols)}
 		fr.R.Dedup()
-		for _, row := range r.R.Tuples {
-			pt.witness[row.Key(freeCols)] = append(pt.witness[row.Key(freeCols)], row)
-			c.Tick(1)
+		if hasDeferred {
+			pt.witness = map[string][]database.Tuple{}
+			for _, row := range r.R.Tuples {
+				k := row.Key(freeCols)
+				pt.witness[k] = append(pt.witness[k], row)
+			}
 		}
+		c.Tick(int64(r.R.Len()))
 		pt.free = fr
 		parts = append(parts, pt)
 		freeRels = append(freeRels, fr)
