@@ -85,6 +85,7 @@ func BenchmarkE17RandomAccess(b *testing.B)            { benchTables(b, "E17Rand
 func BenchmarkSpineWeights(b *testing.B)               { benchTables(b, "SpineWeights") }
 func BenchmarkPageSeek(b *testing.B)                   { benchTables(b, "PageSeek") }
 func BenchmarkCountAfterRefresh(b *testing.B)          { benchTables(b, "CountAfterRefresh") }
+func BenchmarkOdometerStream(b *testing.B)             { benchTables(b, "OdometerStream") }
 func BenchmarkPlanCacheBind(b *testing.B)              { benchTables(b, "PlanCacheBind") }
 func BenchmarkColdBind(b *testing.B)                   { benchTables(b, "ColdBind") }
 func BenchmarkPreparedRefresh(b *testing.B)            { benchTables(b, "PreparedRefresh") }

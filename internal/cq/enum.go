@@ -134,8 +134,9 @@ func (od *Odometer) PartTuple(i int) database.Tuple {
 
 // OdometerCore is the immutable, execution-independent half of the
 // constant-delay enumerator: the full-reduced parts laid out in join-tree
-// preorder together with their probe indexes, columnar slabs, and the root
-// bucket. Building it is the data-dependent preprocessing of Theorem 4.6;
+// preorder together with their probe indexes, columnar slabs, the root
+// bucket, and the links from each parent row to its bucket of child rows.
+// Building it is the data-dependent preprocessing of Theorem 4.6;
 // enumeration state lives in the cursors handed out by Cursor, so one core
 // built once per (query, database) pair serves any number of enumeration
 // passes without repeating reduction or index builds.
@@ -153,6 +154,12 @@ type OdometerCore struct {
 	origPos   []int           // origPos[i] = position in the visit order of input part i
 	nout      int             // output arity
 	dead      bool            // some part is empty: the join is empty
+	// links[j][p] is the bucket of position j > 0 under parent row p as a
+	// row range: the top-down reduction stored each bucket contiguously.
+	// A delta patch moves rows and drops the links (nil); bucket then
+	// falls back to idx.
+	links [][]database.Range
+	ids   []int32 // 0, 1, 2, …: a linked bucket is a slice of it
 }
 
 // NonEmpty reports whether the underlying join has at least one answer.
@@ -181,8 +188,9 @@ func (oc *OdometerCore) Cursor(c *delay.Counter) *Odometer {
 
 // odometer is one enumeration pass: the mutable cursor state over an
 // OdometerCore. Buckets hold row ids into each part's columnar slab, so a
-// cursor move is pure integer arithmetic and a bucket switch is one
-// allocation-free fingerprint lookup.
+// cursor move is pure integer arithmetic and a bucket switch is one read
+// of the parent row's link (one allocation-free fingerprint lookup on a
+// patched core).
 type odometer struct {
 	core    *OdometerCore
 	c       *delay.Counter
@@ -236,10 +244,18 @@ func NewOdometerCore(head []string, parts []Rel, c *delay.Counter) (*OdometerCor
 			c.Tick(int64(parts[i].R.Len()) + 1)
 		}
 	}
+	// The top-down pass lays each child out grouped by its parent's rows
+	// and links every parent row to its group. It probes with the columns
+	// of the bottom-up semijoin, so the child index that pass cached is
+	// reused.
+	links := make([][]database.Range, len(parts))
 	for k := len(post) - 1; k >= 0; k-- {
 		i := post[k]
 		for _, cc := range ch[i] {
-			parts[cc] = semijoin(parts[cc], parts[i])
+			ic, kc := commonCols(parts[i], parts[cc])
+			var r *database.Relation
+			r, links[cc] = database.GroupSemijoin(parts[cc].R, kc, parts[i].R, ic)
+			parts[cc] = Rel{Schema: parts[cc].Schema, R: r}
 			c.Tick(int64(parts[cc].R.Len()) + 1)
 		}
 	}
@@ -267,11 +283,13 @@ func NewOdometerCore(head []string, parts []Rel, c *delay.Counter) (*OdometerCor
 	oc.probes = make([][2][]int, len(order))
 	oc.idx = make([]*database.Index, len(order))
 	oc.slabs = make([]database.Slab, len(order))
+	oc.links = make([][]database.Range, len(order))
 	posOf := make(map[int]int, len(order))
 	for j, node := range order {
 		posOf[node] = j
 		oc.rels[j] = parts[node]
 		oc.slabs[j] = parts[node].R.Slab()
+		oc.links[j] = links[node]
 		if j == 0 {
 			oc.parentPos[j] = -1
 			root := make([]int32, parts[node].R.Len())
@@ -293,6 +311,12 @@ func NewOdometerCore(head []string, parts []Rel, c *delay.Counter) (*OdometerCor
 		}
 		oc.probes[j] = [2][]int{jc, pc}
 		oc.idx[j] = parts[node].R.IndexOn(jc)
+		if n := parts[node].R.Len(); n > len(oc.ids) {
+			oc.ids = make([]int32, n)
+		}
+	}
+	for i := range oc.ids {
+		oc.ids[i] = int32(i)
 	}
 	// Output mapping: first position whose schema holds each head variable.
 	for _, v := range head {
@@ -315,14 +339,29 @@ func NewOdometerCore(head []string, parts []Rel, c *delay.Counter) (*OdometerCor
 	return oc, nil
 }
 
+// DropLinks makes every bucket switch probe the indexes instead of reading
+// the links, in the same bucket order. A delta patch calls it before
+// moving rows; the sequence tests call it to compare the two paths.
+func (oc *OdometerCore) DropLinks() { oc.links = nil }
+
+// bucket returns the rows of position j > 0 under parent row p, in bucket
+// order: p's linked range of the identity run, or the index lookup of p's
+// key once a patch has dropped the links.
+func (oc *OdometerCore) bucket(j int, p int32) []int32 {
+	if oc.links != nil {
+		r := oc.links[j][p]
+		return oc.ids[r.Off : r.Off+r.Len : r.Off+r.Len]
+	}
+	return oc.idx[j].Lookup(oc.slabs[oc.parentPos[j]].Row(p), oc.probes[j][1])
+}
+
 // reinit repositions the cursor of position j at the first tuple of its
-// bucket (recomputing the bucket from the parent's current tuple). After
+// bucket (recomputing the bucket from the parent's current row). After
 // full reduction the bucket is never empty.
 func (o *odometer) reinit(j int) {
 	if j > 0 {
 		pp := o.core.parentPos[j]
-		pt := o.row(pp, o.cursors[pp])
-		o.buckets[j] = o.core.idx[j].Lookup(pt, o.core.probes[j][1])
+		o.buckets[j] = o.core.bucket(j, o.buckets[pp][o.cursors[pp]])
 		o.c.Tick(1)
 	}
 	o.cursors[j] = 0

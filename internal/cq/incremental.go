@@ -538,9 +538,12 @@ func newReducer(q *logic.CQ) (*reducer, [][]string) {
 // ConstRefresher incrementally maintains a bound OdometerCore under base
 // relation deltas. Built by NewConstRefresher together with the core it
 // patches; Apply pushes one delta batch through the reducer and patches
-// the core's slabs, indexes, and root bucket in place. A false return
-// means the refresher could not apply the delta safely — the caller must
-// discard BOTH the refresher and the core and rebuild.
+// the core's slabs, indexes, and root bucket in place. Patching moves rows
+// out of the contiguous buckets the core's links name, so Apply drops the
+// links and the core answers through its indexes until the budget rebuild
+// lays a fresh one out. A false return means the refresher could not apply
+// the delta safely — the caller must discard BOTH the refresher and the
+// core and rebuild.
 type ConstRefresher struct {
 	rd *reducer
 
@@ -632,6 +635,7 @@ func (cr *ConstRefresher) Apply(deltas map[string]database.Delta) bool {
 		return false
 	}
 	core := cr.core
+	core.DropLinks()
 	for p, d := range finOut {
 		j := core.origPos[p]
 		for _, t := range d.del {

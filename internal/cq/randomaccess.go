@@ -16,7 +16,7 @@ import (
 // OdometerCore. After the Theorem 4.6 preprocessing φ(D) is the full join
 // of the core's reduced parts arranged in a join tree, and the odometer
 // enumerates it in preorder-lexicographic order of its cursors. One
-// counting pass over the same slabs and probe indexes gives, for every row,
+// counting pass over the same slabs and bucket links gives, for every row,
 // the number of answers of its subtree; |φ(D)| is then the root bucket's
 // total (Theorem 4.21 read off the reduced tree), and answer i is found by
 // descending the tree with one prefix-sum search per position — the "random
@@ -105,10 +105,9 @@ func (w *SpineWeights) sum(j int, b []int32) (uint64, bool) {
 	oc := w.core
 	var run uint64
 	for _, id := range b {
-		row := oc.slabs[j].Row(id)
 		n := uint64(1)
 		for _, k := range w.kids[j] {
-			t, ok := w.sum(k, oc.idx[k].Lookup(row, oc.probes[k][1]))
+			t, ok := w.sum(k, oc.bucket(k, id))
 			hi, lo := bits.Mul64(n, t)
 			if !ok || hi != 0 {
 				return 0, false
@@ -148,9 +147,10 @@ func (w *SpineWeights) locate(j int, b []int32, x uint64) (int, uint64) {
 // Seek places the cursor so that the next Next yields answer i of the
 // odometer's order and later calls continue from there at constant delay.
 // It reports false, leaving the cursor exhausted, when i ≥ w.Total(). The
-// cost is one bucket lookup and one binary search per spine position; like
-// reinit it ticks one step per position. w must be the weights of the
-// cursor's core. Seek allocates only on a cursor's first call.
+// cost is one link read (one bucket lookup on a patched core) and one
+// binary search per spine position; like reinit it ticks one step per
+// position. w must be the weights of the cursor's core. Seek allocates
+// only on a cursor's first call.
 func (od *Odometer) Seek(w *SpineWeights, i uint64) bool {
 	o := od.o
 	oc := o.core
@@ -175,9 +175,9 @@ func (od *Odometer) Seek(w *SpineWeights, i uint64) bool {
 		if len(kids) == 0 {
 			continue
 		}
-		row := o.row(j, t)
+		id := o.buckets[j][t]
 		for _, k := range kids {
-			o.buckets[k] = oc.idx[k].Lookup(row, oc.probes[k][1])
+			o.buckets[k] = oc.bucket(k, id)
 		}
 		for n := len(kids) - 1; n > 0; n-- {
 			k := kids[n]

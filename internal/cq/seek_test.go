@@ -87,13 +87,7 @@ func TestDifferentialSeek(t *testing.T) { seekSuite(t, diffSeeds()) }
 // with two values, so every probe of the counting pass and of Seek resolves
 // real collisions through the overflow spans.
 func TestDifferentialSeekDegradedHash(t *testing.T) {
-	restore := database.SetIndexHashForTesting(func(tu database.Tuple, cols []int) uint64 {
-		if len(cols) == 0 {
-			return 0
-		}
-		return uint64(tu[cols[0]]) & 1
-	})
-	defer restore()
+	defer database.SetIndexHashForTesting(collisionHash)()
 	seekSuite(t, diffSeeds())
 }
 

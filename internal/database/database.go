@@ -454,6 +454,43 @@ func semijoinProbe(r *Relation, rCols []int, ix *Index) *Relation {
 	return out
 }
 
+// Range is a run of consecutive row ids: rows [Off, Off+Len).
+type Range struct{ Off, Len int32 }
+
+// GroupSemijoin returns Semijoin's rows — the tuples of r that agree with
+// some tuple of s on the column pairs — laid out for a top-down pass from
+// s: grouped by key, the groups in the order s's rows first reach them,
+// each group in r's row order. The second result gives, for every row of
+// s, its group as a row range of the output (the zero Range when the row
+// matches nothing). A cursor over s thus moves to its block of matching
+// r rows by one array read instead of a hash probe. The probe runs s's
+// rows through LookupBatch against r's cached index on rCols, and the
+// output shares r's row headers.
+func GroupSemijoin(r *Relation, rCols []int, s *Relation, sCols []int) (*Relation, []Range) {
+	out := NewRelation(r.Name, r.Arity)
+	links := make([]Range, len(s.Tuples))
+	if len(r.Tuples) == 0 || len(s.Tuples) == 0 {
+		return out, links
+	}
+	// A bucket is named by its first row: start[row]-1 is the output offset
+	// of that bucket's group once placed.
+	start := make([]int32, len(r.Tuples))
+	out.Tuples = make([]Tuple, 0, len(r.Tuples))
+	sc := GetScratch()
+	r.IndexOn(rCols).LookupBatch(s.Slab(), sCols, sc.Iota(len(s.Tuples)), sc, func(i int, ids []int32) {
+		g := &start[ids[0]]
+		if *g == 0 {
+			*g = int32(len(out.Tuples)) + 1
+			for _, id := range ids {
+				out.Tuples = append(out.Tuples, r.Tuples[id])
+			}
+		}
+		links[i] = Range{*g - 1, int32(len(ids))}
+	})
+	sc.Release()
+	return out, links
+}
+
 // SemijoinScalar is Semijoin on the scalar probe path: one hash, one bucket
 // walk, one comparison per probe. It is the oracle of the scalar≡batched
 // differential suite.

@@ -83,11 +83,11 @@ func TestIndexLookup(t *testing.T) {
 	if got := len(ix.Lookup(Tuple{3}, []int{0})); got != 0 {
 		t.Errorf("lookup 3: want 0 tuples, got %d", got)
 	}
-	if got, ok := ix.LookupRow(Tuple{2}, []int{0}); !ok || !got.Equal(Tuple{2, 20}) {
-		t.Errorf("LookupRow 2: want (2,20), got %v ok=%v", got, ok)
+	if got, ok := lookupRow(ix, Tuple{2}, []int{0}); !ok || !got.Equal(Tuple{2, 20}) {
+		t.Errorf("lookupRow 2: want (2,20), got %v ok=%v", got, ok)
 	}
-	if _, ok := ix.LookupRow(Tuple{9}, []int{0}); ok {
-		t.Errorf("LookupRow 9: want miss")
+	if _, ok := lookupRow(ix, Tuple{9}, []int{0}); ok {
+		t.Errorf("lookupRow 9: want miss")
 	}
 	if ix.Buckets() != 2 {
 		t.Errorf("want 2 buckets, got %d", ix.Buckets())

@@ -6,6 +6,7 @@ package database_test
 // internal/qgen. (External test package: qgen itself depends on database.)
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -176,4 +177,60 @@ func dump(r *database.Relation) string {
 	db := database.NewDatabase()
 	db.AddRelation(r)
 	return qgen.FormatDatabase(db)
+}
+
+// TestDifferentialGroupSemijoin: GroupSemijoin keeps Semijoin's rows, lays
+// them out in contiguous key groups in the order s's rows first reach
+// them, and links every row of s to exactly its matching rows of r, in r's
+// order. Under the default fingerprint and under forced collisions.
+func TestDifferentialGroupSemijoin(t *testing.T) {
+	check := func(t *testing.T) {
+		for seed := int64(0); seed < 300; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			r, s, rCols, sCols := randomJoinArgs(rng)
+			out, links := database.GroupSemijoin(r, rCols, s, sCols)
+			fail := func(format string, args ...any) {
+				t.Helper()
+				t.Fatalf("seed %d (rCols %v, sCols %v): %s\n%s%s", seed, rCols, sCols, fmt.Sprintf(format, args...), dump(r), dump(s))
+			}
+			if got, want := sortTuples(out.Tuples), sortTuples(database.Semijoin(r, rCols, s, sCols).Tuples); !reflect.DeepEqual(got, want) {
+				fail("rows %v, Semijoin %v", got, want)
+			}
+			if len(links) != len(s.Tuples) {
+				fail("%d links for %d rows of s", len(links), len(s.Tuples))
+			}
+			placed := int32(0) // rows of out covered by groups met so far
+			for i, u := range s.Tuples {
+				var want []database.Tuple
+				for _, tp := range r.Tuples {
+					if tp.Key(rCols) == u.Key(sCols) {
+						want = append(want, tp)
+					}
+				}
+				l := links[i]
+				if int(l.Len) != len(want) || l.Off < 0 || int(l.Off+l.Len) > len(out.Tuples) {
+					fail("s row %d %v: range %+v over %d rows, %d matches", i, u, l, len(out.Tuples), len(want))
+				}
+				if got := out.Tuples[l.Off : l.Off+l.Len]; len(want) > 0 && !reflect.DeepEqual(got, want) {
+					fail("s row %d %v: range holds %v, matches are %v", i, u, got, want)
+				}
+				if l.Len > 0 && l.Off >= placed {
+					if l.Off != placed {
+						fail("s row %d %v: new group at %d, want %d (first-reach order)", i, u, l.Off, placed)
+					}
+					placed += l.Len
+				}
+			}
+			if int(placed) != len(out.Tuples) {
+				fail("groups cover %d of %d rows", placed, len(out.Tuples))
+			}
+		}
+	}
+	t.Run("default", check)
+	t.Run("collisions", func(t *testing.T) {
+		defer database.SetIndexHashForTesting(func(tu database.Tuple, cols []int) uint64 {
+			return uint64(tu[cols[0]]) & 1
+		})()
+		check(t)
+	})
 }

@@ -55,12 +55,10 @@ func TestFingerprintMatchesStringKeys(t *testing.T) {
 			if got := ix.Contains(probe, probeCols); got != (len(want) > 0) {
 				t.Fatalf("seed %d probe %v: Contains = %v, want %v", seed, probe, got, len(want) > 0)
 			}
-			row, ok := ix.LookupRow(probe, probeCols)
-			if ok != (len(want) > 0) {
-				t.Fatalf("seed %d probe %v: LookupRow ok = %v, want %v", seed, probe, ok, len(want) > 0)
-			}
-			if ok && row.Key(cols) != key {
-				t.Fatalf("seed %d probe %v: LookupRow returned %v, key %q != %q", seed, probe, row, row.Key(cols), key)
+			if ids := ix.Lookup(probe, probeCols); len(ids) > 0 {
+				if row := ix.Row(ids[0]); row.Key(cols) != key {
+					t.Fatalf("seed %d probe %v: first row %v, key %q != %q", seed, probe, row, row.Key(cols), key)
+				}
 			}
 		}
 	}

@@ -289,16 +289,6 @@ func (ix *Index) Lookup(probe Tuple, probeCols []int) []int32 {
 	return nil
 }
 
-// LookupRow returns the first indexed row matching probe on probeCols, as
-// a view into the slab. It allocates nothing.
-func (ix *Index) LookupRow(probe Tuple, probeCols []int) (Tuple, bool) {
-	ids := ix.Lookup(probe, probeCols)
-	if len(ids) == 0 {
-		return nil, false
-	}
-	return ix.slab.Row(ids[0]), true
-}
-
 // Contains reports whether some indexed row matches probe on probeCols.
 func (ix *Index) Contains(probe Tuple, probeCols []int) bool {
 	return len(ix.Lookup(probe, probeCols)) > 0

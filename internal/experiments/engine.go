@@ -31,6 +31,9 @@ var pathXYZ = logictest.MustParseCQ("Q(x,y,z) :- A(x,y), A(y,z).")
 
 func pathDB(n int) *database.Database { return randomDB(rand.New(rand.NewSource(17)), n, n/2, "A") }
 
+// streamXY is the stream benchmark's query: every A row joins one B row.
+var streamXY = logictest.MustParseCQ("Q(x,y) :- A(x,y), B(y).")
+
 // boundWeights binds q and runs the counting pass over the bound spine.
 func boundWeights(db *database.Database, q *logic.CQ) (*cq.OdometerCore, *cq.SpineWeights, error) {
 	bound, err := cq.PrepareConstantDelay(db, q, nil)
@@ -114,6 +117,40 @@ var e17 = Experiment{
 				}
 				return nil
 			})}, nil, nil
+		}),
+	}, {
+		// A whole stream as qservd drains it, uncounted: Q(x,y) :- A(x,y),
+		// B(y) with A sorted on x, so consecutive answers switch to B buckets
+		// scattered over B. Every answer is one bucket switch.
+		Bench: "OdometerStream", Sizes: sizes(nil, nil, []int{1 << 16}),
+		Setup: each(func(r *Run, n int) ([]Op, Row, error) {
+			rng := r.Rand(29)
+			a, b := database.NewRelation("A", 2), database.NewRelation("B", 1)
+			for i := 0; i < n; i++ {
+				a.InsertValues(database.Value(i), database.Value(rng.Intn(n/4)))
+			}
+			for y := 0; y < n/4; y++ {
+				b.InsertValues(database.Value(y))
+			}
+			a.Dedup()
+			bound, err := cq.PrepareConstantDelay(dbOf(a, b), streamXY, nil)
+			if err != nil {
+				return nil, nil, err
+			}
+			var elapsed time.Duration
+			op := run("", func() error {
+				start, od, k := time.Now(), bound.Cursor(nil), 0
+				for _, ok := od.Next(); ok; _, ok = od.Next() {
+					k++
+				}
+				elapsed += time.Since(start)
+				if k != n {
+					return fmt.Errorf("stream has %d answers, want %d", k, n)
+				}
+				return nil
+			})
+			op.Metric = func() (string, float64) { return "ns/answer", float64(elapsed.Nanoseconds()) / float64(n) }
+			return []Op{op}, nil, nil
 		}),
 	}},
 	Shape: []string{"shape: Get and seek+scan stay ~flat (log factor) while skip-enumeration to index n/2",

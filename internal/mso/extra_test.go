@@ -14,7 +14,7 @@ import (
 func TestStructuralAtomsExtra(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	formulas := []string{
-		"exists x. exists y. (Left(x,y) and Right(x,y))",  // impossible
+		"exists x. exists y. (Left(x,y) and Right(x,y))", // impossible
 		"exists x. exists y. exists z. (Left(x,y) and Right(x,z) and not y = z)",
 		"forall x. forall y. (Left(x,y) -> Child(x,y))",   // valid
 		"forall x. forall y. (Child(x,y) -> not Root(y))", // children are not the root
