@@ -11,7 +11,7 @@ import (
 )
 
 // collisionHash maps every key onto two fingerprints, so each index probe
-// resolves real collisions through the overflow spans.
+// resolves real collisions along shared probe chains.
 func collisionHash(tu database.Tuple, cols []int) uint64 {
 	if len(cols) == 0 {
 		return 0

@@ -85,7 +85,7 @@ func TestDifferentialSeek(t *testing.T) { seekSuite(t, diffSeeds()) }
 
 // TestDifferentialSeekDegradedHash: the same under a fingerprint function
 // with two values, so every probe of the counting pass and of Seek resolves
-// real collisions through the overflow spans.
+// real collisions along shared probe chains.
 func TestDifferentialSeekDegradedHash(t *testing.T) {
 	defer database.SetIndexHashForTesting(collisionHash)()
 	seekSuite(t, diffSeeds())

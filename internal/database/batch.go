@@ -2,15 +2,13 @@ package database
 
 // Vectorized batch execution over the columnar slabs.
 //
-// The scalar probe path (Index.Lookup) hashes one tuple, walks one Go map
-// bucket, and resolves one key comparison per call. The batch kernels in
-// this file amortize all three across runs of probe rows:
+// The scalar probe path (Index.Lookup) hashes one tuple, walks one probe
+// chain of the index's flat table, and resolves one key comparison per
+// call. The batch kernels in this file share that table and amortize the
+// rest across runs of probe rows:
 //
 //   - Slab.HashCols fingerprints a run of slab rows in one pass over the
 //     flat column data — no per-tuple slice-header chase.
-//   - Each index gets a lazily built flat open-addressing probe table
-//     (fingerprint → primary span), replacing the Go map walk with a
-//     couple of cache lines of linear probing.
 //   - A small direct-mapped result cache in the scratch groups probes by
 //     fingerprint: runs of equal keys (the common case in semijoins of
 //     skewed data) resolve their bucket once and reuse it, with exact
@@ -76,120 +74,6 @@ func (ix *Index) hashRows(sl Slab, cols []int, rowIDs []int32, dst []uint64) {
 	}
 	for i, id := range rowIDs {
 		dst[i] = ix.hash(sl.Row(id), cols)
-	}
-}
-
-// --- flat probe tables ------------------------------------------------
-
-// tableEnt is one slot of an index's flat probe table: the primary span of
-// fp together with its key values inlined (keys of up to two columns — all
-// the engines emit today — fit in k0/k1, so resolving the exact key is a
-// compare within the already-loaded entry instead of a random access into
-// the indexed slab). n == 0 marks an empty slot (bucket spans are never
-// empty); 32 bytes per slot, two slots per cache line.
-type tableEnt struct {
-	fp     uint64
-	off    int32
-	n      int32
-	k0, k1 Value
-}
-
-// probeTable is a flat open-addressing copy of the shard's fingerprint →
-// primary-span map. Slots are addressed by the high fingerprint bits, with
-// linear probing.
-type probeTable struct {
-	ents []tableEnt
-	mask uint32
-}
-
-func (ix *Index) buildProbeTable(sh *shard) *probeTable {
-	n := len(sh.buckets)
-	if n == 0 {
-		return &probeTable{}
-	}
-	size := 1
-	for size < n*2 {
-		size <<= 1
-	}
-	ents := make([]tableEnt, size)
-	mask := uint32(size - 1)
-	for fp, sp := range sh.buckets {
-		slot := uint32(fp>>32) & mask
-		for ents[slot].n != 0 {
-			slot = (slot + 1) & mask
-		}
-		e := tableEnt{fp: fp, off: sp.off, n: sp.n}
-		rep := ix.slab.Row(sh.rows[sp.off])
-		if len(ix.Cols) >= 1 {
-			e.k0 = rep[ix.Cols[0]]
-		}
-		if len(ix.Cols) >= 2 {
-			e.k1 = rep[ix.Cols[1]]
-		}
-		ents[slot] = e
-	}
-	return &probeTable{ents: ents, mask: mask}
-}
-
-// tables returns a state whose flat probe table is built, constructing it
-// on first batched probe. Concurrent builders serialize on tableMu;
-// in-place patching is already serialized with all lookups.
-func (ix *Index) tables() *indexState {
-	if st := ix.state.Load(); st.table != nil {
-		return st
-	}
-	ix.tableMu.Lock()
-	defer ix.tableMu.Unlock()
-	st := ix.state.Load()
-	if st.table != nil {
-		return st
-	}
-	st = &indexState{shard: st.shard, table: ix.buildProbeTable(&st.shard)}
-	ix.state.Store(st)
-	return st
-}
-
-// lookupFP resolves one fingerprint against the flat table: find the
-// primary span by linear probing, then resolve the exact key like the
-// scalar path (primary first, overflow spans after). Returns the same
-// bucket slice Lookup would.
-func (ix *Index) lookupFP(st *indexState, fp uint64, probe Tuple, probeCols []int) []int32 {
-	pt := st.table
-	if len(pt.ents) == 0 {
-		return nil
-	}
-	slot := uint32(fp>>32) & pt.mask
-	for {
-		e := &pt.ents[slot]
-		if e.n == 0 {
-			return nil
-		}
-		if e.fp == fp {
-			sh := &st.shard
-			// Exact-key check against the entry's inlined key values for
-			// one- and two-column keys (no slab access; slicing sh.rows
-			// below does not dereference it either), via the slab for
-			// wider keys.
-			var eq bool
-			switch len(probeCols) {
-			case 1:
-				eq = e.k0 == probe[probeCols[0]]
-			case 2:
-				eq = e.k0 == probe[probeCols[0]] && e.k1 == probe[probeCols[1]]
-			default:
-				eq = ix.keyEq(sh.rows[e.off], probe, probeCols)
-			}
-			if eq {
-				return sh.rows[e.off : e.off+e.n : e.off+e.n]
-			}
-			for _, sp := range sh.overflow[fp] {
-				if ix.keyEq(sh.rows[sp.off], probe, probeCols) {
-					return sh.rows[sp.off : sp.off+sp.n : sp.off+sp.n]
-				}
-			}
-			return nil
-		}
-		slot = (slot + 1) & pt.mask
 	}
 }
 
@@ -270,12 +154,12 @@ func probeEq(sl Slab, cols []int, a, b int32) bool {
 // cache: on a fingerprint hit the exact probe keys are compared, so a
 // colliding (or degraded) hash falls through to a real lookup instead of
 // reusing the wrong bucket.
-func (sc *BatchScratch) bucket(ix *Index, st *indexState, sl Slab, probeCols []int, fp uint64, id int32) []int32 {
+func (sc *BatchScratch) bucket(ix *Index, sl Slab, probeCols []int, fp uint64, id int32) []int32 {
 	e := &sc.cache[uint32(fp>>32)&(cacheSlots-1)]
 	if e.epoch == sc.epoch && e.fp == fp && probeEq(sl, probeCols, id, e.row) {
 		return e.ids
 	}
-	ids := ix.lookupFP(st, fp, sl.Row(id), probeCols)
+	_, ids := ix.find(fp, sl.Row(id), probeCols)
 	*e = cacheEnt{fp: fp, ids: ids, row: id, epoch: sc.epoch}
 	return ids
 }
@@ -295,10 +179,9 @@ func b2i(b bool) int {
 // whose probeCols projection matches some indexed row, preserving input
 // order. The result aliases the scratch's survivor buffer: it is valid
 // until the next ContainsBatch on the same scratch and must not be
-// modified. A warm call (tables built, scratch buffers grown) allocates
+// modified. A warm call (scratch buffers grown) allocates
 // nothing.
 func (ix *Index) ContainsBatch(sl Slab, probeCols []int, rowIDs []int32, sc *BatchScratch) []int32 {
-	st := ix.tables()
 	n := len(rowIDs)
 	keep := sc.growKeep(n)
 	sc.epoch++
@@ -312,7 +195,7 @@ func (ix *Index) ContainsBatch(sl Slab, probeCols []int, rowIDs []int32, sc *Bat
 		fps := sc.fps[:len(batch)]
 		ix.hashRows(sl, probeCols, batch, fps)
 		for i, id := range batch {
-			ids := sc.bucket(ix, st, sl, probeCols, fps[i], id)
+			ids := sc.bucket(ix, sl, probeCols, fps[i], id)
 			// Branch-free compaction: unconditional store, conditional
 			// advance.
 			keep[k] = id
@@ -328,7 +211,6 @@ func (ix *Index) ContainsBatch(sl Slab, probeCols []int, rowIDs []int32, sc *Bat
 // Lookup). Beyond the emit calls themselves, a warm call allocates
 // nothing.
 func (ix *Index) LookupBatch(sl Slab, probeCols []int, rowIDs []int32, sc *BatchScratch, emit func(i int, ids []int32)) {
-	st := ix.tables()
 	n := len(rowIDs)
 	sc.epoch++
 	for lo := 0; lo < n; lo += probeBatch {
@@ -340,7 +222,7 @@ func (ix *Index) LookupBatch(sl Slab, probeCols []int, rowIDs []int32, sc *Batch
 		fps := sc.fps[:len(batch)]
 		ix.hashRows(sl, probeCols, batch, fps)
 		for i, id := range batch {
-			if ids := sc.bucket(ix, st, sl, probeCols, fps[i], id); len(ids) > 0 {
+			if ids := sc.bucket(ix, sl, probeCols, fps[i], id); len(ids) > 0 {
 				emit(lo+i, ids)
 			}
 		}

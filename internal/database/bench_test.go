@@ -1,7 +1,7 @@
 package database_test
 
 // Micro-benchmarks for the index/probe layer: index construction, point
-// lookups, and the semijoin built on them. Run
+// lookups, projection, and the semijoin built on them. Run
 // with -benchmem; the lookup path is pinned allocation-free by
 // TestLookupAllocs, and cmd/benchgate compares these numbers across
 // branches in CI.
@@ -45,6 +45,46 @@ func BenchmarkIndexBuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		freshView(r).IndexOn([]int{0})
+	}
+}
+
+// BenchmarkIndexBuildFewKeys is BenchmarkIndexBuild over 2¹⁶ rows that
+// share 2⁵ keys: the table stays small while the buckets grow long.
+func BenchmarkIndexBuildFewKeys(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	r := database.NewRelation("R", 2)
+	for i := 0; i < benchN; i++ {
+		r.InsertValues(database.Value(rng.Intn(1<<5)), database.Value(i))
+	}
+	b.SetBytes(int64(r.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		freshView(r).IndexOn([]int{0})
+	}
+}
+
+var projectSink *database.Relation
+
+// BenchmarkProject projects 2¹⁶ rows onto one column holding 2¹⁰ distinct
+// values, and onto both columns, which keeps all 2¹⁶ rows.
+func BenchmarkProject(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	r := database.NewRelation("R", 2)
+	for i := 0; i < benchN; i++ {
+		r.InsertValues(database.Value(i), database.Value(rng.Intn(1<<10)))
+	}
+	for _, bc := range []struct {
+		name string
+		cols []int
+	}{{"keys=1024", []int{1}}, {"keys=65536", []int{0, 1}}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(r.Len()))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				projectSink = r.Project("P", bc.cols)
+			}
+		})
 	}
 }
 

@@ -367,52 +367,25 @@ func (r *Relation) IndexOn(cols []int) *Index {
 }
 
 // Project returns a new deduplicated relation containing the projection of r
-// onto the given columns, in first-occurrence order.
+// onto the given columns, in first-occurrence order. The first row of each
+// distinct key is found through a flat table, then every kept row is
+// copied into one exactly sized arena.
 func (r *Relation) Project(name string, cols []int) *Relation {
 	out := NewRelation(name, len(cols))
-	// Fingerprint-keyed dedup with exact collision resolution against the
-	// already-kept rows: head holds the last kept row of each fingerprint
-	// and next[j] the kept row before j with the same fingerprint (-1 ends
-	// the chain). Kept rows are sliced off arena chunks, as in Join.
-	head := make(map[uint64]int32, len(r.Tuples))
-	var next []int32
+	_, first := groupKeys(r.Tuples, cols, nil, nil)
+	if len(first) == 0 {
+		return out
+	}
 	ar := len(cols)
-	const arenaRows = 1024
-	var arena []Value
-	for _, t := range r.Tuples {
-		fp := t.KeyHash(cols)
-		first, ok := head[fp]
-		if !ok {
-			first = -1
+	arena := make([]Value, len(first)*ar) // non-nil, so arity-0 rows are empty, not nil
+	out.Tuples = make([]Tuple, len(first))
+	for i, row := range first {
+		p := Tuple(arena[i*ar : (i+1)*ar : (i+1)*ar])
+		t := r.Tuples[row]
+		for j, c := range cols {
+			p[j] = t[c]
 		}
-		j := first
-		for ; j >= 0; j = next[j] {
-			kept := out.Tuples[j]
-			same := true
-			for i, c := range cols {
-				if kept[i] != t[c] {
-					same = false
-					break
-				}
-			}
-			if same {
-				break
-			}
-		}
-		if j >= 0 {
-			continue
-		}
-		head[fp] = int32(len(out.Tuples))
-		next = append(next, first)
-		if len(arena) < ar || arena == nil { // non-nil, so arity-0 rows are empty, not nil
-			arena = make([]Value, arenaRows*ar)
-		}
-		p := Tuple(arena[:ar:ar])
-		arena = arena[ar:]
-		for i, c := range cols {
-			p[i] = t[c]
-		}
-		out.Tuples = append(out.Tuples, p)
+		out.Tuples[i] = p
 	}
 	return out
 }
@@ -538,7 +511,6 @@ func Join(name string, r *Relation, rCols []int, s *Relation, sCols []int) *Rela
 	out.Tuples = make([]Tuple, 0, n)
 	sl := r.Slab()
 	sc := GetScratch()
-	st := ix.tables()
 	sc.epoch++
 	// The probe loop is LookupBatch inlined (an emit closure on this hot
 	// path costs an indirect call per matching probe); output tuples are
@@ -555,7 +527,7 @@ func Join(name string, r *Relation, rCols []int, s *Relation, sCols []int) *Rela
 		fps := sc.fps[:len(batch)]
 		ix.hashRows(sl, rCols, batch, fps)
 		for i, id := range batch {
-			ids := sc.bucket(ix, st, sl, rCols, fps[i], id)
+			ids := sc.bucket(ix, sl, rCols, fps[i], id)
 			if len(ids) == 0 {
 				continue
 			}

@@ -297,12 +297,39 @@ func randomRel(seed int64, name string, n, dom int) *Relation {
 	return r
 }
 
+// TestIndexOnConcurrent: concurrent IndexOn calls share one index per
+// column set, and goroutines that probe it right after IndexOn returns
+// (scalar and batched) see the fully built table. Run under -race.
 func TestIndexOnConcurrent(t *testing.T) {
 	r := randomRel(4, "R", 3000, 50)
+	probes := randomRel(5, "P", 200, 60)
+	var want [2]int // rows matched by all probes, per key column
+	for _, p := range probes.Tuples {
+		for _, tu := range r.Tuples {
+			for c := range want {
+				if tu[c] == p[c] {
+					want[c]++
+				}
+			}
+		}
+	}
 	done := make(chan *Index, 8)
 	for w := 0; w < 8; w++ {
 		cols := []int{w % 2}
-		go func(cols []int) { done <- r.IndexOn(cols) }(cols)
+		go func(cols []int) {
+			ix := r.IndexOn(cols)
+			scalar, batched := 0, 0
+			for _, p := range probes.Tuples {
+				scalar += len(ix.Lookup(p, cols))
+			}
+			sc := GetScratch()
+			ix.LookupBatch(probes.Slab(), cols, sc.Iota(probes.Len()), sc, func(_ int, ids []int32) { batched += len(ids) })
+			sc.Release()
+			if scalar != want[cols[0]] || batched != want[cols[0]] {
+				t.Errorf("cols %v: Lookup matched %d rows, LookupBatch %d, want %d", cols, scalar, batched, want[cols[0]])
+			}
+			done <- ix
+		}(cols)
 	}
 	seen := map[*Index]bool{}
 	for w := 0; w < 8; w++ {

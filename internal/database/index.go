@@ -15,7 +15,6 @@ package database
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 	"sync/atomic"
 )
 
@@ -213,24 +212,180 @@ func colsSigBig(cols []int) string {
 	return string(b)
 }
 
-// --- the index --------------------------------------------------------
+// --- the flat table ---------------------------------------------------
 
-// span is one bucket: rows [off, off+n) of the shard's row array, all
-// sharing a single key-column projection.
-type span struct{ off, n int32 }
-
-// shard is an index's bucket layout. buckets maps a fingerprint to its
-// first bucket; in the (cosmically rare) event that two distinct keys
-// share a fingerprint, the extra buckets live in overflow.
-type shard struct {
-	buckets  map[uint64]span
-	rows     []int32
-	overflow map[uint64][]span
+// slot is one entry of a flat table: a key's tag, and in an Index the
+// key's bucket [off, off+n) of the row array (while grouping, and in a
+// KeyMap, off is the key's dense id and n counts its rows). The tag is the
+// key value itself for a one-column key, so a tag match is a key match,
+// and the key's fingerprint otherwise, so a tag match is confirmed against
+// a stored copy of the key. n == 0 marks an empty slot. 16 bytes, four
+// slots per cache line.
+type slot struct {
+	tag uint64
+	off int32
+	n   int32
 }
 
-// Index is a hash index of a relation's tuples keyed on a column subset.
-// Buckets hold row ids into the relation's Slab, grouped by the exact key
-// projection (fingerprint collisions are resolved at build time). After
+// table is the package's one hash table of distinct keys: flat open
+// addressing with linear probing, addressed by the high fingerprint bits
+// and kept at most half full. Two keys that share a fingerprint are two
+// slots on one probe chain. Indexes, grouping (buildIndex, Project) and
+// KeyMap all use it.
+type table struct {
+	slots []slot
+	mask  uint32
+	used  int // non-empty slots
+}
+
+// newTable returns an empty table of at least size slots (a power of two).
+func newTable(size int) table {
+	n := 1
+	for n < size {
+		n <<= 1
+	}
+	return table{slots: make([]slot, n), mask: uint32(n - 1)}
+}
+
+func (tb *table) home(fp uint64) uint32 { return uint32(fp>>32) & tb.mask }
+
+// find walks fp's probe chain for tag. It returns the index of the key's
+// slot and true, or the index of the empty slot that ends the chain and
+// false. eq confirms a tag match when tags are fingerprints; it is nil
+// when the tag is the key itself.
+func (tb *table) find(fp, tag uint64, eq func(slot) bool) (uint32, bool) {
+	for i := tb.home(fp); ; i = (i + 1) & tb.mask {
+		s := tb.slots[i]
+		if s.n == 0 {
+			return i, false
+		}
+		if s.tag == tag && (eq == nil || eq(s)) {
+			return i, true
+		}
+	}
+}
+
+// put fills the empty slot i (as returned by a failed find) and doubles
+// the table once it is more than half full, which invalidates i. fpOf
+// recomputes a stored key's fingerprint for the rehash.
+func (tb *table) put(i uint32, s slot, fpOf func(slot) uint64) {
+	tb.slots[i] = s
+	tb.used++
+	if 2*tb.used <= len(tb.slots) {
+		return
+	}
+	old := tb.slots
+	*tb = table{slots: make([]slot, 2*len(old)), mask: uint32(2*len(old) - 1), used: tb.used}
+	for _, s := range old {
+		if s.n != 0 {
+			tb.place(s, fpOf(s))
+		}
+	}
+}
+
+// place stores s in the first empty slot of fp's probe chain without
+// touching used.
+func (tb *table) place(s slot, fp uint64) {
+	i := tb.home(fp)
+	for tb.slots[i].n != 0 {
+		i = (i + 1) & tb.mask
+	}
+	tb.slots[i] = s
+}
+
+// remove empties slot i by backward-shift deletion: each later slot of the
+// run that may legally sit at the hole (its home is not cyclically inside
+// (hole, j]) moves into it, so every chain stays unbroken and no
+// tombstones are needed.
+func (tb *table) remove(i uint32, fpOf func(slot) uint64) {
+	tb.used--
+	for j := (i + 1) & tb.mask; tb.slots[j].n != 0; j = (j + 1) & tb.mask {
+		if h := tb.home(fpOf(tb.slots[j])); (j-h)&tb.mask >= (j-i)&tb.mask {
+			tb.slots[i] = tb.slots[j]
+			i = j
+		}
+	}
+	tb.slots[i] = slot{}
+}
+
+// fp1 is KeyHash of a one-column key with value v.
+func fp1(v Value) uint64 { return foldHash(keyHashSeed^1, v) }
+
+// tagOf is the table tag of t's projection onto cols, whose fingerprint
+// is fp.
+func tagOf(t Tuple, cols []int, fp uint64) uint64 {
+	if len(cols) == 1 {
+		return uint64(t[cols[0]])
+	}
+	return fp
+}
+
+// sameKey reports whether a's projection onto aCols equals b's onto bCols.
+func sameKey(a Tuple, aCols []int, b Tuple, bCols []int) bool {
+	for i, c := range aCols {
+		if a[c] != b[bCols[i]] {
+			return false
+		}
+	}
+	return true
+}
+
+// groupKeys gives each distinct projection of tuples onto cols a dense id
+// in first-appearance order. It returns the table of distinct keys (off
+// holds a key's id, n its number of rows) and the first row of every id;
+// a non-nil ids receives each row's id. A nil hash is the default
+// fingerprint.
+func groupKeys(tuples []Tuple, cols []int, hash keyHashFunc, ids []int32) (table, []int32) {
+	tb := newTable(min(len(tuples), 1024))
+	var first []int32
+	var t Tuple
+	var eq func(slot) bool
+	if len(cols) != 1 {
+		eq = func(s slot) bool { return sameKey(tuples[first[s.off]], cols, t, cols) }
+	}
+	fpOf := func(s slot) uint64 {
+		switch {
+		case len(cols) != 1:
+			return s.tag
+		case hash == nil:
+			return fp1(Value(s.tag))
+		}
+		return hash(tuples[first[s.off]], cols)
+	}
+	var r int
+	for r, t = range tuples {
+		var fp uint64
+		switch {
+		case hash != nil:
+			fp = hash(t, cols)
+		case len(cols) == 1:
+			fp = fp1(t[cols[0]])
+		default:
+			fp = t.KeyHash(cols)
+		}
+		tag := tagOf(t, cols, fp)
+		i, ok := tb.find(fp, tag, eq)
+		id := int32(len(first))
+		if ok {
+			s := &tb.slots[i]
+			s.n++
+			id = s.off
+		} else {
+			first = append(first, int32(r))
+			tb.put(i, slot{tag: tag, off: id, n: 1}, fpOf)
+		}
+		if ids != nil {
+			ids[r] = id
+		}
+	}
+	return tb, first
+}
+
+// --- the index --------------------------------------------------------
+
+// Index is a hash index of a relation's tuples keyed on a column subset:
+// one flat table maps each distinct key to its bucket, a span of the row
+// array holding the ids of the key's rows in the relation's Slab. After
 // construction the index is read-only, so lookups from many goroutines
 // need no locking, and the probe path performs zero allocations.
 type Index struct {
@@ -239,32 +394,49 @@ type Index struct {
 	hash keyHashFunc
 	fast bool // hash is the default fingerprint, so Slab.HashCols applies
 
-	// state holds the bucket layout, plus the lazily built flat probe
-	// table of the batch kernels, behind one atomic pointer: the lazy
-	// table build swaps in a whole new state while concurrent readers
-	// keep a consistent view of the old one.
-	state   atomic.Pointer[indexState]
-	tableMu sync.Mutex // serializes lazy table builds
-}
-
-// indexState is one immutable-together snapshot of an index's layout.
-// table (when non-nil) is derived from exactly this shard; bundling them
-// keeps a reader from pairing a fresh table with stale spans.
-type indexState struct {
-	shard shard
-	table *probeTable // nil until a batched probe builds it
+	tab  table   // key → bucket [off, off+n) of rows
+	rows []int32 // bucket row array
 }
 
 // keyEq reports whether the indexed row's key columns equal the probe's
 // probeCols projection.
 func (ix *Index) keyEq(row int32, probe Tuple, probeCols []int) bool {
-	t := ix.slab.Row(row)
-	for i, c := range ix.Cols {
-		if t[c] != probe[probeCols[i]] {
-			return false
+	return sameKey(ix.slab.Row(row), ix.Cols, probe, probeCols)
+}
+
+// slotFP recomputes the fingerprint of a stored key, for rehashing and
+// backward-shift deletion.
+func (ix *Index) slotFP(s slot) uint64 {
+	switch {
+	case len(ix.Cols) != 1:
+		return s.tag
+	case ix.fast:
+		return fp1(Value(s.tag))
+	}
+	return ix.hash(ix.slab.Row(ix.rows[s.off]), ix.Cols)
+}
+
+// find walks the probe chain of fp, the fingerprint of probe's projection
+// onto probeCols. It returns the key's slot and bucket, or the empty slot
+// that ends the chain and a nil bucket. Lookup and the batch kernels share
+// this one loop; a one-column key compares its tag only, a wider key
+// confirms a fingerprint match against the bucket's first row.
+func (ix *Index) find(fp uint64, probe Tuple, probeCols []int) (uint32, []int32) {
+	tb := &ix.tab
+	one := len(probeCols) == 1
+	tag := fp
+	if one {
+		tag = uint64(probe[probeCols[0]])
+	}
+	for i := tb.home(fp); ; i = (i + 1) & tb.mask {
+		s := &tb.slots[i]
+		if s.n == 0 {
+			return i, nil
+		}
+		if s.tag == tag && (one || ix.keyEq(ix.rows[s.off], probe, probeCols)) {
+			return i, ix.rows[s.off : s.off+s.n : s.off+s.n]
 		}
 	}
-	return true
 }
 
 // Lookup returns the ids of all rows whose key columns equal probe's
@@ -272,21 +444,8 @@ func (ix *Index) keyEq(row int32, probe Tuple, probeCols []int) bool {
 // slice aliases the index's row array; it is valid until the index is
 // garbage collected and must not be modified. Lookup allocates nothing.
 func (ix *Index) Lookup(probe Tuple, probeCols []int) []int32 {
-	fp := ix.hash(probe, probeCols)
-	sh := &ix.state.Load().shard
-	sp, ok := sh.buckets[fp]
-	if !ok {
-		return nil
-	}
-	if ix.keyEq(sh.rows[sp.off], probe, probeCols) {
-		return sh.rows[sp.off : sp.off+sp.n : sp.off+sp.n]
-	}
-	for _, sp := range sh.overflow[fp] {
-		if ix.keyEq(sh.rows[sp.off], probe, probeCols) {
-			return sh.rows[sp.off : sp.off+sp.n : sp.off+sp.n]
-		}
-	}
-	return nil
+	_, ids := ix.find(ix.hash(probe, probeCols), probe, probeCols)
+	return ids
 }
 
 // Contains reports whether some indexed row matches probe on probeCols.
@@ -297,129 +456,48 @@ func (ix *Index) Contains(probe Tuple, probeCols []int) bool {
 // Row resolves a row id returned by Lookup to its tuple view.
 func (ix *Index) Row(id int32) Tuple { return ix.slab.Row(id) }
 
-// Buckets returns the number of distinct keys in the index.
-func (ix *Index) Buckets() int {
-	sh := &ix.state.Load().shard
-	n := len(sh.buckets)
-	for _, sps := range sh.overflow {
-		n += len(sps)
-	}
-	return n
-}
-
 // buildIndex constructs the index over tuples (backed by sl) keyed on
-// cols: assign each distinct fingerprint a dense id, count, prefix-sum,
-// fill, then split any bucket that mixes distinct true keys (a real
-// fingerprint collision) into per-key groups. A nil hash selects the
-// default fingerprint (Tuple.KeyHash) and additionally enables the batched
-// slab-hashing kernel; tests inject a degraded hash to force collisions.
+// cols: give each distinct key a dense id, count, prefix-sum, then fill
+// in reverse so every bucket lists its rows in ascending order. Buckets
+// lie in the row array in first-appearance order of their keys. A nil
+// hash selects the default fingerprint (Tuple.KeyHash) and additionally
+// enables the batched slab-hashing kernel; tests inject a degraded hash
+// to force collisions.
 func buildIndex(tuples []Tuple, cols []int, sl Slab, hash keyHashFunc) *Index {
-	fast := hash == nil
-	if fast {
-		hash = defaultKeyHash
-	}
 	ix := &Index{
 		Cols: append([]int(nil), cols...),
 		slab: sl,
 		hash: hash,
-		fast: fast,
+		fast: hash == nil,
 	}
-	fps := make([]uint64, len(tuples))
-	for i, t := range tuples {
-		fps[i] = hash(t, cols)
+	if ix.fast {
+		ix.hash = defaultKeyHash
 	}
-	idOf := make(map[uint64]int32)
-	var counts []int32
 	ids := make([]int32, len(tuples))
-	for i, fp := range fps {
-		id, ok := idOf[fp]
-		if !ok {
-			id = int32(len(counts))
-			idOf[fp] = id
-			counts = append(counts, 0)
-		}
-		ids[i] = id
-		counts[id]++
-	}
-	offs := make([]int32, len(counts))
-	var off int32
-	for id, c := range counts {
-		offs[id] = off
-		off += c
-	}
-	rows := make([]int32, len(tuples))
-	cur := make([]int32, len(counts))
-	for rowID, id := range ids {
-		rows[offs[id]+cur[id]] = int32(rowID)
-		cur[id]++
-	}
-	buckets := make(map[uint64]span, len(counts))
-	for fp, id := range idOf {
-		buckets[fp] = span{offs[id], counts[id]}
-	}
-	sh := shard{buckets: buckets, rows: rows}
-	// Exactness pass: a fingerprint bucket must hold a single true key.
-	for fp, sp := range buckets {
-		if sp.n > 1 && !ix.uniformKey(sh.rows, sp) {
-			groups := ix.splitSpan(sh.rows, sp)
-			buckets[fp] = groups[0]
-			if sh.overflow == nil {
-				sh.overflow = make(map[uint64][]span)
-			}
-			sh.overflow[fp] = groups[1:]
+	tb, ends := groupKeys(tuples, cols, hash, ids)
+	// ends[id] becomes the end of id's bucket: count, then prefix-sum.
+	for _, s := range tb.slots {
+		if s.n != 0 {
+			ends[s.off] = s.n
 		}
 	}
-	ix.state.Store(&indexState{shard: sh})
+	var end int32
+	for id, n := range ends {
+		end += n
+		ends[id] = end
+	}
+	for i := range tb.slots {
+		if s := &tb.slots[i]; s.n != 0 {
+			s.off = ends[s.off] - s.n
+		}
+	}
+	ix.rows = make([]int32, len(tuples))
+	for r := len(ids) - 1; r >= 0; r-- {
+		ends[ids[r]]--
+		ix.rows[ends[ids[r]]] = int32(r)
+	}
+	ix.tab = tb
 	return ix
-}
-
-// uniformKey reports whether every row of the span agrees with the first
-// on the key columns.
-func (ix *Index) uniformKey(rows []int32, sp span) bool {
-	first := ix.slab.Row(rows[sp.off])
-	for i := sp.off + 1; i < sp.off+sp.n; i++ {
-		t := ix.slab.Row(rows[i])
-		for _, c := range ix.Cols {
-			if t[c] != first[c] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// splitSpan stably regroups a colliding span's rows by their true key and
-// rewrites them back in group order, returning one sub-span per key.
-func (ix *Index) splitSpan(rows []int32, sp span) []span {
-	orig := append([]int32(nil), rows[sp.off:sp.off+sp.n]...)
-	var groups [][]int32
-next:
-	for _, rowID := range orig {
-		t := ix.slab.Row(rowID)
-		for g, grp := range groups {
-			rep := ix.slab.Row(grp[0])
-			same := true
-			for _, c := range ix.Cols {
-				if t[c] != rep[c] {
-					same = false
-					break
-				}
-			}
-			if same {
-				groups[g] = append(grp, rowID)
-				continue next
-			}
-		}
-		groups = append(groups, []int32{rowID})
-	}
-	spans := make([]span, len(groups))
-	off := sp.off
-	for g, grp := range groups {
-		copy(rows[off:], grp)
-		spans[g] = span{off, int32(len(grp))}
-		off += int32(len(grp))
-	}
-	return spans
 }
 
 // --- in-place patching ------------------------------------------------
@@ -429,113 +507,55 @@ next:
 // their bucket, deleted rows are cut out of theirs. Lookup's contract —
 // one contiguous, allocation-free sub-slice per key — is preserved by
 // relocating a bucket to the tail of the row array when it cannot
-// grow in place. The abandoned slots are never reclaimed: the consumer
-// bounds them by rebuilding after a budget of changes (the cq refreshers
-// charge every patched row to theirs). Patching is NOT safe concurrently
-// with lookups; the refresh path serializes both.
+// grow in place. The abandoned row-array entries are never reclaimed: the
+// consumer bounds them by rebuilding after a budget of changes (the cq
+// refreshers charge every patched row to theirs). Patching is NOT safe
+// concurrently with lookups; the refresh path serializes both.
 
 // SetSlab repoints the index at a grown slab (from Slab.Append). The new
 // slab must extend the indexed one: existing row ids must resolve to the
 // same tuples.
 func (ix *Index) SetSlab(s Slab) { ix.slab = s }
 
-// patchShard returns the layout about to be patched in place, first
-// dropping any derived probe table (its spans are about to go stale).
-// Callers are serialized with lookups per the patching contract above.
-func (ix *Index) patchShard() *shard {
-	st := ix.state.Load()
-	if st.table != nil {
-		st = &indexState{shard: st.shard}
-		ix.state.Store(st)
-	}
-	return &st.shard
-}
-
 // AddRow routes slab row id into its bucket, creating the bucket if the
 // key is new. The row must already be present in the slab (SetSlab first
-// when it was just appended).
+// when it was just appended). A bucket that cannot grow in place (it does
+// not end the row array) moves whole to the tail, abandoning its old
+// entries.
 func (ix *Index) AddRow(id int32) {
 	t := ix.slab.Row(id)
 	fp := ix.hash(t, ix.Cols)
-	sh := ix.patchShard()
-	sp, ok := sh.buckets[fp]
-	if !ok {
-		sh.rows = append(sh.rows, id)
-		sh.buckets[fp] = span{int32(len(sh.rows) - 1), 1}
+	i, ids := ix.find(fp, t, ix.Cols)
+	if ids == nil {
+		ix.rows = append(ix.rows, id)
+		ix.tab.put(i, slot{tag: tagOf(t, ix.Cols, fp), off: int32(len(ix.rows) - 1), n: 1}, ix.slotFP)
 		return
 	}
-	if ix.keyEq(sh.rows[sp.off], t, ix.Cols) {
-		sh.buckets[fp] = ix.appendToSpan(sh, sp, id)
-		return
+	s := &ix.tab.slots[i]
+	if int(s.off+s.n) != len(ix.rows) {
+		off := int32(len(ix.rows))
+		ix.rows = append(ix.rows, ix.rows[s.off:s.off+s.n]...)
+		s.off = off
 	}
-	for i, osp := range sh.overflow[fp] {
-		if ix.keyEq(sh.rows[osp.off], t, ix.Cols) {
-			sh.overflow[fp][i] = ix.appendToSpan(sh, osp, id)
-			return
-		}
-	}
-	// New key whose fingerprint collides with an existing one.
-	sh.rows = append(sh.rows, id)
-	if sh.overflow == nil {
-		sh.overflow = make(map[uint64][]span)
-	}
-	sh.overflow[fp] = append(sh.overflow[fp], span{int32(len(sh.rows) - 1), 1})
-}
-
-// appendToSpan grows a bucket by one row: in place when the span already
-// sits at the tail of the row array, otherwise by relocating the
-// whole bucket to the tail (keeping it contiguous for Lookup) and
-// abandoning the old slots.
-func (ix *Index) appendToSpan(sh *shard, sp span, id int32) span {
-	if int(sp.off+sp.n) == len(sh.rows) {
-		sh.rows = append(sh.rows, id)
-		return span{sp.off, sp.n + 1}
-	}
-	off := int32(len(sh.rows))
-	sh.rows = append(sh.rows, sh.rows[sp.off:sp.off+sp.n]...)
-	sh.rows = append(sh.rows, id)
-	return span{off, sp.n + 1}
+	ix.rows = append(ix.rows, id)
+	s.n++
 }
 
 // RemoveRow cuts slab row id out of its bucket, reporting whether it was
-// found. The bucket shrinks in place (the removed slot is swapped with
-// the bucket's last and abandoned); an emptied bucket is deleted, with
-// any fingerprint-colliding overflow span promoted in its place.
+// found. The bucket shrinks in place (the removed entry is swapped with
+// the bucket's last and abandoned); an emptied bucket leaves the table.
 func (ix *Index) RemoveRow(id int32) bool {
 	t := ix.slab.Row(id)
-	fp := ix.hash(t, ix.Cols)
-	sh := ix.patchShard()
-	sp, ok := sh.buckets[fp]
-	if !ok {
+	i, ids := ix.find(ix.hash(t, ix.Cols), t, ix.Cols)
+	if ids == nil {
 		return false
 	}
-	if cut, found := ix.cutFromSpan(sh, sp, id); found {
-		if cut.n == 0 {
-			if ovs := sh.overflow[fp]; len(ovs) > 0 {
-				sh.buckets[fp] = ovs[0]
-				if len(ovs) == 1 {
-					delete(sh.overflow, fp)
-				} else {
-					sh.overflow[fp] = ovs[1:]
-				}
-			} else {
-				delete(sh.buckets, fp)
-			}
-		} else {
-			sh.buckets[fp] = cut
-		}
-		return true
-	}
-	for i, osp := range sh.overflow[fp] {
-		if cut, found := ix.cutFromSpan(sh, osp, id); found {
-			if cut.n == 0 {
-				ovs := sh.overflow[fp]
-				sh.overflow[fp] = append(ovs[:i], ovs[i+1:]...)
-				if len(sh.overflow[fp]) == 0 {
-					delete(sh.overflow, fp)
-				}
-			} else {
-				sh.overflow[fp][i] = cut
+	s := &ix.tab.slots[i]
+	for j := s.off; j < s.off+s.n; j++ {
+		if ix.rows[j] == id {
+			ix.rows[j] = ix.rows[s.off+s.n-1]
+			if s.n--; s.n == 0 {
+				ix.tab.remove(i, ix.slotFP)
 			}
 			return true
 		}
@@ -543,95 +563,84 @@ func (ix *Index) RemoveRow(id int32) bool {
 	return false
 }
 
-// cutFromSpan removes id from the span if present, swapping it with the
-// span's last row and shrinking by one.
-func (ix *Index) cutFromSpan(sh *shard, sp span, id int32) (span, bool) {
-	for i := sp.off; i < sp.off+sp.n; i++ {
-		if sh.rows[i] == id {
-			sh.rows[i] = sh.rows[sp.off+sp.n-1]
-			return span{sp.off, sp.n - 1}, true
-		}
-	}
-	return sp, false
-}
-
 // --- KeyMap -----------------------------------------------------------
 
 // KeyMap assigns dense ids [0, Len) to the distinct key-column
-// projections of interned tuples. It is the fingerprint analogue of a
+// projections of interned tuples, on the same flat table as the indexes
+// (a slot's off is the key's id). It is the fingerprint analogue of a
 // map[string]T keyed on Tuple.Key: collisions are resolved exactly by
 // comparing materialized key values, and Find (the probe path) allocates
 // nothing. The counting DP of Theorem 4.21 stores its per-separator sums
 // in slices indexed by KeyMap ids.
 type KeyMap struct {
 	cols []int
-	m    map[uint64]int32
-	keys []Tuple // materialized projection per id
-	next []int32 // collision chain: next id with the same fingerprint, or -1
+	tab  table
+	keys []Value // id's projection is keys[id*len(cols):][:len(cols)]
 }
 
 // NewKeyMap creates a KeyMap grouping tuples on the given columns.
 func NewKeyMap(cols []int) *KeyMap {
-	return &KeyMap{cols: append([]int(nil), cols...), m: make(map[uint64]int32)}
+	return &KeyMap{cols: append([]int(nil), cols...), tab: newTable(1)}
 }
 
 // Len returns the number of distinct keys interned so far.
-func (km *KeyMap) Len() int { return len(km.keys) }
+func (km *KeyMap) Len() int { return km.tab.used }
 
 // Key returns the materialized projection of id.
-func (km *KeyMap) Key(id int) Tuple { return km.keys[id] }
+func (km *KeyMap) Key(id int) Tuple {
+	k := len(km.cols)
+	return Tuple(km.keys[id*k : (id+1)*k : (id+1)*k])
+}
+
+// find locates t's projection onto probeCols (aligned with the map's
+// columns) as table.find does, also returning its fingerprint.
+func (km *KeyMap) find(t Tuple, probeCols []int) (uint32, bool, uint64) {
+	fp := t.KeyHash(probeCols)
+	if len(probeCols) == 1 {
+		i, ok := km.tab.find(fp, uint64(t[probeCols[0]]), nil)
+		return i, ok, fp
+	}
+	i, ok := km.tab.find(fp, fp, func(s slot) bool {
+		k := km.Key(int(s.off))
+		for j, c := range probeCols {
+			if k[j] != t[c] {
+				return false
+			}
+		}
+		return true
+	})
+	return i, ok, fp
+}
 
 // Find returns the id of t's projection onto probeCols (aligned with the
 // map's columns), or -1. probeCols may differ from the interning columns;
 // pass km.Cols-aligned columns of the probing tuple.
 func (km *KeyMap) Find(t Tuple, probeCols []int) int {
-	fp := t.KeyHash(probeCols)
-	id, ok := km.m[fp]
-	if !ok {
-		return -1
+	if i, ok, _ := km.find(t, probeCols); ok {
+		return int(km.tab.slots[i].off)
 	}
-	for {
-		k := km.keys[id]
-		same := true
-		for i := range probeCols {
-			if k[i] != t[probeCols[i]] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return int(id)
-		}
-		if km.next[id] < 0 {
-			return -1
-		}
-		id = km.next[id]
-	}
+	return -1
 }
 
 // Intern returns the id of t's projection onto the map's columns, adding
 // it if new.
 func (km *KeyMap) Intern(t Tuple) int {
-	if id := km.Find(t, km.cols); id >= 0 {
-		return id
+	i, ok, fp := km.find(t, km.cols)
+	if ok {
+		return int(km.tab.slots[i].off)
 	}
-	key := make(Tuple, len(km.cols))
-	for i, c := range km.cols {
-		key[i] = t[c]
+	id := km.tab.used
+	for _, c := range km.cols {
+		km.keys = append(km.keys, t[c])
 	}
-	id := int32(len(km.keys))
-	km.keys = append(km.keys, key)
-	km.next = append(km.next, -1)
-	fp := t.KeyHash(km.cols)
-	if first, ok := km.m[fp]; ok {
-		// Walk to the chain tail (collisions are ~nonexistent).
-		at := first
-		for km.next[at] >= 0 {
-			at = km.next[at]
-		}
-		km.next[at] = id
-	} else {
-		km.m[fp] = id
+	km.tab.put(i, slot{tag: tagOf(t, km.cols, fp), off: int32(id), n: 1}, km.slotFP)
+	return id
+}
+
+// slotFP recomputes the fingerprint of a stored key for rehashing.
+func (km *KeyMap) slotFP(s slot) uint64 {
+	if len(km.cols) == 1 {
+		return fp1(Value(s.tag))
 	}
-	return int(id)
+	return s.tag
 }

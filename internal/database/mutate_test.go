@@ -1,6 +1,8 @@
 package database
 
 import (
+	"fmt"
+	"math/rand"
 	"sort"
 	"testing"
 )
@@ -289,9 +291,8 @@ func TestIndexPatchEquivalence(t *testing.T) {
 		}
 	}
 
-	// The batch kernel's probe tables are rebuilt after patching: probing
-	// with every slab row, tombstoned ones included, agrees with the
-	// scalar path.
+	// The batch kernels probe the same patched table: probing with every
+	// slab row, removed ones included, agrees with the scalar path.
 	sc := GetScratch()
 	defer sc.Release()
 	got := ix.ContainsBatch(slab, []int{1}, sc.Iota(slab.Len()), sc)
@@ -304,11 +305,126 @@ func TestIndexPatchEquivalence(t *testing.T) {
 	if !sameIDs(got, want) {
 		t.Fatalf("ContainsBatch after patching %v, scalar %v", got, want)
 	}
+
+	// Random AddRow/RemoveRow scripts against a brute-force key → rows
+	// map, under the default hash and two degraded ones. Their
+	// fingerprints home at a small table's last slot (and, for the
+	// two-value hash, also at its first), so probe chains wrap past the
+	// end and backward-shift deletion moves slots across the wrap.
+	hashes := []struct {
+		name string
+		hash keyHashFunc
+	}{
+		{"default", nil},
+		{"constant", func(Tuple, []int) uint64 { return ^uint64(0) }},
+		{"twovalue", func(tu Tuple, cols []int) uint64 {
+			if tu[cols[0]]&1 == 0 {
+				return 0
+			}
+			return ^uint64(0)
+		}},
+	}
+	for _, h := range hashes {
+		for _, cols := range [][]int{{1}, {1, 2}} {
+			t.Run(fmt.Sprintf("%s/cols=%d", h.name, len(cols)), func(t *testing.T) {
+				for seed := int64(0); seed < 20; seed++ {
+					patchScript(t, seed, h.hash, cols)
+				}
+			})
+		}
+	}
+}
+
+// patchScript builds a small index under hash, then patches it through
+// 300 random AddRow/RemoveRow steps, checking every probe path against a
+// brute-force map after each step.
+func patchScript(t *testing.T, seed int64, hash keyHashFunc, cols []int) {
+	t.Helper()
+	const dom = 10
+	rng := rand.New(rand.NewSource(seed))
+	r := NewRelation("R", 3)
+	for i := rng.Intn(6); i >= 0; i-- {
+		r.InsertValues(Value(i), Value(rng.Intn(dom)), Value(rng.Intn(3)))
+	}
+	slab := r.Slab()
+	ix := buildIndex(r.Tuples, cols, slab, hash)
+	var alive, dead []int32 // live and removed row ids
+	for id := int32(0); id < int32(r.Len()); id++ {
+		alive = append(alive, id)
+	}
+	// One probe row per key value combination, and some absent keys.
+	probes := NewRelation("P", 3)
+	for a := 0; a < dom+2; a++ {
+		for b := 0; b < 4; b++ {
+			probes.InsertValues(0, Value(a), Value(b))
+		}
+	}
+	for step := 0; step < 300; step++ {
+		switch k := rng.Intn(9); {
+		case len(alive) == 0 || k < 4:
+			var id int32
+			slab, id = slab.Append(Tuple{Value(100 + step), Value(rng.Intn(dom)), Value(rng.Intn(3))})
+			ix.SetSlab(slab)
+			ix.AddRow(id)
+			alive = append(alive, id)
+		case k < 8 || len(dead) == 0:
+			j := rng.Intn(len(alive))
+			if !ix.RemoveRow(alive[j]) {
+				t.Fatalf("seed %d step %d: RemoveRow(%d) did not find a live row", seed, step, alive[j])
+			}
+			dead = append(dead, alive[j])
+			alive = append(alive[:j], alive[j+1:]...)
+		default:
+			if id := dead[rng.Intn(len(dead))]; ix.RemoveRow(id) {
+				t.Fatalf("seed %d step %d: RemoveRow(%d) of a removed row reported success", seed, step, id)
+			}
+		}
+		checkPatched(t, fmt.Sprintf("seed %d step %d", seed, step), ix, alive, probes, cols)
+	}
+}
+
+// checkPatched compares Lookup, LookupBatch, ContainsBatch and Buckets
+// of a patched index with the brute-force grouping of its live rows.
+func checkPatched(t *testing.T, at string, ix *Index, alive []int32, probes *Relation, cols []int) {
+	t.Helper()
+	want := map[string][]int32{}
+	for _, id := range alive {
+		k := ix.Row(id).Key(cols)
+		want[k] = append(want[k], id)
+	}
+	if ix.Buckets() != len(want) {
+		t.Fatalf("%s: Buckets() = %d, want %d keys", at, ix.Buckets(), len(want))
+	}
+	sc := GetScratch()
+	defer sc.Release()
+	psl := probes.Slab()
+	batch := make([][]int32, probes.Len())
+	ix.LookupBatch(psl, cols, sc.Iota(probes.Len()), sc, func(i int, ids []int32) { batch[i] = ids })
+	var wantKeep []int32
+	for i, p := range probes.Tuples {
+		got := ix.Lookup(p, cols)
+		w := want[p.Key(cols)]
+		sorted := append([]int32(nil), got...)
+		sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
+		if !sameIDs(sorted, w) {
+			t.Fatalf("%s: Lookup(%v) = %v, want %v", at, p, got, w)
+		}
+		if !sameIDs(batch[i], got) {
+			t.Fatalf("%s: LookupBatch(%v) = %v, Lookup %v", at, p, batch[i], got)
+		}
+		if len(w) > 0 {
+			wantKeep = append(wantKeep, int32(i))
+		}
+	}
+	if keep := ix.ContainsBatch(psl, cols, sc.Iota(probes.Len()), sc); !sameIDs(keep, wantKeep) {
+		t.Fatalf("%s: ContainsBatch = %v, want %v", at, keep, wantKeep)
+	}
 }
 
 // TestIndexPatchOverflow: patching stays exact across true fingerprint
-// collisions (forced by a degenerate hash): colliding keys live in
-// overflow spans, removals promote them, and lookups remain key-exact.
+// collisions (forced by a degenerate hash): colliding keys are separate
+// slots on one probe chain, emptying a key's bucket backward-shifts the
+// rest of the chain, and lookups remain key-exact.
 func TestIndexPatchOverflow(t *testing.T) {
 	r := NewRelation("R", 1)
 	for i := 0; i < 8; i++ {
@@ -341,8 +457,8 @@ func TestIndexPatchOverflow(t *testing.T) {
 		t.Fatalf("new colliding key 7: %d rows, want 1", n)
 	}
 
-	// Remove the bucket-resident key entirely; an overflow span must be
-	// promoted so the remaining keys stay reachable.
+	// Remove the key at the head of the chain entirely; the keys behind
+	// it must stay reachable.
 	for _, id := range append([]int32(nil), ix.Lookup(Tuple{0}, []int{0})...) {
 		if !ix.RemoveRow(id) {
 			t.Fatalf("RemoveRow(%d) failed", id)
@@ -353,8 +469,11 @@ func TestIndexPatchOverflow(t *testing.T) {
 	}
 	for _, k := range []Value{1, 2, 3, 7} {
 		if len(ix.Lookup(Tuple{k}, []int{0})) == 0 {
-			t.Fatalf("key %d unreachable after bucket promotion", k)
+			t.Fatalf("key %d unreachable after removing the chain head", k)
 		}
+	}
+	if ix.Buckets() != 4 {
+		t.Fatalf("Buckets() = %d after removal, want 4", ix.Buckets())
 	}
 }
 

@@ -123,10 +123,9 @@ func DictionaryFromNames(names []string) (*Dictionary, error) {
 
 // IndexCSR is the serializable layout of a hash index: the
 // bucket row array plus one (fingerprint, span) triple per bucket, sorted
-// by fingerprint. A fingerprint that holds several distinct true keys (a
-// real 64-bit collision, or a degraded test hash) appears once per key —
-// the first occurrence restores as the primary bucket, the rest as its
-// overflow chain, preserving probe order.
+// by fingerprint, then offset. A fingerprint shared by several distinct
+// true keys (a real 64-bit collision, or a degraded test hash) appears
+// once per key.
 type IndexCSR struct {
 	Cols []int
 	Rows []int32
@@ -145,27 +144,33 @@ func (r *Relation) DumpIndex(cols []int) IndexCSR {
 	sl := r.slabLocked()
 	tuples := r.Tuples
 	r.mu.Unlock()
-	ix := buildIndex(tuples, cols, sl, nil)
-	sh := &ix.state.Load().shard
-	c := IndexCSR{
-		Cols: append([]int(nil), cols...),
-		Rows: append([]int32(nil), sh.rows...),
-	}
-	fps := make([]uint64, 0, len(sh.buckets))
-	for fp := range sh.buckets {
-		fps = append(fps, fp)
-	}
-	sort.Slice(fps, func(i, j int) bool { return fps[i] < fps[j] })
-	for _, fp := range fps {
-		sp := sh.buckets[fp]
-		c.FPs = append(c.FPs, fp)
-		c.Offs = append(c.Offs, sp.off)
-		c.Lens = append(c.Lens, sp.n)
-		for _, osp := range sh.overflow[fp] {
-			c.FPs = append(c.FPs, fp)
-			c.Offs = append(c.Offs, osp.off)
-			c.Lens = append(c.Lens, osp.n)
+	return buildIndex(tuples, cols, sl, nil).csr()
+}
+
+// csr returns the index's layout, its buckets sorted by fingerprint, then
+// offset.
+func (ix *Index) csr() IndexCSR {
+	bs := make([]slot, 0, ix.tab.used)
+	for _, s := range ix.tab.slots {
+		if s.n != 0 {
+			s.tag = ix.slotFP(s)
+			bs = append(bs, s)
 		}
+	}
+	sort.Slice(bs, func(i, j int) bool {
+		if bs[i].tag != bs[j].tag {
+			return bs[i].tag < bs[j].tag
+		}
+		return bs[i].off < bs[j].off
+	})
+	c := IndexCSR{
+		Cols: append([]int(nil), ix.Cols...),
+		Rows: append([]int32(nil), ix.rows...),
+	}
+	for _, s := range bs {
+		c.FPs = append(c.FPs, s.tag)
+		c.Offs = append(c.Offs, s.off)
+		c.Lens = append(c.Lens, s.n)
 	}
 	return c
 }
@@ -195,34 +200,31 @@ func (r *Relation) RestoreIndex(c IndexCSR) error {
 			return fmt.Errorf("database: restore index on %s: row id %d out of %d rows", r.Name, id, n)
 		}
 	}
-	sh := shard{buckets: make(map[uint64]span, len(c.FPs)), rows: append([]int32(nil), c.Rows...)}
-	total := int32(0)
-	for i, fp := range c.FPs {
-		sp := span{c.Offs[i], c.Lens[i]}
-		if sp.n < 1 || sp.off < 0 || int(sp.off)+int(sp.n) > len(c.Rows) {
-			return fmt.Errorf("database: restore index on %s: span [%d,+%d) outside %d rows",
-				r.Name, sp.off, sp.n, len(c.Rows))
-		}
-		total += sp.n
-		if _, ok := sh.buckets[fp]; !ok {
-			sh.buckets[fp] = sp
-			continue
-		}
-		if sh.overflow == nil {
-			sh.overflow = make(map[uint64][]span)
-		}
-		sh.overflow[fp] = append(sh.overflow[fp], sp)
-	}
-	if int(total) != len(c.Rows) {
-		return fmt.Errorf("database: restore index on %s: spans cover %d of %d rows", r.Name, total, len(c.Rows))
-	}
 	ix := &Index{
 		Cols: append([]int(nil), c.Cols...),
 		slab: r.slabLocked(),
 		hash: defaultKeyHash,
 		fast: true,
+		tab:  newTable(2 * len(c.FPs)),
+		rows: append([]int32(nil), c.Rows...),
 	}
-	ix.state.Store(&indexState{shard: sh})
+	total := 0
+	for i, fp := range c.FPs {
+		s := slot{tag: fp, off: c.Offs[i], n: c.Lens[i]}
+		if s.n < 1 || s.off < 0 || int(s.off)+int(s.n) > len(c.Rows) {
+			return fmt.Errorf("database: restore index on %s: span [%d,+%d) outside %d rows",
+				r.Name, s.off, s.n, len(c.Rows))
+		}
+		total += int(s.n)
+		if len(c.Cols) == 1 {
+			s.tag = uint64(ix.slab.Row(ix.rows[s.off])[c.Cols[0]])
+		}
+		ix.tab.place(s, ix.slotFP(s))
+		ix.tab.used++
+	}
+	if total != len(c.Rows) {
+		return fmt.Errorf("database: restore index on %s: spans cover %d of %d rows", r.Name, total, len(c.Rows))
+	}
 	if sig, packed := colsSig(c.Cols); packed {
 		if r.indexes == nil {
 			r.indexes = make(map[uint64]*Index)

@@ -2,6 +2,8 @@ package database
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -295,6 +297,34 @@ func TestRestoreIndexUnderForcedCollisions(t *testing.T) {
 	}
 	restore()
 
+	// The layout DumpIndex serializes, pinned against a brute-force CSR on
+	// a small relation: keys in first-appearance order, each bucket's rows
+	// ascending, buckets listed by fingerprint, then offset. Under the
+	// degraded hash every fingerprint is shared by several keys.
+	degraded := func(tu Tuple, cols []int) uint64 { return uint64(tu[cols[0]]) & 1 }
+	small := storeTestRelation(t, 40)
+	for _, cols := range [][]int{{0}, {0, 1}} {
+		if got, want := small.DumpIndex(cols), bruteCSR(small, cols, defaultKeyHash); !reflect.DeepEqual(got, want) {
+			t.Fatalf("DumpIndex(%v) = %+v, want %+v", cols, got, want)
+		}
+		got := buildIndex(small.Tuples, cols, small.Slab(), degraded).csr()
+		if want := bruteCSR(small, cols, degraded); !reflect.DeepEqual(got, want) {
+			t.Fatalf("colliding layout on %v = %+v, want %+v", cols, got, want)
+		}
+		// A restored dump dumps back to itself.
+		dump := small.DumpIndex(cols)
+		fresh, err := FromSlab(SlabSpec{Name: "R", Arity: 3, Rows: small.Len(), Data: slabData(small)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.RestoreIndex(dump); err != nil {
+			t.Fatal(err)
+		}
+		if again := fresh.IndexOn(cols).csr(); !reflect.DeepEqual(again, dump) {
+			t.Fatalf("restored index on %v re-dumps as %+v, want %+v", cols, again, dump)
+		}
+	}
+
 	// The hook is process-wide and must restore cleanly.
 	r2 := storeTestRelation(t, 100)
 	if r2.IndexOn(cols) == nil {
@@ -324,4 +354,38 @@ func TestStructuralGenRoundTrip(t *testing.T) {
 	if re.Generation() != gen {
 		t.Fatalf("restored generation %d, want %d", re.Generation(), gen)
 	}
+}
+
+// bruteCSR is the CSR layout of an index on cols under hash, computed by
+// grouping rows with string keys.
+func bruteCSR(r *Relation, cols []int, hash keyHashFunc) IndexCSR {
+	var order []string
+	groups := map[string][]int32{}
+	fps := map[string]uint64{}
+	for i, tu := range r.Tuples {
+		k := tu.Key(cols)
+		if _, ok := groups[k]; !ok {
+			order = append(order, k)
+			fps[k] = hash(tu, cols)
+		}
+		groups[k] = append(groups[k], int32(i))
+	}
+	c := IndexCSR{Cols: cols}
+	var bs []slot
+	for _, k := range order {
+		bs = append(bs, slot{tag: fps[k], off: int32(len(c.Rows)), n: int32(len(groups[k]))})
+		c.Rows = append(c.Rows, groups[k]...)
+	}
+	sort.Slice(bs, func(i, j int) bool {
+		if bs[i].tag != bs[j].tag {
+			return bs[i].tag < bs[j].tag
+		}
+		return bs[i].off < bs[j].off
+	})
+	for _, b := range bs {
+		c.FPs = append(c.FPs, b.tag)
+		c.Offs = append(c.Offs, b.off)
+		c.Lens = append(c.Lens, b.n)
+	}
+	return c
 }
