@@ -2,7 +2,8 @@ package cq
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"sync/atomic"
 
 	"repro/internal/database"
 	"repro/internal/delay"
@@ -441,6 +442,17 @@ type LinearPrep struct {
 	base    []Rel // full-reduced copy of the tree relations; nil if the join is empty
 	boolean bool  // the query has no head: Enumerate yields ⊤ or ⊥
 	boolOK  bool
+	// root is the first head variable's level over base, found by the first
+	// pass and shared by the later ones; LinearRefresher drops it with base.
+	root atomic.Pointer[rootLevel]
+}
+
+// rootLevel is the root of the head-binding search: the sorted distinct
+// values of head[0] in base, and the rows read to find them, which every
+// pass ticks as if it had read them itself.
+type rootLevel struct {
+	cands []database.Value
+	rows  int64
 }
 
 // PrepareLinearDelay builds the join tree for an acyclic conjunctive query
@@ -490,12 +502,44 @@ func (lp *LinearPrep) Enumerate(c *delay.Counter) delay.Enumerator {
 		}
 		return delay.Empty()
 	}
+	return lp.enumerate(c)
+}
+
+func (lp *LinearPrep) enumerate(c *delay.Counter) *linEnum {
 	e := &linEnum{t: lp.t, head: lp.head, c: c}
 	if lp.base == nil {
 		e.exhausted = true
-	} else {
-		e.push(lp.base)
+		return e
 	}
+	root := lp.root.Load()
+	if root == nil {
+		root = &rootLevel{}
+		root.cands, root.rows = candidates(lp.base, lp.head[0])
+		lp.root.Store(root)
+	}
+	c.Tick(root.rows)
+	e.levels = append(e.levels, &linLevel{rels: lp.base, cands: root.cands, idx: -1})
+	return e
+}
+
+// EnumerateAfter starts a pass at the first answer that follows after in
+// the passes' order. Head variables are bound one at a time over sorted
+// candidates, so a pass emits in lexicographic order of the head and its
+// last answer is a position: the pass re-descends along after's path, one
+// binary search and one restricted reduction per head variable — the work
+// of one delay, where replaying the answers up to after costs one delay
+// each. after must have one value per head variable; an after that is no
+// answer resumes at the first answer above it. Until it delivers an answer
+// the pass reports after as its Last.
+func (lp *LinearPrep) EnumerateAfter(c *delay.Counter, after database.Tuple) delay.Enumerator {
+	if lp.boolean {
+		return delay.Empty() // the one answer, ⊤, is the only position
+	}
+	e := lp.enumerate(c)
+	if !e.exhausted {
+		e.seek(after)
+	}
+	e.last = after
 	return e
 }
 
@@ -510,8 +554,13 @@ type linEnum struct {
 	head      []string
 	c         *delay.Counter
 	levels    []*linLevel
+	last      database.Tuple // the last answer delivered
 	exhausted bool
 }
+
+// Last returns the last answer the pass delivered, the position
+// EnumerateAfter resumes from, or false before the first.
+func (e *linEnum) Last() (database.Tuple, bool) { return e.last, e.last != nil }
 
 // reduceCopy runs the full reducer over a copy of rels along t's join tree;
 // it returns nil if the join is empty.
@@ -539,29 +588,56 @@ func reduceCopy(t *Tree, rels []Rel, c *delay.Counter) []Rel {
 	return out
 }
 
-// push appends the level for the next head variable, computing its
-// candidate values from any reduced relation containing it.
-func (e *linEnum) push(rels []Rel) {
-	v := e.head[len(e.levels)]
-	lv := &linLevel{rels: rels, idx: -1}
+// candidates returns the sorted distinct values of v in the first of rels
+// that has it, and the rows read to find them.
+func candidates(rels []Rel, v string) ([]database.Value, int64) {
 	for _, r := range rels {
 		col := r.col(v)
 		if col < 0 {
 			continue
 		}
-		seen := make(map[database.Value]bool, r.R.Len())
-		for _, t := range r.R.Tuples {
-			seen[t[col]] = true
-			e.c.Tick(1)
+		cands := make([]database.Value, len(r.R.Tuples))
+		for i, t := range r.R.Tuples {
+			cands[i] = t[col]
 		}
-		lv.cands = make([]database.Value, 0, len(seen))
-		for val := range seen {
-			lv.cands = append(lv.cands, val)
-		}
-		sort.Slice(lv.cands, func(i, j int) bool { return lv.cands[i] < lv.cands[j] })
-		break
+		slices.Sort(cands)
+		return slices.Compact(cands), int64(len(cands))
 	}
-	e.levels = append(e.levels, lv)
+	return nil, 0
+}
+
+// push appends the level for the next head variable, computing its
+// candidate values from any reduced relation containing it; each row read
+// ticks one step.
+func (e *linEnum) push(rels []Rel) {
+	cands, rows := candidates(rels, e.head[len(e.levels)])
+	e.c.Tick(rows)
+	e.levels = append(e.levels, &linLevel{rels: rels, cands: cands, idx: -1})
+}
+
+// seek places a fresh pass so that Next yields the first answer after
+// after: each level binds after's value when it is a candidate and
+// descends, and otherwise stops just below the first candidate above it.
+// A binary search ticks one step per level.
+func (e *linEnum) seek(after database.Tuple) {
+	for i := range e.head {
+		lv := e.levels[i]
+		k, found := slices.BinarySearch(lv.cands, after[i])
+		e.c.Tick(1)
+		if !found {
+			lv.idx = k - 1
+			return
+		}
+		lv.idx = k
+		if i == len(e.head)-1 {
+			return
+		}
+		next := reduceCopy(e.t, restrict(lv.rels, e.head[i], after[i], e.c), e.c)
+		if next == nil {
+			return // defensive, as in Next: the candidate is skipped
+		}
+		e.push(next)
+	}
 }
 
 // restrict returns copies of rels with every relation containing v filtered
@@ -604,6 +680,7 @@ func (e *linEnum) Next() (database.Tuple, bool) {
 			for k, l := range e.levels {
 				out[k] = l.cands[l.idx]
 			}
+			e.last = out
 			return out, true
 		}
 		// Bind head[i] := val, reduce, descend. Reduction cannot fail:

@@ -739,8 +739,10 @@ func NewLinearRefresher(db *database.Database, q *logic.CQ) (*LinearRefresher, *
 
 // sync re-derives the LinearPrep's derived state from the maintained
 // relations: base is exposed only when the join is nonempty (all reduced
-// relations nonempty), and boolean queries resolve to that same check.
+// relations nonempty), boolean queries resolve to that same check, and the
+// root level is dropped for the next pass to find again.
 func (lr *LinearRefresher) sync() {
+	lr.lp.root.Store(nil)
 	nonempty := true
 	for _, r := range lr.rels {
 		if r.R.Len() == 0 {

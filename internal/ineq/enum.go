@@ -331,37 +331,81 @@ func PrepareNeq(db *database.Database, q *logic.CQ, c *delay.Counter) (*NeqPrep,
 	}, nil
 }
 
+// Core returns the odometer core over the prepared free parts, nil when a
+// contradictory comparison left nothing to enumerate.
+func (p *NeqPrep) Core() *cq.OdometerCore { return p.core }
+
 // Enumerate starts a fresh enumeration pass: a new odometer cursor over the
 // prepared free parts, with the residual disequality checks attached to
 // each output.
-func (p *NeqPrep) Enumerate(c *delay.Counter) delay.Enumerator {
+func (p *NeqPrep) Enumerate(c *delay.Counter) *NeqCursor {
+	return p.EnumerateFrom(c, nil, 0)
+}
+
+// EnumerateFrom starts a pass whose odometer begins at its pos-th output:
+// the first answer is the first one the checks pass from there on. With
+// the counting pass w over Core the odometer is placed by one Seek;
+// without it (the count overflows a uint64) it steps over pos outputs.
+func (p *NeqPrep) EnumerateFrom(c *delay.Counter, w *cq.SpineWeights, pos uint64) *NeqCursor {
+	cur := &NeqCursor{p: p, c: c, pos: pos}
 	if p.empty {
-		return delay.Empty()
+		return cur
 	}
-	od := p.core.Cursor(c)
-	return delay.Func(func() (database.Tuple, bool) {
-		for {
-			out, ok := od.Next()
-			if !ok {
-				return nil, false
-			}
-			c.Tick(1)
-			pass := true
-			for _, rc := range p.freeFree {
-				if out[p.headPos[rc.a]] == out[p.headPos[rc.b]] {
-					pass = false
-					break
-				}
-			}
-			if !pass {
-				continue
-			}
-			if len(p.deferred) > 0 && !witnessCheck(p.parts, od, p.deferred, p.freeSet, p.headPos, p.varPart, out, c) {
-				continue
-			}
-			return out, true
+	cur.od = p.core.Cursor(c)
+	if w != nil {
+		cur.od.Seek(w, pos)
+		return cur
+	}
+	for i := uint64(0); i < pos; i++ {
+		if _, ok := cur.od.Next(); !ok {
+			break
 		}
-	})
+	}
+	return cur
+}
+
+// NeqCursor is one enumeration pass of a NeqPrep. It counts the odometer
+// outputs it has read, checked or not, so Pos is the odometer position a
+// later pass resumes from with EnumerateFrom.
+type NeqCursor struct {
+	p   *NeqPrep
+	od  *cq.Odometer // nil: the prep is empty
+	c   *delay.Counter
+	pos uint64
+}
+
+// Pos returns the number of odometer outputs read: after an answer, the
+// position of the odometer output that follows it.
+func (cur *NeqCursor) Pos() uint64 { return cur.pos }
+
+// Next returns the next odometer output that passes the residual checks.
+func (cur *NeqCursor) Next() (database.Tuple, bool) {
+	if cur.od == nil {
+		return nil, false
+	}
+	p, c := cur.p, cur.c
+	for {
+		out, ok := cur.od.Next()
+		if !ok {
+			return nil, false
+		}
+		cur.pos++
+		c.Tick(1)
+		pass := true
+		for _, rc := range p.freeFree {
+			if out[p.headPos[rc.a]] == out[p.headPos[rc.b]] {
+				pass = false
+				break
+			}
+		}
+		if !pass {
+			continue
+		}
+		if len(p.deferred) > 0 && !witnessCheck(p.parts, cur.od, p.deferred, p.freeSet, p.headPos, p.varPart, out, c) {
+			continue
+		}
+		return out, true
+	}
 }
 
 // eliminateWitness turns column z of r into a witness column: rows are

@@ -14,7 +14,8 @@
 //     handle. Binding snapshots the database generation; executing a
 //     Prepared after the database mutated fails with ErrStalePlan.
 //   - Prepared exposes the unified execution API — Decide, Count,
-//     Enumerate (EnumerateAt from an offset), NewRandomAccess — each call
+//     Enumerate (EnumerateAt from an offset, EnumerateFrom from a
+//     route-native position), NewRandomAccess — each call
 //     reusing the bound preprocessing, so repeated executions pay only the
 //     per-answer work.
 //

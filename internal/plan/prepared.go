@@ -67,9 +67,10 @@ type Prepared struct {
 	matRows []database.Tuple
 	matErr  error
 
-	// The counting pass over the constant-delay spine, built on first use;
-	// a refresh that patches or rebuilds the core drops it with the other
-	// memos.
+	// The counting pass over the route's odometer core — the
+	// constant-delay spine, or the ACQ≠ core a resumed page seeks in —
+	// built on first use; a refresh that patches or rebuilds the core drops
+	// it with the other memos.
 	w    *cq.SpineWeights
 	wErr error
 
@@ -375,10 +376,17 @@ func (pr *Prepared) spineWeightsLocked(c *delay.Counter) (*cq.OdometerCore, *cq.
 	if core == nil {
 		return nil, nil, pr.spineErr
 	}
+	w, err := pr.weightsLocked(core, c)
+	return core, w, err
+}
+
+// weightsLocked returns the counting pass over core, the route's one
+// odometer core, building it on first use. Caller holds pr.mu.
+func (pr *Prepared) weightsLocked(core *cq.OdometerCore, c *delay.Counter) (*cq.SpineWeights, error) {
 	if pr.w == nil && pr.wErr == nil {
 		pr.w, pr.wErr = cq.NewSpineWeights(core, c)
 	}
-	return core, pr.w, pr.wErr
+	return pr.w, pr.wErr
 }
 
 // NewRandomAccess returns a random-access handle over the i-th answer of a

@@ -85,14 +85,14 @@ func TestAdmissionControl429(t *testing.T) {
 func TestCursorRoundTrip(t *testing.T) {
 	key := bytes.Repeat([]byte{9}, 32)
 	in := token{kind: kindCursor, fp: 0xdeadbeefcafe, gen: 42, offset: 1 << 40}
-	out, err := decodeToken(key, kindCursor, encodeToken(key, in))
+	out, err := decodeToken(key, kindCursor, encodeToken(key, in), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out != in {
 		t.Fatalf("round trip %+v → %+v", in, out)
 	}
-	if _, err := decodeToken(bytes.Repeat([]byte{8}, 32), kindCursor, encodeToken(key, in)); err == nil {
+	if _, err := decodeToken(bytes.Repeat([]byte{8}, 32), kindCursor, encodeToken(key, in), 0); err == nil {
 		t.Fatal("cursor verified under a different key")
 	}
 }

@@ -256,21 +256,21 @@ func TestShedLeavesNoGoroutines(t *testing.T) {
 func TestHandleRoundTrip(t *testing.T) {
 	key := bytes.Repeat([]byte{9}, 32)
 	in := token{kind: kindHandle, fp: 0xfeedface00112233, gen: 77}
-	out, err := decodeToken(key, kindHandle, encodeToken(key, in))
+	out, err := decodeToken(key, kindHandle, encodeToken(key, in), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out != in {
 		t.Fatalf("round trip %+v → %+v", in, out)
 	}
-	if _, err := decodeToken(bytes.Repeat([]byte{8}, 32), kindHandle, encodeToken(key, in)); err == nil {
+	if _, err := decodeToken(bytes.Repeat([]byte{8}, 32), kindHandle, encodeToken(key, in), 0); err == nil {
 		t.Fatal("handle verified under a different key")
 	}
 	// Kind confusion: a cursor is not a handle and vice versa.
-	if _, err := decodeToken(key, kindHandle, encodeToken(key, token{kind: kindCursor, fp: 1, gen: 2, offset: 3})); err == nil {
+	if _, err := decodeToken(key, kindHandle, encodeToken(key, token{kind: kindCursor, fp: 1, gen: 2, offset: 3}), 0); err == nil {
 		t.Fatal("cursor accepted as a handle")
 	}
-	if _, err := decodeToken(key, kindCursor, encodeToken(key, in)); err == nil {
+	if _, err := decodeToken(key, kindCursor, encodeToken(key, in), 0); err == nil {
 		t.Fatal("handle accepted as a cursor")
 	}
 }

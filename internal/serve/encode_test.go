@@ -3,11 +3,14 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/database"
 )
 
 // discardWriter is a ResponseWriter that drops the body and counts the
@@ -107,4 +110,84 @@ func BenchmarkServePage1024(b *testing.B) {
 		h.ServeHTTP(d, httptest.NewRequest("POST", "/v1/enumerate", bytes.NewReader(bodies[i%len(bodies)])))
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/limit, "ns/answer")
+}
+
+// The deep-walk shapes: a two-hop join that is not free-connex (the
+// linear-delay route) and a labelled edge with x ≠ y (the ACQ≠ route).
+const (
+	mmQuery   = "Q(x,z) :- E(x,y), E(y,z)."
+	neq2Query = "Q(x,y) :- E(x,y), L(y), x != y."
+)
+
+// edgeLabelDB builds E, n random edges over n/4 nodes, and L, the even
+// nodes, from a fixed seed.
+func edgeLabelDB(n int) *database.Database {
+	rng := rand.New(rand.NewSource(int64(n)))
+	e := database.NewRelation("E", 2)
+	l := database.NewRelation("L", 1)
+	nodes := max(n/4, 2)
+	for i := 0; i < n; i++ {
+		e.InsertValues(database.Value(rng.Intn(nodes)), database.Value(rng.Intn(nodes)))
+	}
+	for v := 0; v < nodes; v += 2 {
+		l.InsertValues(database.Value(v))
+	}
+	e.Dedup()
+	db := database.NewDatabase()
+	db.AddRelation(e)
+	db.AddRelation(l)
+	return db
+}
+
+// BenchmarkServePageDeep: the first page of a walk and its last full page,
+// resumed by the cursor the page before it handed out, on the linear-delay
+// route (mm over 2¹² edges, pages of 16) and the ACQ≠ route (neq2 over
+// 2¹⁵ edges, pages of 1024). A position cursor makes the deep page cost
+// about what the first does.
+func BenchmarkServePageDeep(b *testing.B) {
+	for _, c := range []struct {
+		name, query string
+		edges       int
+		limit       int
+	}{{"mm", mmQuery, 1 << 12, 16}, {"neq2", neq2Query, 1 << 15, 1024}} {
+		h := New(edgeLabelDB(c.edges), nil, Config{}).Handler()
+		var bodies [][]byte
+		for cursor := ""; ; {
+			body, _ := json.Marshal(queryRequest{Query: c.query, Cursor: cursor, Limit: c.limit})
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/enumerate", bytes.NewReader(body)))
+			var page struct {
+				Answers [][]int64 `json:"answers"`
+				Done    bool      `json:"done"`
+				Next    string    `json:"next_cursor"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &page); err != nil {
+				b.Fatalf("%s page %d: %v", c.name, len(bodies), err)
+			}
+			if len(page.Answers) < c.limit {
+				break
+			}
+			bodies = append(bodies, body)
+			if page.Done {
+				break
+			}
+			cursor = page.Next
+		}
+		if len(bodies) < 8 {
+			b.Fatalf("%s: a walk of %d full pages is too short to go deep", c.name, len(bodies))
+		}
+		for _, p := range []struct {
+			name string
+			body []byte
+		}{{"first", bodies[0]}, {"deep", bodies[len(bodies)-1]}} {
+			b.Run(c.name+"/"+p.name, func(b *testing.B) {
+				d := &discardWriter{h: http.Header{}}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					h.ServeHTTP(d, httptest.NewRequest("POST", "/v1/enumerate", bytes.NewReader(p.body)))
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.limit), "ns/answer")
+			})
+		}
+	}
 }

@@ -45,6 +45,29 @@ func exampleDB() *database.Database {
 func FuzzServeRequest(f *testing.F) {
 	quickstart := "Q(who, kind) :- bought(who, p), category(p, kind)."
 	social := "Q(a,b) :- follows(a,b), verified(b), follows(b,c)."
+	distinct := "Q(a,b) :- follows(a,b), verified(b), a != b."
+
+	key := bytes.Repeat([]byte{7}, 32)
+	db := exampleDB()
+	h := serve.New(db, nil, serve.Config{
+		CursorKey:    key,
+		MaxBodyBytes: 1 << 16,
+		MaxPageSize:  64,
+	}).Handler()
+	// positionCursor is the cursor a first page of query mints: a position
+	// cursor on the linear-delay (quickstart) and ACQ≠ (distinct) routes.
+	positionCursor := func(query string) string {
+		body, _ := json.Marshal(map[string]interface{}{"query": query, "limit": 1})
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/enumerate", bytes.NewReader(body)))
+		var page struct {
+			Next string `json:"next_cursor"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &page); err != nil || page.Next == "" {
+			f.Fatalf("no cursor on the first page of %s: %s", query, rec.Body.String())
+		}
+		return page.Next
+	}
 
 	add := func(path string, body interface{}) {
 		buf, err := json.Marshal(body)
@@ -60,6 +83,15 @@ func FuzzServeRequest(f *testing.F) {
 	add("/v1/enumerate", map[string]interface{}{"query": quickstart, "cursor": "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"})
 	add("/v1/enumerate", map[string]interface{}{"query": quickstart, "cursor": strings.Repeat("x", 2048)})
 	add("/v1/enumerate", map[string]interface{}{"query": quickstart, "limit": -5, "deadline_ms": -1})
+	for _, q := range []string{quickstart, distinct} {
+		cur := positionCursor(q)
+		add("/v1/enumerate", map[string]interface{}{"query": q, "cursor": cur, "limit": 3})
+		add("/v1/enumerate", map[string]interface{}{"query": q, "cursor": cur, "stream": true})
+		add("/v1/enumerate", map[string]interface{}{"query": q, "cursor": cur[:len(cur)-3]})
+		add("/v1/enumerate", map[string]interface{}{"query": social, "cursor": cur})
+	}
+	add("/v1/enumerate", map[string]interface{}{"query": distinct, "cursor": positionCursor(quickstart)})
+	add("/v1/enumerate", map[string]interface{}{"query": quickstart, "cursor": "A" + strings.Repeat("_", 255)})
 	add("/v1/prepare", map[string]interface{}{"query": "Q() :- bought(x, y)."})
 	add("/v1/mutate", map[string]interface{}{"pred": "bought", "op": "insert", "tuple": []int64{9, 1}})
 	add("/v1/mutate", map[string]interface{}{"pred": "nope", "op": "delete", "tuple": []int64{}})
@@ -68,13 +100,6 @@ func FuzzServeRequest(f *testing.F) {
 	f.Add("/v1/other", `{}`)
 	f.Add("/v1/decide", `null`)
 	f.Add("/v1/decide", strings.Repeat("[", 1<<10))
-
-	db := exampleDB()
-	h := serve.New(db, nil, serve.Config{
-		CursorKey:    bytes.Repeat([]byte{7}, 32),
-		MaxBodyBytes: 1 << 16,
-		MaxPageSize:  64,
-	}).Handler()
 
 	f.Fuzz(func(t *testing.T, path, body string) {
 		if len(path) > 256 {

@@ -186,7 +186,7 @@ func TestStreamStopsAtWriteError(t *testing.T) {
 	if w.writes != k+1 {
 		t.Fatalf("cancelled stream made %d writes, want the %d chunks before the cut and one with the rest", w.writes, k)
 	}
-	cur, err := decodeToken(s.cfg.CursorKey, kindCursor, tail.Cursor)
+	cur, err := decodeToken(s.cfg.CursorKey, kindCursor, tail.Cursor, 0)
 	if answers := uint64(len(lines) - 1); err != nil || cur.offset != answers {
 		t.Fatalf("truncation cursor %+v (%v) after %d answers", cur, err, answers)
 	}
@@ -256,10 +256,14 @@ func TestStalledReaderReleasesReadLock(t *testing.T) {
 // TestTokenGolden pins the token wire format to the exact strings the
 // two-codec implementation (cursor.go + handle.go at commit ae1fa3d)
 // minted under this key, so clients' stored cursors and handles survive
-// the merge into one codec, and walks every rejection class of both kinds.
+// the merge into one codec, pins the position cursors beside them, and
+// walks every rejection class of all three kinds. A position cursor is
+// decoded through the cursor field with its plan's position width; any
+// other width, none included, makes it malformed.
 func TestTokenGolden(t *testing.T) {
 	key := []byte("0123456789abcdef0123456789abcdef")
 	all := ^uint64(0)
+	widest := strings.Repeat("\xff", 8*maxPosArity)
 	golden := []struct {
 		tok  token
 		wire string
@@ -270,36 +274,61 @@ func TestTokenGolden(t *testing.T) {
 		{token{kind: kindHandle, fp: 0xfeedface00112233, gen: 77}, "Av7t-s4AESIzAAAAAAAAAE28SFi6_g9ZOw"},
 		{token{kind: kindHandle}, "AgAAAAAAAAAAAAAAAAAAAAB0WhtxIkEYbA"},
 		{token{kind: kindHandle, fp: all, gen: all}, "Av____________________9QrWeNmEZhog"},
+		{token{kind: kindPos, fp: 0xdeadbeefcafe0123, gen: 42, pos: "\x00\x00\x00\x00\x00\x00\x00\x07\xff\xff\xff\xff\xff\xff\xff\xfe"}, "A96tvu_K_gEjAAAAAAAAACoAAAAAAAAAB__________-RBE82F7Vacc"},
+		{token{kind: kindPos, gen: 9, pos: "\x00\x00\x00\x00\x00\x01\x00\x00"}, "AwAAAAAAAAAAAAAAAAAAAAkAAAAAAAEAABTfoB94-5G-"},
+		{token{kind: kindPos, fp: all, gen: all, pos: widest}, "A________________________________________________________________________________________________________________________________________________________________________________________________7jdRBtxcETu"},
 	}
 	for _, g := range golden {
 		if got := encodeToken(key, g.tok); got != g.wire {
 			t.Errorf("encode %+v = %q, want %q", g.tok, got, g.wire)
 		}
-		got, err := decodeToken(key, g.tok.kind, g.wire)
+		kind, other := g.tok.kind, kindHandle
+		if kind == kindHandle {
+			other = kindCursor
+		}
+		if kind == kindPos {
+			kind = kindCursor
+		}
+		width := len(g.tok.pos)
+		got, err := decodeToken(key, kind, g.wire, width)
 		if err != nil || got != g.tok {
 			t.Errorf("decode %q = %+v, %v; want %+v", g.wire, got, err, g.tok)
 		}
-		other := kindCursor + kindHandle - g.tok.kind
 		spec, otherSpec := tokenSpecs[g.tok.kind], tokenSpecs[other]
 		raw, _ := base64.RawURLEncoding.DecodeString(g.wire)
 		raw[5] ^= 1
 		flipped := base64.RawURLEncoding.EncodeToString(raw)
-		for _, rej := range []struct {
-			name string
-			kind tokenKind
-			in   string
-			want error
+		rejections := []struct {
+			name  string
+			kind  tokenKind
+			width int
+			in    string
+			want  error
 		}{
-			{"cross-kind", other, g.wire, otherSpec.malformed},
-			{"wrong key", g.tok.kind, encodeToken([]byte("another key"), g.tok), spec.forged},
-			{"flipped field bit", g.tok.kind, flipped, spec.forged},
-			{"truncated", g.tok.kind, g.wire[:len(g.wire)-2], spec.malformed},
-			{"extended", g.tok.kind, g.wire + "AAAA", spec.malformed},
-			{"not base64url", g.tok.kind, "!" + g.wire[1:], spec.malformed},
-			{"oversized", g.tok.kind, strings.Repeat("A", spec.maxLen+1), spec.malformed},
-			{"empty", g.tok.kind, "", spec.malformed},
-		} {
-			if _, err := decodeToken(key, rej.kind, rej.in); err != rej.want {
+			{"cross-kind", other, width, g.wire, otherSpec.malformed},
+			{"wrong key", kind, width, encodeToken([]byte("another key"), g.tok), spec.forged},
+			{"flipped field bit", kind, width, flipped, spec.forged},
+			{"truncated", kind, width, g.wire[:len(g.wire)-2], spec.malformed},
+			{"extended", kind, width, g.wire + "AAAA", spec.malformed},
+			{"not base64url", kind, width, "!" + g.wire[1:], spec.malformed},
+			{"oversized", kind, width, strings.Repeat("A", spec.maxLen+1), spec.malformed},
+			{"empty", kind, width, "", spec.malformed},
+		}
+		if g.tok.kind == kindPos {
+			rejections = append(rejections, []struct {
+				name  string
+				kind  tokenKind
+				width int
+				in    string
+				want  error
+			}{
+				{"route without positions", kind, 0, g.wire, spec.malformed},
+				{"one value fewer", kind, width - 8, g.wire, spec.malformed},
+				{"one value more", kind, width + 8, g.wire, spec.malformed},
+			}...)
+		}
+		for _, rej := range rejections {
+			if _, err := decodeToken(key, rej.kind, rej.in, rej.width); err != rej.want {
 				t.Errorf("%s of %q: got %v, want %v", rej.name, g.wire, err, rej.want)
 			}
 		}

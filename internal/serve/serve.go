@@ -31,12 +31,13 @@
 //
 // Enumeration is paginated behind opaque resumable cursors (see token.go).
 // The server keeps no per-client state: a cursor is fingerprint + generation
-// + offset, and the deterministic enumeration order of every engine makes
-// the offset meaningful across requests — even after the cached Prepared
-// was evicted and transparently re-bound. Pages and resumed streams start
-// at plan.Prepared.EnumerateAt: on the constant-delay route one seek over the
-// bound spine, so a page at offset k costs O(log n + limit); the other routes
-// still skip, O(k + limit).
+// + where to resume, and the deterministic enumeration order of every
+// engine makes that meaningful across requests — even after the cached
+// Prepared was evicted and transparently re-bound. The linear-delay and
+// ACQ≠ routes resume at a route-native position (plan.Prepared.EnumerateFrom)
+// in about one delay; the constant-delay route seeks an answer offset over
+// the bound spine (plan.Prepared.EnumerateAt), so a page at offset k costs
+// O(log n + limit); the other routes still skip, O(k + limit).
 package serve
 
 import (
@@ -295,7 +296,7 @@ func (s *Server) deadline(r *http.Request, deadlineMS int64) (context.Context, c
 // reset — get 410 so the client knows to re-prepare with query text rather
 // than retry. Writes the error response itself on failure.
 func (s *Server) resolveHandle(w http.ResponseWriter, handle string) (*plan.Plan, bool) {
-	h, err := decodeToken(s.cfg.CursorKey, kindHandle, handle)
+	h, err := decodeToken(s.cfg.CursorKey, kindHandle, handle, 0)
 	if err != nil {
 		s.m.badRequests.Add(1)
 		writeError(w, http.StatusBadRequest, "bad_handle", err.Error())
@@ -497,7 +498,7 @@ func (s *Server) admitEnumerate(w http.ResponseWriter, q *request) bool {
 	if q.Cursor == "" {
 		return true
 	}
-	cur, err := decodeToken(s.cfg.CursorKey, kindCursor, q.Cursor)
+	cur, err := decodeToken(s.cfg.CursorKey, kindCursor, q.Cursor, posLen(q.p))
 	if err != nil {
 		s.m.badRequests.Add(1)
 		writeError(w, http.StatusBadRequest, "bad_cursor", err.Error())
@@ -515,7 +516,7 @@ func (s *Server) admitEnumerate(w http.ResponseWriter, q *request) bool {
 
 func (s *Server) enumerate(ctx context.Context, w http.ResponseWriter, q *request, pr *plan.Prepared) error {
 	gen := s.db.Generation()
-	var offset uint64
+	var from token
 	if q.cur != nil {
 		if q.cur.gen != gen {
 			// The database moved under the client's pagination. The
@@ -527,16 +528,16 @@ func (s *Server) enumerate(ctx context.Context, w http.ResponseWriter, q *reques
 				fmt.Sprintf("cursor generation %d, database at %d", q.cur.gen, gen))
 			return nil
 		}
-		offset = q.cur.offset
+		from = *q.cur
 	}
 	if q.Stream {
-		return s.streamAnswers(ctx, w, pr, gen, offset)
+		return s.streamAnswers(ctx, w, pr, gen, from)
 	}
 	limit := q.Limit
 	if limit <= 0 || limit > s.cfg.MaxPageSize {
 		limit = s.cfg.MaxPageSize
 	}
-	return s.servePage(ctx, w, pr, gen, offset, limit)
+	return s.servePage(ctx, w, pr, gen, from, limit)
 }
 
 // A mutation is the one request that costs everybody else: it holds the
@@ -618,15 +619,16 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 
 // ---- enumeration: pages, cursors, streaming ----
 
-// servePage writes one page of answers starting at offset. The page is
-// appended whole into one pooled buffer and written at once: a deadline
-// expiring before the page is complete answers 504, not a partial page.
-func (s *Server) servePage(ctx context.Context, w http.ResponseWriter, pr *plan.Prepared, gen, offset uint64, limit int) error {
+// servePage writes one page of answers starting where the cursor from
+// points (the first answer without one). The page is appended whole into
+// one pooled buffer and written at once: a deadline expiring before the
+// page is complete answers 504, not a partial page.
+func (s *Server) servePage(ctx context.Context, w http.ResponseWriter, pr *plan.Prepared, gen uint64, from token, limit int) error {
 	buf := getBuf()
 	defer putBuf(buf)
 	var n int
 	var err error
-	if *buf, n, err = s.appendPage(ctx, *buf, pr, gen, offset, limit); err != nil {
+	if *buf, n, err = s.appendPage(ctx, *buf, pr, gen, from, limit); err != nil {
 		return err
 	}
 	s.m.answersServed.Add(int64(n))
@@ -636,11 +638,11 @@ func (s *Server) servePage(ctx context.Context, w http.ResponseWriter, pr *plan.
 	return nil
 }
 
-// appendPage appends the page body of answers [offset, offset+limit) in the
-// engine's deterministic order and reports how many it holds. The buffer is
-// returned even on error, so its capacity goes back to the pool.
-func (s *Server) appendPage(ctx context.Context, b []byte, pr *plan.Prepared, gen, offset uint64, limit int) ([]byte, int, error) {
-	e, err := pr.EnumerateAt(ctx, nil, offset)
+// appendPage appends the page body of the next limit answers after from in
+// the engine's deterministic order and reports how many it holds. The
+// buffer is returned even on error, so its capacity goes back to the pool.
+func (s *Server) appendPage(ctx context.Context, b []byte, pr *plan.Prepared, gen uint64, from token, limit int) ([]byte, int, error) {
+	e, err := resume(ctx, pr, from)
 	if err != nil {
 		return b, 0, err
 	}
@@ -656,9 +658,12 @@ func (s *Server) appendPage(ctx context.Context, b []byte, pr *plan.Prepared, ge
 			n++
 		}
 	}
+	var next token
 	if more {
-		// Peek one ahead so the last full page reports done without an
-		// extra round trip.
+		// The next page resumes after the last answer delivered, so its
+		// cursor is taken before the peek reads past it. Peeking one ahead
+		// lets the last full page report done without an extra round trip.
+		next = cursorAfter(e, pr, gen, from, n)
 		_, more = e.Next()
 	}
 	if err := e.Err(); err != nil {
@@ -666,19 +671,44 @@ func (s *Server) appendPage(ctx context.Context, b []byte, pr *plan.Prepared, ge
 	}
 	var cursor string
 	if more {
-		cursor = s.cursorAt(pr, gen, offset+uint64(n))
+		cursor = encodeToken(s.cfg.CursorKey, next)
 	}
 	return appendPageTail(b, !more, gen, cursor), n, nil
 }
 
-// cursorAt mints the cursor that resumes pr's enumeration at offset.
-func (s *Server) cursorAt(pr *plan.Prepared, gen, offset uint64) string {
-	return encodeToken(s.cfg.CursorKey, token{
-		kind:   kindCursor,
-		fp:     pr.Plan().Fingerprint(),
-		gen:    gen,
-		offset: offset,
-	})
+// posLen is the width of the positions p's position cursors carry, or 0
+// when p's route has none or its head is wider than maxPosArity; such
+// statements keep offset cursors.
+func posLen(p *plan.Plan) int {
+	if n := p.PosLen(); n <= 8*maxPosArity {
+		return n
+	}
+	return 0
+}
+
+// resume starts the enumeration a request continues: after a position
+// cursor's position, at an offset cursor's offset, or — with the zero
+// token — at the first answer.
+func resume(ctx context.Context, pr *plan.Prepared, from token) (*plan.CtxEnumerator, error) {
+	if from.kind == kindPos {
+		return pr.EnumerateFrom(ctx, nil, []byte(from.pos))
+	}
+	return pr.EnumerateAt(ctx, nil, from.offset)
+}
+
+// cursorAfter is the cursor that resumes pr's enumeration after the n
+// answers e has delivered since from: a position cursor where the route
+// has positions, else an offset cursor. Call it before e reads past the
+// last of them.
+func cursorAfter(e *plan.CtxEnumerator, pr *plan.Prepared, gen uint64, from token, n int) token {
+	t := token{kind: kindCursor, fp: pr.Plan().Fingerprint(), gen: gen, offset: from.offset + uint64(n)}
+	if posLen(pr.Plan()) > 0 {
+		var buf [8 * maxPosArity]byte
+		if pos, ok := e.AppendPos(buf[:0]); ok {
+			t.kind, t.offset, t.pos = kindPos, 0, string(pos)
+		}
+	}
+	return t
 }
 
 // writeGrace is how long past its deadline a stream may still be writing:
@@ -694,13 +724,13 @@ const writeGrace = time.Second
 // enumeration stops there and only the answers in chunks that were written
 // count as served. The enumeration is synchronous in this handler, so
 // cancellation leaks nothing.
-func (s *Server) streamAnswers(ctx context.Context, w http.ResponseWriter, pr *plan.Prepared, gen, offset uint64) error {
-	e, err := pr.EnumerateAt(ctx, nil, offset)
+func (s *Server) streamAnswers(ctx context.Context, w http.ResponseWriter, pr *plan.Prepared, gen uint64, from token) error {
+	e, err := resume(ctx, pr, from)
 	if err != nil {
 		return err
 	}
 	if err := e.Err(); err != nil {
-		return err // the deadline ended the skip to offset: nothing is written yet
+		return err // the deadline ended the skip to an offset: nothing is written yet
 	}
 	// The stream writes under the database read lock, so a client that
 	// stops reading would block a write, and every mutation behind it, for
@@ -737,7 +767,7 @@ func (s *Server) streamAnswers(ctx context.Context, w http.ResponseWriter, pr *p
 		// still buffered, with a resume cursor positioned after the last.
 		s.expired(err)
 		c.b = appendRecord(c.b, streamCut{
-			Cursor:    s.cursorAt(pr, gen, offset+uint64(n)),
+			Cursor:    encodeToken(s.cfg.CursorKey, cursorAfter(e, pr, gen, from, int(n))),
 			Detail:    err.Error(),
 			Error:     "deadline_exceeded",
 			Truncated: true,
