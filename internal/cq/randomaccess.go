@@ -151,9 +151,22 @@ func (w *SpineWeights) locate(j int, b []int32, x uint64) (int, uint64) {
 // binary search per spine position; like reinit it ticks one step per
 // position. w must be the weights of the cursor's core. Seek allocates
 // only on a cursor's first call.
+//
+// A nil w — a core whose answer count overflows a uint64 has no weights —
+// restarts the pass and steps over its first i answers at constant delay
+// each, reporting false when they run out first.
 func (od *Odometer) Seek(w *SpineWeights, i uint64) bool {
 	o := od.o
 	oc := o.core
+	if w == nil {
+		o.started, o.placed, o.dead = false, false, oc.dead
+		for ; i > 0; i-- {
+			if _, ok := o.Next(); !ok {
+				return false
+			}
+		}
+		return true
+	}
 	if w.core != oc {
 		panic("cq: Seek with the weights of another core")
 	}

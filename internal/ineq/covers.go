@@ -36,7 +36,9 @@ type Table struct {
 type Cover = database.Tuple
 
 // IsCover reports whether c hits every row of the table (Definition 4.16).
-// The empty table is covered by anything.
+// The empty table is covered by anything. Its negation, some row avoiding
+// every non-blank value of c, is the primitive used to decide ∃z with
+// disequalities (Section 4.3).
 func (t Table) IsCover(c Cover) bool {
 	for _, row := range t.Rows {
 		hit := false
@@ -52,12 +54,6 @@ func (t Table) IsCover(c Cover) bool {
 	}
 	return true
 }
-
-// Avoidable reports whether some row avoids the forbidden values v
-// (vᵢ = Blank meaning "no constraint on column i"): ∃x∈E ∀i: fᵢ(x) ≠ vᵢ.
-// This is the negation of IsCover and is the primitive used to decide
-// ∃z with disequalities (Section 4.3).
-func (t Table) Avoidable(v database.Tuple) bool { return !t.IsCover(v) }
 
 // MoreGeneral reports c′ ≤ c of Definition 4.17: for all i, cᵢ = c′ᵢ or
 // c′ᵢ = ⊔.

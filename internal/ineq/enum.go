@@ -343,24 +343,16 @@ func (p *NeqPrep) Enumerate(c *delay.Counter) *NeqCursor {
 }
 
 // EnumerateFrom starts a pass whose odometer begins at its pos-th output:
-// the first answer is the first one the checks pass from there on. With
-// the counting pass w over Core the odometer is placed by one Seek;
-// without it (the count overflows a uint64) it steps over pos outputs.
+// the first answer is the first one the checks pass from there on. The
+// odometer is placed by one Seek over the counting pass w of Core; with a
+// nil w (the count overflows a uint64) Seek steps over pos outputs.
 func (p *NeqPrep) EnumerateFrom(c *delay.Counter, w *cq.SpineWeights, pos uint64) *NeqCursor {
 	cur := &NeqCursor{p: p, c: c, pos: pos}
 	if p.empty {
 		return cur
 	}
 	cur.od = p.core.Cursor(c)
-	if w != nil {
-		cur.od.Seek(w, pos)
-		return cur
-	}
-	for i := uint64(0); i < pos; i++ {
-		if _, ok := cur.od.Next(); !ok {
-			break
-		}
-	}
+	cur.od.Seek(w, pos)
 	return cur
 }
 

@@ -204,23 +204,25 @@ func TestRepresentativeSetProperty(t *testing.T) {
 	}
 }
 
+// TestAvoidable: some row avoids the forbidden values v (vᵢ = Blank
+// meaning "no constraint on column i") exactly when v is no cover.
 func TestAvoidable(t *testing.T) {
 	tb := Table{K: 2, Rows: []database.Tuple{{1, 2}, {3, 4}}}
 	// (1,4) hits both rows (row 1 via column 1, row 2 via column 2), so it
 	// is a cover and nothing avoids it.
-	if tb.Avoidable(database.Tuple{1, 4}) {
+	if !tb.IsCover(Cover{1, 4}) {
 		t.Errorf("(1,4) covers the table, so it must not be avoidable")
 	}
 	// (1,9) misses row (3,4): avoidable.
-	if !tb.Avoidable(database.Tuple{1, 9}) {
+	if tb.IsCover(Cover{1, 9}) {
 		t.Errorf("(1,9) misses row (3,4): must be avoidable")
 	}
 	// Blanks constrain nothing.
-	if !tb.Avoidable(database.Tuple{Blank, Blank}) {
+	if tb.IsCover(Cover{Blank, Blank}) {
 		t.Errorf("all-blank vector must be avoidable on a nonempty table")
 	}
 	empty := Table{K: 2}
-	if empty.Avoidable(database.Tuple{Blank, Blank}) {
+	if !empty.IsCover(Cover{Blank, Blank}) {
 		t.Errorf("nothing is avoidable in an empty table")
 	}
 }

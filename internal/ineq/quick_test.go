@@ -8,7 +8,7 @@ import (
 )
 
 // Property (the core of Section 4.3): for every table and every forbidden
-// vector, Avoidable agrees between the table and its representative set.
+// vector, avoidance (no cover) agrees between the table and its representative set.
 func TestQuickRepresentativePreservesAvoidance(t *testing.T) {
 	f := func(rows [][3]uint8, vec [3]uint8, blanks uint8) bool {
 		tb := Table{K: 3}
@@ -27,7 +27,7 @@ func TestQuickRepresentativePreservesAvoidance(t *testing.T) {
 				v[b] = Blank
 			}
 		}
-		return tb.Avoidable(v) == rep.Avoidable(v)
+		return tb.IsCover(v) == rep.IsCover(v)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

@@ -113,7 +113,7 @@ func TestRefresherStateBounded(t *testing.T) {
 // TestChurnPastBudget replaces the compaction churn tests: delete/reinsert
 // churn of tuples that DO join tombstones a slab row and abandons index
 // slots on every round. On every round — so before and after each budget
-// rebuild — pages walked by EnumerateAt are the stream position for
+// rebuild — pages resumed at answer offsets are the stream position for
 // position, and the stream is a fresh Bind's answer set.
 func TestChurnPastBudget(t *testing.T) {
 	p, err := plan.Compile(mustCQ(t, "Q(x,y,z) :- A(x,y), B(y,z)."))
@@ -152,9 +152,9 @@ func TestChurnPastBudget(t *testing.T) {
 		stream := delay.Collect(e)
 		var paged []database.Tuple
 		for off := 0; off < len(stream)+1; off += 64 {
-			at, err := pr.EnumerateAt(context.Background(), nil, uint64(off))
+			at, err := pr.EnumerateFrom(context.Background(), nil, offsetPos(uint64(off)))
 			if err != nil {
-				t.Fatalf("round %d: EnumerateAt(%d): %v", round, off, err)
+				t.Fatalf("round %d: resume at %d: %v", round, off, err)
 			}
 			for k := 0; k < 64; k++ {
 				tp, ok := at.Next()

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/database"
 	"repro/internal/delay"
 	"repro/internal/plan"
 )
@@ -80,5 +81,35 @@ func TestEnumerateCtxDeadline(t *testing.T) {
 	}
 	if e.Err() != nil {
 		t.Fatalf("Err() = %v after ordinary exhaustion, want nil", e.Err())
+	}
+}
+
+// TestEnumerateFromStepObservesDeadline: a spine whose answer count
+// overflows a uint64 has no counting pass to seek in, so a resume steps
+// over the answers before its offset; the request deadline still ends that
+// step, and the pass reports the deadline in Err.
+func TestEnumerateFromStepObservesDeadline(t *testing.T) {
+	db := database.NewDatabase()
+	r := database.NewRelation("R", 1)
+	for i := 0; i < 1<<10; i++ {
+		r.Insert(database.Tuple{database.Value(i)})
+	}
+	db.AddRelation(r)
+	p, err := plan.Compile(mustCQ(t, "Q(a,b,c,d,e,f,g) :- R(a), R(b), R(c), R(d), R(e), R(f), R(g)."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := p.Bind(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	e, err := pr.EnumerateFrom(ctx, nil, offsetPos(1<<40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(e.Err(), context.DeadlineExceeded) {
+		t.Fatalf("a resume 2^40 answers deep returned with Err = %v, want DeadlineExceeded", e.Err())
 	}
 }

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -10,6 +11,10 @@ import (
 	"repro/internal/database"
 	"repro/internal/delay"
 )
+
+// offsetPos is the position of the routes without one of their own: the
+// answer offset, 8 bytes big-endian.
+func offsetPos(i uint64) []byte { return binary.BigEndian.AppendUint64(nil, i) }
 
 // answerSet renders rows as a sorted list, for set comparison.
 func answerSet(rows []database.Tuple) string {
@@ -87,7 +92,7 @@ func TestRefreshDropsAndRestoresLinks(t *testing.T) {
 			t.Fatalf("round %d: Count = %v, %v; a fresh bind has %d", round, n, err, len(want))
 		}
 		for i := range rows {
-			at, err := pr.EnumerateAt(context.Background(), nil, uint64(i))
+			at, err := pr.EnumerateFrom(context.Background(), nil, offsetPos(uint64(i)))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -14,10 +14,9 @@
 //     handle. Binding snapshots the database generation; executing a
 //     Prepared after the database mutated fails with ErrStalePlan.
 //   - Prepared exposes the unified execution API — Decide, Count,
-//     Enumerate (EnumerateAt from an offset, EnumerateFrom from a
-//     route-native position), NewRandomAccess — each call
-//     reusing the bound preprocessing, so repeated executions pay only the
-//     per-answer work.
+//     Enumerate (EnumerateFrom resumes after the route-native position a
+//     pass handed out), NewRandomAccess — each call reusing the bound
+//     preprocessing, so repeated executions pay only the per-answer work.
 //
 // Cache keys Plans by an allocation-free structural fingerprint and
 // Prepareds by (plan, database, generation), so a serving loop gets

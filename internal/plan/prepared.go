@@ -63,9 +63,13 @@ type Prepared struct {
 	counted bool
 	countV  *big.Int
 	countE  error
-	matDone bool
-	matRows []database.Tuple
-	matErr  error
+
+	// The answer list of the routes that keep one: the backtracking
+	// evaluation, or a union's deduplicated output once a pass has drained.
+	// Later passes replay it and a resumed one reslices it.
+	rowsDone bool
+	rows     []database.Tuple
+	rowsErr  error
 
 	// The counting pass over the route's odometer core — the
 	// constant-delay spine, or the ACQ≠ core a resumed page seeks in —
@@ -73,11 +77,6 @@ type Prepared struct {
 	// it with the other memos.
 	w    *cq.SpineWeights
 	wErr error
-
-	// Union state: bound head-stripped disjuncts (decide) and the
-	// materialized union answers once a pass completed (enumerate).
-	uDone bool
-	uRows []database.Tuple
 }
 
 // Bind runs the data-dependent preprocessing of p over db. See BindCounted.
@@ -274,7 +273,8 @@ func (pr *Prepared) Enumerate(c *delay.Counter) (delay.Enumerator, error) {
 	}
 	p := pr.plan
 	if p.UCQ != nil {
-		return pr.enumerateUnion(c)
+		e, _, err := pr.enumerateUnion(c, 0)
+		return e, err
 	}
 	switch p.EnumerateEngine {
 	case EngineConstantDelay:
@@ -306,22 +306,23 @@ func (pr *Prepared) Enumerate(c *delay.Counter) (delay.Enumerator, error) {
 func (pr *Prepared) materialized() ([]database.Tuple, error) {
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
-	if !pr.matDone {
-		pr.matRows, pr.matErr = ineq.EvalBacktrack(pr.db, pr.plan.CQ)
-		pr.matDone = true
+	if !pr.rowsDone {
+		pr.rows, pr.rowsErr = ineq.EvalBacktrack(pr.db, pr.plan.CQ)
+		pr.rowsDone = true
 	}
-	return pr.matRows, pr.matErr
+	return pr.rows, pr.rowsErr
 }
 
-// enumerateUnion enumerates a union. The first pass runs the
-// union-extension enumerator of Theorem 4.13 (or the materializing
-// fallback) live, recording the deduplicated output; once a pass has been
-// fully drained, later passes replay the recording.
-func (pr *Prepared) enumerateUnion(c *delay.Counter) (delay.Enumerator, error) {
+// enumerateUnion starts a union pass at answer off, or at the first answer
+// while no pass has drained, and reports the answer it starts at. The
+// first pass runs the union-extension enumerator of Theorem 4.13 (or the
+// materializing fallback) live, recording the deduplicated output; once a
+// pass has been fully drained, later passes reslice the recording.
+func (pr *Prepared) enumerateUnion(c *delay.Counter, off uint64) (delay.Enumerator, uint64, error) {
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
-	if pr.uDone {
-		return delay.Slice(pr.uRows), nil
+	if pr.rowsDone {
+		return replay(pr.rows, off), off, nil
 	}
 	p := pr.plan
 	if p.unionOK {
@@ -331,13 +332,13 @@ func (pr *Prepared) enumerateUnion(c *delay.Counter) (delay.Enumerator, error) {
 				t, ok := e.Next()
 				if !ok {
 					pr.mu.Lock()
-					pr.uDone, pr.uRows = true, rec
+					pr.rowsDone, pr.rows = true, rec
 					pr.mu.Unlock()
 					return nil, false
 				}
 				rec = append(rec, t.Clone())
 				return t, true
-			}), nil
+			}), 0, nil
 		}
 		// The extension plan failed against this database (e.g. a missing
 		// base relation): fall back to materializing each disjunct.
@@ -347,7 +348,7 @@ func (pr *Prepared) enumerateUnion(c *delay.Counter) (delay.Enumerator, error) {
 	for _, d := range p.UCQ.Disjuncts {
 		res, err := ineq.EvalBacktrack(pr.db, d)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		for _, t := range res {
 			k := t.FullKey()
@@ -357,8 +358,13 @@ func (pr *Prepared) enumerateUnion(c *delay.Counter) (delay.Enumerator, error) {
 			}
 		}
 	}
-	pr.uDone, pr.uRows = true, all
-	return delay.Slice(all), nil
+	pr.rowsDone, pr.rows = true, all
+	return replay(all, off), off, nil
+}
+
+// replay enumerates a memoized answer list from answer off on.
+func replay(rows []database.Tuple, off uint64) delay.Enumerator {
+	return delay.Slice(rows[min(off, uint64(len(rows))):])
 }
 
 // errNoRandomAccess refuses the routes without a constant-delay spine.

@@ -232,7 +232,6 @@ func (pr *Prepared) rebindLocked() {
 func (pr *Prepared) clearMemosLocked() {
 	pr.decided, pr.decideV, pr.decideE = false, false, nil
 	pr.counted, pr.countV, pr.countE = false, nil, nil
-	pr.matDone, pr.matRows, pr.matErr = false, nil, nil
+	pr.rowsDone, pr.rows, pr.rowsErr = false, nil, nil
 	pr.w, pr.wErr = nil, nil
-	pr.uDone, pr.uRows = false, nil
 }

@@ -220,12 +220,12 @@ func TestDifferentialRefreshReplay(t *testing.T) {
 					if tp, err := ra.GetInt(int64(i)); err != nil || !tp.Equal(row) {
 						failInstance(t, seed, q, db, "step %d (%s, %v): GetInt(%d) = %v, %v; the stream has %v", step, m, kind, i, tp, err, row)
 					}
-					e, err := pr.EnumerateAt(context.Background(), nil, uint64(i))
+					e, err := pr.EnumerateFrom(context.Background(), nil, offsetPos(uint64(i)))
 					if err != nil {
-						failInstance(t, seed, q, db, "step %d (%s, %v): EnumerateAt(%d): %v", step, m, kind, i, err)
+						failInstance(t, seed, q, db, "step %d (%s, %v): resume at %d: %v", step, m, kind, i, err)
 					}
 					if rest := delay.Collect(e); !sameSequence(rest, got[i:]) {
-						failInstance(t, seed, q, db, "step %d (%s, %v): EnumerateAt(%d) = %v, want the stream's suffix %v", step, m, kind, i, rest, got[i:])
+						failInstance(t, seed, q, db, "step %d (%s, %v): resume at %d = %v, want the stream's suffix %v", step, m, kind, i, rest, got[i:])
 					}
 				}
 			case plan.EngineLinearDelay, plan.EngineNeqEnum:

@@ -102,7 +102,7 @@ func TestBystanderKeepsMemos(t *testing.T) {
 	}
 	// A seek after the noops reuses the memoized counting pass too.
 	before := sink.n.Load()
-	if _, err := pr.EnumerateAt(context.Background(), c, 3); err != nil {
+	if _, err := pr.EnumerateFrom(context.Background(), c, offsetPos(3)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := pr.NewRandomAccess(c); err != nil {
@@ -166,20 +166,20 @@ func TestCountOverflowFallsBack(t *testing.T) {
 	for i := 0; i <= offset; i++ {
 		want, _ = full.Next()
 	}
-	e, err := pr.EnumerateAt(context.Background(), nil, offset)
+	e, err := pr.EnumerateFrom(context.Background(), nil, offsetPos(offset))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tp, ok := e.Next(); !ok || !tp.Equal(want) {
-		t.Fatalf("EnumerateAt(%d) starts at %v, want %v", offset, tp, want)
+		t.Fatalf("resume at %d starts at %v, want %v", offset, tp, want)
 	}
 }
 
 // TestWeightsFollowTheCore drives a churn loop — delete, refresh, reinsert,
 // refresh — while reader goroutines count, random-access and seek under the
-// read lock. Count, GetInt(i) and EnumerateAt(i) must agree with each other
-// position for position and with a fresh bind's answer set on every round.
-// Run with -race.
+// read lock. Count, GetInt(i) and a resume at offset i must agree with
+// each other position for position and with a fresh bind's answer set on
+// every round. Run with -race.
 func TestWeightsFollowTheCore(t *testing.T) {
 	q := mustCQ(t, "Q(x,y,z) :- A(x,y), B(y,z).")
 	const base = 200
@@ -225,14 +225,14 @@ func TestWeightsFollowTheCore(t *testing.T) {
 				t.Errorf("GetInt(%d) = %v, %v; the stream has %v", i, tp, err, rows[i])
 				return
 			}
-			at, err := pr.EnumerateAt(context.Background(), nil, uint64(i))
+			at, err := pr.EnumerateFrom(context.Background(), nil, offsetPos(uint64(i)))
 			if err != nil {
-				t.Errorf("EnumerateAt(%d): %v", i, err)
+				t.Errorf("resume at %d: %v", i, err)
 				return
 			}
 			for k := i; k < len(rows) && k < i+3; k++ {
 				if tp, ok := at.Next(); !ok || !tp.Equal(rows[k]) {
-					t.Errorf("EnumerateAt(%d) answer %d = %v; the stream has %v", i, k-i, tp, rows[k])
+					t.Errorf("resume at %d answer %d = %v; the stream has %v", i, k-i, tp, rows[k])
 					return
 				}
 			}

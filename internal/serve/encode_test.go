@@ -141,16 +141,26 @@ func edgeLabelDB(n int) *database.Database {
 
 // BenchmarkServePageDeep: the first page of a walk and its last full page,
 // resumed by the cursor the page before it handed out, on the linear-delay
-// route (mm over 2¹² edges, pages of 16) and the ACQ≠ route (neq2 over
-// 2¹⁵ edges, pages of 1024). A position cursor makes the deep page cost
-// about what the first does.
+// route (mm over 2¹² edges, pages of 16), the ACQ≠ route (neq2 over 2¹⁵
+// edges, pages of 1024) and the backtracking route (a triangle over the
+// clique on 32 nodes, 29 760 answers, pages of 1024). A route-native
+// position makes the deep page cost about what the first does.
 func BenchmarkServePageDeep(b *testing.B) {
 	for _, c := range []struct {
 		name, query string
 		edges       int
 		limit       int
-	}{{"mm", mmQuery, 1 << 12, 16}, {"neq2", neq2Query, 1 << 15, 1024}} {
-		h := New(edgeLabelDB(c.edges), nil, Config{}).Handler()
+		clique      int // nodes of the clique T beside E and L, 0 for none
+	}{
+		{"mm", mmQuery, 1 << 12, 16, 0},
+		{"neq2", neq2Query, 1 << 15, 1024, 0},
+		{"tri", "Q(x,y,z) :- T(x,y), T(y,z), T(z,x).", 16, 1024, 32},
+	} {
+		db := edgeLabelDB(c.edges)
+		if c.clique > 0 {
+			db.AddRelation(cliqueRelation("T", c.clique))
+		}
+		h := New(db, nil, Config{}).Handler()
 		var bodies [][]byte
 		for cursor := ""; ; {
 			body, _ := json.Marshal(queryRequest{Query: c.query, Cursor: cursor, Limit: c.limit})

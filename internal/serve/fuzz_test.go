@@ -2,9 +2,14 @@ package serve_test
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -46,6 +51,7 @@ func FuzzServeRequest(f *testing.F) {
 	quickstart := "Q(who, kind) :- bought(who, p), category(p, kind)."
 	social := "Q(a,b) :- follows(a,b), verified(b), follows(b,c)."
 	distinct := "Q(a,b) :- follows(a,b), verified(b), a != b."
+	ordered := "Q(a,b) :- follows(a,b), a < b."
 
 	key := bytes.Repeat([]byte{7}, 32)
 	db := exampleDB()
@@ -54,8 +60,10 @@ func FuzzServeRequest(f *testing.F) {
 		MaxBodyBytes: 1 << 16,
 		MaxPageSize:  64,
 	}).Handler()
-	// positionCursor is the cursor a first page of query mints: a position
-	// cursor on the linear-delay (quickstart) and ACQ≠ (distinct) routes.
+	// positionCursor is the cursor a first page of query mints: the last
+	// answer on the linear-delay route (quickstart), the odometer index on
+	// the ACQ≠ route (distinct), the answer offset on the backtracking
+	// route (ordered).
 	positionCursor := func(query string) string {
 		body, _ := json.Marshal(map[string]interface{}{"query": query, "limit": 1})
 		rec := httptest.NewRecorder()
@@ -67,6 +75,27 @@ func FuzzServeRequest(f *testing.F) {
 			f.Fatalf("no cursor on the first page of %s: %s", query, rec.Body.String())
 		}
 		return page.Next
+	}
+	// emptyCursor is the cursor a stream of query cut before its first
+	// answer ends with, minted here under the server's key: the cursor
+	// codec's header and tag around an empty position.
+	emptyCursor := func(query string) string {
+		body, _ := json.Marshal(map[string]interface{}{"query": query})
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/prepare", bytes.NewReader(body)))
+		var prep struct {
+			Fingerprint string `json:"fingerprint"`
+			Generation  uint64 `json:"generation"`
+		}
+		json.Unmarshal(rec.Body.Bytes(), &prep)
+		fp, err := strconv.ParseUint(prep.Fingerprint, 16, 64)
+		if err != nil {
+			f.Fatalf("prepare %s: %s", query, rec.Body.String())
+		}
+		raw := binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64([]byte{1}, fp), prep.Generation)
+		m := hmac.New(sha256.New, key)
+		m.Write(raw)
+		return base64.RawURLEncoding.EncodeToString(m.Sum(raw)[:len(raw)+8])
 	}
 
 	add := func(path string, body interface{}) {
@@ -83,7 +112,7 @@ func FuzzServeRequest(f *testing.F) {
 	add("/v1/enumerate", map[string]interface{}{"query": quickstart, "cursor": "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"})
 	add("/v1/enumerate", map[string]interface{}{"query": quickstart, "cursor": strings.Repeat("x", 2048)})
 	add("/v1/enumerate", map[string]interface{}{"query": quickstart, "limit": -5, "deadline_ms": -1})
-	for _, q := range []string{quickstart, distinct} {
+	for _, q := range []string{quickstart, distinct, ordered} {
 		cur := positionCursor(q)
 		add("/v1/enumerate", map[string]interface{}{"query": q, "cursor": cur, "limit": 3})
 		add("/v1/enumerate", map[string]interface{}{"query": q, "cursor": cur, "stream": true})
@@ -91,6 +120,9 @@ func FuzzServeRequest(f *testing.F) {
 		add("/v1/enumerate", map[string]interface{}{"query": social, "cursor": cur})
 	}
 	add("/v1/enumerate", map[string]interface{}{"query": distinct, "cursor": positionCursor(quickstart)})
+	add("/v1/enumerate", map[string]interface{}{"query": quickstart, "cursor": emptyCursor(quickstart), "limit": 2})
+	add("/v1/enumerate", map[string]interface{}{"query": quickstart, "cursor": emptyCursor(quickstart), "stream": true})
+	add("/v1/enumerate", map[string]interface{}{"query": ordered, "cursor": emptyCursor(quickstart)})
 	add("/v1/enumerate", map[string]interface{}{"query": quickstart, "cursor": "A" + strings.Repeat("_", 255)})
 	add("/v1/prepare", map[string]interface{}{"query": "Q() :- bought(x, y)."})
 	add("/v1/mutate", map[string]interface{}{"pred": "bought", "op": "insert", "tuple": []int64{9, 1}})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -186,8 +187,8 @@ func TestStreamStopsAtWriteError(t *testing.T) {
 	if w.writes != k+1 {
 		t.Fatalf("cancelled stream made %d writes, want the %d chunks before the cut and one with the rest", w.writes, k)
 	}
-	cur, err := decodeToken(s.cfg.CursorKey, kindCursor, tail.Cursor, 0)
-	if answers := uint64(len(lines) - 1); err != nil || cur.offset != answers {
+	cur, err := decodeToken(s.cfg.CursorKey, kindCursor, tail.Cursor, 8)
+	if answers := uint64(len(lines) - 1); err != nil || binary.BigEndian.Uint64(cur.pos) != answers {
 		t.Fatalf("truncation cursor %+v (%v) after %d answers", cur, err, answers)
 	}
 	if st := s.Stats(); st.DeadlineExpired != 0 {
@@ -253,31 +254,46 @@ func TestStalledReaderReleasesReadLock(t *testing.T) {
 	}
 }
 
+// sameToken reports whether two tokens carry the same fields.
+func sameToken(a, b token) bool {
+	return a.kind == b.kind && a.fp == b.fp && a.gen == b.gen && bytes.Equal(a.pos, b.pos)
+}
+
 // TestTokenGolden pins the token wire format to the exact strings the
 // two-codec implementation (cursor.go + handle.go at commit ae1fa3d)
-// minted under this key, so clients' stored cursors and handles survive
-// the merge into one codec, pins the position cursors beside them, and
-// walks every rejection class of all three kinds. A position cursor is
-// decoded through the cursor field with its plan's position width; any
-// other width, none included, makes it malformed.
+// minted under this key, so handles and offset cursors keep their bytes
+// across the merge into one codec and the move to one cursor kind: an
+// answer offset is the 8-byte position of the routes without a position of
+// their own. It pins the linear-delay positions and the empty position
+// beside them, and walks every rejection class of both kinds. A cursor is
+// decoded with its plan's position width; a position of any other width is
+// malformed, and so is a token one character off either allowed length.
 func TestTokenGolden(t *testing.T) {
 	key := []byte("0123456789abcdef0123456789abcdef")
 	all := ^uint64(0)
-	widest := strings.Repeat("\xff", 8*maxPosArity)
-	golden := []struct {
-		tok  token
-		wire string
-	}{
-		{token{kind: kindCursor, fp: 0xdeadbeefcafe0123, gen: 42, offset: 1 << 40}, "Ad6tvu_K_gEjAAAAAAAAACoAAAEAAAAAAKlGhLbUUhby"},
-		{token{kind: kindCursor}, "AQAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAEoBUVB4sJ1X"},
-		{token{kind: kindCursor, fp: all, gen: all, offset: all}, "Af_______________________________9RXfobb46is"},
-		{token{kind: kindHandle, fp: 0xfeedface00112233, gen: 77}, "Av7t-s4AESIzAAAAAAAAAE28SFi6_g9ZOw"},
-		{token{kind: kindHandle}, "AgAAAAAAAAAAAAAAAAAAAAB0WhtxIkEYbA"},
-		{token{kind: kindHandle, fp: all, gen: all}, "Av____________________9QrWeNmEZhog"},
-		{token{kind: kindPos, fp: 0xdeadbeefcafe0123, gen: 42, pos: "\x00\x00\x00\x00\x00\x00\x00\x07\xff\xff\xff\xff\xff\xff\xff\xfe"}, "A96tvu_K_gEjAAAAAAAAACoAAAAAAAAAB__________-RBE82F7Vacc"},
-		{token{kind: kindPos, gen: 9, pos: "\x00\x00\x00\x00\x00\x01\x00\x00"}, "AwAAAAAAAAAAAAAAAAAAAAkAAAAAAAEAABTfoB94-5G-"},
-		{token{kind: kindPos, fp: all, gen: all, pos: widest}, "A________________________________________________________________________________________________________________________________________________________________________________________________7jdRBtxcETu"},
+	u64 := func(vs ...uint64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.BigEndian.AppendUint64(b, v)
+		}
+		return b
 	}
+	golden := []struct {
+		tok   token
+		width int // the PosLen of the plan the token is presented with
+		wire  string
+	}{
+		{token{kind: kindCursor, fp: 0xdeadbeefcafe0123, gen: 42, pos: u64(1 << 40)}, 8, "Ad6tvu_K_gEjAAAAAAAAACoAAAEAAAAAAKlGhLbUUhby"},
+		{token{kind: kindCursor, pos: u64(0)}, 8, "AQAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAEoBUVB4sJ1X"},
+		{token{kind: kindCursor, fp: all, gen: all, pos: u64(all)}, 8, "Af_______________________________9RXfobb46is"},
+		{token{kind: kindHandle, fp: 0xfeedface00112233, gen: 77}, 0, "Av7t-s4AESIzAAAAAAAAAE28SFi6_g9ZOw"},
+		{token{kind: kindHandle}, 0, "AgAAAAAAAAAAAAAAAAAAAAB0WhtxIkEYbA"},
+		{token{kind: kindHandle, fp: all, gen: all}, 0, "Av____________________9QrWeNmEZhog"},
+		{token{kind: kindCursor, fp: 0xdeadbeefcafe0123, gen: 42, pos: u64(7, all-1)}, 16, "Ad6tvu_K_gEjAAAAAAAAACoAAAAAAAAAB__________--rovxOFTzKs"},
+		{token{kind: kindCursor, fp: all, gen: all, pos: bytes.Repeat([]byte{0xff}, 8*20)}, 8 * 20, "Af__________________________________________________________________________________________________________________________________________________________________________________________________________________________________________4ZLa3Tgiguc"},
+		{token{kind: kindCursor, fp: 0xdeadbeefcafe0123, gen: 9}, 16, "Ad6tvu_K_gEjAAAAAAAAAAlU_dZjKPCnRg"},
+	}
+	enc := base64.RawURLEncoding
 	for _, g := range golden {
 		if got := encodeToken(key, g.tok); got != g.wire {
 			t.Errorf("encode %+v = %q, want %q", g.tok, got, g.wire)
@@ -286,18 +302,14 @@ func TestTokenGolden(t *testing.T) {
 		if kind == kindHandle {
 			other = kindCursor
 		}
-		if kind == kindPos {
-			kind = kindCursor
-		}
-		width := len(g.tok.pos)
-		got, err := decodeToken(key, kind, g.wire, width)
-		if err != nil || got != g.tok {
+		got, err := decodeToken(key, kind, g.wire, g.width)
+		if err != nil || !sameToken(got, g.tok) {
 			t.Errorf("decode %q = %+v, %v; want %+v", g.wire, got, err, g.tok)
 		}
-		spec, otherSpec := tokenSpecs[g.tok.kind], tokenSpecs[other]
-		raw, _ := base64.RawURLEncoding.DecodeString(g.wire)
+		errs, otherErrs := tokenErrs[kind], tokenErrs[other]
+		raw, _ := enc.DecodeString(g.wire)
 		raw[5] ^= 1
-		flipped := base64.RawURLEncoding.EncodeToString(raw)
+		flipped := enc.EncodeToString(raw)
 		rejections := []struct {
 			name  string
 			kind  tokenKind
@@ -305,27 +317,35 @@ func TestTokenGolden(t *testing.T) {
 			in    string
 			want  error
 		}{
-			{"cross-kind", other, width, g.wire, otherSpec.malformed},
-			{"wrong key", kind, width, encodeToken([]byte("another key"), g.tok), spec.forged},
-			{"flipped field bit", kind, width, flipped, spec.forged},
-			{"truncated", kind, width, g.wire[:len(g.wire)-2], spec.malformed},
-			{"extended", kind, width, g.wire + "AAAA", spec.malformed},
-			{"not base64url", kind, width, "!" + g.wire[1:], spec.malformed},
-			{"oversized", kind, width, strings.Repeat("A", spec.maxLen+1), spec.malformed},
-			{"empty", kind, width, "", spec.malformed},
+			{"cross-kind", other, g.width, g.wire, otherErrs.malformed},
+			{"wrong key", kind, g.width, encodeToken([]byte("another key"), g.tok), errs.forged},
+			{"flipped field bit", kind, g.width, flipped, errs.forged},
+			{"truncated", kind, g.width, g.wire[:len(g.wire)-2], errs.malformed},
+			{"extended", kind, g.width, g.wire + "AAAA", errs.malformed},
+			{"not base64url", kind, g.width, "!" + g.wire[1:], errs.malformed},
+			{"empty", kind, g.width, "", errs.malformed},
 		}
-		if g.tok.kind == kindPos {
-			rejections = append(rejections, []struct {
-				name  string
-				kind  tokenKind
-				width int
-				in    string
-				want  error
-			}{
-				{"route without positions", kind, 0, g.wire, spec.malformed},
-				{"one value fewer", kind, width - 8, g.wire, spec.malformed},
-				{"one value more", kind, width + 8, g.wire, spec.malformed},
-			}...)
+		for _, n := range []int{enc.EncodedLen(tokenHeadLen + tokenMACLen), enc.EncodedLen(tokenHeadLen + g.width + tokenMACLen)} {
+			for _, off := range []int{-1, 1} {
+				rejections = append(rejections, struct {
+					name  string
+					kind  tokenKind
+					width int
+					in    string
+					want  error
+				}{fmt.Sprintf("%d characters", n+off), kind, g.width, strings.Repeat("A", n+off), errs.malformed})
+			}
+		}
+		if len(g.tok.pos) > 0 {
+			for _, w := range []int{0, g.width - 8, g.width + 8} {
+				rejections = append(rejections, struct {
+					name  string
+					kind  tokenKind
+					width int
+					in    string
+					want  error
+				}{fmt.Sprintf("a plan of width %d", w), kind, w, g.wire, errs.malformed})
+			}
 		}
 		for _, rej := range rejections {
 			if _, err := decodeToken(key, rej.kind, rej.in, rej.width); err != rej.want {

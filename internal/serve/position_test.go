@@ -4,21 +4,21 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"net/http"
-	"strconv"
 	"testing"
 
+	"repro/internal/database"
 	"repro/internal/serve"
 )
 
-// cursorKind is the leading wire byte of a cursor: 1 for an offset
-// cursor, 3 for a position cursor.
-func cursorKind(t *testing.T, cursor string) byte {
+// cursorWidth is the width of the position a cursor carries: its decoded
+// length less the kind byte, fingerprint, generation and tag.
+func cursorWidth(t *testing.T, cursor string) int {
 	t.Helper()
 	raw, err := base64.RawURLEncoding.DecodeString(cursor)
-	if err != nil || len(raw) == 0 {
-		t.Fatalf("cursor %q does not decode: %v", cursor, err)
+	if err != nil || len(raw) < 25 || raw[0] != 1 {
+		t.Fatalf("cursor %q does not decode to a cursor: %v", cursor, err)
 	}
-	return raw[0]
+	return len(raw) - 25
 }
 
 // firstPage requests the first page of limit answers of the statement
@@ -40,27 +40,42 @@ func firstPage(t *testing.T, h http.Handler, base map[string]interface{}, limit 
 	return answers, cursor
 }
 
-// TestPositionCursorWalk: on the linear-delay (mm) and ACQ≠ (neq2) shapes,
-// every page after the first is resumed by a position cursor, and a walk
-// of pages — by query text and by statement handle, at page sizes 1, 7
-// and 64 — serves exactly one stream's answers in the stream's order. An
-// offset cursor, as a server without position cursors minted it, still
-// resumes through the skip to the same suffix. After a mutation a position
-// cursor answers 410 stale_cursor.
+// positionDB is the edge-label database with the clique T beside it, over
+// which the triangle query has 12·11·10 answers.
+func positionDB() *database.Database {
+	db := serve.EdgeLabelDB(400)
+	db.AddRelation(serve.CliqueRelation("T", 12))
+	return db
+}
+
+// TestPositionCursorWalk: on the linear-delay (mm), ACQ≠ (neq2),
+// backtracking (a triangle) and constant-delay shapes, every page after
+// the first is resumed by the cursor of the page before it, which carries
+// the route's own position, and a walk of pages — by query text and by
+// statement handle, at page sizes 1, 7 and 64 — serves exactly one
+// stream's answers in the stream's order. After a mutation a cursor
+// answers 410 stale_cursor.
 func TestPositionCursorWalk(t *testing.T) {
-	for _, query := range []string{"Q(x,z) :- E(x,y), E(y,z).", "Q(x,y) :- E(x,y), L(y), x != y."} {
-		t.Run(query, func(t *testing.T) {
-			db := serve.EdgeLabelDB(400)
-			h := newHandler(db, serve.Config{})
-			stream, tail := streamInOrder(t, h, map[string]interface{}{"query": query})
+	for _, c := range []struct {
+		query string
+		width int
+	}{
+		{"Q(x,z) :- E(x,y), E(y,z).", 16},
+		{"Q(x,y) :- E(x,y), L(y), x != y.", 8},
+		{"Q(x,y,z) :- T(x,y), T(y,z), T(z,x).", 8},
+		{"Q(x,y) :- E(x,y), L(y).", 8},
+	} {
+		t.Run(c.query, func(t *testing.T) {
+			h := newHandler(positionDB(), serve.Config{})
+			stream, tail := streamInOrder(t, h, map[string]interface{}{"query": c.query})
 			if !tail.Done || len(stream) < 100 {
 				t.Fatalf("stream of %d answers (%+v): too short to walk", len(stream), tail)
 			}
-			handle := prepareHandle(t, h, query)
-			for _, base := range []map[string]interface{}{{"query": query}, {"handle": handle}} {
+			handle := prepareHandle(t, h, c.query)
+			for _, base := range []map[string]interface{}{{"query": c.query}, {"handle": handle}} {
 				for _, size := range []int{1, 7, 64} {
-					if _, cursor := firstPage(t, h, base, size); cursorKind(t, cursor) != 3 {
-						t.Fatalf("page size %d: the first page minted a kind-%d cursor, want a position cursor", size, cursorKind(t, cursor))
+					if _, cursor := firstPage(t, h, base, size); cursorWidth(t, cursor) != c.width {
+						t.Fatalf("page size %d: the first page minted a cursor of a %d-byte position, want %d", size, cursorWidth(t, cursor), c.width)
 					}
 					pages := pagesInOrder(t, h, base, "", size)
 					if !sameWire(pages, stream) {
@@ -69,55 +84,42 @@ func TestPositionCursorWalk(t *testing.T) {
 				}
 			}
 
-			// An offset cursor minted for the statement's plan and generation.
-			code, out := postJSON(t, h, "/v1/prepare", map[string]interface{}{"query": query})
-			if code != http.StatusOK {
-				t.Fatalf("prepare: status %d", code)
-			}
-			var fpHex string
-			var gen uint64
-			json.Unmarshal(out["fingerprint"], &fpHex)
-			json.Unmarshal(out["generation"], &gen)
-			fp, err := strconv.ParseUint(fpHex, 16, 64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			const offset = 37
-			rest := pagesInOrder(t, h, map[string]interface{}{"query": query}, serve.OffsetCursor(testKey, fp, gen, offset), 16)
-			if !sameWire(rest, stream[offset:]) {
-				t.Fatalf("an offset cursor at %d resumed to %d answers, want the stream's %d after it", offset, len(rest), len(stream)-offset)
-			}
-
-			_, cursor := firstPage(t, h, map[string]interface{}{"query": query}, 16)
+			_, cursor := firstPage(t, h, map[string]interface{}{"query": c.query}, 16)
 			mutate(t, h, "E", "insert", 1000, 1000)
-			code, out = postJSON(t, h, "/v1/enumerate", map[string]interface{}{"query": query, "cursor": cursor})
+			code, out := postJSON(t, h, "/v1/enumerate", map[string]interface{}{"query": c.query, "cursor": cursor})
 			var e string
 			json.Unmarshal(out["error"], &e)
 			if code != http.StatusGone || e != "stale_cursor" {
-				t.Fatalf("a position cursor after a mutation: %d %q, want 410 stale_cursor", code, e)
+				t.Fatalf("a cursor after a mutation: %d %q, want 410 stale_cursor", code, e)
 			}
 		})
 	}
 }
 
-// TestPositionCursorWidth: a position cursor minted for one statement and
-// presented with a statement whose positions are of another width is
-// malformed, refused before its fingerprint is compared.
+// TestPositionCursorWidth: a cursor presented with a statement whose
+// positions are of another width is malformed, refused before its
+// fingerprint is compared; one of the same width minted for another
+// statement is refused by its fingerprint.
 func TestPositionCursorWidth(t *testing.T) {
-	h := newHandler(serve.EdgeLabelDB(160), serve.Config{})
-	_, cursor := firstPage(t, h, map[string]interface{}{"query": "Q(x,y) :- E(x,y), L(y), x != y."}, 4)
-	if cursorKind(t, cursor) != 3 {
-		t.Fatal("the ACQ≠ route minted no position cursor")
-	}
-	for _, other := range []string{
-		"Q(x,z,w) :- E(x,y), E(y,z), L(w).", // three 8-byte values on the linear-delay route, not one
-		"Q(x,y) :- E(x,y), L(y).",           // the constant-delay route: no positions
+	h := newHandler(positionDB(), serve.Config{})
+	const (
+		mm   = "Q(x,z) :- E(x,y), E(y,z)."       // two 8-byte values on the linear-delay route
+		neq2 = "Q(x,y) :- E(x,y), L(y), x != y." // one on the ACQ≠ route
+	)
+	_, mmCursor := firstPage(t, h, map[string]interface{}{"query": mm}, 4)
+	_, neqCursor := firstPage(t, h, map[string]interface{}{"query": neq2}, 4)
+	for _, c := range []struct{ cursor, query, want string }{
+		{neqCursor, mm, "bad_cursor"},
+		{neqCursor, "Q(x,z,w) :- E(x,y), E(y,z), L(w).", "bad_cursor"}, // three values
+		{mmCursor, neq2, "bad_cursor"},
+		{neqCursor, "Q(x,y) :- E(x,y), L(y).", "cursor_mismatch"},             // an offset on the constant-delay route
+		{neqCursor, "Q(x,y,z) :- T(x,y), T(y,z), T(z,x).", "cursor_mismatch"}, // an offset on the backtracking route
 	} {
-		code, out := postJSON(t, h, "/v1/enumerate", map[string]interface{}{"query": other, "cursor": cursor})
+		code, out := postJSON(t, h, "/v1/enumerate", map[string]interface{}{"query": c.query, "cursor": c.cursor})
 		var e string
 		json.Unmarshal(out["error"], &e)
-		if code != http.StatusBadRequest || e != "bad_cursor" {
-			t.Fatalf("%s with an ACQ≠ position cursor: %d %q, want 400 bad_cursor", other, code, e)
+		if code != http.StatusBadRequest || e != c.want {
+			t.Fatalf("%s with a cursor of a %d-byte position: %d %q, want 400 %s", c.query, cursorWidth(t, c.cursor), code, e, c.want)
 		}
 	}
 }
