@@ -1,6 +1,7 @@
 // Command benchgate compares two `go test -bench -benchmem` output files
 // and fails (exit 1) when the new run regresses: more than -maxtime
-// fractional slowdown in ns/op, any increase at all in allocs/op, or more
+// fractional slowdown in ns/op, any increase at all in allocs/op, more
+// than -maxbytes fractional growth in B/op when that gate is on, or more
 // than -maxp99 fractional growth of a p99 enumeration delay (from `qbench
 // -json` reports). It is a dependency-free stand-in for benchstat, tuned as
 // a CI gate rather than a statistics report.
@@ -34,6 +35,7 @@ var (
 	newPath  = flag.String("new", "", "candidate benchmark output")
 	maxTime  = flag.Float64("maxtime", 0.15, "maximum allowed fractional ns/op regression")
 	maxAlloc = flag.Float64("maxalloc", 0, "maximum allowed fractional allocs/op regression")
+	maxBytes = flag.Float64("maxbytes", -1, "maximum allowed fractional B/op regression (negative: B/op is not gated)")
 	maxP99   = flag.Float64("maxp99", 0, "maximum allowed fractional p99 delay regression (counted steps are deterministic, so zero tolerance is the default)")
 )
 
@@ -59,6 +61,8 @@ type sample struct {
 	nsPerOp     float64
 	allocsPerOp float64
 	hasAllocs   bool
+	bytesPerOp  float64
+	hasBytes    bool
 	p99Steps    float64
 	hasP99      bool
 }
@@ -132,6 +136,9 @@ func parseBenchData(path string, data []byte) (map[string]sample, error) {
 			case "allocs/op":
 				s.allocsPerOp = v
 				s.hasAllocs = true
+			case "B/op":
+				s.bytesPerOp = v
+				s.hasBytes = true
 			}
 		}
 		if !ok {
@@ -145,6 +152,10 @@ func parseBenchData(path string, data []byte) (map[string]sample, error) {
 				prev.allocsPerOp = s.allocsPerOp
 				prev.hasAllocs = true
 			}
+			if s.hasBytes && (!prev.hasBytes || s.bytesPerOp < prev.bytesPerOp) {
+				prev.bytesPerOp = s.bytesPerOp
+				prev.hasBytes = true
+			}
 			best[name] = prev
 		} else {
 			best[name] = s
@@ -153,10 +164,10 @@ func parseBenchData(path string, data []byte) (map[string]sample, error) {
 	return best, sc.Err()
 }
 
-// compare gates newB against oldB, writing the report to w. It returns
-// whether any regression tripped a gate and whether the two files had any
-// benchmark in common at all.
-func compare(w io.Writer, oldB, newB map[string]sample, maxTime, maxAlloc, maxP99 float64) (failed, any bool) {
+// compare gates newB against oldB, writing the report to w. A negative
+// maxBytes leaves B/op ungated. It returns whether any regression tripped
+// a gate and whether the two files had any benchmark in common at all.
+func compare(w io.Writer, oldB, newB map[string]sample, maxTime, maxAlloc, maxBytes, maxP99 float64) (failed, any bool) {
 	names := make([]string, 0, len(oldB))
 	for name := range oldB {
 		if _, ok := newB[name]; ok {
@@ -203,6 +214,15 @@ func compare(w io.Writer, oldB, newB map[string]sample, maxTime, maxAlloc, maxP9
 				failed = true
 			}
 		}
+		if maxBytes >= 0 && o.hasBytes && n.hasBytes {
+			alloc += fmt.Sprintf(" %.0f→%.0f B", o.bytesPerOp, n.bytesPerOp)
+			// A floor of 1 KB keeps a few stray bytes over a near-zero
+			// baseline from reading as a large fraction.
+			if fracDelta(o.bytesPerOp, n.bytesPerOp, 1024) > maxBytes {
+				status += "  BYTES REGRESSION"
+				failed = true
+			}
+		}
 		fmt.Fprintf(w, "%-28s %14.1f %14.1f %+7.1f%%   %s%s\n",
 			strings.TrimPrefix(name, "Benchmark"), o.nsPerOp, n.nsPerOp, dt*100, alloc, status)
 	}
@@ -225,7 +245,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
 		os.Exit(2)
 	}
-	failed, any := compare(os.Stdout, oldB, newB, *maxTime, *maxAlloc, *maxP99)
+	failed, any := compare(os.Stdout, oldB, newB, *maxTime, *maxAlloc, *maxBytes, *maxP99)
 	if !any {
 		// A PR that introduces the first benchmarks has no baseline to
 		// regress against; pass loudly rather than block it.
@@ -233,8 +253,8 @@ func main() {
 		return
 	}
 	if failed {
-		fmt.Printf("\nFAIL: regression beyond -maxtime=%.0f%%, -maxalloc=%.0f%%, or -maxp99=%.0f%%\n",
-			*maxTime*100, *maxAlloc*100, *maxP99*100)
+		fmt.Printf("\nFAIL: regression beyond -maxtime=%.0f%%, -maxalloc=%.0f%%, -maxbytes=%.0f%%, or -maxp99=%.0f%%\n",
+			*maxTime*100, *maxAlloc*100, *maxBytes*100, *maxP99*100)
 		os.Exit(1)
 	}
 	fmt.Println("\nok: no benchmark regressions")

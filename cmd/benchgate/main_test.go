@@ -31,7 +31,7 @@ func TestCompareZeroBaselineNoPanicNoInf(t *testing.T) {
 	oldB := map[string]sample{"BenchmarkFast": {nsPerOp: 0, allocsPerOp: 0, hasAllocs: true}}
 	newB := map[string]sample{"BenchmarkFast": {nsPerOp: 0, allocsPerOp: 0, hasAllocs: true}}
 	var b strings.Builder
-	failed, any := compare(&b, oldB, newB, 0.15, 0, 0)
+	failed, any := compare(&b, oldB, newB, 0.15, 0, -1, 0)
 	if !any {
 		t.Fatal("common benchmark not compared")
 	}
@@ -47,7 +47,7 @@ func TestCompareTimeRegression(t *testing.T) {
 	oldB := map[string]sample{"BenchmarkX": {nsPerOp: 100}}
 	newB := map[string]sample{"BenchmarkX": {nsPerOp: 130}}
 	var b strings.Builder
-	failed, _ := compare(&b, oldB, newB, 0.15, 0, 0)
+	failed, _ := compare(&b, oldB, newB, 0.15, 0, -1, 0)
 	if !failed {
 		t.Errorf("30%% slowdown not flagged:\n%s", b.String())
 	}
@@ -84,7 +84,7 @@ func TestCompareP99Gate(t *testing.T) {
 	var b strings.Builder
 	failed, _ := compare(&b, oldB, map[string]sample{
 		"E1/enum_delay_p99_steps": {p99Steps: 4, hasP99: true},
-	}, 0.15, 0, 0)
+	}, 0.15, 0, -1, 0)
 	if failed {
 		t.Errorf("unchanged p99 flagged at zero tolerance:\n%s", b.String())
 	}
@@ -95,7 +95,7 @@ func TestCompareP99Gate(t *testing.T) {
 		failed, _ := compare(&b,
 			map[string]sample{"E1/p99_delay_p99_steps": {p99Steps: c.oldP, hasP99: true}},
 			map[string]sample{"E1/p99_delay_p99_steps": {p99Steps: c.newP, hasP99: true}},
-			0.15, 0, 0)
+			0.15, 0, -1, 0)
 		if !failed {
 			t.Errorf("p99 growth %v→%v not flagged:\n%s", c.oldP, c.newP, b.String())
 		}
@@ -105,7 +105,7 @@ func TestCompareP99Gate(t *testing.T) {
 	var b2 strings.Builder
 	failed, _ = compare(&b2, oldB, map[string]sample{
 		"E1/enum_delay_p99_steps": {p99Steps: 5, hasP99: true},
-	}, 0.15, 0, 0.5)
+	}, 0.15, 0, -1, 0.5)
 	if failed {
 		t.Errorf("p99 4→5 flagged despite -maxp99=0.5:\n%s", b2.String())
 	}
@@ -126,7 +126,32 @@ PASS
 	if !ok {
 		t.Fatalf("BenchmarkLookup missing: %v", got)
 	}
-	if s.nsPerOp != 100 || s.allocsPerOp != 1 {
+	if s.nsPerOp != 100 || s.allocsPerOp != 1 || s.bytesPerOp != 16 || !s.hasBytes {
 		t.Errorf("min reduction wrong: %+v", s)
+	}
+}
+
+// TestCompareBytesGate: -maxbytes gates B/op by its fraction, stays off
+// when negative, and a baseline under the 1 KB floor does not turn a few
+// stray bytes into a large fraction.
+func TestCompareBytesGate(t *testing.T) {
+	bench := func(bytes float64) map[string]sample {
+		return map[string]sample{"BenchmarkView": {nsPerOp: 100, allocsPerOp: 2, hasAllocs: true, bytesPerOp: bytes, hasBytes: true}}
+	}
+	for _, c := range []struct {
+		oldB, newB, maxBytes float64
+		fail                 bool
+	}{
+		{152, 49304, 0.05, true},      // a 2^11-row header copy comes back
+		{152, 49304, -1, false},       // gate off
+		{100000, 104000, 0.05, false}, // inside the tolerance
+		{100000, 106000, 0.05, true},
+		{0, 40, 0.05, false}, // 40 B over the 1 KB floor
+	} {
+		var b strings.Builder
+		failed, _ := compare(&b, bench(c.oldB), bench(c.newB), 0.15, 0, c.maxBytes, 0)
+		if failed != c.fail {
+			t.Errorf("B/op %v→%v at -maxbytes %v: failed=%v, want %v\n%s", c.oldB, c.newB, c.maxBytes, failed, c.fail, b.String())
+		}
 	}
 }

@@ -22,7 +22,10 @@ package database
 // (SemijoinScalar, JoinScalar, Index.Lookup) remain in place as the oracle
 // for the differential suites.
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
 // probeBatch is the number of probe rows fingerprinted per inner pass; it
 // bounds the scratch's fps buffer so a batch of hashes stays in L1.
@@ -89,16 +92,26 @@ type cacheEnt struct {
 	epoch uint32
 }
 
-// BatchScratch holds the reusable buffers of the batch kernels: the
-// fingerprint staging area, the survivor buffer, an iota buffer for whole-
-// relation probes, and the bucket-result cache. Scratches are pooled
-// (GetScratch/Release); a warm kernel call allocates nothing.
+// BatchScratch holds the reusable buffers of the batch kernels and of
+// key grouping: the fingerprint staging area, the survivor buffer, an
+// iota buffer for whole-relation probes, the bucket-result cache, and the
+// grouping table, first-row list and per-row ids of groupKeys. Scratches
+// are pooled (GetScratch/Release); a warm kernel call allocates nothing,
+// and a grouping (Project, Select, buildIndex) allocates only what its
+// result keeps.
 type BatchScratch struct {
 	fps   [probeBatch]uint64
 	ids   []int32 // iota buffer handed to kernels as rowIDs
-	keep  []int32 // survivor buffer returned by ContainsBatch
+	keep  []int32 // survivor buffer returned by ContainsBatch and Select
 	epoch uint32  // bumped per kernel call; cache entries from other calls are dead
 	cache [cacheSlots]cacheEnt
+
+	// The grouping table lives in one of slots and spare and doubles into
+	// the other, so a warm grouping reuses both; first and rowIDs back
+	// groupKeys' results.
+	slots, spare []slot
+	first        []int32
+	rowIDs       []int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(BatchScratch) }}
@@ -106,9 +119,24 @@ var scratchPool = sync.Pool{New: func() any { return new(BatchScratch) }}
 // GetScratch returns a scratch from the pool.
 func GetScratch() *BatchScratch { return scratchPool.Get().(*BatchScratch) }
 
+// maxKeptGroup bounds, in elements, each grouping buffer a pooled scratch
+// keeps: enough for a 2¹⁶-row grouping with as many keys. A larger grouping
+// allocates its buffers afresh, as it would without the pool, so a few
+// large index builds (a boot over 2¹⁸-row relations) do not leave their
+// tables' worth of memory parked in the pool.
+const maxKeptGroup = 1 << 17
+
 // Release returns the scratch to the pool. Buffers previously returned by
-// ContainsBatch on this scratch are invalid afterwards.
-func (sc *BatchScratch) Release() { scratchPool.Put(sc) }
+// ContainsBatch or groupKeys on this scratch are invalid afterwards.
+func (sc *BatchScratch) Release() {
+	if cap(sc.slots) > maxKeptGroup || cap(sc.spare) > maxKeptGroup {
+		sc.slots, sc.spare = nil, nil
+	}
+	if cap(sc.first) > maxKeptGroup || cap(sc.rowIDs) > maxKeptGroup {
+		sc.first, sc.rowIDs = nil, nil
+	}
+	scratchPool.Put(sc)
+}
 
 // Iota fills the scratch's id buffer with row ids [0, n) — the rowIDs
 // argument for probing a whole relation.
@@ -134,6 +162,48 @@ func (sc *BatchScratch) growKeep(n int) []int32 {
 		sc.keep = make([]int32, n)
 	}
 	return sc.keep[:n]
+}
+
+// sizeGroup readies sc's grouping buffers for n rows whose table starts
+// at size slots. The table ends at no more than top = tableSize(2n) slots,
+// doubling through slots and spare in turn, so one of the two must hold
+// top slots and the other top/2; first and rowIDs hold n ids each. A
+// short scratch gets each pair in one allocation, so a cold scratch costs
+// the same two allocations however often the table doubles, and a warm
+// one none. Past maxKeptGroup, where Release drops the table's buffers
+// anyway, they grow step by step (emptySlots), as an unpooled table does.
+func (sc *BatchScratch) sizeGroup(n, size int) {
+	if top := tableSize(2 * n); top <= maxKeptGroup {
+		hi, lo := sc.slots, sc.spare
+		if cap(hi) < cap(lo) {
+			hi, lo = lo, hi
+		}
+		if cap(hi) < top || cap(lo) < top/2 {
+			buf := make([]slot, top+top/2)
+			hi, lo = buf[:top:top], buf[top:]
+		}
+		// The table starts in slots and ends there after an even number
+		// of doublings.
+		sc.slots, sc.spare = hi, lo
+		if bits.TrailingZeros(uint(top/size))%2 == 1 {
+			sc.slots, sc.spare = lo, hi
+		}
+	}
+	if cap(sc.first) < n || cap(sc.rowIDs) < n {
+		buf := make([]int32, 2*n)
+		sc.first, sc.rowIDs = buf[:0:n], buf[n:]
+	}
+}
+
+// emptySlots returns buf resliced to n zeroed slots, reallocating it only
+// when its capacity is short.
+func emptySlots(buf []slot, n int) []slot {
+	if cap(buf) < n {
+		return make([]slot, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // probeEq reports whether probe rows a and b of sl agree on cols.

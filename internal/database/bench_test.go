@@ -1,8 +1,8 @@
 package database_test
 
 // Micro-benchmarks for the index/probe layer: index construction, point
-// lookups, projection, and the semijoin built on them. Run
-// with -benchmem; the lookup path is pinned allocation-free by
+// lookups, projection, selection, atom views, and the semijoin built on
+// them. Run with -benchmem; the lookup path is pinned allocation-free by
 // TestLookupAllocs, and cmd/benchgate compares these numbers across
 // branches in CI.
 
@@ -85,6 +85,35 @@ func BenchmarkProject(b *testing.B) {
 				projectSink = r.Project("P", bc.cols)
 			}
 		})
+	}
+}
+
+var viewSink *database.Relation
+
+// BenchmarkSortedView takes a plain atom's view of a sorted 2¹⁶-row base:
+// a row-by-row order check and two small allocations, whatever the row
+// count (the rows and the slab are shared, not copied).
+func BenchmarkSortedView(b *testing.B) {
+	r := benchRelation("R", 1, benchN, benchDom)
+	r.Slab()
+	b.SetBytes(int64(r.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		viewSink, _ = r.SortedView("V")
+	}
+}
+
+// BenchmarkSelect keeps the rows of a 2¹⁶-row relation whose first column
+// is even, about half of them, in one exactly sized header array.
+func BenchmarkSelect(b *testing.B) {
+	r := benchRelation("R", 1, benchN, benchDom)
+	even := func(t database.Tuple) bool { return t[0]%2 == 0 }
+	b.SetBytes(int64(r.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		viewSink = r.Select("S", even)
 	}
 }
 

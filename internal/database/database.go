@@ -129,6 +129,7 @@ type Relation struct {
 	slabPtr    atomic.Pointer[Slab]
 	sorted     bool // set by Sort/Dedup, cleared by inserts; enables binary-search Contains
 	mapped     bool // storage aliases read-only snapshot pages; promoted to heap on first mutation
+	shared     bool // Tuples' header array may be shared with a SortedView; see ownTuples
 
 	// gen counts mutations (inserts, deletes, reorders — anything that
 	// invalidates indexes and may dangle row ids). Prepared query plans
@@ -222,16 +223,29 @@ func (r *Relation) Sort() {
 		r.mu.Unlock()
 		return
 	}
+	r.ownTuples()
 	sort.Slice(r.Tuples, func(i, j int) bool {
 		return r.Tuples[i].Compare(r.Tuples[j]) < 0
 	})
 	r.mutate(nil, nil, true)
 }
 
+// ownTuples gives r a private copy of its row-header array before an
+// in-place write (a reorder, a compaction, a promotion) when SortedView
+// may share the array with another relation. Appends need no copy: a
+// view is capped at its length, so either side's append past it
+// reallocates or writes beyond what the other side sees.
+func (r *Relation) ownTuples() {
+	if r.shared {
+		r.Tuples = append(make([]Tuple, 0, len(r.Tuples)), r.Tuples...)
+		r.shared = false
+	}
+}
+
 // Dedup sorts the relation and removes duplicate tuples. The generation
 // advances at most once — and not at all when the relation is already
 // sorted and duplicate-free, so a warm Prepared is not staled by a
-// defensive Dedup that changed nothing.
+// defensive Dedup that changed nothing; such a Dedup only reads the rows.
 func (r *Relation) Dedup() {
 	if len(r.Tuples) == 0 {
 		r.mu.Lock()
@@ -242,31 +256,46 @@ func (r *Relation) Dedup() {
 	less := func(i, j int) bool {
 		return r.Tuples[i].Compare(r.Tuples[j]) < 0
 	}
-	reordered := false
-	if !r.sorted && !sort.SliceIsSorted(r.Tuples, less) {
-		sort.Slice(r.Tuples, less)
-		reordered = true
+	reorder := !r.sorted && !sort.SliceIsSorted(r.Tuples, less)
+	var d int
+	if !reorder {
+		if d = firstDup(r.Tuples); d == len(r.Tuples) {
+			r.mu.Lock()
+			r.sorted = true
+			r.mu.Unlock()
+			return
+		}
 	}
-	out := r.Tuples[:1]
+	r.ownTuples()
+	if reorder {
+		sort.Slice(r.Tuples, less)
+		d = firstDup(r.Tuples)
+	}
+	// Rows before the first duplicate stay where they are.
+	out := r.Tuples[:d]
 	var removed []Tuple
-	for _, t := range r.Tuples[1:] {
+	for _, t := range r.Tuples[d:] {
 		if t.Equal(out[len(out)-1]) {
 			removed = append(removed, t)
 		} else {
 			out = append(out, t)
 		}
 	}
-	if !reordered && len(removed) == 0 {
-		r.mu.Lock()
-		r.sorted = true
-		r.mu.Unlock()
-		return
-	}
 	for i := len(out); i < len(r.Tuples); i++ {
 		r.Tuples[i] = nil // release duplicates held by the backing array
 	}
 	r.Tuples = out
 	r.mutate(nil, removed, true)
+}
+
+// firstDup returns the index of the first of ts equal to its predecessor,
+// or len(ts); ts is not empty.
+func firstDup(ts []Tuple) int {
+	d := 1
+	for d < len(ts) && !ts[d].Equal(ts[d-1]) {
+		d++
+	}
+	return d
 }
 
 // Contains reports whether the relation holds the given tuple. On a
@@ -296,14 +325,19 @@ func (r *Relation) Clone() *Relation {
 
 // SortedView returns a private relation with r's rows, in r's order, when
 // those rows are strictly ascending — sorted and duplicate-free, exactly
-// what Dedup would leave. ok is false otherwise. The view copies only the
-// row headers and shares r's slab, which no mutation writes in place
-// (mutations drop or replace the slab), so mutating either relation
-// leaves the other intact; the shared slab is capped at its length so an
-// Append on the view's side always copies. The view has its own indexes,
-// flags and generation (0). A relation not flagged sorted is refused
-// without a scan; a flagged one is still checked row by row, because Sort
-// sets the flag without removing duplicates and snapshots persist it.
+// what Dedup would leave. ok is false otherwise. The view copies nothing
+// that grows with r: it shares r's row-header array and r's slab. No
+// mutation writes a slab in place (mutations drop or replace it), and the
+// header array is marked shared on both sides, so the first in-place
+// write on either side (Sort, Dedup, DeleteBatch, a mapped relation's
+// promotion) copies it first (ownTuples); mutating either relation thus
+// leaves the other intact. The view's headers and slab are capped at
+// their length, so an append or a slab Append on its side always copies,
+// and one on r's side writes past what the view sees. The view has
+// its own indexes, flags and generation (0). A relation not flagged
+// sorted is refused without a scan; a flagged one is still checked row by
+// row, because Sort sets the flag without removing duplicates and
+// snapshots persist it.
 func (r *Relation) SortedView(name string) (*Relation, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -320,7 +354,9 @@ func (r *Relation) SortedView(name string) (*Relation, bool) {
 	if len(r.Tuples) == 0 {
 		return v, true
 	}
-	v.Tuples = append([]Tuple(nil), r.Tuples...)
+	n := len(r.Tuples)
+	v.Tuples = r.Tuples[:n:n]
+	v.shared, r.shared = true, true
 	if r.Arity > 0 {
 		s := r.slabLocked()
 		s.data = s.data[:len(s.data):len(s.data)]
@@ -368,11 +404,14 @@ func (r *Relation) IndexOn(cols []int) *Index {
 
 // Project returns a new deduplicated relation containing the projection of r
 // onto the given columns, in first-occurrence order. The first row of each
-// distinct key is found through a flat table, then every kept row is
-// copied into one exactly sized arena.
+// distinct key is found through a flat table in a pooled scratch, then
+// every kept row is copied into one exactly sized arena: the relation,
+// its arena and its row headers are all that Project allocates.
 func (r *Relation) Project(name string, cols []int) *Relation {
 	out := NewRelation(name, len(cols))
-	_, first := groupKeys(r.Tuples, cols, nil, nil)
+	sc := GetScratch()
+	defer sc.Release()
+	_, first, _ := groupKeys(sc, r.Tuples, cols, nil, false)
 	if len(first) == 0 {
 		return out
 	}
@@ -390,14 +429,27 @@ func (r *Relation) Project(name string, cols []int) *Relation {
 	return out
 }
 
-// Select returns the sub-relation of tuples satisfying pred.
+// Select returns the sub-relation of tuples satisfying pred. One pass
+// collects the survivors' row ids in a pooled scratch, so the output's
+// row headers are allocated once, at their exact count.
 func (r *Relation) Select(name string, pred func(Tuple) bool) *Relation {
 	out := NewRelation(name, r.Arity)
-	for _, t := range r.Tuples {
+	sc := GetScratch()
+	keep := sc.growKeep(len(r.Tuples))
+	k := 0
+	for i, t := range r.Tuples {
 		if pred(t) {
-			out.Tuples = append(out.Tuples, t)
+			keep[k] = int32(i)
+			k++
 		}
 	}
+	if k > 0 {
+		out.Tuples = make([]Tuple, k)
+		for i, id := range keep[:k] {
+			out.Tuples[i] = r.Tuples[id]
+		}
+	}
+	sc.Release()
 	return out
 }
 
@@ -449,8 +501,9 @@ func GroupSemijoin(r *Relation, rCols []int, s *Relation, sCols []int) (*Relatio
 	// of that bucket's group once placed.
 	start := make([]int32, len(r.Tuples))
 	out.Tuples = make([]Tuple, 0, len(r.Tuples))
+	ix := r.IndexOn(rCols) // before taking a scratch: a build takes its own
 	sc := GetScratch()
-	r.IndexOn(rCols).LookupBatch(s.Slab(), sCols, sc.Iota(len(s.Tuples)), sc, func(i int, ids []int32) {
+	ix.LookupBatch(s.Slab(), sCols, sc.Iota(len(s.Tuples)), sc, func(i int, ids []int32) {
 		g := &start[ids[0]]
 		if *g == 0 {
 			*g = int32(len(out.Tuples)) + 1

@@ -230,8 +230,8 @@ type slot struct {
 // table is the package's one hash table of distinct keys: flat open
 // addressing with linear probing, addressed by the high fingerprint bits
 // and kept at most half full. Two keys that share a fingerprint are two
-// slots on one probe chain. Indexes, grouping (buildIndex, Project) and
-// KeyMap all use it.
+// slots on one probe chain. Indexes, grouping (buildIndex, Project, in a
+// pooled scratch) and KeyMap all use it.
 type table struct {
 	slots []slot
 	mask  uint32
@@ -240,11 +240,17 @@ type table struct {
 
 // newTable returns an empty table of at least size slots (a power of two).
 func newTable(size int) table {
+	n := tableSize(size)
+	return table{slots: make([]slot, n), mask: uint32(n - 1)}
+}
+
+// tableSize is the least power of two that is at least size (and 1).
+func tableSize(size int) int {
 	n := 1
 	for n < size {
 		n <<= 1
 	}
-	return table{slots: make([]slot, n), mask: uint32(n - 1)}
+	return n
 }
 
 func (tb *table) home(fp uint64) uint32 { return uint32(fp>>32) & tb.mask }
@@ -270,17 +276,22 @@ func (tb *table) find(fp, tag uint64, eq func(slot) bool) (uint32, bool) {
 // recomputes a stored key's fingerprint for the rehash.
 func (tb *table) put(i uint32, s slot, fpOf func(slot) uint64) {
 	tb.slots[i] = s
-	tb.used++
-	if 2*tb.used <= len(tb.slots) {
-		return
+	if tb.used++; 2*tb.used > len(tb.slots) {
+		tb.rehash(make([]slot, 2*len(tb.slots)), fpOf)
 	}
+}
+
+// rehash moves every key into slots (zeroed, a power of two, and more than
+// twice used long) and returns the table's old slots.
+func (tb *table) rehash(slots []slot, fpOf func(slot) uint64) []slot {
 	old := tb.slots
-	*tb = table{slots: make([]slot, 2*len(old)), mask: uint32(2*len(old) - 1), used: tb.used}
+	*tb = table{slots: slots, mask: uint32(len(slots) - 1), used: tb.used}
 	for _, s := range old {
 		if s.n != 0 {
 			tb.place(s, fpOf(s))
 		}
 	}
+	return old
 }
 
 // place stores s in the first empty slot of fp's probe chain without
@@ -332,12 +343,22 @@ func sameKey(a Tuple, aCols []int, b Tuple, bCols []int) bool {
 
 // groupKeys gives each distinct projection of tuples onto cols a dense id
 // in first-appearance order. It returns the table of distinct keys (off
-// holds a key's id, n its number of rows) and the first row of every id;
-// a non-nil ids receives each row's id. A nil hash is the default
-// fingerprint.
-func groupKeys(tuples []Tuple, cols []int, hash keyHashFunc, ids []int32) (table, []int32) {
-	tb := newTable(min(len(tuples), 1024))
-	var first []int32
+// holds a key's id, n its number of rows), the first row of every id and,
+// with withIDs, each row's id. All three live in sc: they are valid until
+// sc groups again or is released, so the caller copies what it keeps. The
+// table starts at min(len(tuples), 1024) slots and doubles once more than
+// half full, as table.put does, but into sc's spare slots, so a warm
+// grouping allocates nothing. A nil hash is the default fingerprint.
+func groupKeys(sc *BatchScratch, tuples []Tuple, cols []int, hash keyHashFunc, withIDs bool) (table, []int32, []int32) {
+	size := tableSize(min(len(tuples), 1024))
+	sc.sizeGroup(len(tuples), size)
+	tb := table{slots: emptySlots(sc.slots, size), mask: uint32(size - 1)}
+	spare := sc.spare
+	first := sc.first[:0]
+	var ids []int32
+	if withIDs {
+		ids = sc.rowIDs[:len(tuples)]
+	}
 	var t Tuple
 	var eq func(slot) bool
 	if len(cols) != 1 {
@@ -372,13 +393,17 @@ func groupKeys(tuples []Tuple, cols []int, hash keyHashFunc, ids []int32) (table
 			id = s.off
 		} else {
 			first = append(first, int32(r))
-			tb.put(i, slot{tag: tag, off: id, n: 1}, fpOf)
+			tb.slots[i] = slot{tag: tag, off: id, n: 1}
+			if tb.used++; 2*tb.used > len(tb.slots) {
+				spare = tb.rehash(emptySlots(spare, 2*len(tb.slots)), fpOf)
+			}
 		}
-		if ids != nil {
+		if withIDs {
 			ids[r] = id
 		}
 	}
-	return tb, first
+	sc.slots, sc.spare, sc.first = tb.slots, spare, first
+	return tb, first, ids
 }
 
 // --- the index --------------------------------------------------------
@@ -459,10 +484,12 @@ func (ix *Index) Row(id int32) Tuple { return ix.slab.Row(id) }
 // buildIndex constructs the index over tuples (backed by sl) keyed on
 // cols: give each distinct key a dense id, count, prefix-sum, then fill
 // in reverse so every bucket lists its rows in ascending order. Buckets
-// lie in the row array in first-appearance order of their keys. A nil
-// hash selects the default fingerprint (Tuple.KeyHash) and additionally
-// enables the batched slab-hashing kernel; tests inject a degraded hash
-// to force collisions.
+// lie in the row array in first-appearance order of their keys. The
+// grouping runs in a pooled scratch; the index keeps only its row array
+// and the grouping table at exactly its size (a copy, unless the table is
+// too large for the pool to keep). A nil hash selects the default
+// fingerprint (Tuple.KeyHash) and additionally enables the batched
+// slab-hashing kernel; tests inject a degraded hash to force collisions.
 func buildIndex(tuples []Tuple, cols []int, sl Slab, hash keyHashFunc) *Index {
 	ix := &Index{
 		Cols: append([]int(nil), cols...),
@@ -473,8 +500,8 @@ func buildIndex(tuples []Tuple, cols []int, sl Slab, hash keyHashFunc) *Index {
 	if ix.fast {
 		ix.hash = defaultKeyHash
 	}
-	ids := make([]int32, len(tuples))
-	tb, ends := groupKeys(tuples, cols, hash, ids)
+	sc := GetScratch()
+	tb, ends, ids := groupKeys(sc, tuples, cols, hash, true)
 	// ends[id] becomes the end of id's bucket: count, then prefix-sum.
 	for _, s := range tb.slots {
 		if s.n != 0 {
@@ -496,7 +523,15 @@ func buildIndex(tuples []Tuple, cols []int, sl Slab, hash keyHashFunc) *Index {
 		ends[ids[r]]--
 		ix.rows[ends[ids[r]]] = int32(r)
 	}
-	ix.tab = tb
+	if len(tb.slots) > maxKeptGroup {
+		// Release would drop a table this large, which this grouping
+		// allocated at exactly its size: hand it over instead of copying.
+		ix.tab, sc.slots = tb, nil
+	} else {
+		ix.tab = table{slots: make([]slot, len(tb.slots)), mask: tb.mask, used: tb.used}
+		copy(ix.tab.slots, tb.slots)
+	}
+	sc.Release()
 	return ix
 }
 

@@ -92,7 +92,8 @@ func (r *Relation) mutateLocked(ins, del []Tuple, sorted bool) {
 // mmap-ed snapshot pages (database.FromSlab with Mapped set): the first
 // mutation — which has already restructured r.Tuples but never writes
 // through the old views — copies the current tuples into fresh heap
-// storage and repoints the views at it. The snapshot file's bytes are
+// storage and repoints the views at it, in a header array of r's own
+// (ownTuples), so a SortedView taken before keeps the mapped rows. The snapshot file's bytes are
 // never written; every holder of pre-mutation row ids was invalidated by
 // this same mutation, exactly as on the heap path, so the delta-log and
 // refresh machinery above sees no difference between backings.
@@ -103,6 +104,7 @@ func (r *Relation) promoteLocked() {
 		r.slabPtr.Store(nil)
 		return
 	}
+	r.ownTuples()
 	s := Slab{arity: a, data: make([]Value, len(r.Tuples)*a)}
 	for i, t := range r.Tuples {
 		copy(s.data[i*a:(i+1)*a], t)
@@ -233,17 +235,24 @@ func (r *Relation) DeleteBatch(ts []Tuple) int {
 	if drop.Len() == 0 {
 		return 0
 	}
+	// Rows before the first removed one stay where they are, so a miss
+	// writes nothing.
+	first := 0
+	for first < len(r.Tuples) && drop.Find(r.Tuples[first], cols) < 0 {
+		first++
+	}
+	if first == len(r.Tuples) {
+		return 0
+	}
+	r.ownTuples()
 	var removed []Tuple
-	kept := r.Tuples[:0]
-	for _, t := range r.Tuples {
+	kept := r.Tuples[:first]
+	for _, t := range r.Tuples[first:] {
 		if drop.Find(t, cols) >= 0 {
 			removed = append(removed, t)
 		} else {
 			kept = append(kept, t)
 		}
-	}
-	if len(removed) == 0 {
-		return 0
 	}
 	for i := len(kept); i < len(r.Tuples); i++ {
 		r.Tuples[i] = nil // release removed tuples held by the backing array

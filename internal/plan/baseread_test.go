@@ -240,6 +240,28 @@ func TestBindNeverWritesBase(t *testing.T) {
 					t.Errorf("after refresh: %v", err)
 				}
 			}
+
+			// That refresh installed the incremental refreshers, so the
+			// next small delta is patched into the statements' own
+			// relations (the linear-delay route deletes from and inserts
+			// into them). The bases must come out as they went in.
+			db.Relation("A").Delete(db.Relation("A").Tuples[5].Clone())
+			db.Relation("A").Insert(database.Tuple{14, 3})
+			db.Relation("B").Delete(db.Relation("B").Tuples[2].Clone())
+			mutated := captureBases(db)
+			for i, pr := range bound {
+				kind, err := pr.Refresh(nil)
+				if err != nil {
+					t.Fatalf("%s: second refresh: %v", routeStatements[i].src, err)
+				}
+				if routeStatements[i].enum == plan.EngineLinearDelay && kind != plan.RefreshDelta {
+					t.Errorf("%s: second refresh %v, want a delta refresh", routeStatements[i].src, kind)
+				}
+				if err := checkRoute(db, plans[i], pr); err != nil {
+					t.Errorf("after the second refresh: %v", err)
+				}
+			}
+			checkBases(t, db, mutated)
 		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 
 	"repro/internal/database"
@@ -69,11 +70,24 @@ func streamPrefix(t *testing.T, h http.Handler, body map[string]interface{}, kee
 // pagesInOrder walks /v1/enumerate pages of the statement named by base
 // (query text or handle) from cursor ("" = the start) to exhaustion,
 // asserting every page is well-formed and in the map-based encoder's bytes,
-// and returns the answers in the order served.
+// and returns the answers in the order served. The walk is bounded by the
+// statement's /v1/count: a cursor that stops advancing fails once the walk
+// has served more answers, or more pages, than the count allows, instead
+// of paging forever.
 func pagesInOrder(t *testing.T, h http.Handler, base map[string]interface{}, cursor string, pageSize int) [][]int64 {
 	t.Helper()
+	code, out := postJSON(t, h, "/v1/count", base)
+	var count string
+	json.Unmarshal(out["count"], &count)
+	limit, err := strconv.Atoi(count)
+	if code != http.StatusOK || err != nil {
+		t.Fatalf("count before the walk: status %d, count %q", code, count)
+	}
 	var all [][]int64
 	for page := 0; ; page++ {
+		if len(all) > limit || page > limit+1 {
+			t.Fatalf("page %d (size %d): the walk has served %d answers of %d and not ended", page, pageSize, len(all), limit)
+		}
 		body := map[string]interface{}{"limit": pageSize}
 		for k, v := range base {
 			body[k] = v
