@@ -34,13 +34,14 @@ func allocRelation(n, keys int) *Relation {
 
 // TestProjectAllocs pins Project at its output: the relation, the arena
 // and the row headers, whatever the row count and however many keys the
-// grouping table holds. The grouping table and first-row list come from
-// the pooled scratch.
+// grouping table holds, up to the largest grouping a pooled scratch keeps
+// (2¹² rows with as many keys). The grouping table and first-row list come
+// from the pooled scratch.
 func TestProjectAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled scratches at random")
 	}
-	for _, n := range []int{1 << 10, 1 << 16} {
+	for _, n := range []int{1 << 10, 1 << 12} {
 		r := allocRelation(n, 32)
 		for _, tc := range []struct {
 			name string

@@ -119,24 +119,21 @@ var scratchPool = sync.Pool{New: func() any { return new(BatchScratch) }}
 // GetScratch returns a scratch from the pool.
 func GetScratch() *BatchScratch { return scratchPool.Get().(*BatchScratch) }
 
-// maxKeptGroup bounds, in elements, each grouping buffer a pooled scratch
-// keeps: enough for a 2¹⁶-row grouping with as many keys. A larger grouping
-// allocates its buffers afresh, as it would without the pool, so a few
-// large index builds (a boot over 2¹⁸-row relations) do not leave their
-// tables' worth of memory parked in the pool.
-const maxKeptGroup = 1 << 17
+// maxKeptGroup bounds, in slots, the largest table a pooled grouping may
+// need: enough for 2¹² rows with as many keys, the size of the relations
+// a cold bind typically reads. Larger groupings allocate their buffers
+// afresh, exactly as they would without the pool. Pooling more costs
+// twice over: a pooled scratch stays live through the next two
+// collections, so pooling the 2¹⁶-row groupings of a server that binds
+// over 2¹⁶- and 2¹⁸-row relations at start-up (3.5 MB a scratch) raised
+// its peak RSS by about 16 %; and a scratch is per P, so a goroutine that
+// moves between Ps finds a cold one, which makes a large grouping's
+// allocation count vary from run to run.
+const maxKeptGroup = 1 << 13
 
 // Release returns the scratch to the pool. Buffers previously returned by
 // ContainsBatch or groupKeys on this scratch are invalid afterwards.
-func (sc *BatchScratch) Release() {
-	if cap(sc.slots) > maxKeptGroup || cap(sc.spare) > maxKeptGroup {
-		sc.slots, sc.spare = nil, nil
-	}
-	if cap(sc.first) > maxKeptGroup || cap(sc.rowIDs) > maxKeptGroup {
-		sc.first, sc.rowIDs = nil, nil
-	}
-	scratchPool.Put(sc)
-}
+func (sc *BatchScratch) Release() { scratchPool.Put(sc) }
 
 // Iota fills the scratch's id buffer with row ids [0, n) — the rowIDs
 // argument for probing a whole relation.
@@ -164,30 +161,28 @@ func (sc *BatchScratch) growKeep(n int) []int32 {
 	return sc.keep[:n]
 }
 
-// sizeGroup readies sc's grouping buffers for n rows whose table starts
-// at size slots. The table ends at no more than top = tableSize(2n) slots,
-// doubling through slots and spare in turn, so one of the two must hold
-// top slots and the other top/2; first and rowIDs hold n ids each. A
-// short scratch gets each pair in one allocation, so a cold scratch costs
-// the same two allocations however often the table doubles, and a warm
-// one none. Past maxKeptGroup, where Release drops the table's buffers
-// anyway, they grow step by step (emptySlots), as an unpooled table does.
+// sizeGroup readies sc's buffers for a pooled grouping of n rows whose
+// table starts at size slots. The table ends at no more than top =
+// tableSize(2n) slots, doubling through slots and spare in turn, so one of
+// the two must hold top slots and the other top/2; first and rowIDs hold n
+// ids each. A short scratch gets each pair in one allocation, so a cold
+// scratch costs the same two allocations however often the table doubles,
+// and a warm one none.
 func (sc *BatchScratch) sizeGroup(n, size int) {
-	if top := tableSize(2 * n); top <= maxKeptGroup {
-		hi, lo := sc.slots, sc.spare
-		if cap(hi) < cap(lo) {
-			hi, lo = lo, hi
-		}
-		if cap(hi) < top || cap(lo) < top/2 {
-			buf := make([]slot, top+top/2)
-			hi, lo = buf[:top:top], buf[top:]
-		}
-		// The table starts in slots and ends there after an even number
-		// of doublings.
-		sc.slots, sc.spare = hi, lo
-		if bits.TrailingZeros(uint(top/size))%2 == 1 {
-			sc.slots, sc.spare = lo, hi
-		}
+	top := tableSize(2 * n)
+	hi, lo := sc.slots, sc.spare
+	if cap(hi) < cap(lo) {
+		hi, lo = lo, hi
+	}
+	if cap(hi) < top || cap(lo) < top/2 {
+		buf := make([]slot, top+top/2)
+		hi, lo = buf[:top:top], buf[top:]
+	}
+	// The table starts in slots and ends there after an even number of
+	// doublings.
+	sc.slots, sc.spare = hi, lo
+	if bits.TrailingZeros(uint(top/size))%2 == 1 {
+		sc.slots, sc.spare = lo, hi
 	}
 	if cap(sc.first) < n || cap(sc.rowIDs) < n {
 		buf := make([]int32, 2*n)

@@ -404,13 +404,17 @@ func (r *Relation) IndexOn(cols []int) *Index {
 
 // Project returns a new deduplicated relation containing the projection of r
 // onto the given columns, in first-occurrence order. The first row of each
-// distinct key is found through a flat table in a pooled scratch, then
-// every kept row is copied into one exactly sized arena: the relation,
-// its arena and its row headers are all that Project allocates.
+// distinct key is found through a flat table, in a pooled scratch up to
+// pooledGroup's size, then every kept row is copied into one exactly sized
+// arena: below that size the relation, its arena and its row headers are
+// all that Project allocates.
 func (r *Relation) Project(name string, cols []int) *Relation {
 	out := NewRelation(name, len(cols))
-	sc := GetScratch()
-	defer sc.Release()
+	var sc *BatchScratch
+	if pooledGroup(len(r.Tuples)) {
+		sc = GetScratch()
+		defer sc.Release()
+	}
 	_, first, _ := groupKeys(sc, r.Tuples, cols, nil, false)
 	if len(first) == 0 {
 		return out

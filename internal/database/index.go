@@ -344,21 +344,27 @@ func sameKey(a Tuple, aCols []int, b Tuple, bCols []int) bool {
 // groupKeys gives each distinct projection of tuples onto cols a dense id
 // in first-appearance order. It returns the table of distinct keys (off
 // holds a key's id, n its number of rows), the first row of every id and,
-// with withIDs, each row's id. All three live in sc: they are valid until
-// sc groups again or is released, so the caller copies what it keeps. The
-// table starts at min(len(tuples), 1024) slots and doubles once more than
-// half full, as table.put does, but into sc's spare slots, so a warm
-// grouping allocates nothing. A nil hash is the default fingerprint.
+// with withIDs, each row's id. The table starts at min(len(tuples), 1024)
+// slots and doubles once more than half full, as table.put does. Given a
+// scratch (callers pass one when pooledGroup allows), the grouping runs in
+// it: the table doubles into sc's spare slots, a warm grouping allocates
+// nothing, and the results are valid until sc groups again or is
+// released, so the caller copies what it keeps. With a nil sc it
+// allocates its own buffers, as an unpooled table does. A nil hash is the
+// default fingerprint.
 func groupKeys(sc *BatchScratch, tuples []Tuple, cols []int, hash keyHashFunc, withIDs bool) (table, []int32, []int32) {
-	size := tableSize(min(len(tuples), 1024))
-	sc.sizeGroup(len(tuples), size)
-	tb := table{slots: emptySlots(sc.slots, size), mask: uint32(size - 1)}
-	spare := sc.spare
-	first := sc.first[:0]
-	var ids []int32
-	if withIDs {
-		ids = sc.rowIDs[:len(tuples)]
+	n := len(tuples)
+	size := tableSize(min(n, 1024))
+	var slots, spare []slot
+	var first, ids []int32
+	pooled := sc != nil
+	if pooled {
+		sc.sizeGroup(n, size)
+		slots, spare, first, ids = sc.slots, sc.spare, sc.first[:0], sc.rowIDs[:n]
+	} else if withIDs {
+		ids = make([]int32, n)
 	}
+	tb := table{slots: emptySlots(slots, size), mask: uint32(size - 1)}
 	var t Tuple
 	var eq func(slot) bool
 	if len(cols) != 1 {
@@ -402,9 +408,15 @@ func groupKeys(sc *BatchScratch, tuples []Tuple, cols []int, hash keyHashFunc, w
 			ids[r] = id
 		}
 	}
-	sc.slots, sc.spare, sc.first = tb.slots, spare, first
+	if pooled {
+		sc.slots, sc.spare, sc.first = tb.slots, spare, first
+	}
 	return tb, first, ids
 }
+
+// pooledGroup reports whether a grouping of n rows runs in the pooled
+// scratch: whether the largest table it can need fits maxKeptGroup.
+func pooledGroup(n int) bool { return tableSize(2*n) <= maxKeptGroup }
 
 // --- the index --------------------------------------------------------
 
@@ -484,10 +496,10 @@ func (ix *Index) Row(id int32) Tuple { return ix.slab.Row(id) }
 // buildIndex constructs the index over tuples (backed by sl) keyed on
 // cols: give each distinct key a dense id, count, prefix-sum, then fill
 // in reverse so every bucket lists its rows in ascending order. Buckets
-// lie in the row array in first-appearance order of their keys. The
-// grouping runs in a pooled scratch; the index keeps only its row array
-// and the grouping table at exactly its size (a copy, unless the table is
-// too large for the pool to keep). A nil hash selects the default
+// lie in the row array in first-appearance order of their keys. A
+// pooled grouping runs in a scratch, and the index keeps only its row
+// array and an exactly sized copy of the grouping table; a larger one
+// hands its table over. A nil hash selects the default
 // fingerprint (Tuple.KeyHash) and additionally enables the batched
 // slab-hashing kernel; tests inject a degraded hash to force collisions.
 func buildIndex(tuples []Tuple, cols []int, sl Slab, hash keyHashFunc) *Index {
@@ -500,7 +512,10 @@ func buildIndex(tuples []Tuple, cols []int, sl Slab, hash keyHashFunc) *Index {
 	if ix.fast {
 		ix.hash = defaultKeyHash
 	}
-	sc := GetScratch()
+	var sc *BatchScratch
+	if pooledGroup(len(tuples)) {
+		sc = GetScratch()
+	}
 	tb, ends, ids := groupKeys(sc, tuples, cols, hash, true)
 	// ends[id] becomes the end of id's bucket: count, then prefix-sum.
 	for _, s := range tb.slots {
@@ -523,14 +538,13 @@ func buildIndex(tuples []Tuple, cols []int, sl Slab, hash keyHashFunc) *Index {
 		ends[ids[r]]--
 		ix.rows[ends[ids[r]]] = int32(r)
 	}
-	if len(tb.slots) > maxKeptGroup {
-		// Release would drop a table this large, which this grouping
-		// allocated at exactly its size: hand it over instead of copying.
-		ix.tab, sc.slots = tb, nil
-	} else {
-		ix.tab = table{slots: make([]slot, len(tb.slots)), mask: tb.mask, used: tb.used}
-		copy(ix.tab.slots, tb.slots)
+	if sc == nil {
+		// The grouping allocated this table for the index alone.
+		ix.tab = tb
+		return ix
 	}
+	ix.tab = table{slots: make([]slot, len(tb.slots)), mask: tb.mask, used: tb.used}
+	copy(ix.tab.slots, tb.slots)
 	sc.Release()
 	return ix
 }
