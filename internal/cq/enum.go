@@ -518,7 +518,8 @@ func (lp *LinearPrep) enumerate(c *delay.Counter) *linEnum {
 		lp.root.Store(root)
 	}
 	c.Tick(root.rows)
-	e.levels = append(e.levels, &linLevel{rels: lp.base, cands: root.cands, idx: -1})
+	e.levels = make([]*linLevel, 1, len(lp.head))
+	e.levels[0] = &linLevel{rels: lp.base, cands: root.cands, idx: -1}
 	return e
 }
 
@@ -529,8 +530,7 @@ func (lp *LinearPrep) enumerate(c *delay.Counter) *linEnum {
 // binary search and one restricted reduction per head variable — the work
 // of one delay, where replaying the answers up to after costs one delay
 // each. after must have one value per head variable; an after that is no
-// answer resumes at the first answer above it. Until it delivers an answer
-// the pass reports after as its Last.
+// answer resumes at the first answer above it.
 func (lp *LinearPrep) EnumerateAfter(c *delay.Counter, after database.Tuple) delay.Enumerator {
 	if lp.boolean {
 		return delay.Empty() // the one answer, ⊤, is the only position
@@ -539,7 +539,6 @@ func (lp *LinearPrep) EnumerateAfter(c *delay.Counter, after database.Tuple) del
 	if !e.exhausted {
 		e.seek(after)
 	}
-	e.last = after
 	return e
 }
 
@@ -554,13 +553,8 @@ type linEnum struct {
 	head      []string
 	c         *delay.Counter
 	levels    []*linLevel
-	last      database.Tuple // the last answer delivered
 	exhausted bool
 }
-
-// Last returns the last answer the pass delivered, the position
-// EnumerateAfter resumes from, or false before the first.
-func (e *linEnum) Last() (database.Tuple, bool) { return e.last, e.last != nil }
 
 // reduceCopy runs the full reducer over a copy of rels along t's join tree;
 // it returns nil if the join is empty.
@@ -680,7 +674,6 @@ func (e *linEnum) Next() (database.Tuple, bool) {
 			for k, l := range e.levels {
 				out[k] = l.cands[l.idx]
 			}
-			e.last = out
 			return out, true
 		}
 		// Bind head[i] := val, reduce, descend. Reduction cannot fail:

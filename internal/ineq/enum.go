@@ -1,6 +1,7 @@
 package ineq
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -339,20 +340,36 @@ func (p *NeqPrep) Core() *cq.OdometerCore { return p.core }
 // prepared free parts, with the residual disequality checks attached to
 // each output.
 func (p *NeqPrep) Enumerate(c *delay.Counter) *NeqCursor {
-	return p.EnumerateFrom(c, nil, 0)
+	return p.EnumerateFrom(context.Background(), c, nil, 0)
 }
 
 // EnumerateFrom starts a pass whose odometer begins at its pos-th output:
 // the first answer is the first one the checks pass from there on. The
-// odometer is placed by one Seek over the counting pass w of Core; with a
-// nil w (the count overflows a uint64) Seek steps over pos outputs.
-func (p *NeqPrep) EnumerateFrom(c *delay.Counter, w *cq.SpineWeights, pos uint64) *NeqCursor {
+// odometer is placed by one Seek over the counting pass w of Core. With a
+// nil w (the count overflows a uint64) it steps over pos outputs, polling
+// ctx before each; once ctx ends it stops short, and the caller, who
+// passed ctx, reads no answer of the pass.
+func (p *NeqPrep) EnumerateFrom(ctx context.Context, c *delay.Counter, w *cq.SpineWeights, pos uint64) *NeqCursor {
 	cur := &NeqCursor{p: p, c: c, pos: pos}
 	if p.empty {
 		return cur
 	}
 	cur.od = p.core.Cursor(c)
-	cur.od.Seek(w, pos)
+	if w != nil {
+		cur.od.Seek(w, pos)
+		return cur
+	}
+	done := ctx.Done()
+	for i := uint64(0); i < pos; i++ {
+		select {
+		case <-done:
+			return cur
+		default:
+		}
+		if _, ok := cur.od.Next(); !ok {
+			break
+		}
+	}
 	return cur
 }
 

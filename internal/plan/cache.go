@@ -9,29 +9,24 @@ import (
 	"repro/internal/logic"
 )
 
-// Cache memoizes compiled plans and bound statements. Plans are keyed by
-// the structural fingerprint of the query (collisions resolved by exact
-// comparison); Prepareds by (plan, database) with the database generation
-// checked on every probe, so a mutation transparently forces a re-Bind
-// instead of serving stale row ids. All methods are safe for concurrent
-// use; the warm path (fingerprint, probe, generation check) performs no
-// allocation — pinned by TestCacheWarmPathAllocs.
+// Cache memoizes compiled plans, keyed by the structural fingerprint of
+// the query (collisions resolved by exact comparison), and bound
+// statements, keyed by (plan, database) with the generation checked on
+// every probe, so a mutation forces a refresh or re-Bind instead of
+// serving stale row ids. All methods are safe for concurrent use; the warm
+// path (fingerprint, probe, generation check) allocates nothing.
 type Cache struct {
 	mu       sync.RWMutex
 	plans    map[uint64][]*Plan
 	prepared map[preparedKey]*preparedEntry
 
-	// inflight is the one registry of binds and refreshes in progress — the
-	// single coalescing point for cold statements, shared by direct callers
-	// (PreparePlan) and qservd's bind lane (StartFlight/Run). A thundering
-	// herd of cold probes for the same (plan, db) coalesces onto one flight
-	// instead of serializing N binds.
+	// inflight is the one registry of binds and refreshes in progress,
+	// shared by PreparePlan and qservd's bind lane (StartFlight/Run): cold
+	// probes for the same (plan, db) coalesce onto one flight.
 	inflight map[preparedKey]*Flight
 
-	// maxPrepared bounds len(prepared); 0 means unbounded. Entries beyond
-	// the bound are evicted least-recently-used, so a workload cycling
-	// through many (plan, database) pairs cannot grow the cache — and,
-	// through the db pointers in its keys, retain dead databases — forever.
+	// maxPrepared bounds len(prepared), least-recently-used out, so that
+	// the keys' db pointers cannot retain dead databases; 0 is unbounded.
 	maxPrepared int
 
 	hits      atomic.Uint64
@@ -51,8 +46,8 @@ type preparedEntry struct {
 	lastUse atomic.Uint64
 }
 
-// Flight is one in-progress bind or refresh of a (plan, database) pair.
-// Its leader (see StartFlight) calls Run; everyone else waits on Done.
+// Flight is one bind or refresh of a (plan, database) pair in progress: its
+// leader (StartFlight) calls Run, and everyone else waits on Done.
 type Flight struct {
 	c    *Cache
 	key  preparedKey
@@ -80,16 +75,13 @@ func (c *Cache) Stats() (hits, misses uint64) {
 	return c.hits.Load(), c.misses.Load()
 }
 
-// Refreshes returns how many probes found a stale statement and caught it
-// up in place (Prepared.Refresh) instead of binding a fresh one. A refresh
-// counts as neither hit nor miss.
+// Refreshes returns how many probes caught a stale statement up in place
+// (Prepared.Refresh) instead of binding a fresh one: neither hit nor miss.
 func (c *Cache) Refreshes() uint64 {
 	return c.RefreshesOf(RefreshNoop) + c.RefreshesOf(RefreshDelta) + c.RefreshesOf(RefreshRebind)
 }
 
-// RefreshesOf returns how many of those refreshes were of the given kind:
-// noop (the mutation missed the statement's read set — a bystander kept
-// its memos), delta (patched in place) or rebind (spine rebuilt).
+// RefreshesOf returns how many of those refreshes were of the given kind.
 func (c *Cache) RefreshesOf(k RefreshKind) uint64 { return c.refreshes[k].Load() }
 
 // Len returns the number of bound statements currently cached.
@@ -99,9 +91,8 @@ func (c *Cache) Len() int {
 	return len(c.prepared)
 }
 
-// SetMaxPrepared bounds the number of cached bound statements; 0 removes
-// the bound. If the cache is already over the new bound, least-recently-
-// used entries are evicted immediately.
+// SetMaxPrepared bounds the number of cached bound statements, evicting
+// least-recently-used ones at once; 0 removes the bound.
 func (c *Cache) SetMaxPrepared(n int) {
 	c.mu.Lock()
 	c.maxPrepared = n
@@ -160,18 +151,14 @@ func (c *Cache) CompileUCQ(u *logic.UCQ) (*Plan, error) {
 }
 
 // compile resolves q (or u) to its cached plan. A hit is one fingerprint,
-// one map probe and a structural comparison under the read lock — no
-// allocation. Compilation is cheap and pure, so a miss runs it under c.mu.
+// one map probe and a structural comparison under the read lock. A miss
+// compiles with no lock held, so a slow compile stalls no other statement;
+// of two racing compiles of one query, the first inserted is returned.
 func (c *Cache) compile(fp uint64, q *logic.CQ, u *logic.UCQ) (*Plan, error) {
 	c.mu.RLock()
 	p := c.lookupPlan(fp, q, u)
 	c.mu.RUnlock()
 	if p != nil {
-		return p, nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if p := c.lookupPlan(fp, q, u); p != nil {
 		return p, nil
 	}
 	var err error
@@ -183,12 +170,16 @@ func (c *Cache) compile(fp uint64, q *logic.CQ, u *logic.UCQ) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if first := c.lookupPlan(fp, q, u); first != nil {
+		return first, nil
+	}
 	c.plans[fp] = append(c.plans[fp], p)
 	return p, nil
 }
 
-// Prepare returns a bound statement for (q, db), compiling and binding at
-// most once per database generation: Compile, then PreparePlan.
+// Prepare is Compile, then PreparePlan.
 func (c *Cache) Prepare(q *logic.CQ, db *database.Database) (*Prepared, error) {
 	p, err := c.Compile(q)
 	if err != nil {
@@ -197,11 +188,10 @@ func (c *Cache) Prepare(q *logic.CQ, db *database.Database) (*Prepared, error) {
 	return c.PreparePlan(p, db, nil)
 }
 
-// PeekPlan probes for a warm bound statement of an already-compiled plan
-// without ever binding — the serving fast lane's probe-without-bind. ok is
-// false when the statement is cold or stale; the caller decides whether to
-// pay the bind (PreparePlan), queue it, or shed the request. A warm probe
-// counts as a cache hit; a cold probe counts nothing.
+// PeekPlan probes for a warm bound statement of a compiled plan without
+// ever binding. ok is false when the statement is cold or stale; the
+// caller decides whether to bind (PreparePlan), queue it, or shed the
+// request. A warm probe counts as a hit, a cold one nothing.
 func (c *Cache) PeekPlan(p *Plan, db *database.Database) (*Prepared, bool) {
 	c.mu.RLock()
 	e := c.prepared[preparedKey{p, db}]
@@ -230,11 +220,9 @@ func (c *Cache) PreparePlan(p *Plan, db *database.Database, counter *delay.Count
 	} else {
 		<-fl.done
 		if fl.err == nil {
-			// Under the usual locking discipline (executions hold the
-			// database read-side while probing) the flight's result is
-			// necessarily at the current generation; an undisciplined caller
-			// may receive a statement already stale and recovers through
-			// ErrStalePlan.
+			// Executions hold the database read-side while probing, so
+			// the result is at the current generation; an undisciplined
+			// caller recovers from a stale one through ErrStalePlan.
 			c.hits.Add(1)
 		}
 	}
@@ -250,12 +238,10 @@ func (c *Cache) InFlight(p *Plan, db *database.Database) *Flight {
 }
 
 // StartFlight registers a flight for (p, db) and makes the caller its
-// leader, who must call Run exactly once — every joiner blocks until it
-// does. If a flight is already registered it is returned with leader
-// false. Registration and execution are separate so a bounded scheduler
-// (qservd's bind lane) can register a flight when it queues the bind:
-// duplicates arriving while it waits for a worker join it instead of
-// queueing a second bind.
+// leader, who must call Run exactly once; if one is registered already it
+// is returned with leader false. Registration is separate from Run so that
+// a bounded scheduler (qservd's bind lane) registers the flight when it
+// queues the bind, and duplicates join it meanwhile.
 func (c *Cache) StartFlight(p *Plan, db *database.Database) (fl *Flight, leader bool) {
 	key := preparedKey{p, db}
 	c.mu.Lock()
@@ -274,13 +260,10 @@ func (fl *Flight) Done() <-chan struct{} { return fl.done }
 // Err reports whether the flight's bind failed; valid once Done is closed.
 func (fl *Flight) Err() error { return fl.err }
 
-// Run executes the flight: if the statement is fresh by now (an earlier
-// flight landed between the leader's cold probe and this one) it is a hit;
-// otherwise a stale cached statement is caught up in place (Refresh — the
-// entry, its memory, and its bound spine survive the mutation) or a fresh
-// one is bound. The data-dependent work runs outside c.mu, so one slow
-// bind never head-of-line-blocks warm probes of other statements. The
-// caller holds the database read-side, like any execution.
+// Run executes the flight: a statement fresh by now is a hit; a stale one
+// is caught up in place (Refresh), or else a fresh one is bound. The
+// data-dependent work runs outside c.mu, so a slow bind blocks no warm
+// probe of another statement. The caller holds the database read-side.
 func (fl *Flight) Run(counter *delay.Counter) {
 	c, key := fl.c, fl.key
 	c.mu.Lock()
@@ -298,15 +281,14 @@ func (fl *Flight) Run(counter *delay.Counter) {
 
 	var pr *Prepared
 	var err error
-	refreshed := false
 	var kind RefreshKind
+	refreshed := false
 	if stale != nil {
-		var rerr error
-		if kind, rerr = stale.pr.Refresh(counter); rerr == nil {
+		if kind, err = stale.pr.Refresh(counter); err == nil {
 			pr, refreshed = stale.pr, true
 		}
 	}
-	if pr == nil {
+	if !refreshed {
 		pr, err = key.plan.BindCounted(key.db, counter)
 	}
 
@@ -335,10 +317,8 @@ func (fl *Flight) Run(counter *delay.Counter) {
 }
 
 // PlanByFingerprint resolves a structural fingerprint to the unique cached
-// plan carrying it, or nil when no such plan is cached — or when several
-// structurally distinct queries collide on fp, in which case serving a
-// plan would be a guess; the caller treats both as an unknown handle and
-// forces the client to re-prepare with the full query text.
+// plan carrying it; nil when none is cached or several distinct queries
+// collide on fp, which the caller treats as an unknown handle.
 func (c *Cache) PlanByFingerprint(fp uint64) *Plan {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

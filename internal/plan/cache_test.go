@@ -2,11 +2,14 @@ package plan_test
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/database"
 	"repro/internal/delay"
+	"repro/internal/logic"
 	"repro/internal/plan"
 )
 
@@ -310,5 +313,82 @@ func TestPrepareSingleflight(t *testing.T) {
 	}
 	if hits != n-1 {
 		t.Fatalf("hits %d, want %d (every waiter counts as a hit)", hits, n-1)
+	}
+}
+
+// slowChain is Q(x1,…,xn) :- R1(x1,x2,y), …, R(n−1)(x(n−1),xn,y): acyclic,
+// yet its compile searches the S-vertices' conflict graph, a path, in time
+// exponential in n (about 0.2 s at n = 38 on a 2-vCPU x86-64 host).
+func slowChain(t *testing.T, n int) *logic.CQ {
+	var head, atoms []string
+	for i := 1; i <= n; i++ {
+		head = append(head, fmt.Sprintf("x%d", i))
+		if i < n {
+			atoms = append(atoms, fmt.Sprintf("R%d(x%d,x%d,y)", i, i, i+1))
+		}
+	}
+	return mustCQ(t, fmt.Sprintf("Q(%s) :- %s.", strings.Join(head, ","), strings.Join(atoms, ", ")))
+}
+
+// TestCacheCompileHoldsNoLock: a slow compile holds no lock of the cache,
+// so a warm hit of another statement returns at once while it runs.
+func TestCacheCompileHoldsNoLock(t *testing.T) {
+	cache := plan.NewCache()
+	warm := mustCQ(t, "Q(x,y) :- A(x,y), B(y,z).")
+	if _, err := cache.Compile(warm); err != nil {
+		t.Fatal(err)
+	}
+	slow := slowChain(t, 38)
+	started, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		close(started)
+		if _, err := cache.Compile(slow); err != nil {
+			t.Error(err)
+		}
+	}()
+	<-started
+	time.Sleep(5 * time.Millisecond) // into the compile
+	begin := time.Now()
+	if _, err := cache.Compile(warm); err != nil {
+		t.Fatal(err)
+	}
+	took := time.Since(begin)
+	select {
+	case <-done:
+		t.Fatalf("the slow compile ended before the warm hit returned (%v)", took)
+	default:
+	}
+	if took > 10*time.Millisecond {
+		t.Errorf("a warm hit took %v beside a compile in flight, want under 10 ms", took)
+	}
+	<-done
+}
+
+// TestCacheRacingCompilesShareAPlan: two compiles of one query text in
+// flight at once both return the plan inserted first, so *Plan identity
+// keys prepared statements as before.
+func TestCacheRacingCompilesShareAPlan(t *testing.T) {
+	cache := plan.NewCache()
+	var wg sync.WaitGroup
+	plans := make([]*plan.Plan, 2)
+	for i := range plans {
+		q := slowChain(t, 34)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p, err := cache.Compile(q)
+			if err != nil {
+				t.Error(err)
+			}
+			plans[i] = p
+		}()
+	}
+	wg.Wait()
+	if plans[0] == nil || plans[0] != plans[1] {
+		t.Fatalf("racing compiles returned %p and %p, want one plan", plans[0], plans[1])
+	}
+	if p := cache.PlanByFingerprint(plans[0].Fingerprint()); p != plans[0] {
+		t.Fatalf("the cache holds %p under the fingerprint, want the one plan %p", p, plans[0])
 	}
 }

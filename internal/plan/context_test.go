@@ -84,10 +84,11 @@ func TestEnumerateCtxDeadline(t *testing.T) {
 	}
 }
 
-// TestEnumerateFromStepObservesDeadline: a spine whose answer count
-// overflows a uint64 has no counting pass to seek in, so a resume steps
-// over the answers before its offset; the request deadline still ends that
-// step, and the pass reports the deadline in Err.
+// TestEnumerateFromStepObservesDeadline: an odometer core whose count
+// overflows a uint64 has no counting pass to seek in, so a resume steps to
+// its position: over answers on the constant-delay route, over odometer
+// outputs on the ACQ≠ route. The request deadline still ends that step,
+// and the pass then reports the deadline in Err.
 func TestEnumerateFromStepObservesDeadline(t *testing.T) {
 	db := database.NewDatabase()
 	r := database.NewRelation("R", 1)
@@ -95,21 +96,44 @@ func TestEnumerateFromStepObservesDeadline(t *testing.T) {
 		r.Insert(database.Tuple{database.Value(i)})
 	}
 	db.AddRelation(r)
-	p, err := plan.Compile(mustCQ(t, "Q(a,b,c,d,e,f,g) :- R(a), R(b), R(c), R(d), R(e), R(f), R(g)."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr, err := p.Bind(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	e, err := pr.EnumerateFrom(ctx, nil, offsetPos(1<<40))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !errors.Is(e.Err(), context.DeadlineExceeded) {
-		t.Fatalf("a resume 2^40 answers deep returned with Err = %v, want DeadlineExceeded", e.Err())
+	for _, tc := range []struct {
+		src   string
+		route plan.Engine
+	}{
+		{"Q(a,b,c,d,e,f,g) :- R(a), R(b), R(c), R(d), R(e), R(f), R(g).", plan.EngineConstantDelay},
+		{"Q(a,b,c,d,e,f,g) :- R(a), R(b), R(c), R(d), R(e), R(f), R(g), a != b.", plan.EngineNeqEnum},
+	} {
+		p, err := plan.Compile(mustCQ(t, tc.src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.EnumerateEngine != tc.route {
+			t.Fatalf("%s: route %s, want %s", tc.src, p.EnumerateEngine, tc.route)
+		}
+		pr, err := p.Bind(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		done := make(chan error, 1)
+		go func() {
+			e, err := pr.EnumerateFrom(ctx, nil, offsetPos(1<<40))
+			if err == nil {
+				if _, ok := e.Next(); ok {
+					t.Error("a pass past its deadline delivered an answer")
+				}
+				err = e.Err()
+			}
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("%s: a resume 2^40 deep returned with Err = %v, want DeadlineExceeded", tc.src, err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s: a resume 2^40 deep with a 50 ms deadline was still stepping after 2 s", tc.src)
+		}
+		cancel()
 	}
 }

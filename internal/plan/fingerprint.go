@@ -2,6 +2,7 @@ package plan
 
 import (
 	"math/bits"
+	"slices"
 
 	"repro/internal/logic"
 )
@@ -102,63 +103,23 @@ func equalTerm(a, b logic.Term) bool {
 	return a.Var == b.Var
 }
 
-func equalAtoms(a, b []logic.Atom) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Pred != b[i].Pred || len(a[i].Args) != len(b[i].Args) {
-			return false
-		}
-		for j := range a[i].Args {
-			if !equalTerm(a[i].Args[j], b[i].Args[j]) {
-				return false
-			}
-		}
-	}
-	return true
+func equalAtom(a, b logic.Atom) bool {
+	return a.Pred == b.Pred && slices.EqualFunc(a.Args, b.Args, equalTerm)
+}
+
+func equalComparison(a, b logic.Comparison) bool {
+	return a.Op == b.Op && equalTerm(a.L, b.L) && equalTerm(a.R, b.R)
 }
 
 // equalCQ is exact structural equality, the collision resolver behind the
 // fingerprint. Allocation-free.
 func equalCQ(a, b *logic.CQ) bool {
-	if a == b {
-		return true
-	}
-	if a.Name != b.Name || len(a.Head) != len(b.Head) {
-		return false
-	}
-	for i := range a.Head {
-		if a.Head[i] != b.Head[i] {
-			return false
-		}
-	}
-	if !equalAtoms(a.Atoms, b.Atoms) || !equalAtoms(a.NegAtoms, b.NegAtoms) {
-		return false
-	}
-	if len(a.Comparisons) != len(b.Comparisons) {
-		return false
-	}
-	for i := range a.Comparisons {
-		ca, cb := a.Comparisons[i], b.Comparisons[i]
-		if ca.Op != cb.Op || !equalTerm(ca.L, cb.L) || !equalTerm(ca.R, cb.R) {
-			return false
-		}
-	}
-	return true
+	return a == b || a.Name == b.Name && slices.Equal(a.Head, b.Head) &&
+		slices.EqualFunc(a.Atoms, b.Atoms, equalAtom) &&
+		slices.EqualFunc(a.NegAtoms, b.NegAtoms, equalAtom) &&
+		slices.EqualFunc(a.Comparisons, b.Comparisons, equalComparison)
 }
 
 func equalUCQ(a, b *logic.UCQ) bool {
-	if a == b {
-		return true
-	}
-	if a.Name != b.Name || len(a.Disjuncts) != len(b.Disjuncts) {
-		return false
-	}
-	for i := range a.Disjuncts {
-		if !equalCQ(a.Disjuncts[i], b.Disjuncts[i]) {
-			return false
-		}
-	}
-	return true
+	return a == b || a.Name == b.Name && slices.EqualFunc(a.Disjuncts, b.Disjuncts, equalCQ)
 }

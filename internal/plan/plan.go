@@ -1,29 +1,21 @@
-// Package plan implements the Compile → Bind → Execute query pipeline.
-//
-// Every theorem reproduced by this library separates preprocessing from
-// answering: linear preprocessing then constant delay for free-connex
-// acyclic queries (Theorem 4.6), the one-pass table build of the counting
-// DP (Theorem 4.28), the witness-set construction for ACQ≠
-// (Theorem 4.20). The pipeline makes that split an API:
+// Package plan implements the Compile → Bind → Execute query pipeline,
+// which makes the paper's split of preprocessing from answering an API.
 //
 //   - Compile(q) classifies the query along the paper's dichotomies and
-//     fixes the engine for each task. The resulting Plan is immutable and
-//     pure of data — it can be computed once and shared freely.
-//   - Plan.Bind(db) runs the data-dependent preprocessing (semijoin
-//     reduction, hash index builds, witness maps) and returns a Prepared
-//     handle. Binding snapshots the database generation; executing a
-//     Prepared after the database mutated fails with ErrStalePlan.
-//   - Prepared exposes the unified execution API — Decide, Count,
-//     Enumerate (EnumerateFrom resumes after the route-native position a
-//     pass handed out), NewRandomAccess — each call reusing the bound
-//     preprocessing, so repeated executions pay only the per-answer work.
+//     picks its engine route, a row of the route table: the engine of each
+//     task. The Plan is immutable and pure of data.
+//   - Plan.Bind(db) runs the route's data-dependent preprocessing (semijoin
+//     reduction, index builds, witness sets) and returns a Prepared that
+//     holds the route's bound state, one type per route in its own file.
+//     Executing it after the database mutated fails with ErrStalePlan;
+//     Refresh catches it up.
+//   - Prepared runs Decide, Count, Enumerate (EnumerateFrom resumes at the
+//     position a pass handed out) and NewRandomAccess on the bound state,
+//     so repeated executions pay only the per-answer work.
 //
 // Cache keys Plans by an allocation-free structural fingerprint and
-// Prepareds by (plan, database, generation), so a serving loop gets
-// amortized preprocessing without bookkeeping.
-//
-// The classifier (Report, Analyze) lives here so that compilation and
-// classification are one step.
+// Prepareds by (plan, database, generation). The classifier (Report,
+// Analyze) lives here so that compilation and classification are one step.
 package plan
 
 import (
@@ -31,6 +23,8 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/database"
+	"repro/internal/delay"
 	"repro/internal/hypergraph"
 	"repro/internal/logic"
 	"repro/internal/ucq"
@@ -53,6 +47,8 @@ type Report struct {
 	DecisionVerdict    string `json:"decision_verdict"`
 	CountingVerdict    string `json:"counting_verdict"`
 	EnumerationVerdict string `json:"enumeration_verdict"`
+
+	route *routeRow // the route Compile runs, picked with the verdicts
 }
 
 // Analyze classifies q along the paper's dichotomies.
@@ -85,43 +81,34 @@ func Analyze(q *logic.CQ) *Report {
 	return r
 }
 
-// Verdict fragments. A verdict states the theorem that classifies the query
-// and, wherever Compile does not route to the algorithm that theorem names,
-// ends with the engine it does route to.
-const (
-	backtracking  = "; generic backtracking used"
-	disequalities = " with disequalities (Theorem 4.20)"
-	betaNCQ       = "quasi-linear (β-acyclic NCQ, Theorem 4.31)"
-	cyclicNCQ     = "no quasi-linear algorithm expected (not β-acyclic, Theorem 4.31 under Triangle)"
-)
-
-// fillVerdicts mirrors Compile's routing branch by branch.
+// fillVerdicts picks the query's route, the row of the route table that
+// Compile runs, and states each task's verdict: the theorem that
+// classifies the task and, wherever the route does not run the algorithm
+// that theorem names, the engine it does run (used).
 func (r *Report) fillVerdicts(hasEq bool) {
+	var decide, count, enumerate string
 	switch {
 	case r.HasNegation && len(r.Query.Atoms) == 0:
+		r.route = &routes[routeNCQ]
+		decide = "no quasi-linear algorithm expected (not β-acyclic, Theorem 4.31 under Triangle)"
 		if r.BetaAcyclic {
-			r.DecisionVerdict = betaNCQ + "; NCQ solver used (nest-point elimination)"
-			r.EnumerationVerdict = betaNCQ + backtracking
-		} else {
-			r.DecisionVerdict = cyclicNCQ + "; NCQ solver used (exhaustive search)"
-			r.EnumerationVerdict = cyclicNCQ + backtracking
+			decide = "quasi-linear (β-acyclic NCQ, Theorem 4.31)"
 		}
-		r.CountingVerdict = "not covered (negative queries: see #SAT literature, Section 4.5)" + backtracking
+		count, enumerate = "not covered (negative queries: see #SAT literature, Section 4.5)", decide
 	case r.HasNegation:
-		r.DecisionVerdict = "signed query: only partial characterizations known ([18], Section 4.5)" + backtracking
-		r.CountingVerdict = r.DecisionVerdict
-		r.EnumerationVerdict = r.DecisionVerdict
+		r.route = &routes[routeBacktrack]
+		decide = "signed query: only partial characterizations known ([18], Section 4.5)"
+		count, enumerate = decide, decide
 	case r.HasOrder:
-		r.DecisionVerdict = "W[1]-complete in general (ACQ<, Theorem 4.15)" + backtracking
-		r.CountingVerdict = r.DecisionVerdict
-		r.EnumerationVerdict = r.DecisionVerdict
+		r.route = &routes[routeBacktrack]
+		decide = "W[1]-complete in general (ACQ<, Theorem 4.15)"
+		count, enumerate = decide, decide
 	case !r.Acyclic:
-		r.DecisionVerdict = "cyclic: NP-complete combined complexity (Chandra–Merlin)" + backtracking
-		r.CountingVerdict = "cyclic: ♯P-hard in general" + backtracking
+		r.route = &routes[routeBacktrack]
+		decide, count = "cyclic: NP-complete combined complexity (Chandra–Merlin)", "cyclic: ♯P-hard in general"
+		enumerate = "cyclic (self-joins: classification open)"
 		if r.SelfJoinFree {
-			r.EnumerationVerdict = "no Constant-Delay_lin expected (Theorem 4.9 under Hyperclique)" + backtracking
-		} else {
-			r.EnumerationVerdict = "cyclic (self-joins: classification open)" + backtracking
+			enumerate = "no Constant-Delay_lin expected (Theorem 4.9 under Hyperclique)"
 		}
 	default:
 		// Acyclic; any comparisons are = or ≠. With comparisons, deciding
@@ -129,39 +116,58 @@ func (r *Report) fillVerdicts(hasEq bool) {
 		// enumeration keeps the witness-set enumerator for a free-connex
 		// query whose comparisons are all ≠ and backtracks otherwise.
 		cmp := r.HasDiseq || hasEq
-		r.DecisionVerdict = "O(‖φ‖·‖D‖) semijoin pass (Yannakakis, Theorem 4.2)"
-		if cmp {
-			r.DecisionVerdict = "O(‖φ‖·‖D‖) for the comparison-free part (Theorem 4.2)" + backtracking
-		}
-		switch {
-		case r.StarSize == 1 && cmp:
-			r.CountingVerdict = "polynomial, k = 1 (free-connex, Theorem 4.28); inclusion–exclusion over the comparisons used"
-		case r.StarSize == 1:
-			r.CountingVerdict = "polynomial via star-size algorithm, k = 1 (free-connex, Theorem 4.28)"
-		default:
-			format := "(‖D‖+‖φ‖)^O(k) via star-size algorithm, k = %d (Theorem 4.28)"
-			if cmp {
-				format = "(‖D‖+‖φ‖)^O(k), k = %d (Theorem 4.28); inclusion–exclusion over the comparisons used"
-			}
-			r.CountingVerdict = fmt.Sprintf(format, r.StarSize)
-		}
-		suffix := ""
 		switch {
 		case r.HasDiseq && !hasEq && r.FreeConnex:
-			suffix = disequalities
-		case r.HasDiseq:
-			suffix = disequalities + backtracking
-		case hasEq:
-			suffix = backtracking
+			r.route = &routes[routeNeq]
+		case cmp:
+			r.route = &routes[routeNeqCount]
+		case r.FreeConnex:
+			r.route = &routes[routeConstant]
+		default:
+			r.route = &routes[routeLinear]
 		}
-		if r.FreeConnex {
-			r.EnumerationVerdict = "Constant-Delay_lin (free-connex, Theorem 4.6)" + suffix
-		} else if r.SelfJoinFree {
-			r.EnumerationVerdict = "linear delay (Theorem 4.3); constant delay impossible under Mat-Mul (Theorem 4.8)" + suffix
+		via := " via star-size algorithm"
+		decide = "O(‖φ‖·‖D‖) semijoin pass (Yannakakis, Theorem 4.2)"
+		if cmp {
+			decide, via = "O(‖φ‖·‖D‖) for the comparison-free part (Theorem 4.2)", ""
+		}
+		if r.StarSize == 1 {
+			count = "polynomial" + via + ", k = 1 (free-connex, Theorem 4.28)"
 		} else {
-			r.EnumerationVerdict = "linear delay (Theorem 4.3); not free-connex (self-joins: classification open)" + suffix
+			count = fmt.Sprintf("(‖D‖+‖φ‖)^O(k)%s, k = %d (Theorem 4.28)", via, r.StarSize)
+		}
+		switch {
+		case r.FreeConnex:
+			enumerate = "Constant-Delay_lin (free-connex, Theorem 4.6)"
+		case r.SelfJoinFree:
+			enumerate = "linear delay (Theorem 4.3); constant delay impossible under Mat-Mul (Theorem 4.8)"
+		default:
+			enumerate = "linear delay (Theorem 4.3); not free-connex (self-joins: classification open)"
+		}
+		if r.HasDiseq {
+			enumerate += " with disequalities (Theorem 4.20)"
 		}
 	}
+	r.DecisionVerdict = decide + r.used(r.route.decide)
+	r.CountingVerdict = count + r.used(r.route.count)
+	r.EnumerationVerdict = enumerate + r.used(r.route.enumerate)
+}
+
+// used is the fragment by which a verdict names engine e, empty for the
+// engines that run the algorithm of the verdict's theorem.
+func (r *Report) used(e Engine) string {
+	switch e {
+	case EngineBacktrack:
+		return "; generic backtracking used"
+	case EngineNeqCount:
+		return "; inclusion–exclusion over the comparisons used"
+	case EngineNCQ:
+		if r.BetaAcyclic {
+			return "; NCQ solver used (nest-point elimination)"
+		}
+		return "; NCQ solver used (exhaustive search)"
+	}
+	return ""
 }
 
 // String renders the report as an aligned block.
@@ -217,24 +223,22 @@ type Plan struct {
 	CQ  *logic.CQ
 	UCQ *logic.UCQ
 
-	// Report is the classification of CQ (nil for union plans; see
-	// Disjuncts).
-	Report *Report
+	Report *Report // the classification of CQ; nil for unions (see Disjuncts)
 
 	DecideEngine    Engine
 	CountEngine     Engine
 	EnumerateEngine Engine
 
-	// JoinTree is the GYO join tree of the comparison-free part of the
-	// query, when that part is acyclic (nil otherwise, and for unions).
+	// JoinTree is the GYO join tree of the comparison-free part of a CQ
+	// without negation, when that part is acyclic.
 	JoinTree *hypergraph.JoinTree
 
 	// Disjuncts holds the compiled per-disjunct plans of a union.
 	Disjuncts []*Plan
 
 	fp      uint64
+	route   *routeRow // the row of the route table Bind builds
 	boolQ   *logic.CQ // head-stripped query, for the decision engines
-	plain   *logic.CQ // comparison-free query, for the classification of enumeration
 	boolDjs []*Plan   // compiled head-stripped disjuncts, for union decide
 	unionOK bool      // the union admits free-connex union extensions
 }
@@ -242,6 +246,39 @@ type Plan struct {
 // Fingerprint is the structural 64-bit fingerprint of the compiled query,
 // the plan cache key.
 func (p *Plan) Fingerprint() uint64 { return p.fp }
+
+// A routeRow is one engine route with one engine triple: the engine each
+// task runs, the PosLen rule (headPos: a position is the last answer, 8
+// bytes per head variable, else one 8-byte value), and the constructor of
+// its bound state, which has a file of its own.
+type routeRow struct {
+	decide, count, enumerate Engine
+	headPos                  bool
+	bind                     func(p *Plan, db *database.Database, c *delay.Counter) *Prepared
+}
+
+const (
+	routeConstant = iota
+	routeLinear
+	routeNeq
+	routeNeqCount
+	routeBacktrack
+	routeNCQ
+	routeUnion
+)
+
+// routes is the route table. Analyze picks a query's row with its verdicts
+// and Compile copies its engines; a union without union extensions
+// materializes instead (CompileUCQ).
+var routes = [...]routeRow{
+	routeConstant:  {EngineYannakakis, EngineStarSizeCount, EngineConstantDelay, false, bindConstant},
+	routeLinear:    {EngineYannakakis, EngineStarSizeCount, EngineLinearDelay, true, bindLinear},
+	routeNeq:       {EngineBacktrack, EngineNeqCount, EngineNeqEnum, false, bindNeq},
+	routeNeqCount:  {EngineBacktrack, EngineNeqCount, EngineBacktrack, false, bindBacktrack},
+	routeBacktrack: {EngineBacktrack, EngineBacktrack, EngineBacktrack, false, bindBacktrack},
+	routeNCQ:       {EngineNCQ, EngineBacktrack, EngineBacktrack, false, bindBacktrack},
+	routeUnion:     {EngineUnionShortCircuit, EngineInclusionExclusion, EngineUnionExtension, false, bindUnion},
+}
 
 // Compile classifies q and fixes the engine for each task. The result is
 // immutable and independent of any database: compile once, Bind per
@@ -251,64 +288,13 @@ func Compile(q *logic.CQ) (*Plan, error) {
 		return nil, errors.New("plan: nil query")
 	}
 	rep := Analyze(q)
-	p := &Plan{CQ: q, Report: rep, fp: FingerprintCQ(q)}
+	rt := rep.route
+	p := &Plan{CQ: q, Report: rep, DecideEngine: rt.decide, CountEngine: rt.count, EnumerateEngine: rt.enumerate, fp: FingerprintCQ(q), route: rt}
 	p.boolQ = &logic.CQ{Name: q.Name, Atoms: q.Atoms, NegAtoms: q.NegAtoms, Comparisons: q.Comparisons}
-
-	// Decision routing (on the head-stripped query), mirroring the paper's
-	// decision dichotomy.
-	switch {
-	case rep.HasNegation && len(q.Atoms) == 0:
-		p.DecideEngine = EngineNCQ
-	case rep.HasNegation:
-		p.DecideEngine = EngineBacktrack
-	case len(q.Comparisons) > 0 || !rep.Acyclic:
-		p.DecideEngine = EngineBacktrack
-	default:
-		p.DecideEngine = EngineYannakakis
-	}
-
-	// Counting routing (Theorem 4.28 and the ≠-extension).
-	switch {
-	case !rep.HasNegation && len(q.Comparisons) == 0 && rep.Acyclic:
-		p.CountEngine = EngineStarSizeCount
-	case !rep.HasNegation && !rep.HasOrder && rep.Acyclic:
-		p.CountEngine = EngineNeqCount
-	default:
-		p.CountEngine = EngineBacktrack
-	}
-
-	// Enumeration routing: order comparisons (and equalities) or a cyclic
-	// core force materialization; otherwise the free-connex/linear-delay
-	// dichotomy applies, with the witness-set enumerator when
-	// disequalities remain.
-	hasOrderEnum, hasDiseq := false, false
-	for _, cmp := range q.Comparisons {
-		switch cmp.Op {
-		case logic.LT, logic.LE, logic.EQ:
-			hasOrderEnum = true
-		case logic.NEQ:
-			hasDiseq = true
-		}
-	}
-	p.plain = &logic.CQ{Name: q.Name, Head: q.Head, Atoms: q.Atoms}
-	plainAcyclic := p.plain.IsAcyclic()
-	switch {
-	case rep.HasNegation:
-		p.EnumerateEngine = EngineBacktrack
-	case hasOrderEnum || !plainAcyclic:
-		p.EnumerateEngine = EngineBacktrack
-	case hasDiseq && p.plain.IsFreeConnex():
-		p.EnumerateEngine = EngineNeqEnum
-	case hasDiseq:
-		p.EnumerateEngine = EngineBacktrack
-	case p.plain.IsFreeConnex():
-		p.EnumerateEngine = EngineConstantDelay
-	default:
-		p.EnumerateEngine = EngineLinearDelay
-	}
-
-	if plainAcyclic && !rep.HasNegation {
-		if jt, ok := hypergraph.GYO(p.plain.Hypergraph()); ok {
+	// Without negated atoms the query's hypergraph is that of its
+	// comparison-free part.
+	if rep.Acyclic && !rep.HasNegation {
+		if jt, ok := hypergraph.GYO(q.Hypergraph()); ok {
 			p.JoinTree = jt
 		}
 	}
@@ -326,12 +312,8 @@ func CompileUCQ(u *logic.UCQ) (*Plan, error) {
 	if len(u.Disjuncts) == 0 {
 		return nil, errors.New("plan: union has no disjuncts")
 	}
-	p := &Plan{
-		UCQ:          u,
-		fp:           FingerprintUCQ(u),
-		DecideEngine: EngineUnionShortCircuit,
-		CountEngine:  EngineInclusionExclusion,
-	}
+	rt := &routes[routeUnion]
+	p := &Plan{UCQ: u, DecideEngine: rt.decide, CountEngine: rt.count, EnumerateEngine: rt.enumerate, fp: FingerprintUCQ(u), route: rt}
 	for _, d := range u.Disjuncts {
 		dp, err := Compile(d)
 		if err != nil {
@@ -346,7 +328,6 @@ func CompileUCQ(u *logic.UCQ) (*Plan, error) {
 	}
 	if _, err := ucq.Analyze(u, unionMaxExtra); err == nil {
 		p.unionOK = true
-		p.EnumerateEngine = EngineUnionExtension
 	} else {
 		p.EnumerateEngine = EngineUnionMaterialize
 	}

@@ -3,6 +3,8 @@ package plan
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/logic"
 )
 
 // TestEnumerationVerdictSelfJoins: the lower bounds of Theorems 4.8 and 4.9
@@ -34,43 +36,56 @@ var engineNames = map[Engine]string{
 	EngineNeqEnum:       "Constant-Delay_lin (free-connex, Theorem 4.6) with disequalities (Theorem 4.20)",
 }
 
-// TestVerdictsNameTheirEngine: one query per reachable (decide, count,
-// enumerate) engine triple of Compile; each task's verdict names the engine
-// Compile routes that task to.
+// TestVerdictsNameTheirEngine iterates the route table: every row is
+// reached by its example queries, Compile gives each the row's engine
+// triple, and each task's verdict names the engine the row runs for it.
 func TestVerdictsNameTheirEngine(t *testing.T) {
-	for _, tc := range []struct {
-		src                      string
-		decide, count, enumerate Engine
-	}{
-		{"Q(x,y) :- A(x,y), B(y,z).", EngineYannakakis, EngineStarSizeCount, EngineConstantDelay},
-		{"Q(x,y) :- A(x,z), B(z,y).", EngineYannakakis, EngineStarSizeCount, EngineLinearDelay},
-		{"Q(x,y) :- E(x,y), L(y), x != y.", EngineBacktrack, EngineNeqCount, EngineNeqEnum},
-		{"Q(x,y) :- E(x,y), L(y), x = y.", EngineBacktrack, EngineNeqCount, EngineBacktrack},
-		{"Q(x,z) :- E(x,y), F(y,z), x != z.", EngineBacktrack, EngineNeqCount, EngineBacktrack},
-		{"Q(x) :- E(x,y), x < y.", EngineBacktrack, EngineBacktrack, EngineBacktrack},
-		{"Q() :- E(x,y), F(y,z), G(z,x).", EngineBacktrack, EngineBacktrack, EngineBacktrack},
-		{"Q(x) :- R(x,y), !S(y,x).", EngineBacktrack, EngineBacktrack, EngineBacktrack},
-		{"Q() :- !R(x,y), !S(y,z).", EngineNCQ, EngineBacktrack, EngineBacktrack},
-		{"Q() :- !R(x,y), !S(y,z), !T(z,x).", EngineNCQ, EngineBacktrack, EngineBacktrack},
-	} {
-		p, err := Compile(parseCQ(t, tc.src))
-		if err != nil {
-			t.Fatalf("%s: %v", tc.src, err)
+	examples := map[int][]string{
+		routeConstant:  {"Q(x,y) :- A(x,y), B(y,z)."},
+		routeLinear:    {"Q(x,y) :- A(x,z), B(z,y)."},
+		routeNeq:       {"Q(x,y) :- E(x,y), L(y), x != y."},
+		routeNeqCount:  {"Q(x,y) :- E(x,y), L(y), x = y.", "Q(x,z) :- E(x,y), F(y,z), x != z."},
+		routeBacktrack: {"Q(x) :- E(x,y), x < y.", "Q() :- E(x,y), F(y,z), G(z,x).", "Q(x) :- R(x,y), !S(y,x)."},
+		routeNCQ:       {"Q() :- !R(x,y), !S(y,z).", "Q() :- !R(x,y), !S(y,z), !T(z,x)."},
+		routeUnion:     {"Q(x) :- A(x,y); Q(x) :- B(x,y)."},
+	}
+	for i := range routes {
+		row := &routes[i]
+		if len(examples[i]) == 0 {
+			t.Errorf("route table row %d (%s) has no example query", i, row.enumerate)
 		}
-		if p.DecideEngine != tc.decide || p.CountEngine != tc.count || p.EnumerateEngine != tc.enumerate {
-			t.Fatalf("%s: engines (%s, %s, %s), want (%s, %s, %s)", tc.src,
-				p.DecideEngine, p.CountEngine, p.EnumerateEngine, tc.decide, tc.count, tc.enumerate)
-		}
-		for _, v := range []struct {
-			task, verdict string
-			engine        Engine
-		}{
-			{"decide", p.Report.DecisionVerdict, p.DecideEngine},
-			{"count", p.Report.CountingVerdict, p.CountEngine},
-			{"enumerate", p.Report.EnumerationVerdict, p.EnumerateEngine},
-		} {
-			if !strings.Contains(v.verdict, engineNames[v.engine]) {
-				t.Errorf("%s: %s verdict %q does not name engine %s (%q)", tc.src, v.task, v.verdict, v.engine, engineNames[v.engine])
+		for _, src := range examples[i] {
+			var p *Plan
+			var err error
+			if i == routeUnion {
+				var u *logic.UCQ
+				if u, err = logic.ParseUCQ(src); err == nil {
+					p, err = CompileUCQ(u)
+				}
+			} else {
+				p, err = Compile(parseCQ(t, src))
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", src, err)
+			}
+			if p.route != row || p.DecideEngine != row.decide || p.CountEngine != row.count || p.EnumerateEngine != row.enumerate {
+				t.Fatalf("%s: engines (%s, %s, %s), want row %d (%s, %s, %s)", src,
+					p.DecideEngine, p.CountEngine, p.EnumerateEngine, i, row.decide, row.count, row.enumerate)
+			}
+			if p.Report == nil {
+				continue // a union's verdicts are its disjuncts'
+			}
+			for _, v := range []struct {
+				task, verdict string
+				engine        Engine
+			}{
+				{"decide", p.Report.DecisionVerdict, row.decide},
+				{"count", p.Report.CountingVerdict, row.count},
+				{"enumerate", p.Report.EnumerationVerdict, row.enumerate},
+			} {
+				if !strings.Contains(v.verdict, engineNames[v.engine]) {
+					t.Errorf("%s: %s verdict %q does not name engine %s (%q)", src, v.task, v.verdict, v.engine, engineNames[v.engine])
+				}
 			}
 		}
 	}
