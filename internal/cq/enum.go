@@ -77,7 +77,10 @@ func BuildFreeParts(db *database.Database, q *logic.CQ, c *delay.Counter) ([]Rel
 			r = semijoin(r, b[ch])
 			c.Tick(int64(r.R.Len()) + 1)
 		}
-		r = project(r, t.keptVars(i, r.Schema, free))
+		// Dedup alone does what an identity projection and Dedup do.
+		if kept := t.keptVars(i, r.Schema, free); !slices.Equal(kept, r.Schema) {
+			r = project(r, kept)
+		}
 		r.R.Dedup()
 		c.Tick(int64(r.R.Len()) + 1)
 		b[i] = r

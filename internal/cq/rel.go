@@ -142,11 +142,15 @@ func AtomRelation(db *database.Database, a logic.Atom) (Rel, error) {
 		}
 		return true
 	})
-	cols := make([]int, len(vars))
-	for i, v := range vars {
-		cols[i] = firstCol[v]
+	out := sel
+	if len(vars) < len(a.Args) {
+		cols := make([]int, len(vars))
+		for i, v := range vars {
+			cols[i] = firstCol[v]
+		}
+		out = sel.Project(a.Pred, cols)
 	}
-	out := sel.Project(a.Pred, cols)
+	// A plain atom projects onto every column in order: Dedup alone.
 	out.Dedup()
 	return Rel{Schema: vars, R: out}, nil
 }

@@ -130,6 +130,19 @@ type Relation struct {
 	sorted     bool // set by Sort/Dedup, cleared by inserts; enables binary-search Contains
 	mapped     bool // storage aliases read-only snapshot pages; promoted to heap on first mutation
 	shared     bool // Tuples' header array may be shared with a SortedView; see ownTuples
+	logDeltas  bool // see the delta log below
+	ascent     bool // the outcome of SortedView's strict-ascent check at ascentAt
+
+	// ascentAt-1 is the generation at which SortedView last checked the
+	// rows for strict ascent (0: never).
+	ascentAt uint64
+
+	// A SortedView's link to the relation whose rows it shares, and that
+	// relation's generation when the view was taken: while the view is
+	// unmutated (mutations clear viewOf) and the base is still at viewGen,
+	// IndexOn reads the base's index cache. See SortedView.
+	viewOf  *Relation
+	viewGen uint64
 
 	// gen counts mutations (inserts, deletes, reorders — anything that
 	// invalidates indexes and may dangle row ids). Prepared query plans
@@ -139,9 +152,8 @@ type Relation struct {
 	gen atomic.Uint64
 
 	// Bounded per-generation delta log, populated only after
-	// EnableDeltaLog (see mutate.go). deltaFloor is the oldest generation
-	// DeltaSince can still answer from.
-	logDeltas  bool
+	// EnableDeltaLog (logDeltas; see mutate.go). deltaFloor is the oldest
+	// generation DeltaSince can still answer from.
 	deltaFloor uint64
 	deltaSize  int
 	deltas     []deltaRecord
@@ -326,31 +338,36 @@ func (r *Relation) Clone() *Relation {
 // SortedView returns a private relation with r's rows, in r's order, when
 // those rows are strictly ascending — sorted and duplicate-free, exactly
 // what Dedup would leave. ok is false otherwise. The view copies nothing
-// that grows with r: it shares r's row-header array and r's slab. No
-// mutation writes a slab in place (mutations drop or replace it), and the
-// header array is marked shared on both sides, so the first in-place
+// that grows with r: it shares r's row-header array, r's slab and, while
+// neither side has mutated, r's indexes (IndexOn). No mutation writes a
+// slab or a cached index in place (mutations drop or replace them), and
+// the header array is marked shared on both sides, so the first in-place
 // write on either side (Sort, Dedup, DeleteBatch, a mapped relation's
 // promotion) copies it first (ownTuples); mutating either relation thus
 // leaves the other intact. The view's headers and slab are capped at
 // their length, so an append or a slab Append on its side always copies,
-// and one on r's side writes past what the view sees. The view has
-// its own indexes, flags and generation (0). A relation not flagged
-// sorted is refused without a scan; a flagged one is still checked row by
-// row, because Sort sets the flag without removing duplicates and
-// snapshots persist it.
+// and one on r's side writes past what the view sees. The view has its
+// own flags and generation (0). A relation not flagged sorted is refused
+// without a scan; a flagged one is checked row by row, because Sort sets
+// the flag without removing duplicates and snapshots persist it. The
+// check's outcome is kept until r's generation advances, so binds over an
+// unchanged relation scan it once.
 func (r *Relation) SortedView(name string) (*Relation, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !r.sorted {
 		return nil, false
 	}
-	for i := 1; i < len(r.Tuples); i++ {
-		if r.Tuples[i-1].Compare(r.Tuples[i]) >= 0 {
-			return nil, false
-		}
+	gen := r.gen.Load()
+	if r.ascentAt != gen+1 {
+		r.ascent, r.ascentAt = strictlyAscending(r.Tuples), gen+1
+	}
+	if !r.ascent {
+		return nil, false
 	}
 	v := NewRelation(name, r.Arity)
 	v.sorted = true
+	v.viewOf, v.viewGen = r, gen
 	if len(r.Tuples) == 0 {
 		return v, true
 	}
@@ -365,17 +382,60 @@ func (r *Relation) SortedView(name string) (*Relation, bool) {
 	return v, true
 }
 
+// strictlyAscending reports whether every row is less than the next.
+func strictlyAscending(ts []Tuple) bool {
+	for i := 1; i < len(ts); i++ {
+		if ts[i-1].Compare(ts[i]) >= 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // IndexOn builds (or returns the cached) hash index on the given columns.
 // It is safe to call from multiple goroutines; concurrent builds on the
-// same relation are serialized and the first result is shared.
+// same relation are serialized and the first result is shared. On a
+// SortedView that has not mutated, over a base still at the generation
+// the view was taken at, it is the base's index — found in or added to
+// the base's cache, under one hold of the base's lock — because the
+// view's row ids are the base's. Otherwise the relation builds and caches
+// its own. Indexes in a base's cache are thus shared by every statement
+// bound over it, and nothing patches them: the in-place patching API
+// (AddRow, RemoveRow, SetSlab) is for indexes of a statement's own
+// relations only.
 func (r *Relation) IndexOn(cols []int) *Index {
+	r.mu.Lock()
+	base, gen := r.viewOf, r.viewGen
+	if base == nil {
+		defer r.mu.Unlock()
+		return r.indexLocked(cols)
+	}
+	r.mu.Unlock()
+	if ix := base.indexAt(cols, gen); ix != nil {
+		return ix
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.indexLocked(cols)
+}
+
+// indexAt is IndexOn on r while r is at generation gen, else nil.
+func (r *Relation) indexAt(cols []int, gen uint64) *Index {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.gen.Load() != gen {
+		return nil
+	}
+	return r.indexLocked(cols)
+}
+
+// indexLocked is IndexOn on r's own cache, r.mu held.
+func (r *Relation) indexLocked(cols []int) *Index {
 	sig, packed := colsSig(cols)
 	var bigSig string
 	if !packed {
 		bigSig = colsSigBig(cols)
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if packed {
 		if ix, ok := r.indexes[sig]; ok {
 			return ix

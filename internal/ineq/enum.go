@@ -274,8 +274,6 @@ func PrepareNeq(db *database.Database, q *logic.CQ, c *delay.Counter) (*NeqPrep,
 				pt.deferCols[v] = col
 			}
 		}
-		fr := cq.Rel{Schema: freeVars, R: r.R.Project(r.R.Name, freeCols)}
-		fr.R.Dedup()
 		if hasDeferred {
 			pt.witness = map[string][]database.Tuple{}
 			for _, row := range r.R.Tuples {
@@ -284,6 +282,13 @@ func PrepareNeq(db *database.Database, q *logic.CQ, c *delay.Counter) (*NeqPrep,
 			}
 		}
 		c.Tick(int64(r.R.Len()))
+		// With every column free the split keeps r whole: Dedup alone,
+		// after the witness maps and the tick have read r's rows.
+		fr := cq.Rel{Schema: freeVars, R: r.R}
+		if len(freeCols) < len(r.Schema) {
+			fr.R = r.R.Project(r.R.Name, freeCols)
+		}
+		fr.R.Dedup()
 		pt.free = fr
 		parts = append(parts, pt)
 		freeRels = append(freeRels, fr)

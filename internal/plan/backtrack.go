@@ -3,10 +3,12 @@ package plan
 // The backtracking route, for negation, order comparisons, cyclic cores
 // and comparisons past free-connex ≠: Decide and Count run the plan's
 // engines, and the first pass memoizes the backtracking evaluation, which
-// later passes replay and a resumed one reslices.
+// later passes replay, a resumed one reslices and a backtracking Count
+// measures.
 
 import (
 	"context"
+	"math/big"
 
 	"repro/internal/database"
 	"repro/internal/delay"
@@ -38,6 +40,20 @@ func (r *backtrackRoute) enumerate(_ context.Context, _ *delay.Counter, pos []by
 	}
 	off := offset(pos)
 	return replay(rows, off), off, off, nil
+}
+
+// count answers from the memoized answer list when a pass has filled it
+// and the plan counts by backtracking, which would evaluate the same list
+// again; else it runs the plan's counting engine, and fills no memo, so a
+// statement only counted pins no answer list.
+func (r *backtrackRoute) count(c *delay.Counter) (*big.Int, error) {
+	if !r.done || r.plan.CountEngine != EngineBacktrack {
+		return r.Prepared.count(c)
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	return big.NewInt(int64(len(r.rows))), nil
 }
 
 func (r *backtrackRoute) refresh() RefreshKind {

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cq"
 	"repro/internal/database"
@@ -340,5 +341,92 @@ func TestSortedDuplicatesCountOnce(t *testing.T) {
 		if err := checkRoute(backing.db, p2, pr2); err != nil {
 			t.Errorf("%s: %v", backing.name, err)
 		}
+	}
+}
+
+// TestViewIndexConcurrentBinds: statements bound at once over one
+// database share its base relations' indexes (a plain atom's view reads
+// its base's index cache), beside a writer that mutates those bases under
+// the serving lock discipline — binds and executions hold the read side,
+// the writer the write side. Every statement must match the oracle at the
+// generation it ran at; run under -race this guards the shared caches.
+func TestViewIndexConcurrentBinds(t *testing.T) {
+	heap := routeDB(12)
+	path := filepath.Join(t.TempDir(), "views.snap")
+	if err := snapshot.WriteFile(path, heap, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	s, err := snapshot.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	for _, backing := range []struct {
+		name string
+		db   *database.Database
+	}{{"heap", heap}, {"mmap", s.Database()}} {
+		t.Run(backing.name, func(t *testing.T) {
+			db := backing.db
+			plans := make([]*plan.Plan, len(routeStatements))
+			for i, rs := range routeStatements {
+				plans[i] = compileRoute(t, rs)
+			}
+			var mu sync.RWMutex
+			stop := make(chan struct{})
+			writer := make(chan struct{})
+			go func() {
+				defer close(writer)
+				a, b := db.Relation("A"), db.Relation("B")
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					row := database.Tuple{database.Value(20 + i%5), database.Value(1 + i%12)}
+					mu.Lock()
+					if i%2 == 0 {
+						a.Insert(row)
+						b.Insert(database.Tuple{row[1], row[0]})
+					} else {
+						a.Delete(database.Tuple{database.Value(20 + (i-1)%5), database.Value(1 + (i-1)%12)})
+						a.Dedup()
+					}
+					mu.Unlock()
+					time.Sleep(200 * time.Microsecond)
+				}
+			}()
+
+			const workers = 8
+			var wg sync.WaitGroup
+			errs := make(chan error, workers)
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for k := 0; k < 3*len(plans); k++ {
+						i := (k + w) % len(plans)
+						mu.RLock()
+						pr, err := plans[i].Bind(db)
+						if err == nil {
+							err = checkRoute(db, plans[i], pr)
+						}
+						mu.RUnlock()
+						if err != nil {
+							errs <- err
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			close(stop)
+			<-writer
+			close(errs)
+			for err := range errs {
+				t.Error(err)
+			}
+		})
 	}
 }

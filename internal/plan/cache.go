@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -17,16 +19,23 @@ import (
 // path (fingerprint, probe, generation check) allocates nothing.
 type Cache struct {
 	mu       sync.RWMutex
-	plans    map[uint64][]*Plan
+	plans    map[uint64][]*planEntry
+	nplans   int
 	prepared map[preparedKey]*preparedEntry
+
+	// compiling holds the compiles in progress by fingerprint: a compile
+	// of a query structurally equal to one in flight waits for its plan.
+	compiling map[uint64][]*compileFlight
+	compiles  atomic.Uint64 // compiles run, for tests
 
 	// inflight is the one registry of binds and refreshes in progress,
 	// shared by PreparePlan and qservd's bind lane (StartFlight/Run): cold
 	// probes for the same (plan, db) coalesce onto one flight.
 	inflight map[preparedKey]*Flight
 
-	// maxPrepared bounds len(prepared), least-recently-used out, so that
-	// the keys' db pointers cannot retain dead databases; 0 is unbounded.
+	// maxPrepared bounds len(prepared) and nplans, each least-recently-
+	// used out, so that neither the keys' db pointers nor a stream of
+	// novel query texts can grow the cache without end; 0 is unbounded.
 	maxPrepared int
 
 	hits      atomic.Uint64
@@ -46,6 +55,24 @@ type preparedEntry struct {
 	lastUse atomic.Uint64
 }
 
+type planEntry struct {
+	p       *Plan
+	lastUse atomic.Uint64
+}
+
+// compileFlight is one compile in progress; done is closed once p and err
+// are settled.
+type compileFlight struct {
+	q    *logic.CQ
+	u    *logic.UCQ
+	done chan struct{}
+	p    *Plan
+	err  error
+}
+
+// errCompileAborted is a compile flight's result if its compile panicked.
+var errCompileAborted = errors.New("plan: compile aborted")
+
 // Flight is one bind or refresh of a (plan, database) pair in progress: its
 // leader (StartFlight) calls Run, and everyone else waits on Done.
 type Flight struct {
@@ -56,16 +83,18 @@ type Flight struct {
 	err  error
 }
 
-func (c *Cache) touch(e *preparedEntry) {
-	e.lastUse.Store(c.clock.Add(1))
+// touch stamps an entry's last use, under either lock.
+func (c *Cache) touch(lastUse *atomic.Uint64) {
+	lastUse.Store(c.clock.Add(1))
 }
 
 // NewCache creates an empty plan cache.
 func NewCache() *Cache {
 	return &Cache{
-		plans:    make(map[uint64][]*Plan),
-		prepared: make(map[preparedKey]*preparedEntry),
-		inflight: make(map[preparedKey]*Flight),
+		plans:     make(map[uint64][]*planEntry),
+		prepared:  make(map[preparedKey]*preparedEntry),
+		compiling: make(map[uint64][]*compileFlight),
+		inflight:  make(map[preparedKey]*Flight),
 	}
 }
 
@@ -91,12 +120,18 @@ func (c *Cache) Len() int {
 	return len(c.prepared)
 }
 
-// SetMaxPrepared bounds the number of cached bound statements, evicting
-// least-recently-used ones at once; 0 removes the bound.
+// SetMaxPrepared bounds the number of cached bound statements and, apart,
+// the number of cached compiled plans, evicting least-recently-used ones
+// at once; 0 removes the bounds. A plan is used when a compile hits it,
+// when PlanByFingerprint resolves it and when it is inserted. Evicting a
+// plan drops its bound statements too, and PlanByFingerprint no longer
+// finds it: a statement handle naming it must be prepared again from the
+// query text.
 func (c *Cache) SetMaxPrepared(n int) {
 	c.mu.Lock()
 	c.maxPrepared = n
 	c.evictLocked()
+	c.evictPlansLocked()
 	c.mu.Unlock()
 }
 
@@ -118,23 +153,57 @@ func (c *Cache) evictLocked() {
 	}
 }
 
+// evictPlansLocked enforces maxPrepared on the plans by dropping
+// least-recently-used ones with their bound statements. Caller holds the
+// write lock.
+func (c *Cache) evictPlansLocked() {
+	for c.maxPrepared > 0 && c.nplans > c.maxPrepared {
+		var oldest *planEntry
+		for _, es := range c.plans {
+			for _, e := range es {
+				if oldest == nil || e.lastUse.Load() < oldest.lastUse.Load() {
+					oldest = e
+				}
+			}
+		}
+		fp := oldest.p.fp
+		if es := slices.DeleteFunc(c.plans[fp], func(e *planEntry) bool { return e == oldest }); len(es) > 0 {
+			c.plans[fp] = es
+		} else {
+			delete(c.plans, fp)
+		}
+		c.nplans--
+		for k := range c.prepared {
+			if k.plan == oldest.p {
+				delete(c.prepared, k)
+			}
+		}
+	}
+}
+
 // Reset drops every cached plan and bound statement.
 func (c *Cache) Reset() {
 	c.mu.Lock()
-	c.plans = make(map[uint64][]*Plan)
+	c.plans = make(map[uint64][]*planEntry)
+	c.nplans = 0
 	c.prepared = make(map[preparedKey]*preparedEntry)
 	c.mu.Unlock()
 }
 
-// lookupPlan finds a cached plan structurally equal to q (or u). Caller
+// sameQuery reports whether q (or u) is structurally equal to pq (or pu).
+func sameQuery(pq *logic.CQ, pu *logic.UCQ, q *logic.CQ, u *logic.UCQ) bool {
+	if q != nil {
+		return pq != nil && equalCQ(pq, q)
+	}
+	return pu != nil && equalUCQ(pu, u)
+}
+
+// lookupPlan finds the cached plan structurally equal to q (or u). Caller
 // holds at least the read lock.
-func (c *Cache) lookupPlan(fp uint64, q *logic.CQ, u *logic.UCQ) *Plan {
-	for _, p := range c.plans[fp] {
-		if q != nil && p.CQ != nil && equalCQ(p.CQ, q) {
-			return p
-		}
-		if u != nil && p.UCQ != nil && equalUCQ(p.UCQ, u) {
-			return p
+func (c *Cache) lookupPlan(fp uint64, q *logic.CQ, u *logic.UCQ) *planEntry {
+	for _, e := range c.plans[fp] {
+		if sameQuery(e.p.CQ, e.p.UCQ, q, u) {
+			return e
 		}
 	}
 	return nil
@@ -151,32 +220,64 @@ func (c *Cache) CompileUCQ(u *logic.UCQ) (*Plan, error) {
 }
 
 // compile resolves q (or u) to its cached plan. A hit is one fingerprint,
-// one map probe and a structural comparison under the read lock. A miss
-// compiles with no lock held, so a slow compile stalls no other statement;
-// of two racing compiles of one query, the first inserted is returned.
+// one map probe, a structural comparison and a use stamp under the read
+// lock. A miss compiles with no lock held, so a slow compile stalls no
+// other statement; a miss on a query whose compile is already in flight
+// waits for that compile's plan, so one text runs one compile at a time.
 func (c *Cache) compile(fp uint64, q *logic.CQ, u *logic.UCQ) (*Plan, error) {
 	c.mu.RLock()
-	p := c.lookupPlan(fp, q, u)
+	e := c.lookupPlan(fp, q, u)
+	if e != nil {
+		c.touch(&e.lastUse)
+	}
 	c.mu.RUnlock()
-	if p != nil {
-		return p, nil
-	}
-	var err error
-	if u != nil {
-		p, err = CompileUCQ(u)
-	} else {
-		p, err = Compile(q)
-	}
-	if err != nil {
-		return nil, err
+	if e != nil {
+		return e.p, nil
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if first := c.lookupPlan(fp, q, u); first != nil {
-		return first, nil
+	if e := c.lookupPlan(fp, q, u); e != nil {
+		c.touch(&e.lastUse)
+		c.mu.Unlock()
+		return e.p, nil
 	}
-	c.plans[fp] = append(c.plans[fp], p)
-	return p, nil
+	for _, f := range c.compiling[fp] {
+		if sameQuery(f.q, f.u, q, u) {
+			c.mu.Unlock()
+			<-f.done
+			return f.p, f.err
+		}
+	}
+	f := &compileFlight{q: q, u: u, done: make(chan struct{}), err: errCompileAborted}
+	c.compiling[fp] = append(c.compiling[fp], f)
+	c.mu.Unlock()
+	defer c.endCompile(fp, f)
+	c.compiles.Add(1)
+	if u != nil {
+		f.p, f.err = CompileUCQ(u)
+	} else {
+		f.p, f.err = Compile(q)
+	}
+	return f.p, f.err
+}
+
+// endCompile inserts a compile flight's plan, if it compiled, and releases
+// the flight's waiters.
+func (c *Cache) endCompile(fp uint64, f *compileFlight) {
+	c.mu.Lock()
+	if fs := slices.DeleteFunc(c.compiling[fp], func(g *compileFlight) bool { return g == f }); len(fs) > 0 {
+		c.compiling[fp] = fs
+	} else {
+		delete(c.compiling, fp)
+	}
+	if f.err == nil {
+		e := &planEntry{p: f.p}
+		c.touch(&e.lastUse)
+		c.plans[fp] = append(c.plans[fp], e)
+		c.nplans++
+		c.evictPlansLocked()
+	}
+	c.mu.Unlock()
+	close(f.done)
 }
 
 // Prepare is Compile, then PreparePlan.
@@ -199,7 +300,7 @@ func (c *Cache) PeekPlan(p *Plan, db *database.Database) (*Prepared, bool) {
 		c.mu.RUnlock()
 		return nil, false
 	}
-	c.touch(e)
+	c.touch(&e.lastUse)
 	c.mu.RUnlock()
 	c.hits.Add(1)
 	return e.pr, true
@@ -269,7 +370,7 @@ func (fl *Flight) Run(counter *delay.Counter) {
 	c.mu.Lock()
 	stale := c.prepared[key]
 	if stale != nil && stale.gen == key.db.Generation() {
-		c.touch(stale)
+		c.touch(&stale.lastUse)
 		c.hits.Add(1)
 		fl.pr = stale.pr
 		delete(c.inflight, key)
@@ -300,7 +401,7 @@ func (fl *Flight) Run(counter *delay.Counter) {
 	fl.pr, fl.err = pr, err
 	if refreshed {
 		stale.gen = pr.Generation()
-		c.touch(stale)
+		c.touch(&stale.lastUse)
 		// Re-insert: an LRU eviction may have dropped the entry while the
 		// refresh was in flight.
 		c.prepared[key] = stale
@@ -308,7 +409,7 @@ func (fl *Flight) Run(counter *delay.Counter) {
 	} else if err == nil {
 		c.misses.Add(1)
 		e := &preparedEntry{gen: pr.Generation(), pr: pr}
-		c.touch(e)
+		c.touch(&e.lastUse)
 		c.prepared[key] = e
 		c.evictLocked()
 	}
@@ -317,13 +418,15 @@ func (fl *Flight) Run(counter *delay.Counter) {
 }
 
 // PlanByFingerprint resolves a structural fingerprint to the unique cached
-// plan carrying it; nil when none is cached or several distinct queries
-// collide on fp, which the caller treats as an unknown handle.
+// plan carrying it, and stamps its use; nil when none is cached (never
+// compiled, evicted or reset) or several distinct queries collide on fp,
+// which the caller treats as an unknown handle.
 func (c *Cache) PlanByFingerprint(fp uint64) *Plan {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if ps := c.plans[fp]; len(ps) == 1 {
-		return ps[0]
+	if es := c.plans[fp]; len(es) == 1 {
+		c.touch(&es[0].lastUse)
+		return es[0].p
 	}
 	return nil
 }

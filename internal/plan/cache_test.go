@@ -365,13 +365,13 @@ func TestCacheCompileHoldsNoLock(t *testing.T) {
 	<-done
 }
 
-// TestCacheRacingCompilesShareAPlan: two compiles of one query text in
-// flight at once both return the plan inserted first, so *Plan identity
-// keys prepared statements as before.
+// TestCacheRacingCompilesShareAPlan: compiles of one query text in flight
+// at once run one compile, and every caller gets its plan, so *Plan
+// identity keys prepared statements as before.
 func TestCacheRacingCompilesShareAPlan(t *testing.T) {
 	cache := plan.NewCache()
 	var wg sync.WaitGroup
-	plans := make([]*plan.Plan, 2)
+	plans := make([]*plan.Plan, 8)
 	for i := range plans {
 		q := slowChain(t, 34)
 		wg.Add(1)
@@ -385,10 +385,60 @@ func TestCacheRacingCompilesShareAPlan(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if plans[0] == nil || plans[0] != plans[1] {
-		t.Fatalf("racing compiles returned %p and %p, want one plan", plans[0], plans[1])
+	for i, p := range plans {
+		if p == nil || p != plans[0] {
+			t.Fatalf("racing compile %d returned %p, compile 0 %p, want one plan", i, p, plans[0])
+		}
+	}
+	if n := cache.Compiles(); n != 1 {
+		t.Errorf("%d racing compiles of one text ran %d compiles, want 1", len(plans), n)
 	}
 	if p := cache.PlanByFingerprint(plans[0].Fingerprint()); p != plans[0] {
 		t.Fatalf("the cache holds %p under the fingerprint, want the one plan %p", p, plans[0])
+	}
+}
+
+// TestCachePlansBounded: a stream of novel query texts leaves at most
+// maxPrepared plans cached, least recently used out, and an evicted
+// plan's bound statements leave with it.
+func TestCachePlansBounded(t *testing.T) {
+	const bound, texts = 64, 100_000
+	cache := plan.NewCache()
+	cache.SetMaxPrepared(bound)
+	db := chainDB(10)
+	hotQ := mustCQ(t, "Hot(x,y) :- A(x,y), B(y,z).")
+	hot, err := cache.Compile(hotQ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := cache.Compile(mustCQ(t, "First(x,y) :- A(x,y), B(y,z)."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cache.PreparePlan(first, db, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < texts; i++ {
+		q := &logic.CQ{Name: fmt.Sprintf("N%d", i), Head: hotQ.Head, Atoms: hotQ.Atoms}
+		if _, err := cache.Compile(q); err != nil {
+			t.Fatal(err)
+		}
+		if n := cache.PlanLen(); n > bound {
+			t.Fatalf("after %d texts: %d plans cached, bound %d", i+1, n, bound)
+		}
+		if i%16 == 0 {
+			if p, err := cache.Compile(hotQ); err != nil || p != hot {
+				t.Fatalf("the hot plan was evicted (%v)", err)
+			}
+		}
+	}
+	if cache.PlanByFingerprint(first.Fingerprint()) != nil {
+		t.Error("the first plan is still cached")
+	}
+	if n := cache.Len(); n != 0 {
+		t.Errorf("%d bound statements cached after their plan left", n)
+	}
+	if n := cache.Compiles(); n != texts+2 {
+		t.Errorf("%d compiles, want %d", n, texts+2)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/base64"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -125,6 +126,46 @@ func TestHandleLifecycle(t *testing.T) {
 	}
 	if st := srv.Stats(); st.StaleHandles < 2 {
 		t.Fatalf("stale_handles stat %d, want ≥ 2", st.StaleHandles)
+	}
+}
+
+// TestHandleDiesWithEvictedPlan: the plan cache keeps the statement
+// cache's bound of plans, least recently used out, so a stream of novel
+// query texts evicts a plan whose handle goes unused: the handle then gets
+// 410 unknown_handle, and re-preparing from the text gives a working one.
+// A handle in use keeps its plan.
+func TestHandleDiesWithEvictedPlan(t *testing.T) {
+	srv := serve.New(chainDB(16), nil, serve.Config{CursorKey: testKey})
+	h := srv.Handler()
+	decide := func(handle string) (int, string) {
+		code, out := postJSON(t, h, "/v1/decide", map[string]interface{}{"handle": handle})
+		var e string
+		if out["error"] != nil {
+			json.Unmarshal(out["error"], &e)
+		}
+		return code, e
+	}
+	novel := 0
+	prepareNovel := func(n int) {
+		for i := 0; i < n; i++ {
+			novel++
+			prepareHandle(t, h, fmt.Sprintf("N%d(x,y) :- A(x,y), B(y,z).", novel))
+		}
+	}
+	handle := prepareHandle(t, h, chainQuery)
+	for i := 0; i < 4; i++ {
+		prepareNovel(100)
+		if code, e := decide(handle); code != http.StatusOK {
+			t.Fatalf("a handle in use died after %d novel texts: %d %s", novel, code, e)
+		}
+	}
+	prepareNovel(300)
+	if code, e := decide(handle); code != http.StatusGone || e != "unknown_handle" {
+		t.Fatalf("a handle unused for %d novel texts: %d %q, want 410 unknown_handle", 300, code, e)
+	}
+	handle = prepareHandle(t, h, chainQuery)
+	if code, e := decide(handle); code != http.StatusOK {
+		t.Fatalf("re-prepared handle: %d %s", code, e)
 	}
 }
 

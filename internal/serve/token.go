@@ -31,7 +31,9 @@ import (
 // carries no position. A handle resolves through the plan cache's
 // fingerprint index, so it survives mutations and in-place refreshes, and
 // only dies (410 unknown_handle) when the compiled plan itself has been
-// dropped, e.g. after a cache reset. Its generation is informational
+// dropped: evicted as the least recently used of more plans than the
+// statement cache's bound (maxPrepared), or by a cache reset. Its
+// generation is informational
 // (clients can log how far behind their handle is); freshness is re-checked
 // per request exactly as for query-text requests.
 //
