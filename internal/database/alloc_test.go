@@ -1,7 +1,7 @@
 package database
 
-// Allocation pins for the bind-time relational operations: a bind should
-// allocate what the bound statement keeps and nothing it throws away.
+// Allocation pins for the bind-time relational operations: their outputs
+// are exactly sized, and none allocates per row.
 
 import (
 	"runtime"
@@ -32,30 +32,30 @@ func allocRelation(n, keys int) *Relation {
 	return r
 }
 
-// TestProjectAllocs pins Project at its output: the relation, the arena
-// and the row headers, whatever the row count and however many keys the
-// grouping table holds, up to the largest grouping a pooled scratch keeps
-// (2¹² rows with as many keys). The grouping table and first-row list come
-// from the pooled scratch.
+// TestProjectAllocs pins Project at no per-row allocation: the output is
+// exactly sized, and a grouping of 2¹² rows costs at most a handful more
+// allocations than one of 2¹⁰: the table and the first-row list grow by
+// doubling, so four times the keys cost a few more growths.
 func TestProjectAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector drops pooled scratches at random")
-	}
-	for _, n := range []int{1 << 10, 1 << 12} {
-		r := allocRelation(n, 32)
-		for _, tc := range []struct {
-			name string
-			cols []int
-			keys int
-		}{{"few keys", []int{1}, 32}, {"many keys", []int{0, 1}, n}} {
+	for _, tc := range []struct {
+		name string
+		cols []int
+		keys func(n int) int
+	}{
+		{"few keys", []int{1}, func(int) int { return 32 }},
+		{"many keys", []int{0, 1}, func(n int) int { return n }},
+	} {
+		var allocs [2]float64
+		for i, n := range []int{1 << 10, 1 << 12} {
+			r := allocRelation(n, 32)
 			var out *Relation
-			allocs := testing.AllocsPerRun(10, func() { out = r.Project("P", tc.cols) })
-			if out.Len() != tc.keys {
-				t.Fatalf("n=%d %s: %d rows, want %d", n, tc.name, out.Len(), tc.keys)
+			allocs[i] = testing.AllocsPerRun(10, func() { out = r.Project("P", tc.cols) })
+			if want := tc.keys(n); out.Len() != want || cap(out.Tuples) != want {
+				t.Fatalf("n=%d %s: len %d cap %d, want %d", n, tc.name, out.Len(), cap(out.Tuples), want)
 			}
-			if allocs != 3 {
-				t.Errorf("n=%d %s: %v allocs/run, want 3 (relation, arena, row headers)", n, tc.name, allocs)
-			}
+		}
+		if allocs[1] > allocs[0]+8 {
+			t.Errorf("%s: %v allocs/run at 2^10 rows, %v at 2^12", tc.name, allocs[0], allocs[1])
 		}
 	}
 }

@@ -22,10 +22,7 @@ package database
 // (SemijoinScalar, JoinScalar, Index.Lookup) remain in place as the oracle
 // for the differential suites.
 
-import (
-	"math/bits"
-	"sync"
-)
+import "sync"
 
 // probeBatch is the number of probe rows fingerprinted per inner pass; it
 // bounds the scratch's fps buffer so a batch of hashes stays in L1.
@@ -93,25 +90,16 @@ type cacheEnt struct {
 }
 
 // BatchScratch holds the reusable buffers of the batch kernels and of
-// key grouping: the fingerprint staging area, the survivor buffer, an
-// iota buffer for whole-relation probes, the bucket-result cache, and the
-// grouping table, first-row list and per-row ids of groupKeys. Scratches
-// are pooled (GetScratch/Release); a warm kernel call allocates nothing,
-// and a grouping (Project, Select, buildIndex) allocates only what its
-// result keeps.
+// Select: the fingerprint staging area, the survivor buffer, an iota
+// buffer for whole-relation probes, and the bucket-result cache.
+// Scratches are pooled (GetScratch/Release); a warm kernel call allocates
+// nothing.
 type BatchScratch struct {
 	fps   [probeBatch]uint64
 	ids   []int32 // iota buffer handed to kernels as rowIDs
 	keep  []int32 // survivor buffer returned by ContainsBatch and Select
 	epoch uint32  // bumped per kernel call; cache entries from other calls are dead
 	cache [cacheSlots]cacheEnt
-
-	// The grouping table lives in one of slots and spare and doubles into
-	// the other, so a warm grouping reuses both; first and rowIDs back
-	// groupKeys' results.
-	slots, spare []slot
-	first        []int32
-	rowIDs       []int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(BatchScratch) }}
@@ -119,20 +107,8 @@ var scratchPool = sync.Pool{New: func() any { return new(BatchScratch) }}
 // GetScratch returns a scratch from the pool.
 func GetScratch() *BatchScratch { return scratchPool.Get().(*BatchScratch) }
 
-// maxKeptGroup bounds, in slots, the largest table a pooled grouping may
-// need: enough for 2¹² rows with as many keys, the size of the relations
-// a cold bind typically reads. Larger groupings allocate their buffers
-// afresh, exactly as they would without the pool. Pooling more costs
-// twice over: a pooled scratch stays live through the next two
-// collections, so pooling the 2¹⁶-row groupings of a server that binds
-// over 2¹⁶- and 2¹⁸-row relations at start-up (3.5 MB a scratch) raised
-// its peak RSS by about 16 %; and a scratch is per P, so a goroutine that
-// moves between Ps finds a cold one, which makes a large grouping's
-// allocation count vary from run to run.
-const maxKeptGroup = 1 << 13
-
 // Release returns the scratch to the pool. Buffers previously returned by
-// ContainsBatch or groupKeys on this scratch are invalid afterwards.
+// ContainsBatch on this scratch are invalid afterwards.
 func (sc *BatchScratch) Release() { scratchPool.Put(sc) }
 
 // Iota fills the scratch's id buffer with row ids [0, n) — the rowIDs
@@ -159,46 +135,6 @@ func (sc *BatchScratch) growKeep(n int) []int32 {
 		sc.keep = make([]int32, n)
 	}
 	return sc.keep[:n]
-}
-
-// sizeGroup readies sc's buffers for a pooled grouping of n rows whose
-// table starts at size slots. The table ends at no more than top =
-// tableSize(2n) slots, doubling through slots and spare in turn, so one of
-// the two must hold top slots and the other top/2; first and rowIDs hold n
-// ids each. A short scratch gets each pair in one allocation, so a cold
-// scratch costs the same two allocations however often the table doubles,
-// and a warm one none.
-func (sc *BatchScratch) sizeGroup(n, size int) {
-	top := tableSize(2 * n)
-	hi, lo := sc.slots, sc.spare
-	if cap(hi) < cap(lo) {
-		hi, lo = lo, hi
-	}
-	if cap(hi) < top || cap(lo) < top/2 {
-		buf := make([]slot, top+top/2)
-		hi, lo = buf[:top:top], buf[top:]
-	}
-	// The table starts in slots and ends there after an even number of
-	// doublings.
-	sc.slots, sc.spare = hi, lo
-	if bits.TrailingZeros(uint(top/size))%2 == 1 {
-		sc.slots, sc.spare = lo, hi
-	}
-	if cap(sc.first) < n || cap(sc.rowIDs) < n {
-		buf := make([]int32, 2*n)
-		sc.first, sc.rowIDs = buf[:0:n], buf[n:]
-	}
-}
-
-// emptySlots returns buf resliced to n zeroed slots, reallocating it only
-// when its capacity is short.
-func emptySlots(buf []slot, n int) []slot {
-	if cap(buf) < n {
-		return make([]slot, n)
-	}
-	buf = buf[:n]
-	clear(buf)
-	return buf
 }
 
 // probeEq reports whether probe rows a and b of sl agree on cols.

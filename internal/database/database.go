@@ -123,15 +123,14 @@ type Relation struct {
 	Arity  int
 	Tuples []Tuple
 
-	mu         sync.Mutex // guards index/slab construction
-	indexes    map[uint64]*Index
-	indexesBig map[string]*Index // column lists too wide for a packed signature
-	slabPtr    atomic.Pointer[Slab]
-	sorted     bool // set by Sort/Dedup, cleared by inserts; enables binary-search Contains
-	mapped     bool // storage aliases read-only snapshot pages; promoted to heap on first mutation
-	shared     bool // Tuples' header array may be shared with a SortedView; see ownTuples
-	logDeltas  bool // see the delta log below
-	ascent     bool // the outcome of SortedView's strict-ascent check at ascentAt
+	mu        sync.Mutex        // guards index/slab construction
+	indexes   map[string]*Index // keyed by indexKey of the columns
+	slabPtr   atomic.Pointer[Slab]
+	sorted    bool // set by Sort/Dedup, cleared by inserts; enables binary-search Contains
+	mapped    bool // storage aliases read-only snapshot pages; promoted to heap on first mutation
+	shared    bool // Tuples' header array may be shared with a SortedView; see ownTuples
+	logDeltas bool // see the delta log below
+	ascent    bool // the outcome of SortedView's strict-ascent check at ascentAt
 
 	// ascentAt-1 is the generation at which SortedView last checked the
 	// rows for strict ascent (0: never).
@@ -431,16 +430,9 @@ func (r *Relation) indexAt(cols []int, gen uint64) *Index {
 
 // indexLocked is IndexOn on r's own cache, r.mu held.
 func (r *Relation) indexLocked(cols []int) *Index {
-	sig, packed := colsSig(cols)
-	var bigSig string
-	if !packed {
-		bigSig = colsSigBig(cols)
-	}
-	if packed {
-		if ix, ok := r.indexes[sig]; ok {
-			return ix
-		}
-	} else if ix, ok := r.indexesBig[bigSig]; ok {
+	var buf [32]byte
+	key := indexKey(buf[:0], cols)
+	if ix, ok := r.indexes[string(key)]; ok {
 		return ix
 	}
 	var hash keyHashFunc
@@ -448,34 +440,25 @@ func (r *Relation) indexLocked(cols []int) *Index {
 		hash = *p
 	}
 	ix := buildIndex(r.Tuples, cols, r.slabLocked(), hash)
-	if packed {
-		if r.indexes == nil {
-			r.indexes = make(map[uint64]*Index)
-		}
-		r.indexes[sig] = ix
-	} else {
-		if r.indexesBig == nil {
-			r.indexesBig = make(map[string]*Index)
-		}
-		r.indexesBig[bigSig] = ix
-	}
+	r.cacheIndex(key, ix)
 	return ix
+}
+
+// cacheIndex adds ix to r's index cache under key, r.mu held.
+func (r *Relation) cacheIndex(key []byte, ix *Index) {
+	if r.indexes == nil {
+		r.indexes = make(map[string]*Index)
+	}
+	r.indexes[string(key)] = ix
 }
 
 // Project returns a new deduplicated relation containing the projection of r
 // onto the given columns, in first-occurrence order. The first row of each
-// distinct key is found through a flat table, in a pooled scratch up to
-// pooledGroup's size, then every kept row is copied into one exactly sized
-// arena: below that size the relation, its arena and its row headers are
-// all that Project allocates.
+// distinct key is found through a flat table, then every kept row is
+// copied into one exactly sized arena.
 func (r *Relation) Project(name string, cols []int) *Relation {
 	out := NewRelation(name, len(cols))
-	var sc *BatchScratch
-	if pooledGroup(len(r.Tuples)) {
-		sc = GetScratch()
-		defer sc.Release()
-	}
-	_, first, _ := groupKeys(sc, r.Tuples, cols, nil, false)
+	_, first, _ := groupKeys(r.Tuples, cols, nil, false)
 	if len(first) == 0 {
 		return out
 	}
@@ -565,7 +548,7 @@ func GroupSemijoin(r *Relation, rCols []int, s *Relation, sCols []int) (*Relatio
 	// of that bucket's group once placed.
 	start := make([]int32, len(r.Tuples))
 	out.Tuples = make([]Tuple, 0, len(r.Tuples))
-	ix := r.IndexOn(rCols) // before taking a scratch: a build takes its own
+	ix := r.IndexOn(rCols)
 	sc := GetScratch()
 	ix.LookupBatch(s.Slab(), sCols, sc.Iota(len(s.Tuples)), sc, func(i int, ids []int32) {
 		g := &start[ids[0]]

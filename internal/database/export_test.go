@@ -11,9 +11,6 @@ func (r *Relation) CachedIndexes() []*Index {
 	for _, ix := range r.indexes {
 		out = append(out, ix)
 	}
-	for _, ix := range r.indexesBig {
-		out = append(out, ix)
-	}
 	return out
 }
 

@@ -13,6 +13,7 @@ package database
 // the probe free of allocation is what makes the constant factor small.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"sync/atomic"
@@ -185,31 +186,15 @@ func identityCols(arity int) []int {
 	return c
 }
 
-// colsSig packs a column list into one uint64 — 4 bits of length, 7 bits
-// per column — as the index-cache key, replacing the old fmt.Sprint
-// signature (reflection plus an allocation under the relation mutex).
-// Lists longer than 8 columns or with column numbers ≥ 126 fall back to a
-// byte-string signature (colsSigBig).
-func colsSig(cols []int) (uint64, bool) {
-	if len(cols) > 8 {
-		return 0, false
-	}
-	sig := uint64(len(cols))
-	for i, c := range cols {
-		if c >= 126 {
-			return 0, false
-		}
-		sig |= uint64(c+1) << (4 + 7*i)
-	}
-	return sig, true
-}
-
-func colsSigBig(cols []int) string {
-	b := make([]byte, 0, 2*len(cols))
+// indexKey appends cols to buf as concatenated uvarints: the key of the
+// index cache. Uvarints are prefix-free, so distinct lists get distinct
+// keys at any width; callers build the key in a stack buffer and look it
+// up with m[string(key)], so a cache hit allocates nothing.
+func indexKey(buf []byte, cols []int) []byte {
 	for _, c := range cols {
-		b = append(b, byte(c), byte(c>>8))
+		buf = binary.AppendUvarint(buf, uint64(c))
 	}
-	return string(b)
+	return buf
 }
 
 // --- the flat table ---------------------------------------------------
@@ -230,8 +215,8 @@ type slot struct {
 // table is the package's one hash table of distinct keys: flat open
 // addressing with linear probing, addressed by the high fingerprint bits
 // and kept at most half full. Two keys that share a fingerprint are two
-// slots on one probe chain. Indexes, grouping (buildIndex, Project, in a
-// pooled scratch) and KeyMap all use it.
+// slots on one probe chain. Indexes, grouping (buildIndex, Project) and
+// KeyMap all use it.
 type table struct {
 	slots []slot
 	mask  uint32
@@ -276,22 +261,16 @@ func (tb *table) find(fp, tag uint64, eq func(slot) bool) (uint32, bool) {
 // recomputes a stored key's fingerprint for the rehash.
 func (tb *table) put(i uint32, s slot, fpOf func(slot) uint64) {
 	tb.slots[i] = s
-	if tb.used++; 2*tb.used > len(tb.slots) {
-		tb.rehash(make([]slot, 2*len(tb.slots)), fpOf)
+	if tb.used++; 2*tb.used <= len(tb.slots) {
+		return
 	}
-}
-
-// rehash moves every key into slots (zeroed, a power of two, and more than
-// twice used long) and returns the table's old slots.
-func (tb *table) rehash(slots []slot, fpOf func(slot) uint64) []slot {
 	old := tb.slots
-	*tb = table{slots: slots, mask: uint32(len(slots) - 1), used: tb.used}
+	*tb = table{slots: make([]slot, 2*len(old)), mask: uint32(2*len(old) - 1), used: tb.used}
 	for _, s := range old {
 		if s.n != 0 {
 			tb.place(s, fpOf(s))
 		}
 	}
-	return old
 }
 
 // place stores s in the first empty slot of fp's probe chain without
@@ -345,26 +324,14 @@ func sameKey(a Tuple, aCols []int, b Tuple, bCols []int) bool {
 // in first-appearance order. It returns the table of distinct keys (off
 // holds a key's id, n its number of rows), the first row of every id and,
 // with withIDs, each row's id. The table starts at min(len(tuples), 1024)
-// slots and doubles once more than half full, as table.put does. Given a
-// scratch (callers pass one when pooledGroup allows), the grouping runs in
-// it: the table doubles into sc's spare slots, a warm grouping allocates
-// nothing, and the results are valid until sc groups again or is
-// released, so the caller copies what it keeps. With a nil sc it
-// allocates its own buffers, as an unpooled table does. A nil hash is the
-// default fingerprint.
-func groupKeys(sc *BatchScratch, tuples []Tuple, cols []int, hash keyHashFunc, withIDs bool) (table, []int32, []int32) {
-	n := len(tuples)
-	size := tableSize(min(n, 1024))
-	var slots, spare []slot
+// slots and grows through table.put. A nil hash is the default
+// fingerprint.
+func groupKeys(tuples []Tuple, cols []int, hash keyHashFunc, withIDs bool) (table, []int32, []int32) {
 	var first, ids []int32
-	pooled := sc != nil
-	if pooled {
-		sc.sizeGroup(n, size)
-		slots, spare, first, ids = sc.slots, sc.spare, sc.first[:0], sc.rowIDs[:n]
-	} else if withIDs {
-		ids = make([]int32, n)
+	if withIDs {
+		ids = make([]int32, len(tuples))
 	}
-	tb := table{slots: emptySlots(slots, size), mask: uint32(size - 1)}
+	tb := newTable(min(len(tuples), 1024))
 	var t Tuple
 	var eq func(slot) bool
 	if len(cols) != 1 {
@@ -399,24 +366,14 @@ func groupKeys(sc *BatchScratch, tuples []Tuple, cols []int, hash keyHashFunc, w
 			id = s.off
 		} else {
 			first = append(first, int32(r))
-			tb.slots[i] = slot{tag: tag, off: id, n: 1}
-			if tb.used++; 2*tb.used > len(tb.slots) {
-				spare = tb.rehash(emptySlots(spare, 2*len(tb.slots)), fpOf)
-			}
+			tb.put(i, slot{tag: tag, off: id, n: 1}, fpOf)
 		}
 		if withIDs {
 			ids[r] = id
 		}
 	}
-	if pooled {
-		sc.slots, sc.spare, sc.first = tb.slots, spare, first
-	}
 	return tb, first, ids
 }
-
-// pooledGroup reports whether a grouping of n rows runs in the pooled
-// scratch: whether the largest table it can need fits maxKeptGroup.
-func pooledGroup(n int) bool { return tableSize(2*n) <= maxKeptGroup }
 
 // --- the index --------------------------------------------------------
 
@@ -496,10 +453,8 @@ func (ix *Index) Row(id int32) Tuple { return ix.slab.Row(id) }
 // buildIndex constructs the index over tuples (backed by sl) keyed on
 // cols: give each distinct key a dense id, count, prefix-sum, then fill
 // in reverse so every bucket lists its rows in ascending order. Buckets
-// lie in the row array in first-appearance order of their keys. A
-// pooled grouping runs in a scratch, and the index keeps only its row
-// array and an exactly sized copy of the grouping table; a larger one
-// hands its table over. A nil hash selects the default
+// lie in the row array in first-appearance order of their keys, and the
+// index keeps the grouping's table. A nil hash selects the default
 // fingerprint (Tuple.KeyHash) and additionally enables the batched
 // slab-hashing kernel; tests inject a degraded hash to force collisions.
 func buildIndex(tuples []Tuple, cols []int, sl Slab, hash keyHashFunc) *Index {
@@ -512,11 +467,7 @@ func buildIndex(tuples []Tuple, cols []int, sl Slab, hash keyHashFunc) *Index {
 	if ix.fast {
 		ix.hash = defaultKeyHash
 	}
-	var sc *BatchScratch
-	if pooledGroup(len(tuples)) {
-		sc = GetScratch()
-	}
-	tb, ends, ids := groupKeys(sc, tuples, cols, hash, true)
+	tb, ends, ids := groupKeys(tuples, cols, hash, true)
 	// ends[id] becomes the end of id's bucket: count, then prefix-sum.
 	for _, s := range tb.slots {
 		if s.n != 0 {
@@ -538,14 +489,7 @@ func buildIndex(tuples []Tuple, cols []int, sl Slab, hash keyHashFunc) *Index {
 		ends[ids[r]]--
 		ix.rows[ends[ids[r]]] = int32(r)
 	}
-	if sc == nil {
-		// The grouping allocated this table for the index alone.
-		ix.tab = tb
-		return ix
-	}
-	ix.tab = table{slots: make([]slot, len(tb.slots)), mask: tb.mask, used: tb.used}
-	copy(ix.tab.slots, tb.slots)
-	sc.Release()
+	ix.tab = tb
 	return ix
 }
 

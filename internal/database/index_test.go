@@ -102,32 +102,22 @@ func TestForcedCollisionsKeyMap(t *testing.T) {
 	}
 }
 
-// TestColsSig checks the packed column-list signature is injective over the
-// lists the cache actually sees, and that wide/large lists fall back.
-func TestColsSig(t *testing.T) {
+// TestIndexKey checks the index-cache key is injective over the lists the
+// cache sees, the wide lists and large column numbers included.
+func TestIndexKey(t *testing.T) {
 	lists := [][]int{
 		{}, {0}, {1}, {0, 1}, {1, 0}, {2}, {0, 1, 2}, {2, 1, 0},
 		{5, 3}, {3, 5}, {0, 0}, {125}, {1, 2, 3, 4, 5, 6, 7, 0},
+		{126}, make([]int, 9), {1, 26}, {12, 6}, {127}, {128}, {127, 1},
+		{300}, {44, 2}, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9},
 	}
-	seen := map[uint64][]int{}
+	seen := map[string][]int{}
 	for _, l := range lists {
-		sig, ok := colsSig(l)
-		if !ok {
-			t.Fatalf("colsSig(%v) not packable", l)
+		key := string(indexKey(nil, l))
+		if prev, dup := seen[key]; dup {
+			t.Fatalf("indexKey collision: %v and %v -> %q", prev, l, key)
 		}
-		if prev, dup := seen[sig]; dup {
-			t.Fatalf("colsSig collision: %v and %v -> %#x", prev, l, sig)
-		}
-		seen[sig] = l
-	}
-	if _, ok := colsSig([]int{126}); ok {
-		t.Error("colsSig should reject column 126")
-	}
-	if _, ok := colsSig(make([]int, 9)); ok {
-		t.Error("colsSig should reject 9 columns")
-	}
-	if a, b := colsSigBig([]int{1, 26}), colsSigBig([]int{12, 6}); a == b {
-		t.Errorf("colsSigBig ambiguous: %q == %q", a, b)
+		seen[key] = l
 	}
 }
 
@@ -142,7 +132,8 @@ func lookupRow(ix *Index, probe Tuple, probeCols []int) (Tuple, bool) {
 }
 
 // TestLookupAllocs pins the probe path at zero allocations per operation:
-// Index.Lookup, Index.Contains, a first-row lookup, and KeyMap.Find.
+// Index.Lookup, Index.Contains, a first-row lookup, KeyMap.Find, and an
+// IndexOn cache hit at 2 and at 10 columns.
 func TestLookupAllocs(t *testing.T) {
 	r := NewRelation("R", 2)
 	rng := rand.New(rand.NewSource(3))
@@ -205,6 +196,24 @@ func TestLookupAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("sorted Relation.Contains allocates %.1f per run, want 0", n)
+	}
+	wide := NewRelation("W", 10)
+	for i := 0; i < 64; i++ {
+		row := make(Tuple, 10)
+		for j := range row {
+			row[j] = Value(rng.Intn(8))
+		}
+		wide.Insert(row)
+	}
+	for _, cols := range [][]int{{1, 0}, {9, 8, 7, 6, 5, 4, 3, 2, 1, 0}} {
+		ix := wide.IndexOn(cols)
+		if n := testing.AllocsPerRun(200, func() {
+			if wide.IndexOn(cols) != ix {
+				t.Fatal("IndexOn missed its cache")
+			}
+		}); n != 0 {
+			t.Errorf("IndexOn hit on %d columns allocates %.1f per run, want 0", len(cols), n)
+		}
 	}
 	_ = sink
 }

@@ -75,7 +75,6 @@ func (r *Relation) mutateOne(t Tuple) {
 
 func (r *Relation) mutateLocked(ins, del []Tuple, sorted bool) {
 	r.indexes = nil
-	r.indexesBig = nil
 	r.viewOf = nil // a mutated view's row ids are no longer its base's
 	if r.mapped {
 		r.promoteLocked()

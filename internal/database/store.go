@@ -225,16 +225,6 @@ func (r *Relation) RestoreIndex(c IndexCSR) error {
 	if total != len(c.Rows) {
 		return fmt.Errorf("database: restore index on %s: spans cover %d of %d rows", r.Name, total, len(c.Rows))
 	}
-	if sig, packed := colsSig(c.Cols); packed {
-		if r.indexes == nil {
-			r.indexes = make(map[uint64]*Index)
-		}
-		r.indexes[sig] = ix
-	} else {
-		if r.indexesBig == nil {
-			r.indexesBig = make(map[string]*Index)
-		}
-		r.indexesBig[colsSigBig(c.Cols)] = ix
-	}
+	r.cacheIndex(indexKey(nil, c.Cols), ix)
 	return nil
 }
