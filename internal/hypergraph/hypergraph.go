@@ -38,16 +38,6 @@ func (e Edge) Has(v string) bool {
 	return i < len(e.Vertices) && e.Vertices[i] == v
 }
 
-// SubsetOf reports whether every vertex of e belongs to f.
-func (e Edge) SubsetOf(f Edge) bool {
-	for _, v := range e.Vertices {
-		if !f.Has(v) {
-			return false
-		}
-	}
-	return true
-}
-
 // Minus returns the vertices of e not in the given set.
 func (e Edge) Minus(set map[string]bool) []string {
 	var out []string

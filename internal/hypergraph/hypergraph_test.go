@@ -14,9 +14,6 @@ func TestEdgeBasics(t *testing.T) {
 		t.Errorf("Has wrong")
 	}
 	f := NewEdge("S", "x", "y", "z")
-	if !e.SubsetOf(f) || f.SubsetOf(e) {
-		t.Errorf("SubsetOf wrong")
-	}
 	if got := e.Intersect(f); len(got) != 2 {
 		t.Errorf("Intersect wrong: %v", got)
 	}

@@ -269,9 +269,12 @@ func TestDifferentialUCQ(t *testing.T) {
 // TestDifferentialRandomAccessPipeline: the Prepared's random-access handle
 // matches the oracle on free-connex instances, its count is the counting
 // DP's, and a second handle — a fresh view over the same memoized counting
-// pass — addresses the same answers at the same positions.
+// pass — addresses the same answers at the same positions. Seeds whose
+// plan is not constant-delay are skipped, so a full run must still reach
+// raFloor seeds, or a generator change could shrink the suite unseen.
 func TestDifferentialRandomAccessPipeline(t *testing.T) {
 	cfg := qgen.Default()
+	ran := 0
 	for _, seed := range diffSeeds() {
 		rng := rand.New(rand.NewSource(seed))
 		q := qgen.FreeConnexCQ(rng, cfg)
@@ -287,6 +290,7 @@ func TestDifferentialRandomAccessPipeline(t *testing.T) {
 		if p.EnumerateEngine != plan.EngineConstantDelay {
 			continue // generator rarely emits a non-free-connex corner; skip
 		}
+		ran++
 		pr, err := p.Bind(db)
 		if err != nil {
 			failInstance(t, seed, q, db, "Bind: %v", err)
@@ -323,4 +327,11 @@ func TestDifferentialRandomAccessPipeline(t *testing.T) {
 			}
 		}
 	}
+	if *seedFlag < 0 && ran < raFloor {
+		t.Fatalf("only %d of %d seeds ran a constant-delay plan, want at least %d", ran, numSeeds, raFloor)
+	}
 }
+
+// raFloor is just under the number of seeds whose generated query
+// compiles to a constant-delay plan: all 250 of numSeeds do.
+const raFloor = 245

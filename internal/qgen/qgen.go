@@ -302,15 +302,20 @@ func UCQ(rng *rand.Rand, cfg Config) *logic.UCQ {
 // DatabaseFor generates a random database providing every predicate used
 // by the given queries, each relation filled with 0..cfg.MaxTuples random
 // tuples over [1, cfg.Domain]. Predicates reused across queries (or within
-// one, via self-joins) get a single shared relation.
+// one, via self-joins) get a single shared relation. A predicate used at
+// two arities panics: no one relation could serve both atoms.
 func DatabaseFor(rng *rand.Rand, cfg Config, queries ...*logic.CQ) *database.Database {
 	db := database.NewDatabase()
 	arities := make(map[string]int)
 	var order []string
 	note := func(a logic.Atom) {
-		if _, ok := arities[a.Pred]; !ok {
+		ar, ok := arities[a.Pred]
+		switch {
+		case !ok:
 			arities[a.Pred] = len(a.Args)
 			order = append(order, a.Pred)
+		case ar != len(a.Args):
+			panic(fmt.Sprintf("qgen: predicate %s used at arity %d and at arity %d", a.Pred, ar, len(a.Args)))
 		}
 	}
 	for _, q := range queries {

@@ -3,6 +3,7 @@ package qgen
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -111,6 +112,32 @@ func TestDatabaseForCoversPredicates(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestDatabaseForRefusesTwoArities: a predicate used at two arities has
+// no one relation that binds both queries, so DatabaseFor panics, naming
+// the predicate and both arities.
+func TestDatabaseForRefusesTwoArities(t *testing.T) {
+	q1, err := logic.ParseCQ("Q(x,y) :- R0(x,y).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q2, err := logic.ParseCQ("Q(x,y,z) :- R0(x,y,z).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if msg == "" {
+			t.Fatal("DatabaseFor built a database for R0 at arities 2 and 3")
+		}
+		for _, want := range []string{"R0", "arity 2", "arity 3"} {
+			if !strings.Contains(msg, want) {
+				t.Fatalf("panic %q does not name %s", msg, want)
+			}
+		}
+	}()
+	DatabaseFor(rand.New(rand.NewSource(1)), Default(), q1, q2)
 }
 
 // TestDeterminism: the same seed must yield byte-identical instances, or
