@@ -27,9 +27,8 @@ import (
 // When a comparison involves an existentially quantified variable,
 // inclusion–exclusion over projected answers is unsound (an answer may
 // have witnesses on both sides of the split), so the count falls back to
-// output-sensitive enumeration: constant-delay for free-connex queries
-// (Theorem 4.20 gives total time f(‖φ‖)·(|φ(D)|+‖D‖)), backtracking
-// otherwise.
+// generic backtracking. A bound ACQ≠ statement (internal/plan) counts such
+// a free-connex query on its own witness-set enumerator instead.
 func CountNeq(db *database.Database, q *logic.CQ) (*big.Int, error) {
 	if len(q.NegAtoms) > 0 {
 		return nil, fmt.Errorf("counting: negated atoms not supported by CountNeq")
@@ -56,7 +55,11 @@ func CountNeq(db *database.Database, q *logic.CQ) (*big.Int, error) {
 		}
 	}
 	if !freeOnly {
-		return countNeqByEnumeration(db, q)
+		res, err := ineq.EvalBacktrack(db, q)
+		if err != nil {
+			return nil, err
+		}
+		return big.NewInt(int64(len(res))), nil
 	}
 	if len(neqs) > 12 {
 		return nil, fmt.Errorf("counting: too many disequalities (%d) for inclusion–exclusion", len(neqs))
@@ -82,37 +85,6 @@ func CountNeq(db *database.Database, q *logic.CQ) (*big.Int, error) {
 		}
 	}
 	return total, nil
-}
-
-// countNeqByEnumeration counts by draining the Theorem 4.20 constant-delay
-// enumerator when the query is free-connex, or the generic backtracking
-// evaluator otherwise.
-func countNeqByEnumeration(db *database.Database, q *logic.CQ) (*big.Int, error) {
-	plain := &logic.CQ{Name: q.Name, Head: q.Head, Atoms: q.Atoms}
-	onlyNeq := true
-	for _, c := range q.Comparisons {
-		if c.Op != logic.NEQ {
-			onlyNeq = false
-		}
-	}
-	if onlyNeq && plain.IsAcyclic() && plain.IsFreeConnex() {
-		e, err := ineq.EnumerateNeq(db, q, nil)
-		if err == nil {
-			n := int64(0)
-			for {
-				if _, ok := e.Next(); !ok {
-					break
-				}
-				n++
-			}
-			return big.NewInt(n), nil
-		}
-	}
-	res, err := ineq.EvalBacktrack(db, q)
-	if err != nil {
-		return nil, err
-	}
-	return big.NewInt(int64(len(res))), nil
 }
 
 // countWithEqualities counts the query with the given equalities forced

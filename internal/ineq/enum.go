@@ -83,9 +83,68 @@ func (np *NeqPrep) Rebuild(db *database.Database, q *logic.CQ, c *delay.Counter)
 	return nil
 }
 
-// PrepareNeq runs the witness-preserving preprocessing of Theorem 4.20 (see
-// EnumerateNeq) and returns the reusable prep.
-func PrepareNeq(db *database.Database, q *logic.CQ, c *delay.Counter) (*NeqPrep, error) {
+// NeqKind says where the Theorem 4.20 preprocessing resolves a query's
+// disequalities. It depends on the query alone, so a plan fixes it at
+// compile time, and ClassifyNeq computes it from the same split of the
+// comparisons that PrepareNeq builds on.
+type NeqKind uint8
+
+const (
+	// NeqAtomLocal: every disequality joins two variables of one atom or
+	// a variable and a constant. PrepareNeq filters those rows before it
+	// builds the core, so the core's outputs are exactly the answers and
+	// no check runs when a pass emits.
+	NeqAtomLocal NeqKind = iota
+	// NeqFreeFree: some disequality joins variables of different atoms,
+	// and every comparison is between head variables and constants. A pass
+	// checks its outputs against the head tuple alone.
+	NeqFreeFree
+	// NeqDeferred: some disequality joins variables of different atoms,
+	// and some comparison touches a quantified variable. A pass checks its
+	// outputs, through witness rows where a cross-atom disequality touches
+	// a quantified variable.
+	NeqDeferred
+)
+
+// ClassifyNeq returns the kind of q's disequalities. It fails where
+// PrepareNeq's classification fails: on negated atoms, on a comparison
+// other than ≠, or on a comparison variable that occurs in no atom.
+func ClassifyNeq(q *logic.CQ) (NeqKind, error) {
+	s, err := splitNeq(q)
+	if err != nil || len(s.residuals) == 0 {
+		return NeqAtomLocal, err
+	}
+	head := make(map[string]bool, len(q.Head))
+	for _, v := range q.Head {
+		head[v] = true
+	}
+	for _, cmp := range q.Comparisons {
+		for _, t := range [2]logic.Term{cmp.L, cmp.R} {
+			if !t.IsConst && !head[t.Var] {
+				return NeqDeferred, nil
+			}
+		}
+	}
+	return NeqFreeFree, nil
+}
+
+type constFilter struct {
+	v   string
+	val database.Value
+}
+
+// neqSplit is the classification of a query's disequalities: the filters
+// on constants, the pairs local to an atom (by atom index), and the
+// residuals that join variables of different atoms. empty marks a
+// contradictory comparison, which makes the query unsatisfiable.
+type neqSplit struct {
+	empty     bool
+	consts    []constFilter
+	sameAtom  map[int][][2]string
+	residuals []residual
+}
+
+func splitNeq(q *logic.CQ) (*neqSplit, error) {
 	if len(q.NegAtoms) > 0 {
 		return nil, fmt.Errorf("ineq: query %s has negated atoms", q.Name)
 	}
@@ -93,18 +152,6 @@ func PrepareNeq(db *database.Database, q *logic.CQ, c *delay.Counter) (*NeqPrep,
 		if cmp.Op != logic.NEQ {
 			return nil, fmt.Errorf("ineq: comparison %s is not a disequality; ACQ< is W[1]-hard (Theorem 4.15)", cmp)
 		}
-	}
-	plain := &logic.CQ{Name: q.Name, Head: q.Head, Atoms: q.Atoms}
-	bspan := c.StartSpan("tree-build")
-	t, err := cq.BuildTree(db, plain, true)
-	bspan.End()
-	if err != nil {
-		return nil, err
-	}
-
-	freeSet := make(map[string]bool, len(q.Head))
-	for _, v := range q.Head {
-		freeSet[v] = true
 	}
 	varAtoms := map[string]map[int]bool{}
 	for i, a := range q.Atoms {
@@ -115,21 +162,13 @@ func PrepareNeq(db *database.Database, q *logic.CQ, c *delay.Counter) (*NeqPrep,
 			varAtoms[v][i] = true
 		}
 	}
-
-	// Classify the disequalities.
-	type constFilter struct {
-		v   string
-		val database.Value
-	}
-	var constFilters []constFilter
-	var residuals []residual
-	sameAtom := map[int][][2]string{}
+	s := &neqSplit{sameAtom: map[int][][2]string{}}
 	for _, cmp := range q.Comparisons {
 		l, r := cmp.L, cmp.R
 		switch {
 		case l.IsConst && r.IsConst:
 			if l.Const == r.Const {
-				return &NeqPrep{empty: true}, nil
+				return &neqSplit{empty: true}, nil
 			}
 		case l.IsConst != r.IsConst:
 			v, val := l.Var, r.Const
@@ -139,10 +178,10 @@ func PrepareNeq(db *database.Database, q *logic.CQ, c *delay.Counter) (*NeqPrep,
 			if varAtoms[v] == nil {
 				return nil, fmt.Errorf("ineq: comparison variable %q occurs in no atom", v)
 			}
-			constFilters = append(constFilters, constFilter{v: v, val: val})
+			s.consts = append(s.consts, constFilter{v: v, val: val})
 		default:
 			if l.Var == r.Var {
-				return &NeqPrep{empty: true}, nil
+				return &neqSplit{empty: true}, nil
 			}
 			if varAtoms[l.Var] == nil || varAtoms[r.Var] == nil {
 				return nil, fmt.Errorf("ineq: comparison variable occurs in no atom: %s", cmp)
@@ -150,14 +189,39 @@ func PrepareNeq(db *database.Database, q *logic.CQ, c *delay.Counter) (*NeqPrep,
 			shared := false
 			for ai := range varAtoms[l.Var] {
 				if varAtoms[r.Var][ai] {
-					sameAtom[ai] = append(sameAtom[ai], [2]string{l.Var, r.Var})
+					s.sameAtom[ai] = append(s.sameAtom[ai], [2]string{l.Var, r.Var})
 					shared = true
 				}
 			}
 			if !shared {
-				residuals = append(residuals, residual{a: l.Var, b: r.Var})
+				s.residuals = append(s.residuals, residual{a: l.Var, b: r.Var})
 			}
 		}
+	}
+	return s, nil
+}
+
+// PrepareNeq runs the witness-preserving preprocessing of Theorem 4.20 (see
+// EnumerateNeq) and returns the reusable prep.
+func PrepareNeq(db *database.Database, q *logic.CQ, c *delay.Counter) (*NeqPrep, error) {
+	s, err := splitNeq(q)
+	if err != nil {
+		return nil, err
+	}
+	plain := &logic.CQ{Name: q.Name, Head: q.Head, Atoms: q.Atoms}
+	bspan := c.StartSpan("tree-build")
+	t, err := cq.BuildTree(db, plain, true)
+	bspan.End()
+	if err != nil {
+		return nil, err
+	}
+	if s.empty {
+		return &NeqPrep{empty: true}, nil
+	}
+
+	freeSet := make(map[string]bool, len(q.Head))
+	for _, v := range q.Head {
+		freeSet[v] = true
 	}
 
 	// Linear-time filters on the atom relations.
@@ -165,13 +229,13 @@ func PrepareNeq(db *database.Database, q *logic.CQ, c *delay.Counter) (*NeqPrep,
 	for i := range q.Atoms {
 		r := t.Rels[i]
 		var checks []func(database.Tuple) bool
-		for _, cf := range constFilters {
+		for _, cf := range s.consts {
 			if col := r.Col(cf.v); col >= 0 {
 				col, val := col, cf.val
 				checks = append(checks, func(tp database.Tuple) bool { return tp[col] != val })
 			}
 		}
-		for _, pair := range sameAtom[i] {
+		for _, pair := range s.sameAtom[i] {
 			if ca, cb := r.Col(pair[0]), r.Col(pair[1]); ca >= 0 && cb >= 0 {
 				ca, cb := ca, cb
 				checks = append(checks, func(tp database.Tuple) bool { return tp[ca] != tp[cb] })
@@ -193,7 +257,7 @@ func PrepareNeq(db *database.Database, q *logic.CQ, c *delay.Counter) (*NeqPrep,
 
 	// Deferred variables: quantified variables under residual constraints.
 	deg := map[string]int{}
-	for _, rc := range residuals {
+	for _, rc := range s.residuals {
 		if !freeSet[rc.a] {
 			deg[rc.a]++
 		}
@@ -254,7 +318,7 @@ func PrepareNeq(db *database.Database, q *logic.CQ, c *delay.Counter) (*NeqPrep,
 	// deferred residual reads the witness maps (witnessCheck), so without
 	// one they are not built; the per-row step is counted either way.
 	hasDeferred := false
-	for _, rc := range residuals {
+	for _, rc := range s.residuals {
 		if !freeSet[rc.a] || !freeSet[rc.b] {
 			hasDeferred = true
 		}
@@ -311,7 +375,7 @@ func PrepareNeq(db *database.Database, q *logic.CQ, c *delay.Counter) (*NeqPrep,
 		}
 	}
 	var freeFree, deferred []residual
-	for _, rc := range residuals {
+	for _, rc := range s.residuals {
 		if freeSet[rc.a] && freeSet[rc.b] {
 			freeFree = append(freeFree, rc)
 		} else {

@@ -1,12 +1,18 @@
 package plan
 
-// The ACQ≠ route (Theorem 4.20): Bind builds the witness-set enumerator,
-// whose passes filter an inner odometer's outputs, and Decide and Count
-// run the plan's engines.
+// The ACQ≠ routes (Theorem 4.20): Bind builds the witness-set enumerator,
+// whose passes filter an inner odometer's outputs. Where every disequality
+// is local to an atom, the bound core's outputs are the answers: Decide
+// reads its non-emptiness and Count its counting pass, which resumes
+// share. Where a cross-atom disequality touches a quantified variable,
+// Count drains a pass. Elsewhere Decide backtracks and Count runs
+// inclusion–exclusion.
 
 import (
 	"context"
+	"math/big"
 
+	"repro/internal/counting"
 	"repro/internal/cq"
 	"repro/internal/database"
 	"repro/internal/delay"
@@ -27,6 +33,47 @@ func bindNeq(p *Plan, db *database.Database, c *delay.Counter) *Prepared {
 	return pr
 }
 
+// core is the bound odometer core, nil when the build failed or a
+// contradictory comparison left nothing to enumerate.
+func (r *neqRoute) core() *cq.OdometerCore {
+	if r.err != nil {
+		return nil
+	}
+	return r.prep.Core()
+}
+
+// decide reads the core where its outputs are the answers; else, or
+// without a core, it backtracks.
+func (r *neqRoute) decide(*delay.Counter) (bool, error) {
+	if core := r.core(); core != nil && r.plan.DecideEngine == EngineYannakakis {
+		return core.NonEmpty(), nil
+	}
+	return ineq.DecideBacktrack(r.db, r.plan.boolQ)
+}
+
+// count reads the core's counting pass where its outputs are the answers,
+// or drains an uncounted pass where only the checks tell them; without a
+// core, or with more answers than a uint64 holds, it runs CountNeq, as
+// every other kind does.
+func (r *neqRoute) count(*delay.Counter) (*big.Int, error) {
+	if core := r.core(); core != nil {
+		switch r.plan.CountEngine {
+		case EngineStarSizeCount:
+			if w, err := r.w.get(core, nil); err == nil {
+				return new(big.Int).SetUint64(w.Total()), nil
+			}
+		case EngineNeqDrain:
+			n := int64(0)
+			for cur := r.prep.Enumerate(nil); ; n++ {
+				if _, ok := cur.Next(); !ok {
+					return big.NewInt(n), nil
+				}
+			}
+		}
+	}
+	return counting.CountNeq(r.db, r.plan.CQ)
+}
+
 // enumerate seeks the inner odometer to pos over its core's counting pass,
 // or, where the count overflows a uint64, steps there polling ctx.
 func (r *neqRoute) enumerate(ctx context.Context, c *delay.Counter, pos []byte) (pass, uint64, uint64, error) {
@@ -34,7 +81,7 @@ func (r *neqRoute) enumerate(ctx context.Context, c *delay.Counter, pos []byte) 
 		return nil, 0, 0, r.err
 	}
 	var w *cq.SpineWeights
-	if core := r.prep.Core(); core != nil && len(pos) > 0 {
+	if core := r.core(); core != nil && len(pos) > 0 {
 		r.mu.Lock()
 		w, _ = r.w.get(core, c)
 		r.mu.Unlock()

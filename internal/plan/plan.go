@@ -26,6 +26,7 @@ import (
 	"repro/internal/database"
 	"repro/internal/delay"
 	"repro/internal/hypergraph"
+	"repro/internal/ineq"
 	"repro/internal/logic"
 	"repro/internal/ucq"
 )
@@ -111,16 +112,23 @@ func (r *Report) fillVerdicts(hasEq bool) {
 			enumerate = "no Constant-Delay_lin expected (Theorem 4.9 under Hyperclique)"
 		}
 	default:
-		// Acyclic; any comparisons are = or ≠. With comparisons, deciding
-		// backtracks and counting runs inclusion–exclusion over them;
-		// enumeration keeps the witness-set enumerator for a free-connex
-		// query whose comparisons are all ≠ and backtracks otherwise.
+		// Acyclic; any comparisons are = or ≠. A free-connex query whose
+		// comparisons are all ≠ binds the witness-set enumerator, and the
+		// kind of its disequalities picks how it decides and counts
+		// (neqRow). Otherwise, with comparisons, deciding backtracks, and
+		// counting runs inclusion–exclusion where every comparison is over
+		// head variables and constants and backtracks where one is not.
 		cmp := r.HasDiseq || hasEq
+		local := false
 		switch {
 		case r.HasDiseq && !hasEq && r.FreeConnex:
-			r.route = &routes[routeNeq]
-		case cmp:
+			kind, err := ineq.ClassifyNeq(r.Query)
+			local = err == nil && kind == ineq.NeqAtomLocal
+			r.route = &routes[neqRow(kind, err)]
+		case cmp && headOnly(r.Query):
 			r.route = &routes[routeNeqCount]
+		case cmp:
+			r.route = &routes[routeBacktrack]
 		case r.FreeConnex:
 			r.route = &routes[routeConstant]
 		default:
@@ -128,7 +136,10 @@ func (r *Report) fillVerdicts(hasEq bool) {
 		}
 		via := " via star-size algorithm"
 		decide = "O(‖φ‖·‖D‖) semijoin pass (Yannakakis, Theorem 4.2)"
-		if cmp {
+		switch {
+		case local:
+			decide += " after each atom is filtered by its disequalities"
+		case cmp:
 			decide, via = "O(‖φ‖·‖D‖) for the comparison-free part (Theorem 4.2)", ""
 		}
 		if r.StarSize == 1 {
@@ -161,6 +172,8 @@ func (r *Report) used(e Engine) string {
 		return "; generic backtracking used"
 	case EngineNeqCount:
 		return "; inclusion–exclusion over the comparisons used"
+	case EngineNeqDrain:
+		return "; drained witness-set enumerator used"
 	case EngineNCQ:
 		if r.BetaAcyclic {
 			return "; NCQ solver used (nest-point elimination)"
@@ -168,6 +181,39 @@ func (r *Report) used(e Engine) string {
 		return "; NCQ solver used (exhaustive search)"
 	}
 	return ""
+}
+
+// neqRow is the route of a free-connex ACQ≠ query by the kind of its
+// disequalities. A query the classification refuses gets the engines that
+// do not read the witness-set enumerator's state, whose build fails too.
+func neqRow(kind ineq.NeqKind, err error) int {
+	switch {
+	case err != nil:
+		return routeNeq
+	case kind == ineq.NeqAtomLocal:
+		return routeNeqLocal
+	case kind == ineq.NeqDeferred:
+		return routeNeqDeferred
+	}
+	return routeNeq
+}
+
+// headOnly reports whether every comparison of q is between head variables
+// and constants, where inclusion–exclusion over the comparisons counts the
+// answers (counting.CountNeq).
+func headOnly(q *logic.CQ) bool {
+	head := make(map[string]bool, len(q.Head))
+	for _, v := range q.Head {
+		head[v] = true
+	}
+	for _, c := range q.Comparisons {
+		for _, t := range [2]logic.Term{c.L, c.R} {
+			if !t.IsConst && !head[t.Var] {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // String renders the report as an aligned block.
@@ -202,6 +248,7 @@ const (
 	// Counting engines.
 	EngineStarSizeCount      Engine = "starsize-dp"         // counting DP over the join tree (Theorem 4.28)
 	EngineNeqCount           Engine = "neq-count"           // inclusion–exclusion over disequalities
+	EngineNeqDrain           Engine = "neq-drain"           // a drained pass of the bound ACQ≠ enumerator (Theorem 4.20)
 	EngineInclusionExclusion Engine = "inclusion-exclusion" // UCQ counting over disjunct intersections
 
 	// Enumeration engines.
@@ -260,6 +307,8 @@ type routeRow struct {
 const (
 	routeConstant = iota
 	routeLinear
+	routeNeqLocal
+	routeNeqDeferred
 	routeNeq
 	routeNeqCount
 	routeBacktrack
@@ -271,13 +320,15 @@ const (
 // and Compile copies its engines; a union without union extensions
 // materializes instead (CompileUCQ).
 var routes = [...]routeRow{
-	routeConstant:  {EngineYannakakis, EngineStarSizeCount, EngineConstantDelay, false, bindConstant},
-	routeLinear:    {EngineYannakakis, EngineStarSizeCount, EngineLinearDelay, true, bindLinear},
-	routeNeq:       {EngineBacktrack, EngineNeqCount, EngineNeqEnum, false, bindNeq},
-	routeNeqCount:  {EngineBacktrack, EngineNeqCount, EngineBacktrack, false, bindBacktrack},
-	routeBacktrack: {EngineBacktrack, EngineBacktrack, EngineBacktrack, false, bindBacktrack},
-	routeNCQ:       {EngineNCQ, EngineBacktrack, EngineBacktrack, false, bindBacktrack},
-	routeUnion:     {EngineUnionShortCircuit, EngineInclusionExclusion, EngineUnionExtension, false, bindUnion},
+	routeConstant:    {EngineYannakakis, EngineStarSizeCount, EngineConstantDelay, false, bindConstant},
+	routeLinear:      {EngineYannakakis, EngineStarSizeCount, EngineLinearDelay, true, bindLinear},
+	routeNeqLocal:    {EngineYannakakis, EngineStarSizeCount, EngineNeqEnum, false, bindNeq},
+	routeNeqDeferred: {EngineBacktrack, EngineNeqDrain, EngineNeqEnum, false, bindNeq},
+	routeNeq:         {EngineBacktrack, EngineNeqCount, EngineNeqEnum, false, bindNeq},
+	routeNeqCount:    {EngineBacktrack, EngineNeqCount, EngineBacktrack, false, bindBacktrack},
+	routeBacktrack:   {EngineBacktrack, EngineBacktrack, EngineBacktrack, false, bindBacktrack},
+	routeNCQ:         {EngineNCQ, EngineBacktrack, EngineBacktrack, false, bindBacktrack},
+	routeUnion:       {EngineUnionShortCircuit, EngineInclusionExclusion, EngineUnionExtension, false, bindUnion},
 }
 
 // Compile classifies q and fixes the engine for each task. The result is

@@ -31,6 +31,7 @@ var engineNames = map[Engine]string{
 	EngineBacktrack:     "generic backtracking used",
 	EngineStarSizeCount: "via star-size algorithm",
 	EngineNeqCount:      "inclusion–exclusion over the comparisons used",
+	EngineNeqDrain:      "drained witness-set enumerator used",
 	EngineConstantDelay: "Constant-Delay_lin (free-connex, Theorem 4.6)",
 	EngineLinearDelay:   "linear delay (Theorem 4.3)",
 	EngineNeqEnum:       "Constant-Delay_lin (free-connex, Theorem 4.6) with disequalities (Theorem 4.20)",
@@ -41,13 +42,16 @@ var engineNames = map[Engine]string{
 // triple, and each task's verdict names the engine the row runs for it.
 func TestVerdictsNameTheirEngine(t *testing.T) {
 	examples := map[int][]string{
-		routeConstant:  {"Q(x,y) :- A(x,y), B(y,z)."},
-		routeLinear:    {"Q(x,y) :- A(x,z), B(z,y)."},
-		routeNeq:       {"Q(x,y) :- E(x,y), L(y), x != y."},
-		routeNeqCount:  {"Q(x,y) :- E(x,y), L(y), x = y.", "Q(x,z) :- E(x,y), F(y,z), x != z."},
-		routeBacktrack: {"Q(x) :- E(x,y), x < y.", "Q() :- E(x,y), F(y,z), G(z,x).", "Q(x) :- R(x,y), !S(y,x)."},
-		routeNCQ:       {"Q() :- !R(x,y), !S(y,z).", "Q() :- !R(x,y), !S(y,z), !T(z,x)."},
-		routeUnion:     {"Q(x) :- A(x,y); Q(x) :- B(x,y)."},
+		routeConstant:    {"Q(x,y) :- A(x,y), B(y,z)."},
+		routeLinear:      {"Q(x,y) :- A(x,z), B(z,y)."},
+		routeNeqLocal:    {"Q(x,y) :- E(x,y), L(y), x != y.", "Q(x) :- E(x,y), y != 3."},
+		routeNeqDeferred: {"Q(x,y) :- E(x,y), F(y,z), x != z.", "Q(x,y) :- E(x,z), L(y), F(y,w), x != y, w != 3."},
+		routeNeq:         {"Q(x,y) :- E(x,z), L(y), x != y."},
+		routeNeqCount:    {"Q(x,y) :- E(x,y), L(y), x = y.", "Q(x,z) :- E(x,y), F(y,z), x != z."},
+		routeBacktrack: {"Q(x) :- E(x,y), x < y.", "Q() :- E(x,y), F(y,z), G(z,x).", "Q(x) :- R(x,y), !S(y,x).",
+			"Q(x,z) :- E(x,y), F(y,z), x != y.", "Q(x,z) :- E(x,y), F(y,z), x = y."},
+		routeNCQ:   {"Q() :- !R(x,y), !S(y,z).", "Q() :- !R(x,y), !S(y,z), !T(z,x)."},
+		routeUnion: {"Q(x) :- A(x,y); Q(x) :- B(x,y)."},
 	}
 	for i := range routes {
 		row := &routes[i]
