@@ -33,11 +33,6 @@ func CountNeq(db *database.Database, q *logic.CQ) (*big.Int, error) {
 	if len(q.NegAtoms) > 0 {
 		return nil, fmt.Errorf("counting: negated atoms not supported by CountNeq")
 	}
-	head := map[string]bool{}
-	for _, v := range q.Head {
-		head[v] = true
-	}
-	freeOnly := true
 	var eqs, neqs []logic.Comparison
 	for _, c := range q.Comparisons {
 		switch c.Op {
@@ -48,13 +43,8 @@ func CountNeq(db *database.Database, q *logic.CQ) (*big.Int, error) {
 		default:
 			return nil, fmt.Errorf("counting: order comparison %s not supported (Theorem 4.15)", c)
 		}
-		for _, t := range []logic.Term{c.L, c.R} {
-			if !t.IsConst && !head[t.Var] {
-				freeOnly = false
-			}
-		}
 	}
-	if !freeOnly {
+	if !ineq.HeadOnly(q) {
 		res, err := ineq.EvalBacktrack(db, q)
 		if err != nil {
 			return nil, err

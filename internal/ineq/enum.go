@@ -111,9 +111,19 @@ const (
 // other than ≠, or on a comparison variable that occurs in no atom.
 func ClassifyNeq(q *logic.CQ) (NeqKind, error) {
 	s, err := splitNeq(q)
-	if err != nil || len(s.residuals) == 0 {
+	switch {
+	case err != nil || len(s.residuals) == 0:
 		return NeqAtomLocal, err
+	case HeadOnly(q):
+		return NeqFreeFree, nil
 	}
+	return NeqDeferred, nil
+}
+
+// HeadOnly reports whether every comparison of q is between head variables
+// and constants, where inclusion–exclusion over the comparisons counts the
+// answers (counting.CountNeq).
+func HeadOnly(q *logic.CQ) bool {
 	head := make(map[string]bool, len(q.Head))
 	for _, v := range q.Head {
 		head[v] = true
@@ -121,11 +131,11 @@ func ClassifyNeq(q *logic.CQ) (NeqKind, error) {
 	for _, cmp := range q.Comparisons {
 		for _, t := range [2]logic.Term{cmp.L, cmp.R} {
 			if !t.IsConst && !head[t.Var] {
-				return NeqDeferred, nil
+				return false
 			}
 		}
 	}
-	return NeqFreeFree, nil
+	return true
 }
 
 type constFilter struct {

@@ -119,13 +119,10 @@ func (r *Report) fillVerdicts(hasEq bool) {
 		// counting runs inclusion–exclusion where every comparison is over
 		// head variables and constants and backtracks where one is not.
 		cmp := r.HasDiseq || hasEq
-		local := false
 		switch {
 		case r.HasDiseq && !hasEq && r.FreeConnex:
-			kind, err := ineq.ClassifyNeq(r.Query)
-			local = err == nil && kind == ineq.NeqAtomLocal
-			r.route = &routes[neqRow(kind, err)]
-		case cmp && headOnly(r.Query):
+			r.route = &routes[neqRow(ineq.ClassifyNeq(r.Query))]
+		case cmp && ineq.HeadOnly(r.Query):
 			r.route = &routes[routeNeqCount]
 		case cmp:
 			r.route = &routes[routeBacktrack]
@@ -137,7 +134,7 @@ func (r *Report) fillVerdicts(hasEq bool) {
 		via := " via star-size algorithm"
 		decide = "O(‖φ‖·‖D‖) semijoin pass (Yannakakis, Theorem 4.2)"
 		switch {
-		case local:
+		case r.route == &routes[routeNeqLocal]:
 			decide += " after each atom is filtered by its disequalities"
 		case cmp:
 			decide, via = "O(‖φ‖·‖D‖) for the comparison-free part (Theorem 4.2)", ""
@@ -196,24 +193,6 @@ func neqRow(kind ineq.NeqKind, err error) int {
 		return routeNeqDeferred
 	}
 	return routeNeq
-}
-
-// headOnly reports whether every comparison of q is between head variables
-// and constants, where inclusion–exclusion over the comparisons counts the
-// answers (counting.CountNeq).
-func headOnly(q *logic.CQ) bool {
-	head := make(map[string]bool, len(q.Head))
-	for _, v := range q.Head {
-		head[v] = true
-	}
-	for _, c := range q.Comparisons {
-		for _, t := range [2]logic.Term{c.L, c.R} {
-			if !t.IsConst && !head[t.Var] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // String renders the report as an aligned block.
