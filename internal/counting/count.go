@@ -60,13 +60,13 @@ func CountFullJoin(rels []cq.Rel, vars []string, w Weight, s Semiring, c *delay.
 	copy(red, rels)
 	for _, i := range post {
 		for _, c := range ch[i] {
-			red[i] = semijoinRel(red[i], red[c])
+			red[i] = cq.SemijoinRel(red[i], red[c])
 		}
 	}
 	for k := len(post) - 1; k >= 0; k-- {
 		i := post[k]
 		for _, c := range ch[i] {
-			red[c] = semijoinRel(red[c], red[i])
+			red[c] = cq.SemijoinRel(red[c], red[i])
 		}
 	}
 	rspan.End()
@@ -123,7 +123,7 @@ func CountFullJoin(rels []cq.Rel, vars []string, w Weight, s Semiring, c *delay.
 		for k, c := range kids {
 			childCols[k] = childSepParentCols(red, jt, i, c)
 		}
-		ns := nodeSums{ids: database.NewKeyMap(sepChild)}
+		ns := nodeSums{ids: database.NewKeyMap(len(sepChild))}
 		for _, t := range red[i].R.Tuples {
 			val := s.One()
 			for _, col := range charged[i] {
@@ -139,7 +139,7 @@ func CountFullJoin(rels []cq.Rel, vars []string, w Weight, s Semiring, c *delay.
 				}
 				val = s.Mul(val, cs)
 			}
-			id := ns.ids.Intern(t)
+			id := ns.ids.Intern(t, sepChild)
 			if id == len(ns.vals) {
 				ns.vals = append(ns.vals, val)
 			} else {
@@ -195,8 +195,6 @@ func postorderOf(jt *hypergraph.JoinTree) []int {
 	}
 	return out
 }
-
-func semijoinRel(a, b cq.Rel) cq.Rel { return cq.SemijoinRel(a, b) }
 
 func schemasOf(rels []cq.Rel) string {
 	parts := make([]string, len(rels))
@@ -354,15 +352,4 @@ func atomIndexOf(name string) int {
 	idx := 0
 	fmt.Sscanf(name[i+1:], "%d", &idx)
 	return idx
-}
-
-// CountInt is Count over the BigInt semiring with unit weights, returning
-// the plain answer count as a string-convertible big integer.
-func CountInt(db *database.Database, q *logic.CQ) (string, error) {
-	s := BigInt{}
-	v, err := Count(db, q, UnitWeight(s), s, nil)
-	if err != nil {
-		return "", err
-	}
-	return s.String(v), nil
 }

@@ -232,12 +232,13 @@ func TestCountIntString(t *testing.T) {
 	e.InsertValues(1, 2)
 	e.InsertValues(1, 3)
 	db.AddRelation(e)
-	got, err := CountInt(db, logictest.MustParseCQ("Q(x) :- E(x,y)."))
+	s := BigInt{}
+	v, err := Count(db, logictest.MustParseCQ("Q(x) :- E(x,y)."), UnitWeight(s), s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != "1" {
-		t.Errorf("CountInt = %s, want 1", got)
+	if got := s.String(v); got != "1" {
+		t.Errorf("Count = %s, want 1", got)
 	}
 }
 

@@ -48,12 +48,13 @@ func TestDifferentialCount(t *testing.T) {
 		if err != nil {
 			failInstance(t, seed, q, db, "oracle: %v", err)
 		}
-		got, err := CountInt(db, q)
+		s := BigInt{}
+		v, err := Count(db, q, UnitWeight(s), s, nil)
 		if err != nil {
-			failInstance(t, seed, q, db, "CountInt: %v", err)
+			failInstance(t, seed, q, db, "Count: %v", err)
 		}
-		if got != strconv.Itoa(want) {
-			failInstance(t, seed, q, db, "CountInt %s != oracle %d", got, want)
+		if got := s.String(v); got != strconv.Itoa(want) {
+			failInstance(t, seed, q, db, "Count %s != oracle %d", got, want)
 		}
 	}
 }

@@ -351,7 +351,7 @@ func TestEnumeratorsNoDuplicates(t *testing.T) {
 			if !ok {
 				break
 			}
-			k := tup.FullKey()
+			k := tup.String()
 			if seen[k] {
 				t.Fatalf("duplicate answer %v for %s", tup, q)
 			}

@@ -120,7 +120,7 @@ func TestDifferentialEnumeration(t *testing.T) {
 			got := delay.Collect(e)
 			seen := make(map[string]bool, len(got))
 			for _, tp := range got {
-				k := tp.FullKey()
+				k := tp.String()
 				if seen[k] {
 					failInstance(t, seed, q, db, "%s emitted duplicate %v", en.name, tp)
 				}
@@ -158,7 +158,7 @@ func TestDifferentialRandomAccess(t *testing.T) {
 			if err != nil {
 				failInstance(t, seed, q, db, "Get(%d): %v", i, err)
 			}
-			k := tp.FullKey()
+			k := tp.String()
 			if seen[k] {
 				failInstance(t, seed, q, db, "Get(%d) repeats %v — not injective", i, tp)
 			}

@@ -73,114 +73,118 @@ type setDelta struct {
 }
 
 // incRow is one tracked source tuple of a node: its multiplicity in the
-// (multiset) source, its per-edge join keys, and how many edges
-// currently have no support for it. The row is alive — contributes to
-// the node's output — iff count > 0 and missing == 0.
+// (multiset) source and how many edges currently have no support for it.
+// The row is alive — contributes to the node's output — iff count > 0 and
+// missing == 0.
 type incRow struct {
-	t       database.Tuple
 	count   int
 	missing int
-	keys    []string // aligned with the node's edges
 }
 
 func (r *incRow) alive() bool { return r.count > 0 && r.missing == 0 }
 
-// incEdge is one semijoin edge of a node: support counts the alive
-// output tuples of the child per join key, group collects the source
-// rows sharing a key so 0↔1 support transitions can flip their missing
-// counters. An edge with no shared columns degenerates to the single key
-// "" — support is then the child's output size, matching semijoin's
-// no-shared-variables case.
+// incEdge is one semijoin edge of a node: keys interns the join keys of
+// the node's source rows and the child's output tuples alike, support
+// counts the alive output tuples of the child per key, and group collects
+// the source rows sharing a key so 0↔1 support transitions can flip their
+// missing counters. An edge with no shared columns degenerates to the
+// single empty key — support is then the child's output size, matching
+// semijoin's no-shared-variables case.
 type incEdge struct {
 	selfCols  []int // key columns in this node's source schema
 	childCols []int // aligned key columns in the child's output schema
-	support   map[string]int
-	group     map[string][]*incRow
+	keys      *database.KeyMap
+	support   []int     // per key id
+	group     [][]int32 // per key id: source row ids
 }
 
-// incOut is one output tuple with the number of alive source rows
-// projecting to it; the tuple is present iff n > 0.
+// key interns u's projection onto cols, growing the per-key slices.
+func (e *incEdge) key(u database.Tuple, cols []int) int {
+	k := e.keys.Intern(u, cols)
+	if k == len(e.support) {
+		e.support = append(e.support, 0)
+		e.group = append(e.group, nil)
+	}
+	return k
+}
+
+// incOut is one output tuple: the number of alive source rows projecting
+// to it (the tuple is present iff n > 0) and, once touched in a pass, its
+// presence before the pass.
 type incOut struct {
-	t database.Tuple
-	n int
+	n       int
+	touched bool
+	prev    bool
 }
 
 // incNode maintains one select-project-semijoin view. Feed it source and
 // child deltas in any order, then call finish to collect the net output
-// delta of the pass.
+// delta of the pass. Source tuples and output tuples are interned in
+// KeyMaps whose ids index rows and outs; a source row whose count fell to
+// 0 and an output tuple that vanished keep their ids.
 type incNode struct {
 	projCols []int // output projection columns; nil = identity
 	edges    []*incEdge
-	src      map[string]*incRow
-	out      map[string]*incOut
-	prev     map[string]bool // presence before this pass, per touched key
-	order    []string        // touch order, for deterministic emission
+	src      *database.KeyMap
+	rows     []incRow // per source id
+	out      *database.KeyMap
+	outs     []incOut // per output id
+	order    []int32  // output ids in first-touch order, for deterministic emission
 	fail     bool
 }
 
-func newIncNode() *incNode {
-	return &incNode{
-		src:  make(map[string]*incRow),
-		out:  make(map[string]*incOut),
-		prev: make(map[string]bool),
+// newIncNode starts a node over source tuples of the given arity.
+func newIncNode(arity int, projCols []int) *incNode {
+	width := arity
+	if projCols != nil {
+		width = len(projCols)
 	}
+	return &incNode{projCols: projCols, src: database.NewKeyMap(arity), out: database.NewKeyMap(width)}
 }
 
 func (nd *incNode) addEdge(selfCols, childCols []int) {
 	nd.edges = append(nd.edges, &incEdge{
 		selfCols:  selfCols,
 		childCols: childCols,
-		support:   make(map[string]int),
-		group:     make(map[string][]*incRow),
+		keys:      database.NewKeyMap(len(selfCols)),
 	})
 }
 
-func (nd *incNode) project(t database.Tuple) database.Tuple {
-	if nd.projCols == nil {
-		return t
-	}
-	out := make(database.Tuple, len(nd.projCols))
-	for i, c := range nd.projCols {
-		out[i] = t[c]
-	}
-	return out
-}
-
 // srcAdd raises the multiplicity of source tuple t by n, registering it
-// on first sight (computing its edge keys against current support).
+// on first sight (grouping it on its edge keys against current support).
 func (nd *incNode) srcAdd(t database.Tuple, n int) {
-	k := t.FullKey()
-	row := nd.src[k]
-	if row == nil {
-		row = &incRow{t: t, keys: make([]string, len(nd.edges))}
-		for ei, e := range nd.edges {
-			ek := t.Key(e.selfCols)
-			row.keys[ei] = ek
-			e.group[ek] = append(e.group[ek], row)
-			if e.support[ek] == 0 {
+	id := nd.src.Intern(t, nil)
+	if id == len(nd.rows) {
+		var row incRow
+		for _, e := range nd.edges {
+			k := e.key(t, e.selfCols)
+			e.group[k] = append(e.group[k], int32(id))
+			if e.support[k] == 0 {
 				row.missing++
 			}
 		}
-		nd.src[k] = row
+		nd.rows = append(nd.rows, row)
 	}
+	row := &nd.rows[id]
 	was := row.alive()
 	row.count += n
 	if !was && row.alive() {
-		nd.outInc(row)
+		nd.outInc(id)
 	}
 }
 
 // srcDel lowers the multiplicity of source tuple t by n; false signals
 // an untracked or over-deleted occurrence (caller must rebuild).
 func (nd *incNode) srcDel(t database.Tuple, n int) bool {
-	row := nd.src[t.FullKey()]
-	if row == nil || row.count < n {
+	id := nd.src.Find(t, nil)
+	if id < 0 || nd.rows[id].count < n {
 		return false
 	}
+	row := &nd.rows[id]
 	was := row.alive()
 	row.count -= n
 	if was && !row.alive() {
-		nd.outDec(row)
+		nd.outDec(id)
 	}
 	return true
 }
@@ -188,13 +192,14 @@ func (nd *incNode) srcDel(t database.Tuple, n int) bool {
 // childAdd records one new output tuple of the child behind edge ei.
 func (nd *incNode) childAdd(ei int, u database.Tuple) {
 	e := nd.edges[ei]
-	k := u.Key(e.childCols)
+	k := e.key(u, e.childCols)
 	e.support[k]++
 	if e.support[k] == 1 {
-		for _, row := range e.group[k] {
+		for _, id := range e.group[k] {
+			row := &nd.rows[id]
 			row.missing--
 			if row.alive() {
-				nd.outInc(row)
+				nd.outInc(int(id))
 			}
 		}
 	}
@@ -204,52 +209,48 @@ func (nd *incNode) childAdd(ei int, u database.Tuple) {
 // ei; false signals a support underflow.
 func (nd *incNode) childDel(ei int, u database.Tuple) bool {
 	e := nd.edges[ei]
-	k := u.Key(e.childCols)
-	s := e.support[k]
-	if s == 0 {
+	k := e.keys.Find(u, e.childCols)
+	if k < 0 || e.support[k] == 0 {
 		return false
 	}
-	if s > 1 {
-		e.support[k] = s - 1
+	if e.support[k]--; e.support[k] > 0 {
 		return true
 	}
-	delete(e.support, k)
-	for _, row := range e.group[k] {
+	for _, id := range e.group[k] {
+		row := &nd.rows[id]
 		if row.alive() {
-			nd.outDec(row)
+			nd.outDec(int(id))
 		}
 		row.missing++
 	}
 	return true
 }
 
-func (nd *incNode) outInc(row *incRow) {
-	p := nd.project(row.t)
-	k := p.FullKey()
-	o := nd.out[k]
-	if o == nil {
-		o = &incOut{t: p}
-		nd.out[k] = o
+// outInc counts source row id in to its output tuple.
+func (nd *incNode) outInc(id int) {
+	o := nd.out.Intern(nd.src.Key(id), nd.projCols)
+	if o == len(nd.outs) {
+		nd.outs = append(nd.outs, incOut{})
 	}
-	nd.touch(k, o)
-	o.n++
+	nd.touch(o)
+	nd.outs[o].n++
 }
 
-func (nd *incNode) outDec(row *incRow) {
-	k := nd.project(row.t).FullKey()
-	o := nd.out[k]
-	if o == nil || o.n == 0 {
+// outDec counts source row id out of its output tuple.
+func (nd *incNode) outDec(id int) {
+	o := nd.out.Find(nd.src.Key(id), nd.projCols)
+	if o < 0 || nd.outs[o].n == 0 {
 		nd.fail = true
 		return
 	}
-	nd.touch(k, o)
-	o.n--
+	nd.touch(o)
+	nd.outs[o].n--
 }
 
-func (nd *incNode) touch(k string, o *incOut) {
-	if _, seen := nd.prev[k]; !seen {
-		nd.prev[k] = o.n > 0
-		nd.order = append(nd.order, k)
+func (nd *incNode) touch(o int) {
+	if out := &nd.outs[o]; !out.touched {
+		out.touched, out.prev = true, out.n > 0
+		nd.order = append(nd.order, int32(o))
 	}
 }
 
@@ -261,19 +262,15 @@ func (nd *incNode) finish() (setDelta, bool) {
 		return setDelta{}, false
 	}
 	var d setDelta
-	for _, k := range nd.order {
-		o := nd.out[k]
-		now := o.n > 0
-		if now && !nd.prev[k] {
-			d.add = append(d.add, o.t)
+	for _, o := range nd.order {
+		out := &nd.outs[o]
+		switch now := out.n > 0; {
+		case now && !out.prev:
+			d.add = append(d.add, nd.out.Key(int(o)))
+		case !now && out.prev:
+			d.del = append(d.del, nd.out.Key(int(o)))
 		}
-		if !now && nd.prev[k] {
-			d.del = append(d.del, o.t)
-		}
-		if o.n == 0 {
-			delete(nd.out, k)
-		}
-		delete(nd.prev, k)
+		out.touched = false
 	}
 	nd.order = nd.order[:0]
 	return d, true
@@ -373,14 +370,15 @@ func newLayer(schemas, outs [][]string, order []int, from [][]int) *layer {
 	}
 	ly := &layer{nodes: make([]*incNode, len(from)), order: order, from: from}
 	for _, i := range order {
-		nd := newIncNode()
+		var projCols []int
 		if outs != nil {
 			// Non-nil also when empty: an arity-0 projection is no identity.
-			nd.projCols = make([]int, len(outs[i]))
+			projCols = make([]int, len(outs[i]))
 			for k, v := range outs[i] {
-				nd.projCols[k] = Rel{Schema: schemas[i]}.col(v)
+				projCols[k] = Rel{Schema: schemas[i]}.col(v)
 			}
 		}
+		nd := newIncNode(len(schemas[i]), projCols)
 		for _, j := range from[i] {
 			nd.addEdge(commonCols(Rel{Schema: schemas[i]}, Rel{Schema: emits[j]}))
 		}
@@ -549,9 +547,36 @@ type ConstRefresher struct {
 
 	// Core patching state.
 	core    *OdometerCore
-	pos     []map[string]int32 // per core position: tuple key -> row id
-	rootIdx map[int32]int      // root row id -> index in core.root
-	sizes   []int              // live rows per core position
+	pos     []rowMap      // per core position
+	rootIdx map[int32]int // root row id -> index in core.root
+	sizes   []int         // live rows per core position
+}
+
+// rowMap maps the tuples of one core position to their row ids; a deleted
+// tuple keeps its key, with row id -1.
+type rowMap struct {
+	keys *database.KeyMap
+	ids  []int32 // per key id
+}
+
+// set records t at row id.
+func (m *rowMap) set(t database.Tuple, id int32) {
+	if k := m.keys.Intern(t, nil); k < len(m.ids) {
+		m.ids[k] = id
+	} else {
+		m.ids = append(m.ids, id)
+	}
+}
+
+// take returns t's row id and forgets it, or -1 when t has no row.
+func (m *rowMap) take(t database.Tuple) int32 {
+	k := m.keys.Find(t, nil)
+	if k < 0 {
+		return -1
+	}
+	id := m.ids[k]
+	m.ids[k] = -1
+	return id
 }
 
 // NewConstRefresher builds the reducer for a free-connex query over db —
@@ -608,14 +633,14 @@ func NewConstRefresher(db *database.Database, q *logic.CQ) (*ConstRefresher, *Od
 		return nil, nil, err
 	}
 	cr := &ConstRefresher{rd: rd, core: core}
-	cr.pos = make([]map[string]int32, len(core.order))
+	cr.pos = make([]rowMap, len(core.order))
 	cr.sizes = make([]int, len(core.order))
 	for j := range core.order {
 		rel := core.rels[j].R
 		cr.sizes[j] = rel.Len()
-		cr.pos[j] = make(map[string]int32, rel.Len())
+		cr.pos[j] = rowMap{keys: database.NewKeyMap(rel.Arity)}
 		for i, tp := range rel.Tuples {
-			cr.pos[j][tp.FullKey()] = int32(i)
+			cr.pos[j].set(tp, int32(i))
 		}
 	}
 	cr.rootIdx = make(map[int32]int, len(core.root))
@@ -639,9 +664,8 @@ func (cr *ConstRefresher) Apply(deltas map[string]database.Delta) bool {
 	for p, d := range finOut {
 		j := core.origPos[p]
 		for _, t := range d.del {
-			k := t.FullKey()
-			id, ok := cr.pos[j][k]
-			if !ok {
+			id := cr.pos[j].take(t)
+			if id < 0 {
 				return false
 			}
 			if j == 0 {
@@ -657,7 +681,6 @@ func (cr *ConstRefresher) Apply(deltas map[string]database.Delta) bool {
 			} else if !core.idx[j].RemoveRow(id) {
 				return false
 			}
-			delete(cr.pos[j], k)
 			cr.sizes[j]--
 		}
 		for _, t := range d.add {
@@ -686,7 +709,7 @@ func (cr *ConstRefresher) Apply(deltas map[string]database.Delta) bool {
 				cr.rootIdx[id] = len(core.root)
 				core.root = append(core.root, id)
 			}
-			cr.pos[j][t.FullKey()] = id
+			cr.pos[j].set(t, id)
 			cr.sizes[j]++
 		}
 	}

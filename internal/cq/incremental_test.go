@@ -249,7 +249,7 @@ func (rd *reducer) stateRows() int {
 		}
 		for _, nd := range ly.nodes {
 			if nd != nil {
-				n += len(nd.src)
+				n += nd.src.Len()
 			}
 		}
 	}

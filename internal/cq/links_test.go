@@ -2,6 +2,7 @@ package cq
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/database"
@@ -140,7 +141,7 @@ func referenceOrder(t *testing.T, db *database.Database, q *logic.CQ) []database
 		for _, tp := range parts[node].R.Tuples {
 			if p := jt.Parent[node]; p >= 0 {
 				nc, pc := commonCols(parts[node], parts[p])
-				if tp.Key(nc) != cur[p].Key(pc) {
+				if !slices.EqualFunc(nc, pc, func(a, b int) bool { return tp[a] == cur[p][b] }) {
 					continue
 				}
 			}

@@ -34,14 +34,14 @@ func TestRandomAccessBasics(t *testing.T) {
 	seen := map[string]bool{}
 	wantSet := map[string]bool{}
 	for _, w := range want {
-		wantSet[w.FullKey()] = true
+		wantSet[w.String()] = true
 	}
 	for i := int64(0); i < int64(len(want)); i++ {
 		tup, err := ra.GetInt(i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		k := tup.FullKey()
+		k := tup.String()
 		if seen[k] {
 			t.Fatalf("duplicate at index %d: %v", i, tup)
 		}

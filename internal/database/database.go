@@ -89,31 +89,6 @@ func (t Tuple) String() string {
 	return b.String()
 }
 
-// Key returns a hashable projection of t onto the given columns. The
-// encoding is injective for fixed len(cols). The engines' hot paths use
-// the allocation-free KeyHash fingerprints instead (see index.go); Key
-// remains for callers that want an exact map key without collision
-// handling.
-func (t Tuple) Key(cols []int) string {
-	var b []byte
-	for _, c := range cols {
-		v := t[c]
-		b = append(b,
-			byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-			byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-	}
-	return string(b)
-}
-
-// FullKey returns a hashable encoding of the entire tuple.
-func (t Tuple) FullKey() string {
-	cols := make([]int, len(t))
-	for i := range cols {
-		cols[i] = i
-	}
-	return t.Key(cols)
-}
-
 // Relation is a named finite relation: a set of tuples of fixed arity.
 // Reads (lookups, iteration, index builds) are safe from multiple
 // goroutines; mutations (Insert, Dedup, Sort) are not and must be
@@ -435,11 +410,7 @@ func (r *Relation) indexLocked(cols []int) *Index {
 	if ix, ok := r.indexes[string(key)]; ok {
 		return ix
 	}
-	var hash keyHashFunc
-	if p := testIndexHash.Load(); p != nil {
-		hash = *p
-	}
-	ix := buildIndex(r.Tuples, cols, r.slabLocked(), hash)
+	ix := buildIndex(r.Tuples, cols, r.slabLocked(), indexHash())
 	r.cacheIndex(key, ix)
 	return ix
 }

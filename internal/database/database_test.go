@@ -30,13 +30,14 @@ func TestTupleBasics(t *testing.T) {
 }
 
 func TestTupleKeyInjective(t *testing.T) {
-	// Keys on the same column set must be injective.
+	// A KeyMap gives two tuples one id iff they are equal.
 	f := func(a, b int64, c, d int64) bool {
 		t1 := Tuple{Value(a), Value(b)}
 		t2 := Tuple{Value(c), Value(d)}
-		k1 := t1.Key([]int{0, 1})
-		k2 := t2.Key([]int{0, 1})
-		return (k1 == k2) == t1.Equal(t2)
+		km := NewKeyMap(2)
+		k1 := km.Intern(t1, nil)
+		k2 := km.Intern(t2, nil)
+		return (k1 == k2) == t1.Equal(t2) && km.Key(k2).Equal(t2)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -127,10 +127,10 @@ func TestDifferentialIndex(t *testing.T) {
 		// miss.
 		probe := qgen.RandRelation(rng, "P", arity, 20, 5)
 		for _, p := range probe.Tuples {
-			key := p.Key(cols)
+			key := database.StringKey(p, cols)
 			var want []database.Tuple
 			for _, tp := range r.Tuples {
-				if tp.Key(cols) == key {
+				if database.StringKey(tp, cols) == key {
 					want = append(want, tp)
 				}
 			}
@@ -161,7 +161,7 @@ func TestDifferentialProject(t *testing.T) {
 			for i, c := range cols {
 				row[i] = tp[c]
 			}
-			if k := row.FullKey(); !seen[k] {
+			if k := row.String(); !seen[k] {
 				seen[k] = true
 				want = append(want, row)
 			}
@@ -203,7 +203,7 @@ func TestDifferentialGroupSemijoin(t *testing.T) {
 			for i, u := range s.Tuples {
 				var want []database.Tuple
 				for _, tp := range r.Tuples {
-					if tp.Key(rCols) == u.Key(sCols) {
+					if database.StringKey(tp, rCols) == database.StringKey(u, sCols) {
 						want = append(want, tp)
 					}
 				}

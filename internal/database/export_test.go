@@ -1,5 +1,17 @@
 package database
 
+import "encoding/binary"
+
+// StringKey is the tests' reference encoding of t's projection onto cols,
+// independent of the fingerprint table: injective for a fixed len(cols).
+func StringKey(t Tuple, cols []int) string {
+	b := make([]byte, 0, 8*len(cols))
+	for _, c := range cols {
+		b = binary.BigEndian.AppendUint64(b, uint64(t[c]))
+	}
+	return string(b)
+}
+
 // Buckets returns the number of distinct keys in the index.
 func (ix *Index) Buckets() int { return ix.tab.used }
 

@@ -1,9 +1,9 @@
 package database_test
 
 // Equivalence suite for the fingerprint-keyed index: for 250 random
-// relations, every probe through the fingerprint API must agree with the
-// string-key (Tuple.Key) semantics the engine used before the columnar
-// slab rewrite.
+// relations, every probe through the fingerprint API must agree with a
+// grouping on StringKey, the tests' own injective string encoding of a
+// key's values.
 
 import (
 	"math/rand"
@@ -23,10 +23,10 @@ func TestFingerprintMatchesStringKeys(t *testing.T) {
 		cols := rng.Perm(arity)[:k]
 		ix := r.IndexOn(cols)
 
-		// String-key ground truth: group rows by Tuple.Key.
+		// String-key ground truth: group rows by StringKey.
 		groups := map[string][]database.Tuple{}
 		for _, tu := range r.Tuples {
-			key := tu.Key(cols)
+			key := database.StringKey(tu, cols)
 			groups[key] = append(groups[key], tu)
 		}
 		if ix.Buckets() != len(groups) {
@@ -42,7 +42,7 @@ func TestFingerprintMatchesStringKeys(t *testing.T) {
 			for j := range probe {
 				probe[j] = database.Value(rng.Intn(7))
 			}
-			key := probe.Key(probeCols)
+			key := database.StringKey(probe, probeCols)
 			want := groups[key]
 			var got []database.Tuple
 			for _, id := range ix.Lookup(probe, probeCols) {
@@ -56,8 +56,8 @@ func TestFingerprintMatchesStringKeys(t *testing.T) {
 				t.Fatalf("seed %d probe %v: Contains = %v, want %v", seed, probe, got, len(want) > 0)
 			}
 			if ids := ix.Lookup(probe, probeCols); len(ids) > 0 {
-				if row := ix.Row(ids[0]); row.Key(cols) != key {
-					t.Fatalf("seed %d probe %v: first row %v, key %q != %q", seed, probe, row, row.Key(cols), key)
+				if row := ix.Row(ids[0]); database.StringKey(row, cols) != key {
+					t.Fatalf("seed %d probe %v: first row %v, key %q != %q", seed, probe, row, database.StringKey(row, cols), key)
 				}
 			}
 		}

@@ -141,16 +141,25 @@ type keyHashFunc func(t Tuple, cols []int) uint64
 func defaultKeyHash(t Tuple, cols []int) uint64 { return t.KeyHash(cols) }
 
 // testIndexHash, when non-nil, replaces the default fingerprint in every
-// subsequent IndexOn build. In-package tests inject degraded hashes
-// directly through buildIndex; this process-wide hook exists for the
+// subsequent IndexOn build and NewKeyMap. In-package tests inject degraded
+// hashes directly through buildIndex; this process-wide hook exists for the
 // cross-package differential suites (internal/snapshot, internal/plan) that
 // must degrade whole-engine runs they cannot reach into.
 var testIndexHash atomic.Pointer[keyHashFunc]
 
-// SetIndexHashForTesting forces every subsequent index build process-wide
-// onto the given fingerprint function and returns a restore func. A
-// degraded hash (a handful of fingerprints for the whole domain) drives
-// the exact collision-resolution paths that the 2^-64 default never
+// indexHash is the fingerprint of a new index or KeyMap: nil (the default)
+// unless SetIndexHashForTesting swapped one in.
+func indexHash() keyHashFunc {
+	if p := testIndexHash.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// SetIndexHashForTesting forces every subsequent index build and KeyMap
+// process-wide onto the given fingerprint function and returns a restore
+// func. A degraded hash (a handful of fingerprints for the whole domain)
+// drives the exact collision-resolution paths that the 2^-64 default never
 // exercises. Answers and counted steps must be identical under any hash —
 // the differential suites inject one to prove it. Not for production use;
 // concurrent index builds observe the swap racily.
@@ -558,22 +567,25 @@ func (ix *Index) RemoveRow(id int32) bool {
 
 // --- KeyMap -----------------------------------------------------------
 
-// KeyMap assigns dense ids [0, Len) to the distinct key-column
-// projections of interned tuples, on the same flat table as the indexes
-// (a slot's off is the key's id). It is the fingerprint analogue of a
-// map[string]T keyed on Tuple.Key: collisions are resolved exactly by
-// comparing materialized key values, and Find (the probe path) allocates
-// nothing. The counting DP of Theorem 4.21 stores its per-separator sums
-// in slices indexed by KeyMap ids.
+// KeyMap assigns dense ids [0, Len) to the distinct projections of
+// interned tuples, all of one width, on the same flat table and the same
+// fingerprint as the indexes (a slot's off is the key's id). It is the
+// engines' one exact set of tuples: collisions are resolved by comparing
+// materialized key values, Find (the probe path) allocates nothing, and
+// callers keep what they map a key to in slices indexed by id. A key is
+// never removed (a caller that forgets one marks what it keeps for the id),
+// and a new key takes id Len(). The counting DP of Theorem 4.21 stores its per-separator
+// sums this way, and the spine refreshers their node state.
 type KeyMap struct {
-	cols []int
-	tab  table
-	keys []Value // id's projection is keys[id*len(cols):][:len(cols)]
+	width int
+	hash  keyHashFunc // nil: the default fingerprint
+	tab   table
+	keys  []Value // id's projection is keys[id*width:][:width]
 }
 
-// NewKeyMap creates a KeyMap grouping tuples on the given columns.
-func NewKeyMap(cols []int) *KeyMap {
-	return &KeyMap{cols: append([]int(nil), cols...), tab: newTable(1)}
+// NewKeyMap creates an empty KeyMap of keys with width columns.
+func NewKeyMap(width int) *KeyMap {
+	return &KeyMap{width: width, hash: indexHash(), tab: newTable(1)}
 }
 
 // Len returns the number of distinct keys interned so far.
@@ -581,59 +593,70 @@ func (km *KeyMap) Len() int { return km.tab.used }
 
 // Key returns the materialized projection of id.
 func (km *KeyMap) Key(id int) Tuple {
-	k := len(km.cols)
+	k := km.width
 	return Tuple(km.keys[id*k : (id+1)*k : (id+1)*k])
 }
 
-// find locates t's projection onto probeCols (aligned with the map's
-// columns) as table.find does, also returning its fingerprint.
-func (km *KeyMap) find(t Tuple, probeCols []int) (uint32, bool, uint64) {
-	fp := t.KeyHash(probeCols)
-	if len(probeCols) == 1 {
-		i, ok := km.tab.find(fp, uint64(t[probeCols[0]]), nil)
-		return i, ok, fp
+// find locates t's projection onto cols (aligned with the map's key
+// columns; nil is the whole tuple) as table.find does, also returning the
+// columns and the projection's fingerprint.
+func (km *KeyMap) find(t Tuple, cols []int) (uint32, bool, []int, uint64) {
+	if cols == nil {
+		cols = identityCols(km.width)
+	}
+	var fp uint64
+	if km.hash != nil {
+		fp = km.hash(t, cols)
+	} else {
+		fp = t.KeyHash(cols)
+	}
+	if len(cols) == 1 {
+		i, ok := km.tab.find(fp, uint64(t[cols[0]]), nil)
+		return i, ok, cols, fp
 	}
 	i, ok := km.tab.find(fp, fp, func(s slot) bool {
 		k := km.Key(int(s.off))
-		for j, c := range probeCols {
+		for j, c := range cols {
 			if k[j] != t[c] {
 				return false
 			}
 		}
 		return true
 	})
-	return i, ok, fp
+	return i, ok, cols, fp
 }
 
-// Find returns the id of t's projection onto probeCols (aligned with the
-// map's columns), or -1. probeCols may differ from the interning columns;
-// pass km.Cols-aligned columns of the probing tuple.
-func (km *KeyMap) Find(t Tuple, probeCols []int) int {
-	if i, ok, _ := km.find(t, probeCols); ok {
+// Find returns the id of t's projection onto cols (aligned with the map's
+// key columns; nil is the whole tuple), or -1.
+func (km *KeyMap) Find(t Tuple, cols []int) int {
+	if i, ok, _, _ := km.find(t, cols); ok {
 		return int(km.tab.slots[i].off)
 	}
 	return -1
 }
 
-// Intern returns the id of t's projection onto the map's columns, adding
-// it if new.
-func (km *KeyMap) Intern(t Tuple) int {
-	i, ok, fp := km.find(t, km.cols)
+// Intern returns the id of t's projection onto cols (as for Find), adding
+// it if new. A new key's id is the Len before the call.
+func (km *KeyMap) Intern(t Tuple, cols []int) int {
+	i, ok, cols, fp := km.find(t, cols)
 	if ok {
 		return int(km.tab.slots[i].off)
 	}
 	id := km.tab.used
-	for _, c := range km.cols {
+	for _, c := range cols {
 		km.keys = append(km.keys, t[c])
 	}
-	km.tab.put(i, slot{tag: tagOf(t, km.cols, fp), off: int32(id), n: 1}, km.slotFP)
+	km.tab.put(i, slot{tag: tagOf(t, cols, fp), off: int32(id), n: 1}, km.slotFP)
 	return id
 }
 
 // slotFP recomputes the fingerprint of a stored key for rehashing.
 func (km *KeyMap) slotFP(s slot) uint64 {
-	if len(km.cols) == 1 {
+	switch {
+	case km.width != 1:
+		return s.tag
+	case km.hash == nil:
 		return fp1(Value(s.tag))
 	}
-	return s.tag
+	return km.hash(km.Key(int(s.off)), identCols[:1])
 }

@@ -65,40 +65,72 @@ func TestForcedCollisions(t *testing.T) {
 	}
 }
 
-// TestForcedCollisionsKeyMap runs the same degradation against KeyMap's
-// Intern/Find chain.
+// TestForcedCollisionsKeyMap runs KeyMap's Intern/Find chain under a
+// two-value fingerprint, installed the way the cross-package suites install
+// theirs, for 0-, 1- and 2-column keys probed on varying columns: ids,
+// Len, Key and Find must match a brute-force list of the distinct keys, so
+// two keys that share a fingerprint are told apart by their values.
 func TestForcedCollisionsKeyMap(t *testing.T) {
-	// KeyMap uses Tuple.KeyHash directly, so force collisions with real
-	// colliding content instead: many tuples, tiny domain, then verify ids
-	// are consistent between Intern and Find.
-	rng := rand.New(rand.NewSource(7))
-	km := NewKeyMap([]int{0, 1})
-	type entry struct {
-		t  Tuple
-		id int
-	}
-	byKey := map[string]int{}
-	var all []entry
-	for i := 0; i < 500; i++ {
-		tu := Tuple{Value(rng.Intn(5)), Value(rng.Intn(5)), Value(rng.Intn(100))}
-		id := km.Intern(tu)
-		k := tu.Key([]int{0, 1})
-		if prev, ok := byKey[k]; ok && prev != id {
-			t.Fatalf("key %q interned twice with ids %d and %d", k, prev, id)
+	defer SetIndexHashForTesting(func(tu Tuple, cols []int) uint64 {
+		if len(cols) > 0 {
+			return uint64(tu[cols[0]]) & 1
 		}
-		byKey[k] = id
-		all = append(all, entry{tu, id})
-	}
-	if km.Len() != len(byKey) {
-		t.Fatalf("Len() = %d, want %d distinct keys", km.Len(), len(byKey))
-	}
-	for _, e := range all {
-		if got := km.Find(e.t, []int{0, 1}); got != e.id {
-			t.Fatalf("Find(%v) = %d, want %d", e.t, got, e.id)
+		return 0
+	})()
+	project := func(tu Tuple, cols []int) Tuple {
+		k := make(Tuple, len(cols))
+		for i, c := range cols {
+			k[i] = tu[c]
 		}
+		return k
 	}
-	if got := km.Find(Tuple{9, 9}, []int{0, 1}); got != -1 {
-		t.Fatalf("Find(miss) = %d, want -1", got)
+	for width := 0; width <= 2; width++ {
+		for seed := int64(0); seed < 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			cols := rng.Perm(3)[:width]
+			km := NewKeyMap(width)
+			if km.hash == nil {
+				t.Fatal("NewKeyMap ignored SetIndexHashForTesting")
+			}
+			var ref []Tuple // the distinct keys in interning order
+			find := func(key Tuple) int {
+				for id, k := range ref {
+					if k.Equal(key) {
+						return id
+					}
+				}
+				return -1
+			}
+			randTuple := func(dom int) Tuple {
+				return Tuple{Value(rng.Intn(dom)), Value(rng.Intn(dom)), Value(rng.Intn(dom))}
+			}
+			for i := 0; i < 300; i++ {
+				tu := randTuple(6)
+				key := project(tu, cols)
+				want := find(key)
+				if want < 0 {
+					want = len(ref)
+					ref = append(ref, key)
+				}
+				if got := km.Intern(tu, cols); got != want {
+					t.Fatalf("width %d seed %d: Intern(%v on %v) = %d, want %d", width, seed, tu, cols, got, want)
+				}
+			}
+			if km.Len() != len(ref) {
+				t.Fatalf("width %d seed %d: Len() = %d, want %d distinct keys", width, seed, km.Len(), len(ref))
+			}
+			for id, key := range ref {
+				if !km.Key(id).Equal(key) || km.Find(key, nil) != id {
+					t.Fatalf("width %d seed %d: id %d holds %v, Find = %d, want %v", width, seed, id, km.Key(id), km.Find(key, nil), key)
+				}
+			}
+			for i := 0; i < 100; i++ {
+				p := randTuple(8)
+				if got, want := km.Find(p, cols), find(project(p, cols)); got != want {
+					t.Fatalf("width %d seed %d: Find(%v on %v) = %d, want %d", width, seed, p, cols, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -173,9 +205,9 @@ func TestLookupAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("lookupRow allocates %.1f per run, want 0", n)
 	}
-	km := NewKeyMap(cols)
+	km := NewKeyMap(len(cols))
 	for _, tu := range r.Tuples {
-		km.Intern(tu)
+		km.Intern(tu, cols)
 	}
 	if n := testing.AllocsPerRun(200, func() {
 		for v := Value(0); v < 64; v++ {

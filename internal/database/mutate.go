@@ -225,11 +225,10 @@ func (r *Relation) DeleteBatch(ts []Tuple) int {
 	if len(ts) == 0 || len(r.Tuples) == 0 {
 		return 0
 	}
-	cols := identityCols(r.Arity)
-	drop := NewKeyMap(cols)
+	drop := NewKeyMap(r.Arity)
 	for _, t := range ts {
 		if len(t) == r.Arity {
-			drop.Intern(t)
+			drop.Intern(t, nil)
 		}
 	}
 	if drop.Len() == 0 {
@@ -238,7 +237,7 @@ func (r *Relation) DeleteBatch(ts []Tuple) int {
 	// Rows before the first removed one stay where they are, so a miss
 	// writes nothing.
 	first := 0
-	for first < len(r.Tuples) && drop.Find(r.Tuples[first], cols) < 0 {
+	for first < len(r.Tuples) && drop.Find(r.Tuples[first], nil) < 0 {
 		first++
 	}
 	if first == len(r.Tuples) {
@@ -248,7 +247,7 @@ func (r *Relation) DeleteBatch(ts []Tuple) int {
 	var removed []Tuple
 	kept := r.Tuples[:first]
 	for _, t := range r.Tuples[first:] {
-		if drop.Find(t, cols) >= 0 {
+		if drop.Find(t, nil) >= 0 {
 			removed = append(removed, t)
 		} else {
 			kept = append(kept, t)

@@ -389,7 +389,7 @@ func checkPatched(t *testing.T, at string, ix *Index, alive []int32, probes *Rel
 	t.Helper()
 	want := map[string][]int32{}
 	for _, id := range alive {
-		k := ix.Row(id).Key(cols)
+		k := StringKey(ix.Row(id), cols)
 		want[k] = append(want[k], id)
 	}
 	if ix.Buckets() != len(want) {
@@ -403,7 +403,7 @@ func checkPatched(t *testing.T, at string, ix *Index, alive []int32, probes *Rel
 	var wantKeep []int32
 	for i, p := range probes.Tuples {
 		got := ix.Lookup(p, cols)
-		w := want[p.Key(cols)]
+		w := want[StringKey(p, cols)]
 		sorted := append([]int32(nil), got...)
 		sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
 		if !sameIDs(sorted, w) {

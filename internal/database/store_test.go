@@ -363,7 +363,7 @@ func bruteCSR(r *Relation, cols []int, hash keyHashFunc) IndexCSR {
 	groups := map[string][]int32{}
 	fps := map[string]uint64{}
 	for i, tu := range r.Tuples {
-		k := tu.Key(cols)
+		k := StringKey(tu, cols)
 		if _, ok := groups[k]; !ok {
 			order = append(order, k)
 			fps[k] = hash(tu, cols)

@@ -258,17 +258,20 @@ func Measure(c *Counter, build func() Enumerator) (Stats, []database.Tuple) {
 // used by union enumerators (Section 4.2); the memory grows with the output,
 // as permitted for enumeration algorithms.
 func Dedup(e Enumerator, c *Counter) Enumerator {
-	seen := make(map[string]bool)
+	seen := map[int]*database.KeyMap{} // per tuple width
 	return Func(func() (database.Tuple, bool) {
 		for {
 			t, ok := e.Next()
 			if !ok {
 				return nil, false
 			}
-			k := t.FullKey()
+			km := seen[len(t)]
+			if km == nil {
+				km = database.NewKeyMap(len(t))
+				seen[len(t)] = km
+			}
 			c.Tick(1)
-			if !seen[k] {
-				seen[k] = true
+			if n := km.Len(); km.Intern(t, nil) == n {
 				return t, true
 			}
 		}

@@ -274,7 +274,7 @@ func TestEnumerateNoDuplicates(t *testing.T) {
 			if !ok {
 				break
 			}
-			k := tup.FullKey()
+			k := tup.String()
 			if seen[k] {
 				t.Fatalf("formula %d: duplicate %v", fi, tup)
 			}

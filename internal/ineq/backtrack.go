@@ -141,7 +141,7 @@ func runBacktrack(db *database.Database, q *logic.CQ, stopAtFirst bool) ([]datab
 	}
 
 	asg := logic.Assignment{}
-	seen := map[string]bool{}
+	seen := database.NewKeyMap(len(q.Head))
 	var out []database.Tuple
 
 	negHolds := func(a logic.Atom) bool {
@@ -170,9 +170,7 @@ func runBacktrack(db *database.Database, q *logic.CQ, stopAtFirst bool) ([]datab
 		for i, v := range q.Head {
 			tuple[i] = asg[v]
 		}
-		k := tuple.FullKey()
-		if !seen[k] {
-			seen[k] = true
+		if n := seen.Len(); seen.Intern(tuple, nil) == n {
 			out = append(out, tuple)
 		}
 		return stopAtFirst

@@ -119,7 +119,8 @@ func (t Table) AllCoversOver(colVals [][]database.Value) []Cover {
 // iff some i has cᵢ = fᵢ(a) and c₋ᵢ covers Eᵃᵢ = {x : fᵢ(x) ≠ fᵢ(a)}, for
 // an arbitrary a ∈ E. The result has at most k! elements.
 func (t Table) MinimalCovers() []Cover {
-	set := map[string]Cover{}
+	seen := database.NewKeyMap(t.K)
+	var all []Cover
 	cur := make(Cover, t.K)
 	for i := range cur {
 		cur[i] = Blank
@@ -128,7 +129,9 @@ func (t Table) MinimalCovers() []Cover {
 	var rec func(rows []database.Tuple)
 	rec = func(rows []database.Tuple) {
 		if len(rows) == 0 {
-			set[cur.FullKey()] = cur.Clone()
+			if n := seen.Len(); seen.Intern(cur, nil) == n {
+				all = append(all, cur.Clone())
+			}
 			return
 		}
 		a := rows[0]
@@ -153,10 +156,6 @@ func (t Table) MinimalCovers() []Cover {
 	rec(t.Rows)
 	// The recursion can emit non-minimal covers (a value chosen for one
 	// column may be subsumed); filter to the minimal ones.
-	var all []Cover
-	for _, c := range set {
-		all = append(all, c)
-	}
 	var out []Cover
 	for _, c := range all {
 		minimal := true
@@ -179,7 +178,8 @@ func (t Table) MinimalCovers() []Cover {
 // built by the same recursion as MinimalCovers, keeping the chosen pivot
 // row at each step.
 func (t Table) RepresentativeSet() []database.Tuple {
-	picked := map[string]database.Tuple{}
+	seen := database.NewKeyMap(t.K)
+	var out []database.Tuple
 	active := make([]bool, t.K)
 	var rec func(rows []database.Tuple)
 	rec = func(rows []database.Tuple) {
@@ -187,7 +187,9 @@ func (t Table) RepresentativeSet() []database.Tuple {
 			return
 		}
 		a := rows[0]
-		picked[a.FullKey()] = a
+		if n := seen.Len(); seen.Intern(a, nil) == n {
+			out = append(out, a)
+		}
 		for i := 0; i < t.K; i++ {
 			if active[i] {
 				continue
@@ -204,10 +206,6 @@ func (t Table) RepresentativeSet() []database.Tuple {
 		}
 	}
 	rec(t.Rows)
-	out := make([]database.Tuple, 0, len(picked))
-	for _, r := range picked {
-		out = append(out, r)
-	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
 	return out
 }

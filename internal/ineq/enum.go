@@ -3,6 +3,7 @@ package ineq
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cq"
@@ -20,8 +21,9 @@ type residual struct{ a, b string }
 // its subtree.
 type part struct {
 	free      cq.Rel
-	witness   map[string][]database.Tuple // free-projection key -> witness rows; nil without a deferred residual
-	deferCols map[string]int              // deferred variable -> column in witness rows
+	witness   *database.Index // witness rows on their free columns; nil unless a deferred residual reads them
+	freeIdent []int           // the identity columns of a free tuple, aligned with the witness index's
+	deferCols map[string]int  // deferred variable -> column in witness rows
 }
 
 // EnumerateNeq enumerates φ(D) for a free-connex acyclic conjunctive query
@@ -325,8 +327,9 @@ func PrepareNeq(db *database.Database, q *logic.CQ, c *delay.Counter) (*NeqPrep,
 	}
 
 	// Root children: split free columns from witness columns. Only a
-	// deferred residual reads the witness maps (witnessCheck), so without
-	// one they are not built; the per-row step is counted either way.
+	// deferred residual reads the witness rows (witnessCheck), and only in
+	// a part with a witness column, so elsewhere they are not indexed; the
+	// per-row step is counted either way.
 	hasDeferred := false
 	for _, rc := range s.residuals {
 		if !freeSet[rc.a] || !freeSet[rc.b] {
@@ -348,16 +351,16 @@ func PrepareNeq(db *database.Database, q *logic.CQ, c *delay.Counter) (*NeqPrep,
 				pt.deferCols[v] = col
 			}
 		}
-		if hasDeferred {
-			pt.witness = map[string][]database.Tuple{}
-			for _, row := range r.R.Tuples {
-				k := row.Key(freeCols)
-				pt.witness[k] = append(pt.witness[k], row)
+		if hasDeferred && len(pt.deferCols) > 0 {
+			pt.witness = r.R.IndexOn(freeCols)
+			pt.freeIdent = make([]int, len(freeCols))
+			for i := range pt.freeIdent {
+				pt.freeIdent[i] = i
 			}
 		}
 		c.Tick(int64(r.R.Len()))
 		// With every column free the split keeps r whole: Dedup alone,
-		// after the witness maps and the tick have read r's rows.
+		// after the tick has read r's rows.
 		fr := cq.Rel{Schema: freeVars, R: r.R}
 		if len(freeCols) < len(r.Schema) {
 			fr.R = r.R.Project(r.R.Name, freeCols)
@@ -507,20 +510,19 @@ func eliminateWitness(r cq.Rel, z string, deg int, c *delay.Counter) cq.Rel {
 			otherCols = append(otherCols, col)
 		}
 	}
-	kept := map[string]map[database.Value]bool{}
+	groups := database.NewKeyMap(len(otherCols))
+	var kept [][]database.Value // per group id: the z-values kept
 	out := database.NewRelation(r.R.Name, r.R.Arity)
 	for _, row := range r.R.Tuples {
-		k := row.Key(otherCols)
-		vals := kept[k]
-		if vals == nil {
-			vals = map[database.Value]bool{}
-			kept[k] = vals
+		g := groups.Intern(row, otherCols)
+		if g == len(kept) {
+			kept = append(kept, nil)
 		}
 		c.Tick(1)
-		if len(vals) > deg || vals[row[zc]] {
+		if len(kept[g]) > deg || slices.Contains(kept[g], row[zc]) {
 			continue
 		}
-		vals[row[zc]] = true
+		kept[g] = append(kept[g], row[zc])
 		out.Insert(row)
 	}
 	out.Dedup()
@@ -545,9 +547,9 @@ func witnessCheck(parts []part, od *cq.Odometer, deferred []residual, freeSet ma
 		order = append(order, pi)
 	}
 	sort.Ints(order)
-	rows := make(map[int][]database.Tuple, len(order))
+	rows := make(map[int][]int32, len(order))
 	for _, pi := range order {
-		rows[pi] = parts[pi].witness[od.PartTuple(pi).FullKey()]
+		rows[pi] = parts[pi].witness.Lookup(od.PartTuple(pi), parts[pi].freeIdent)
 		c.Tick(1)
 		if len(rows[pi]) == 0 {
 			return false
@@ -573,8 +575,8 @@ func witnessCheck(parts []part, od *cq.Odometer, deferred []residual, freeSet ma
 			return true
 		}
 		pi := order[k]
-		for _, row := range rows[pi] {
-			choice[pi] = row
+		for _, id := range rows[pi] {
+			choice[pi] = parts[pi].witness.Row(id)
 			if rec(k + 1) {
 				return true
 			}

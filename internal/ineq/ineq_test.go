@@ -118,10 +118,10 @@ func sameCovers(a, b Table) bool {
 	}
 	keys := map[string]bool{}
 	for _, c := range ca {
-		keys[c.FullKey()] = true
+		keys[c.String()] = true
 	}
 	for _, c := range cb {
-		if !keys[c.FullKey()] {
+		if !keys[c.String()] {
 			return false
 		}
 	}

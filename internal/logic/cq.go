@@ -8,6 +8,7 @@ package logic
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -333,7 +334,6 @@ func (q *CQ) EvalNaive(db *database.Database) []database.Tuple {
 	dom := db.Domain()
 	vars := q.Vars()
 	asg := make(Assignment, len(vars))
-	seen := make(map[string]bool)
 	var out []database.Tuple
 	var rec func(i int)
 	rec = func(i int) {
@@ -343,11 +343,7 @@ func (q *CQ) EvalNaive(db *database.Database) []database.Tuple {
 				for j, v := range q.Head {
 					t[j] = asg[v]
 				}
-				k := t.FullKey()
-				if !seen[k] {
-					seen[k] = true
-					out = append(out, t)
-				}
+				out = append(out, t)
 			}
 			return
 		}
@@ -358,8 +354,14 @@ func (q *CQ) EvalNaive(db *database.Database) []database.Tuple {
 		delete(asg, vars[i])
 	}
 	rec(0)
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out
+	return sortedSet(out)
+}
+
+// sortedSet sorts ts and drops the repeats, as the naive evaluators return
+// their answers.
+func sortedSet(ts []database.Tuple) []database.Tuple {
+	sort.Slice(ts, func(i, j int) bool { return ts[i].Compare(ts[j]) < 0 })
+	return slices.CompactFunc(ts, database.Tuple.Equal)
 }
 
 // CountNaive returns |φ(D)| by brute force.
@@ -418,19 +420,11 @@ func (u *UCQ) Validate() error {
 // EvalNaive evaluates the union by brute force, deduplicating across
 // disjuncts.
 func (u *UCQ) EvalNaive(db *database.Database) []database.Tuple {
-	seen := make(map[string]bool)
 	var out []database.Tuple
 	for _, d := range u.Disjuncts {
-		for _, t := range d.EvalNaive(db) {
-			k := t.FullKey()
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, t)
-			}
-		}
+		out = append(out, d.EvalNaive(db)...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out
+	return sortedSet(out)
 }
 
 // String renders the union.

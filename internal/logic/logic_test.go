@@ -97,12 +97,12 @@ func TestEvalNaivePathQuery(t *testing.T) {
 	res := q.EvalNaive(db)
 	// Check a few expected two-step paths.
 	want := map[string]bool{
-		database.Tuple{1, 3}.FullKey(): true, // 1→2→3
-		database.Tuple{2, 4}.FullKey(): true, // 2→3→4
+		database.Tuple{1, 3}.String(): true, // 1→2→3
+		database.Tuple{2, 4}.String(): true, // 2→3→4
 	}
 	found := 0
 	for _, r := range res {
-		if want[r.FullKey()] {
+		if want[r.String()] {
 			found++
 		}
 	}

@@ -216,8 +216,9 @@ func eliminate(x string, cons []Constraint, domain []database.Value) ([]Constrai
 	type level struct {
 		scope  []string // S_j − x
 		xCol   int
-		cols   []int // columns of S_j tuples giving S_j − x
-		forbid map[string]map[database.Value]bool
+		cols   []int                     // columns of S_j tuples giving S_j − x
+		keys   *database.KeyMap          // the S_j − x projections of forbidden tuples
+		forbid []map[database.Value]bool // per key id: the forbidden x-values
 	}
 	byScope := map[string]*level{}
 	var levels []*level
@@ -229,7 +230,7 @@ func eliminate(x string, cons []Constraint, domain []database.Value) ([]Constrai
 		key := fmt.Sprint(ct.Scope)
 		lv := byScope[key]
 		if lv == nil {
-			lv = &level{forbid: map[string]map[database.Value]bool{}}
+			lv = &level{}
 			for i, v := range ct.Scope {
 				if v == x {
 					lv.xCol = i
@@ -238,13 +239,14 @@ func eliminate(x string, cons []Constraint, domain []database.Value) ([]Constrai
 					lv.cols = append(lv.cols, i)
 				}
 			}
+			lv.keys = database.NewKeyMap(len(lv.cols))
 			byScope[key] = lv
 			levels = append(levels, lv)
 		}
 		for _, f := range ct.Forbidden {
-			k := f.Key(lv.cols)
-			if lv.forbid[k] == nil {
-				lv.forbid[k] = map[database.Value]bool{}
+			k := lv.keys.Intern(f, lv.cols)
+			if k == len(lv.forbid) {
+				lv.forbid = append(lv.forbid, map[database.Value]bool{})
 			}
 			lv.forbid[k][f[lv.xCol]] = true
 		}
@@ -273,14 +275,17 @@ func eliminate(x string, cons []Constraint, domain []database.Value) ([]Constrai
 			restrict[i] = cols
 		}
 		for k, vals := range lv.forbid {
-			tup := decodeKey(k, len(lv.scope))
+			tup := lv.keys.Key(k)
 			n := len(vals)
 			seen := map[database.Value]bool{}
 			for v := range vals {
 				seen[v] = true
 			}
 			for i := 0; i < j; i++ {
-				rk := tup.Key(restrict[i])
+				rk := levels[i].keys.Find(tup, restrict[i])
+				if rk < 0 {
+					continue
+				}
 				for v := range levels[i].forbid[rk] {
 					if !seen[v] {
 						seen[v] = true
@@ -306,17 +311,4 @@ func indexOf(scope []string, v string) int {
 		}
 	}
 	panic("ncq: variable not in scope")
-}
-
-// decodeKey inverts Tuple.Key for a full-width key.
-func decodeKey(k string, n int) database.Tuple {
-	t := make(database.Tuple, n)
-	for i := 0; i < n; i++ {
-		var v uint64
-		for b := 0; b < 8; b++ {
-			v = v<<8 | uint64(k[i*8+b])
-		}
-		t[i] = database.Value(v)
-	}
-	return t
 }

@@ -47,6 +47,12 @@ func FromQuery(db *database.Database, q *logic.CQ) (*CSP, error) {
 				}
 			}
 		}
+		cols := make([]int, len(vars))
+		for i, v := range vars {
+			cols[i] = firstCol[v]
+		}
+		// seen holds the distinct forbidden tuples; forbidden lists them.
+		seen := database.NewKeyMap(len(vars))
 		var forbidden []database.Tuple
 		for _, tup := range r.Tuples {
 			ok := true
@@ -64,11 +70,9 @@ func FromQuery(db *database.Database, q *logic.CQ) (*CSP, error) {
 			if !ok {
 				continue
 			}
-			f := make(database.Tuple, len(vars))
-			for i, v := range vars {
-				f[i] = tup[firstCol[v]]
+			if n := seen.Len(); seen.Intern(tup, cols) == n {
+				forbidden = append(forbidden, seen.Key(n))
 			}
-			forbidden = append(forbidden, f)
 		}
 		if len(vars) == 0 {
 			if len(forbidden) > 0 {
@@ -77,22 +81,9 @@ func FromQuery(db *database.Database, q *logic.CQ) (*CSP, error) {
 			}
 			continue
 		}
-		c.Constraints = append(c.Constraints, Constraint{Scope: vars, Forbidden: dedupTuples(forbidden)})
+		c.Constraints = append(c.Constraints, Constraint{Scope: vars, Forbidden: forbidden})
 	}
 	return c, nil
-}
-
-func dedupTuples(ts []database.Tuple) []database.Tuple {
-	seen := map[string]bool{}
-	out := ts[:0]
-	for _, t := range ts {
-		k := t.FullKey()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, t)
-		}
-	}
-	return out
 }
 
 // Decide decides the Boolean NCQ over db. For β-acyclic queries it runs

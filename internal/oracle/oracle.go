@@ -21,6 +21,7 @@ package oracle
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/database"
@@ -194,25 +195,25 @@ func EvalBudget(db *database.Database, q *logic.CQ, budget int64) ([]database.Tu
 	for i, v := range q.Head {
 		headIdx[i] = e.varIdx[v]
 	}
-	seen := make(map[string]bool)
 	var out []database.Tuple
 	err := e.run(func() bool {
 		t := make(database.Tuple, len(headIdx))
 		for i, j := range headIdx {
 			t[i] = e.val[j]
 		}
-		k := fmt.Sprint([]database.Value(t))
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, t)
-		}
+		out = append(out, t)
 		return true
 	})
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out, nil
+	return sortedSet(out), nil
+}
+
+// sortedSet sorts ts and drops the repeats.
+func sortedSet(ts []database.Tuple) []database.Tuple {
+	sort.Slice(ts, func(i, j int) bool { return ts[i].Compare(ts[j]) < 0 })
+	return slices.CompactFunc(ts, database.Tuple.Equal)
 }
 
 // Count returns |φ(D)| by exhaustive search.
@@ -242,22 +243,15 @@ func Decide(db *database.Database, q *logic.CQ) (bool, error) {
 
 // EvalUCQ computes the duplicate-free union φ1(D) ∪ ... ∪ φk(D), sorted.
 func EvalUCQ(db *database.Database, u *logic.UCQ) ([]database.Tuple, error) {
-	seen := make(map[string]bool)
 	var out []database.Tuple
 	for _, d := range u.Disjuncts {
 		res, err := Eval(db, d)
 		if err != nil {
 			return nil, err
 		}
-		for _, t := range res {
-			k := fmt.Sprint([]database.Value(t))
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, t)
-			}
-		}
+		out = append(out, res...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	out = sortedSet(out)
 	return out, nil
 }
 

@@ -79,7 +79,7 @@ func routeDB(seed int64) *database.Database {
 			for j := range t {
 				t[j] = database.Value(1 + rng.Intn(12))
 			}
-			if k := t.FullKey(); !seen[k] {
+			if k := t.String(); !seen[k] {
 				seen[k] = true
 				r.Insert(t)
 			}

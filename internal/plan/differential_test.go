@@ -303,8 +303,9 @@ func TestDifferentialRandomAccessPipeline(t *testing.T) {
 		if !n.IsInt64() || n.Int64() != int64(len(want)) {
 			failInstance(t, seed, q, db, "random access Count %s != oracle %d", n, len(want))
 		}
-		if dp, err := counting.CountInt(db, q); err != nil || dp != n.String() {
-			failInstance(t, seed, q, db, "random access Count %s != counting.CountInt %s (%v)", n, dp, err)
+		s := counting.BigInt{}
+		if dp, err := counting.Count(db, q, counting.UnitWeight(s), s, nil); err != nil || s.String(dp) != n.String() {
+			failInstance(t, seed, q, db, "random access Count %s != counting.Count %v (%v)", n, dp, err)
 		}
 		got := make([]database.Tuple, 0, len(want))
 		for i := int64(0); i < n.Int64(); i++ {

@@ -98,7 +98,7 @@ func answersOf(t *testing.T, pr *Prepared) map[string]bool {
 	}
 	out := map[string]bool{}
 	for _, a := range delay.Collect(e) {
-		out[a.FullKey()] = true
+		out[a.String()] = true
 	}
 	return out
 }

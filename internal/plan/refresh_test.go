@@ -135,126 +135,137 @@ func TestRefreshUCQ(t *testing.T) {
 // decide / count agree with the brute-force oracle AND with a freshly
 // bound statement — including the counted execution steps, which must be
 // bit-identical to the fresh bind's (the refresh machinery may never leak
-// steps into enumeration).
+// steps into enumeration). It runs under the default and a colliding index
+// hash, which the refreshers' key maps take up as the indexes do.
 func TestDifferentialRefreshReplay(t *testing.T) {
-	cfg := qgen.Default()
-	var deltas, rebinds, noops int
-	for _, seed := range diffSeeds() {
-		q, db := qgen.Instance(seed)
-		p, err := plan.Compile(q)
-		if err != nil {
-			failInstance(t, seed, q, db, "Compile: %v", err)
-		}
-		pr, err := p.Bind(db)
-		if err != nil {
-			failInstance(t, seed, q, db, "Bind: %v", err)
-		}
-		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
-		script := qgen.MutationScript(rng, cfg, db, 8)
-		for step, m := range script {
-			if err := m.Apply(db); err != nil {
-				failInstance(t, seed, q, db, "step %d (%s): Apply: %v", step, m, err)
+	for _, h := range []struct {
+		name string
+		hash func(database.Tuple, []int) uint64
+	}{{"default", nil}, {"collisions", collidingHash}} {
+		t.Run(h.name, func(t *testing.T) {
+			if h.hash != nil {
+				defer database.SetIndexHashForTesting(h.hash)()
 			}
-			kind, err := pr.Refresh(nil)
-			if err != nil {
-				failInstance(t, seed, q, db, "step %d (%s): Refresh: %v", step, m, err)
-			}
-			switch kind {
-			case plan.RefreshDelta:
-				deltas++
-			case plan.RefreshRebind:
-				rebinds++
-			case plan.RefreshNoop:
-				noops++
-				if pr.Stale() {
-					failInstance(t, seed, q, db, "step %d (%s): noop refresh left the plan stale", step, m)
-				}
-			}
-
-			want, err := oracle.Eval(db, q)
-			if err != nil {
-				failInstance(t, seed, q, db, "step %d: oracle: %v", step, err)
-			}
-
-			// Fresh bind over the mutated database: the reference for both
-			// answers and counted execution steps.
-			cFresh := &delay.Counter{}
-			fresh, err := p.BindCounted(db, cFresh)
-			if err != nil {
-				failInstance(t, seed, q, db, "step %d: fresh Bind: %v", step, err)
-			}
-			bindSteps := cFresh.Steps()
-			eFresh, err := fresh.Enumerate(cFresh)
-			if err != nil {
-				failInstance(t, seed, q, db, "step %d: fresh Enumerate: %v", step, err)
-			}
-			freshRows := delay.Collect(eFresh)
-			freshExec := cFresh.Steps() - bindSteps
-
-			cRef := &delay.Counter{}
-			eRef, err := pr.Enumerate(cRef)
-			if err != nil {
-				failInstance(t, seed, q, db, "step %d (%s): Enumerate: %v", step, m, err)
-			}
-			got := delay.Collect(eRef)
-
-			if !sameAnswers(got, want) {
-				failInstance(t, seed, q, db, "step %d (%s, %v): refreshed answers %v != oracle %v", step, m, kind, got, want)
-			}
-			switch p.EnumerateEngine {
-			case plan.EngineConstantDelay:
-				// The refreshed core may enumerate in a different root order
-				// than a fresh bind (set equality is pinned above), but the
-				// per-pass step totals must match exactly.
-				if cRef.Steps() != freshExec {
-					failInstance(t, seed, q, db, "step %d (%s, %v): refreshed exec steps %d != fresh %d", step, m, kind, cRef.Steps(), freshExec)
-				}
-				// Whatever that order is, one generation has one: random
-				// access and resumed enumerations address the patched
-				// spine's own sequence, position for position.
-				ra, err := pr.NewRandomAccess(nil)
+			cfg := qgen.Default()
+			var deltas, rebinds, noops int
+			for _, seed := range diffSeeds() {
+				q, db := qgen.Instance(seed)
+				p, err := plan.Compile(q)
 				if err != nil {
-					failInstance(t, seed, q, db, "step %d (%s, %v): NewRandomAccess: %v", step, m, kind, err)
+					failInstance(t, seed, q, db, "Compile: %v", err)
 				}
-				for i, row := range got {
-					if tp, err := ra.GetInt(int64(i)); err != nil || !tp.Equal(row) {
-						failInstance(t, seed, q, db, "step %d (%s, %v): GetInt(%d) = %v, %v; the stream has %v", step, m, kind, i, tp, err, row)
+				pr, err := p.Bind(db)
+				if err != nil {
+					failInstance(t, seed, q, db, "Bind: %v", err)
+				}
+				rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+				script := qgen.MutationScript(rng, cfg, db, 8)
+				for step, m := range script {
+					if err := m.Apply(db); err != nil {
+						failInstance(t, seed, q, db, "step %d (%s): Apply: %v", step, m, err)
 					}
-					e, err := pr.EnumerateFrom(context.Background(), nil, offsetPos(uint64(i)))
+					kind, err := pr.Refresh(nil)
 					if err != nil {
-						failInstance(t, seed, q, db, "step %d (%s, %v): resume at %d: %v", step, m, kind, i, err)
+						failInstance(t, seed, q, db, "step %d (%s): Refresh: %v", step, m, err)
 					}
-					if rest := delay.Collect(e); !sameSequence(rest, got[i:]) {
-						failInstance(t, seed, q, db, "step %d (%s, %v): resume at %d = %v, want the stream's suffix %v", step, m, kind, i, rest, got[i:])
+					switch kind {
+					case plan.RefreshDelta:
+						deltas++
+					case plan.RefreshRebind:
+						rebinds++
+					case plan.RefreshNoop:
+						noops++
+						if pr.Stale() {
+							failInstance(t, seed, q, db, "step %d (%s): noop refresh left the plan stale", step, m)
+						}
 					}
-				}
-			case plan.EngineLinearDelay, plan.EngineNeqEnum:
-				if !sameSequence(got, freshRows) {
-					failInstance(t, seed, q, db, "step %d (%s, %v): refreshed sequence %v != fresh %v", step, m, kind, got, freshRows)
-				}
-				if cRef.Steps() != freshExec {
-					failInstance(t, seed, q, db, "step %d (%s, %v): refreshed exec steps %d != fresh %d", step, m, kind, cRef.Steps(), freshExec)
-				}
-			}
 
-			ok, err := pr.Decide(nil)
-			if err != nil {
-				failInstance(t, seed, q, db, "step %d: Decide: %v", step, err)
+					want, err := oracle.Eval(db, q)
+					if err != nil {
+						failInstance(t, seed, q, db, "step %d: oracle: %v", step, err)
+					}
+
+					// Fresh bind over the mutated database: the reference for both
+					// answers and counted execution steps.
+					cFresh := &delay.Counter{}
+					fresh, err := p.BindCounted(db, cFresh)
+					if err != nil {
+						failInstance(t, seed, q, db, "step %d: fresh Bind: %v", step, err)
+					}
+					bindSteps := cFresh.Steps()
+					eFresh, err := fresh.Enumerate(cFresh)
+					if err != nil {
+						failInstance(t, seed, q, db, "step %d: fresh Enumerate: %v", step, err)
+					}
+					freshRows := delay.Collect(eFresh)
+					freshExec := cFresh.Steps() - bindSteps
+
+					cRef := &delay.Counter{}
+					eRef, err := pr.Enumerate(cRef)
+					if err != nil {
+						failInstance(t, seed, q, db, "step %d (%s): Enumerate: %v", step, m, err)
+					}
+					got := delay.Collect(eRef)
+
+					if !sameAnswers(got, want) {
+						failInstance(t, seed, q, db, "step %d (%s, %v): refreshed answers %v != oracle %v", step, m, kind, got, want)
+					}
+					switch p.EnumerateEngine {
+					case plan.EngineConstantDelay:
+						// The refreshed core may enumerate in a different root order
+						// than a fresh bind (set equality is pinned above), but the
+						// per-pass step totals must match exactly.
+						if cRef.Steps() != freshExec {
+							failInstance(t, seed, q, db, "step %d (%s, %v): refreshed exec steps %d != fresh %d", step, m, kind, cRef.Steps(), freshExec)
+						}
+						// Whatever that order is, one generation has one: random
+						// access and resumed enumerations address the patched
+						// spine's own sequence, position for position.
+						ra, err := pr.NewRandomAccess(nil)
+						if err != nil {
+							failInstance(t, seed, q, db, "step %d (%s, %v): NewRandomAccess: %v", step, m, kind, err)
+						}
+						for i, row := range got {
+							if tp, err := ra.GetInt(int64(i)); err != nil || !tp.Equal(row) {
+								failInstance(t, seed, q, db, "step %d (%s, %v): GetInt(%d) = %v, %v; the stream has %v", step, m, kind, i, tp, err, row)
+							}
+							e, err := pr.EnumerateFrom(context.Background(), nil, offsetPos(uint64(i)))
+							if err != nil {
+								failInstance(t, seed, q, db, "step %d (%s, %v): resume at %d: %v", step, m, kind, i, err)
+							}
+							if rest := delay.Collect(e); !sameSequence(rest, got[i:]) {
+								failInstance(t, seed, q, db, "step %d (%s, %v): resume at %d = %v, want the stream's suffix %v", step, m, kind, i, rest, got[i:])
+							}
+						}
+					case plan.EngineLinearDelay, plan.EngineNeqEnum:
+						if !sameSequence(got, freshRows) {
+							failInstance(t, seed, q, db, "step %d (%s, %v): refreshed sequence %v != fresh %v", step, m, kind, got, freshRows)
+						}
+						if cRef.Steps() != freshExec {
+							failInstance(t, seed, q, db, "step %d (%s, %v): refreshed exec steps %d != fresh %d", step, m, kind, cRef.Steps(), freshExec)
+						}
+					}
+
+					ok, err := pr.Decide(nil)
+					if err != nil {
+						failInstance(t, seed, q, db, "step %d: Decide: %v", step, err)
+					}
+					if ok != (len(want) > 0) {
+						failInstance(t, seed, q, db, "step %d (%s): Decide = %v, oracle has %d answers", step, m, ok, len(want))
+					}
+					n, err := pr.Count(nil)
+					if err != nil {
+						failInstance(t, seed, q, db, "step %d: Count: %v", step, err)
+					}
+					if !n.IsInt64() || n.Int64() != int64(len(want)) {
+						failInstance(t, seed, q, db, "step %d (%s): Count = %s, oracle %d", step, m, n, len(want))
+					}
+				}
 			}
-			if ok != (len(want) > 0) {
-				failInstance(t, seed, q, db, "step %d (%s): Decide = %v, oracle has %d answers", step, m, ok, len(want))
+			if deltas == 0 {
+				t.Fatal("no mutation in the whole sweep was absorbed incrementally")
 			}
-			n, err := pr.Count(nil)
-			if err != nil {
-				failInstance(t, seed, q, db, "step %d: Count: %v", step, err)
-			}
-			if !n.IsInt64() || n.Int64() != int64(len(want)) {
-				failInstance(t, seed, q, db, "step %d (%s): Count = %s, oracle %d", step, m, n, len(want))
-			}
-		}
+			t.Logf("refresh replay: %d deltas, %d rebinds, %d noops", deltas, rebinds, noops)
+		})
 	}
-	if deltas == 0 {
-		t.Fatal("no mutation in the whole sweep was absorbed incrementally")
-	}
-	t.Logf("refresh replay: %d deltas, %d rebinds, %d noops", deltas, rebinds, noops)
 }

@@ -62,15 +62,14 @@ func (r *unionRoute) enumerate(_ context.Context, c *delay.Counter, pos []byte) 
 			// base relation): fall back to materializing each disjunct.
 		}
 		var all []database.Tuple
-		seen := map[string]bool{}
+		seen := database.NewKeyMap(p.UCQ.Arity())
 		for _, d := range p.UCQ.Disjuncts {
 			res, err := ineq.EvalBacktrack(r.db, d)
 			if err != nil {
 				return nil, 0, 0, err
 			}
 			for _, t := range res {
-				if k := t.FullKey(); !seen[k] {
-					seen[k] = true
+				if n := seen.Len(); seen.Intern(t, nil) == n {
 					all = append(all, t)
 				}
 			}

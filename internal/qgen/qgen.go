@@ -421,10 +421,9 @@ func MutationScript(rng *rand.Rand, cfg Config, db *database.Database, n int) []
 			script = append(script, Mutation{Pred: name, Insert: true, Tuple: t})
 		case roll < 0.95:
 			t := rows[rng.Intn(len(rows))].Clone()
-			key := t.FullKey()
 			kept := rows[:0]
 			for _, row := range rows {
-				if row.FullKey() != key {
+				if !row.Equal(t) {
 					kept = append(kept, row)
 				}
 			}

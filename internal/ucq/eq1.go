@@ -63,19 +63,17 @@ func EnumerateEq1(db *database.Database, c *delay.Counter) (delay.Enumerator, er
 	idx := r3.IndexOn([]int{0})
 	ispan.End()
 
-	seen := make(map[string]bool)
+	seen := database.NewKeyMap(3)
 	var cur database.Tuple // current φ2 answer (a,d,b)
 	var bucket []int32     // row ids of R3 tuples (a,c) for the current answer
 	bi := 0                // cursor into bucket
 	out := make(database.Tuple, 3)
 
 	emit := func(t database.Tuple) (database.Tuple, bool) {
-		k := t.FullKey()
 		c.Tick(1)
-		if seen[k] {
+		if n := seen.Len(); seen.Intern(t, nil) < n {
 			return nil, false
 		}
-		seen[k] = true
 		return t, true
 	}
 

@@ -208,7 +208,7 @@ func TestEnumerateNoDuplicates(t *testing.T) {
 		if !ok {
 			break
 		}
-		k := tup.FullKey()
+		k := tup.String()
 		if seen[k] {
 			t.Fatalf("duplicate %v", tup)
 		}
